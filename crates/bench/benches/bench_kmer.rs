@@ -2,7 +2,7 @@
 //! masked-replica neighbour retrieval vs brute-force mutant enumeration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ngs_kmer::neighbor::{NeighborIndex, NeighborStrategy};
+use ngs_kmer::neighbor::{default_chunks, NeighborIndex, NeighborStrategy};
 use ngs_kmer::{KSpectrum, TileTable};
 use ngs_simulate::{simulate_reads, ErrorModel, GenomeSpec, ReadSimConfig};
 use std::time::Duration;
@@ -40,8 +40,9 @@ fn bench_neighbor_ablation(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(Duration::from_secs(1));
     g.measurement_time(Duration::from_secs(8));
+    let chunks = default_chunks(spectrum.k(), 1);
     for (name, strategy) in [
-        ("masked_replicas", NeighborStrategy::MaskedReplicas { chunks: 13 }),
+        ("masked_replicas", NeighborStrategy::MaskedReplicas { chunks }),
         ("brute_force", NeighborStrategy::BruteForce),
     ] {
         let index = NeighborIndex::build(&spectrum, 1, strategy);
@@ -65,10 +66,9 @@ fn bench_index_build(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(Duration::from_secs(1));
     g.measurement_time(Duration::from_secs(8));
-    g.bench_function("masked_replicas_c13_d1", |b| {
-        b.iter(|| {
-            NeighborIndex::build(&spectrum, 1, NeighborStrategy::MaskedReplicas { chunks: 13 })
-        })
+    let chunks = default_chunks(spectrum.k(), 1);
+    g.bench_function("masked_replicas_d1", |b| {
+        b.iter(|| NeighborIndex::build(&spectrum, 1, NeighborStrategy::MaskedReplicas { chunks }))
     });
     g.finish();
 }

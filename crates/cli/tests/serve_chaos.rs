@@ -26,6 +26,7 @@ extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
 }
 const SIGTERM: i32 = 15;
+const SIGSTOP: i32 = 19;
 
 const GENOME_LEN: usize = 5_000;
 
@@ -304,9 +305,16 @@ fn sigkill_mid_request_is_survived_by_retry_against_warm_restart() {
 
     let mut first = ServeProc::start(&dir, &reads_path, &listen, &flags);
 
-    // Client with a deep retry budget; its request will be mid-correction
-    // when the server is SIGKILLed, then keep retrying (idempotent) until
-    // the restarted server answers.
+    // Freeze the server before the request is sent, so the request cannot
+    // be answered before the SIGKILL however fast correction is: the kernel
+    // still accepts the connection and buffers the request, the frozen
+    // process never replies.
+    // SAFETY: plain signal to our own child.
+    assert_eq!(unsafe { kill(first.child.id() as i32, SIGSTOP) }, 0, "SIGSTOP");
+
+    // Client with a deep retry budget; its request is pending when the
+    // server is SIGKILLed, then it keeps retrying (idempotent) until the
+    // restarted server answers.
     let endpoint = first.endpoint.clone();
     let client_thread = {
         let reads = reads.clone();
@@ -322,7 +330,7 @@ fn sigkill_mid_request_is_survived_by_retry_against_warm_restart() {
             c.correct(&reads, 0)
         })
     };
-    std::thread::sleep(Duration::from_millis(50)); // let the request start
+    std::thread::sleep(Duration::from_millis(50)); // let the request start (early is harmless)
     first.child.kill().expect("SIGKILL");
     let _ = first.child.wait();
 

@@ -13,7 +13,8 @@
 //! * [`neighbor`] — retrieval of the d-neighbourhood `N^d_i` of a k-mer,
 //!   either by brute-force mutant enumeration or by the paper's
 //!   masked-replica index (§2.3 Phase 1): `C(c,d)` copies of the spectrum,
-//!   each sorted under a positional mask, one binary search per replica;
+//!   each stored as bit-permuted keys behind a bucket directory, one
+//!   contiguous run streamed per replica;
 //! * [`tile`] — tiles `t = α₁ ||_l α₂` (Definition 2.1) with plain and
 //!   high-quality occurrence counts `O_c` / `O_g`.
 

@@ -9,15 +9,23 @@
 //!   the query and binary-search each in the spectrum
 //!   (`O(C(k,d)·3^d·log|R^k|)` per query);
 //! * **Masked replicas** (§2.3 Phase 1) — split the `k` positions into `c`
-//!   chunks; for every choice of `d` chunks keep a permutation of the
-//!   spectrum sorted with those chunk positions masked to zero. Any k-mer
-//!   within distance `d` of the query differs in positions covered by at most
-//!   `d` chunks, so it collides with the query's masked key in at least one
-//!   replica: one binary search per replica finds all neighbours.
+//!   chunks; for every choice of `d` chunks keep a copy of the spectrum in
+//!   which those chunks do not take part in the sort key. Any k-mer within
+//!   distance `d` of the query differs in positions covered by at most `d`
+//!   chunks, so it agrees with the query on the kept chunks of at least one
+//!   replica.
+//!
+//! A replica stores the k-mers themselves, **bit-permuted** so the kept
+//! chunks are the high bits and the masked chunks the low bits, sorted, in
+//! one contiguous array. All k-mers that agree with a query on the kept
+//! chunks then form one contiguous run, and a bucket directory over the top
+//! bits of the permuted key says where it starts: a probe permutes the
+//! query, reads two directory entries and streams the run. A bit permutation
+//! that moves whole 2-bit bases preserves Hamming distance, so candidates
+//! are verified on the permuted keys without touching the spectrum.
 
-use crate::packed::{hamming_distance, Kmer};
+use crate::packed::{hamming_distance, mutate_base, Kmer};
 use crate::spectrum::KSpectrum;
-use ngs_core::NgsError;
 use rayon::prelude::*;
 use std::borrow::Cow;
 
@@ -33,11 +41,21 @@ pub enum NeighborStrategy {
     },
 }
 
+/// The chunk count every masked-replica index in the workspace is built
+/// with: `d + 2` (capped at `k`), i.e. 3 replicas at `d = 1` and 6 at
+/// `d = 2`. The returned neighbour set does not depend on it; probe cost and
+/// memory (`C(c,d) × 12` bytes per k-mer) do, and `d + 2` is the measured
+/// optimum of the contiguous layout (DESIGN.md, "Neighbour retrieval").
+/// Legal only for `d < k`.
+pub fn default_chunks(k: usize, d: usize) -> usize {
+    (d + 2).min(k)
+}
+
 /// The owned, expensive-to-build part of a neighbour index: the masked
-/// replica permutations. Building sorts the spectrum once per chunk subset
-/// (Phase 1's dominant cost), so long-lived correctors build a
-/// `NeighborTables` once and take cheap [`NeighborTables::view`]s per
-/// query batch instead of re-sorting on every call.
+/// replicas. Building copies and reorders the spectrum once per chunk
+/// subset, so long-lived correctors build a `NeighborTables` once and take
+/// cheap [`NeighborTables::view`]s per query batch instead of rebuilding on
+/// every call.
 #[derive(Clone)]
 pub struct NeighborTables {
     d: usize,
@@ -49,20 +67,163 @@ pub struct NeighborTables {
     replicas: Vec<Replica>,
 }
 
+/// A run of adjacent bits that moves as one block under a
+/// [`BitPermutation`]: `((v & mask) << shl) >> shr`, one shift being zero.
+#[derive(Clone, Copy)]
+struct Segment {
+    /// The block's bits in the unpermuted k-mer.
+    mask: u64,
+    shl: u32,
+    shr: u32,
+}
+
+/// The permutation of the `2k` k-mer bits that puts the kept chunks in the
+/// high bits and the masked chunks in the low bits, each group in its
+/// original order. It moves whole bases, so it preserves Hamming distance.
+#[derive(Clone)]
+struct BitPermutation {
+    segments: Vec<Segment>,
+    /// Number of low bits of a permuted key that belong to masked chunks.
+    masked_bits: u32,
+}
+
+impl BitPermutation {
+    /// The permutation masking the chunks `masked` (sorted indices) out of
+    /// `chunks` chunks over `k` positions. Adjacent chunks that move by the
+    /// same amount share a segment.
+    fn new(k: usize, chunks: usize, masked: &[usize]) -> BitPermutation {
+        let kept = (0..chunks).filter(|ci| !masked.contains(ci));
+        let mut segments: Vec<Segment> = Vec::new();
+        let mut dst_top = 2 * k as u32;
+        for ci in kept.chain(masked.iter().copied()) {
+            let mask = chunk_mask(k, chunks, ci);
+            let width = mask.count_ones();
+            let src_lo = mask.trailing_zeros();
+            let dst_lo = dst_top - width;
+            dst_top = dst_lo;
+            let (shl, shr) = (dst_lo.saturating_sub(src_lo), src_lo.saturating_sub(dst_lo));
+            match segments.last_mut() {
+                Some(last) if (last.shl, last.shr) == (shl, shr) => last.mask |= mask,
+                _ => segments.push(Segment { mask, shl, shr }),
+            }
+        }
+        let masked_bits = masked.iter().map(|&ci| chunk_mask(k, chunks, ci).count_ones()).sum();
+        BitPermutation { segments, masked_bits }
+    }
+
+    #[inline]
+    fn apply(&self, v: Kmer) -> Kmer {
+        self.segments.iter().fold(0, |acc, s| acc | (((v & s.mask) << s.shl) >> s.shr))
+    }
+
+    #[inline]
+    fn invert(&self, key: Kmer) -> Kmer {
+        self.segments.iter().fold(0, |acc, s| acc | (((key << s.shr) >> s.shl) & s.mask))
+    }
+}
+
+/// One masked copy of the spectrum.
 #[derive(Clone)]
 struct Replica {
-    /// Bits to *keep* (complement of the masked-out chunk positions).
-    keep_mask: u64,
-    /// Spectrum indices sorted by `kmer & keep_mask`.
+    perm: BitPermutation,
+    /// `key >> dir_shift` is the key's bucket; the directory covers kept
+    /// bits only (`dir_shift >= perm.masked_bits`).
+    dir_shift: u32,
+    /// Bucket `b` is `keys[dir[b]..dir[b + 1]]`.
+    dir: Vec<u32>,
+    /// The permuted k-mers, sorted.
+    keys: Vec<Kmer>,
+    /// Spectrum index of each key.
     order: Vec<u32>,
+}
+
+impl Replica {
+    /// Build the replica of `kmers` (the sorted spectrum of `k`-mers) that
+    /// masks the chunks in `masked` out of `chunks`: one counting sort by
+    /// bucket, no comparison sort of the whole spectrum.
+    fn build(kmers: &[Kmer], k: usize, chunks: usize, masked: &[usize]) -> Replica {
+        let perm = BitPermutation::new(k, chunks, masked);
+        // About four keys per bucket, but never split a kept prefix, and at
+        // least one bit so the shift stays below 64 at k = 32.
+        let key_bits = 2 * k as u32;
+        let kept_bits = key_bits - perm.masked_bits;
+        let dir_bits = (kmers.len() / 4).max(1).next_power_of_two().trailing_zeros();
+        let dir_bits = dir_bits.clamp(1, kept_bits);
+        let dir_shift = key_bits - dir_bits;
+        let bucket_of = |key: Kmer| (key >> dir_shift) as usize;
+
+        let mut dir = vec![0u32; (1usize << dir_bits) + 1];
+        for &v in kmers {
+            dir[bucket_of(perm.apply(v)) + 1] += 1;
+        }
+        for b in 1..dir.len() {
+            dir[b] += dir[b - 1];
+        }
+
+        // Scatter in spectrum order. The spectrum is ascending and the
+        // permutation keeps the masked chunks in their original order, so
+        // k-mers that share their kept chunks arrive in key order: a bucket
+        // that is one kept prefix is born sorted.
+        let mut next = dir.clone();
+        let mut keys = vec![0; kmers.len()];
+        let mut order = vec![0u32; kmers.len()];
+        for (i, &v) in kmers.iter().enumerate() {
+            let key = perm.apply(v);
+            let slot = &mut next[bucket_of(key)];
+            keys[*slot as usize] = key;
+            order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        // A bucket that spans several kept prefixes (large k) is sorted here;
+        // it holds about four keys.
+        if dir_bits < kept_bits {
+            let mut run: Vec<(Kmer, u32)> = Vec::new();
+            for w in dir.windows(2) {
+                let range = w[0] as usize..w[1] as usize;
+                run.clear();
+                run.extend(
+                    keys[range.clone()].iter().copied().zip(order[range.clone()].iter().copied()),
+                );
+                run.sort_unstable();
+                for (j, &(key, i)) in range.zip(&run) {
+                    (keys[j], order[j]) = (key, i);
+                }
+            }
+        }
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "replica keys must be ascending");
+        Replica { perm, dir_shift, dir, keys, order }
+    }
+
+    /// Call `hit(spectrum index, k-mer)` for every k-mer that agrees with
+    /// `query` on the kept chunks, differs from it, and lies within `max_d`.
+    #[inline]
+    fn scan(&self, query: Kmer, max_d: usize, hit: &mut impl FnMut(usize, Kmer)) {
+        let pq = self.perm.apply(query);
+        let bucket = (pq >> self.dir_shift) as usize;
+        let (start, end) = (self.dir[bucket] as usize, self.dir[bucket + 1] as usize);
+        let masked_bits = self.perm.masked_bits;
+        let prefix = pq >> masked_bits;
+        for (&key, &i) in self.keys[start..end].iter().zip(&self.order[start..]) {
+            let key_prefix = key >> masked_bits;
+            if key_prefix < prefix {
+                continue;
+            }
+            if key_prefix > prefix {
+                break;
+            }
+            if key != pq && hamming_distance(key, pq) as usize <= max_d {
+                hit(i as usize, self.perm.invert(key));
+            }
+        }
+    }
 }
 
 impl NeighborTables {
     /// Build the replica tables for distance-`d` queries over `spectrum`.
     ///
     /// # Panics
-    /// Panics if `d == 0`, `d > k`, or (for masked replicas) `chunks` is
-    /// not in `(d, k]`.
+    /// Panics if `d == 0`, `d > k`, (for masked replicas) `chunks` is not
+    /// in `(d, k]`, or the spectrum holds more than `u32::MAX` k-mers.
     pub fn build(spectrum: &KSpectrum, d: usize, strategy: NeighborStrategy) -> NeighborTables {
         let k = spectrum.k();
         assert!(d >= 1 && d <= k, "d must be in 1..=k");
@@ -70,18 +231,10 @@ impl NeighborTables {
             NeighborStrategy::BruteForce => Vec::new(),
             NeighborStrategy::MaskedReplicas { chunks } => {
                 assert!(chunks > d && chunks <= k, "need d < chunks <= k");
+                assert!(u32::try_from(spectrum.len()).is_ok(), "spectrum too large for the index");
                 subsets(chunks, d)
                     .into_par_iter()
-                    .map(|subset| {
-                        let masked_out: u64 = subset
-                            .iter()
-                            .map(|&ci| chunk_mask(k, chunks, ci))
-                            .fold(0, |a, b| a | b);
-                        let keep_mask = !masked_out;
-                        let mut order: Vec<u32> = (0..spectrum.len() as u32).collect();
-                        order.sort_unstable_by_key(|&i| spectrum.kmers()[i as usize] & keep_mask);
-                        Replica { keep_mask, order }
-                    })
+                    .map(|masked| Replica::build(spectrum.kmers(), k, chunks, &masked))
                     .collect()
             }
         };
@@ -101,73 +254,6 @@ impl NeighborTables {
     /// Number of replicas held (0 for brute force).
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
-    }
-
-    /// Length of the spectrum the tables were built over.
-    pub fn spectrum_len(&self) -> usize {
-        self.spectrum_len
-    }
-
-    /// The k of the spectrum the tables were built over.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The raw replica data — `(keep_mask, sorted spectrum indices)` per
-    /// replica — for checkpoint serialization. Inverse of
-    /// [`NeighborTables::from_parts`].
-    pub fn replica_parts(&self) -> impl Iterator<Item = (u64, &[u32])> + '_ {
-        self.replicas.iter().map(|r| (r.keep_mask, r.order.as_slice()))
-    }
-
-    /// Reassemble tables from checkpointed parts, validating the cheap
-    /// structural invariants (every order is a permutation-sized list of
-    /// in-range spectrum indices) so a corrupt checkpoint cannot produce an
-    /// index that answers garbage or panics on query.
-    pub fn from_parts(
-        d: usize,
-        strategy: NeighborStrategy,
-        spectrum_len: usize,
-        k: usize,
-        replicas: Vec<(u64, Vec<u32>)>,
-    ) -> Result<NeighborTables, NgsError> {
-        if d == 0 || d > k {
-            return Err(NgsError::InvalidParameter(format!(
-                "NeighborTables::from_parts: d={d} out of 1..={k}"
-            )));
-        }
-        match strategy {
-            NeighborStrategy::BruteForce if !replicas.is_empty() => {
-                return Err(NgsError::InvalidParameter(
-                    "NeighborTables::from_parts: brute force carries no replicas".into(),
-                ));
-            }
-            NeighborStrategy::MaskedReplicas { chunks } if chunks <= d || chunks > k => {
-                return Err(NgsError::InvalidParameter(format!(
-                    "NeighborTables::from_parts: chunks={chunks} out of ({d}, {k}]"
-                )));
-            }
-            _ => {}
-        }
-        let replicas = replicas
-            .into_iter()
-            .map(|(keep_mask, order)| {
-                if order.len() != spectrum_len {
-                    return Err(NgsError::InvalidParameter(format!(
-                        "NeighborTables::from_parts: replica order length {} != spectrum length \
-                         {spectrum_len}",
-                        order.len()
-                    )));
-                }
-                if order.iter().any(|&i| i as usize >= spectrum_len) {
-                    return Err(NgsError::InvalidParameter(
-                        "NeighborTables::from_parts: replica index out of range".into(),
-                    ));
-                }
-                Ok(Replica { keep_mask, order })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(NeighborTables { d, strategy, spectrum_len, k, replicas })
     }
 
     /// A query view pairing these tables with the spectrum they were built
@@ -199,12 +285,11 @@ pub struct NeighborIndex<'s> {
     spectrum: &'s KSpectrum,
     d: usize,
     strategy: NeighborStrategy,
-    /// One replica per chunk-subset: the mask applied to keys, and spectrum
-    /// indices sorted by masked k-mer value. Empty for brute force.
+    /// One replica per chunk subset. Empty for brute force.
     replicas: Cow<'s, [Replica]>,
 }
 
-/// All `C(n, d)` subsets of `{0..n}` of size `d`, as index vectors.
+/// All `C(n, d)` subsets of `{0..n}` of size `d`, as sorted index vectors.
 fn subsets(n: usize, d: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut cur = Vec::with_capacity(d);
@@ -243,8 +328,7 @@ impl<'s> NeighborIndex<'s> {
     /// instead.
     ///
     /// # Panics
-    /// Panics if `d == 0`, `d > k`, or (for masked replicas) `chunks` is not
-    /// in `(d, k]`.
+    /// As [`NeighborTables::build`].
     pub fn build(
         spectrum: &'s KSpectrum,
         d: usize,
@@ -270,74 +354,62 @@ impl<'s> NeighborIndex<'s> {
     }
 
     /// Return the spectrum indices of all *observed* k-mers within Hamming
-    /// distance `max_d` of `query`, **excluding** `query` itself. `max_d`
-    /// must not exceed the index's `d`.
+    /// distance `max_d` of `query`, **excluding** `query` itself, ascending.
+    /// `max_d` must not exceed the index's `d`.
     pub fn neighbors(&self, query: Kmer, max_d: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.neighbors_into(query, max_d, &mut out);
+        out
+    }
+
+    /// [`NeighborIndex::neighbors`] into a caller-owned buffer (cleared
+    /// first), so a query loop allocates nothing.
+    pub fn neighbors_into(&self, query: Kmer, max_d: usize, out: &mut Vec<usize>) {
+        self.hits_into(query, max_d, out, |i, _| i);
+    }
+
+    /// The neighbours as k-mers instead of indices (same order), into a
+    /// caller-owned buffer. The masked replicas hold the k-mers themselves,
+    /// so no hit is looked up in the spectrum.
+    pub fn neighbor_kmers_into(&self, query: Kmer, max_d: usize, out: &mut Vec<Kmer>) {
+        self.hits_into(query, max_d, out, |_, v| v);
+    }
+
+    /// Replace `out` with `pick(spectrum index, k-mer)` of every neighbour,
+    /// ascending and deduplicated.
+    fn hits_into<T: Ord>(
+        &self,
+        query: Kmer,
+        max_d: usize,
+        out: &mut Vec<T>,
+        pick: impl Fn(usize, Kmer) -> T,
+    ) {
+        out.clear();
+        self.for_each_hit(query, max_d, |i, v| out.push(pick(i, v)));
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Call `hit(spectrum index, k-mer)` for every observed k-mer within
+    /// `max_d` of `query` other than `query`, in no order and possibly more
+    /// than once (a neighbour is found in every replica that masks all the
+    /// chunks it differs in).
+    fn for_each_hit(&self, query: Kmer, max_d: usize, mut hit: impl FnMut(usize, Kmer)) {
         assert!(max_d <= self.d, "query distance {max_d} exceeds index d {}", self.d);
-        if max_d == 0 {
-            return Vec::new();
+        // A query with bits above 2k is no k-mer and has no neighbours.
+        if max_d == 0 || query > u64::MAX >> (64 - 2 * self.spectrum.k()) {
+            return;
         }
         match self.strategy {
-            NeighborStrategy::BruteForce => self.brute_force(query, max_d),
-            NeighborStrategy::MaskedReplicas { .. } => self.via_replicas(query, max_d),
-        }
-    }
-
-    fn brute_force(&self, query: Kmer, max_d: usize) -> Vec<usize> {
-        let k = self.spectrum.k();
-        let mut out = Vec::new();
-        // Enumerate mutants with up to max_d substitutions via recursion over
-        // positions; each complete mutant is probed in the spectrum.
-        fn rec(
-            spectrum: &KSpectrum,
-            k: usize,
-            cur: Kmer,
-            next_pos: usize,
-            remaining: usize,
-            out: &mut Vec<usize>,
-        ) {
-            if remaining == 0 {
-                return;
+            NeighborStrategy::BruteForce => {
+                brute_force(self.spectrum, query, 0, max_d, &mut hit);
             }
-            for pos in next_pos..k {
-                for delta in 1..=3u8 {
-                    let m = crate::packed::mutate_base(cur, k, pos, delta);
-                    if let Some(i) = spectrum.index_of(m) {
-                        out.push(i);
-                    }
-                    rec(spectrum, k, m, pos + 1, remaining - 1, out);
+            NeighborStrategy::MaskedReplicas { .. } => {
+                for rep in self.replicas.iter() {
+                    rep.scan(query, max_d, &mut hit);
                 }
             }
         }
-        rec(self.spectrum, k, query, 0, max_d, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn via_replicas(&self, query: Kmer, max_d: usize) -> Vec<usize> {
-        let kmers = self.spectrum.kmers();
-        let mut out = Vec::new();
-        for rep in self.replicas.iter() {
-            let key = query & rep.keep_mask;
-            // Binary search for the first index whose masked value == key.
-            let lo = rep.order.partition_point(|&i| (kmers[i as usize] & rep.keep_mask) < key);
-            for &i in &rep.order[lo..] {
-                let v = kmers[i as usize];
-                if v & rep.keep_mask != key {
-                    break;
-                }
-                if v != query {
-                    let hd = hamming_distance(v, query) as usize;
-                    if hd <= max_d {
-                        out.push(i as usize);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Precompute the full adjacency (neighbour lists for every spectrum
@@ -347,9 +419,75 @@ impl<'s> NeighborIndex<'s> {
         self.spectrum
             .kmers()
             .par_iter()
-            .map(|&v| self.neighbors(v, max_d).into_iter().map(|i| i as u32).collect())
+            .map(|&v| {
+                let mut out = Vec::new();
+                self.hits_into(v, max_d, &mut out, |i, _| i as u32);
+                out
+            })
             .collect()
     }
+}
+
+/// Enumerate the mutants of `cur` with up to `remaining` substitutions at
+/// positions `next_pos..`, probing each in the spectrum.
+fn brute_force(
+    spectrum: &KSpectrum,
+    cur: Kmer,
+    next_pos: usize,
+    remaining: usize,
+    hit: &mut impl FnMut(usize, Kmer),
+) {
+    if remaining == 0 {
+        return;
+    }
+    let k = spectrum.k();
+    for pos in next_pos..k {
+        for delta in 1..=3u8 {
+            let m = mutate_base(cur, k, pos, delta);
+            if let Some(i) = spectrum.index_of(m) {
+                hit(i, m);
+            }
+            brute_force(spectrum, m, pos + 1, remaining - 1, hit);
+        }
+    }
+}
+
+/// Differential oracle: for **every** legal chunk count `d < c <= k`, the
+/// masked-replica index over `spectrum` must answer each query exactly as
+/// brute-force enumeration does (ascending, deduplicated, query excluded),
+/// for every distance `1..=d`. Returns the first disagreement.
+pub fn check_against_brute_force(
+    spectrum: &KSpectrum,
+    d: usize,
+    queries: &[Kmer],
+) -> Result<(), String> {
+    let k = spectrum.k();
+    let brute = NeighborIndex::build(spectrum, d, NeighborStrategy::BruteForce);
+    let expected: Vec<Vec<Vec<usize>>> =
+        queries.iter().map(|&q| (1..=d).map(|dist| brute.neighbors(q, dist)).collect()).collect();
+    for chunks in d + 1..=k {
+        let masked = NeighborIndex::build(spectrum, d, NeighborStrategy::MaskedReplicas { chunks });
+        let mut kmers = Vec::new();
+        for (&q, want) in queries.iter().zip(&expected) {
+            for (dist, want) in (1..=d).zip(want) {
+                let got = masked.neighbors(q, dist);
+                if &got != want {
+                    return Err(format!(
+                        "k={k} d={d} chunks={chunks} query={q:#x} dist={dist}: masked replicas \
+                         answer {got:?}, brute force {want:?}"
+                    ));
+                }
+                masked.neighbor_kmers_into(q, dist, &mut kmers);
+                if !kmers.iter().copied().eq(want.iter().map(|&i| spectrum.kmers()[i])) {
+                    return Err(format!(
+                        "k={k} d={d} chunks={chunks} query={q:#x} dist={dist}: neighbour \
+                         k-mers {kmers:x?} do not match indices {want:?}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -375,6 +513,14 @@ mod tests {
     }
 
     #[test]
+    fn default_chunks_is_d_plus_two_capped_at_k() {
+        assert_eq!(default_chunks(10, 1), 3);
+        assert_eq!(default_chunks(13, 2), 4);
+        assert_eq!(default_chunks(3, 2), 3);
+        assert_eq!(default_chunks(2, 1), 2);
+    }
+
+    #[test]
     fn chunk_masks_partition_all_positions() {
         let k = 13;
         let c = 5;
@@ -385,6 +531,99 @@ mod tests {
             acc |= m;
         }
         assert_eq!(acc, (1u64 << (2 * k)) - 1, "chunks must cover all positions");
+    }
+
+    /// splitmix64: the tests draw their own values so a failing case prints
+    /// a seed, not thousands of k-mers.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn kmer_bits(k: usize) -> u64 {
+        u64::MAX >> (64 - 2 * k)
+    }
+
+    /// Every replica's permutation, for every k, d and legal chunk count, is
+    /// a bijection on the 2k k-mer bits that moves whole bases (so Hamming
+    /// distance survives), sends the kept chunks to the high bits and the
+    /// masked chunks to the low `masked_bits`, and is undone by `invert`.
+    #[test]
+    fn permutations_are_base_preserving_bijections() {
+        let mut rng = 7u64;
+        for k in 2..=32usize {
+            for d in 1..=2usize.min(k - 1) {
+                for chunks in d + 1..=k {
+                    for masked in subsets(chunks, d) {
+                        let perm = BitPermutation::new(k, chunks, &masked);
+                        let ctx = format!("k={k} chunks={chunks} masked={masked:?}");
+                        let mut image = 0u64;
+                        for base in 0..k {
+                            let lo = perm.apply(1 << (2 * base));
+                            let hi = perm.apply(2 << (2 * base));
+                            assert_eq!(lo.count_ones(), 1, "{ctx}");
+                            assert_eq!(lo.trailing_zeros() % 2, 0, "{ctx}: base split");
+                            assert_eq!(hi, lo << 1, "{ctx}: base split");
+                            assert_eq!(image & (lo | hi), 0, "{ctx}: two bits collide");
+                            image |= lo | hi;
+                        }
+                        assert_eq!(image, kmer_bits(k), "{ctx}: not onto");
+
+                        let masked_out =
+                            masked.iter().fold(0, |m, &ci| m | chunk_mask(k, chunks, ci));
+                        assert_eq!(perm.masked_bits, masked_out.count_ones(), "{ctx}");
+                        assert_eq!(perm.apply(masked_out), (1u64 << perm.masked_bits) - 1, "{ctx}");
+                        for _ in 0..8 {
+                            let a = next(&mut rng) & kmer_bits(k);
+                            let b = next(&mut rng) & kmer_bits(k);
+                            assert_eq!(perm.invert(perm.apply(a)), a, "{ctx}");
+                            assert_eq!(
+                                hamming_distance(perm.apply(a), perm.apply(b)),
+                                hamming_distance(a, b),
+                                "{ctx}"
+                            );
+                            // Order within the kept group is kept: equal
+                            // kept chunks <=> equal key prefix.
+                            let same_kept = (a & !masked_out) | (b & masked_out);
+                            assert_eq!(
+                                perm.apply(same_kept) >> perm.masked_bits,
+                                perm.apply(a) >> perm.masked_bits,
+                                "{ctx}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An empty spectrum still builds a directory, and every probe of it —
+    /// also at k = 32, where a key fills the word — answers `[]`.
+    #[test]
+    fn empty_spectrum_answers_nothing() {
+        for k in [2usize, 9, 32] {
+            let sp = KSpectrum::from_sorted(k, Vec::new(), Vec::new()).unwrap();
+            for d in 1..=2usize.min(k - 1) {
+                for chunks in d + 1..=k.min(6) {
+                    let idx =
+                        NeighborIndex::build(&sp, d, NeighborStrategy::MaskedReplicas { chunks });
+                    for q in [0, 1, kmer_bits(k) / 3, kmer_bits(k)] {
+                        assert_eq!(idx.neighbors(q, d), Vec::<usize>::new());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn query_with_bits_above_2k_has_no_neighbours() {
+        let sp = spectrum_of(&[b"AAAAA", b"AAAAC", b"TTTTT"]);
+        let idx = NeighborIndex::build(&sp, 1, NeighborStrategy::MaskedReplicas { chunks: 3 });
+        assert_eq!(idx.neighbors(1 << 10, 1), Vec::<usize>::new());
+        assert_eq!(idx.neighbors(u64::MAX, 1), Vec::<usize>::new());
     }
 
     #[test]
@@ -411,12 +650,7 @@ mod tests {
             b"TTTTTTTTTTTTT",
         ]);
         for d in 1..=2usize {
-            let bf = NeighborIndex::build(&sp, d, NeighborStrategy::BruteForce);
-            let mr =
-                NeighborIndex::build(&sp, d, NeighborStrategy::MaskedReplicas { chunks: d + 2 });
-            for &q in sp.kmers() {
-                assert_eq!(bf.neighbors(q, d), mr.neighbors(q, d), "d={d} q={q:x}");
-            }
+            check_against_brute_force(&sp, d, sp.kmers()).unwrap();
         }
     }
 
@@ -439,6 +673,21 @@ mod tests {
         let ns = idx.neighbors(q, 1);
         assert_eq!(ns.len(), 1);
         assert_eq!(sp.kmers()[ns[0]], encode_kmer(b"AAAAA").unwrap());
+    }
+
+    #[test]
+    fn into_variants_reuse_the_buffer() {
+        let sp = spectrum_of(&[b"ACGTA", b"ACGTT", b"ACGGA", b"TTTTT"]);
+        let idx = NeighborIndex::build(&sp, 1, NeighborStrategy::MaskedReplicas { chunks: 3 });
+        let q = encode_kmer(b"ACGTA").unwrap();
+        let mut indices = vec![99, 98, 97];
+        idx.neighbors_into(q, 1, &mut indices);
+        assert_eq!(indices, idx.neighbors(q, 1));
+        let mut kmers = vec![0; 5];
+        idx.neighbor_kmers_into(q, 1, &mut kmers);
+        assert_eq!(kmers, indices.iter().map(|&i| sp.kmers()[i]).collect::<Vec<_>>());
+        idx.neighbors_into(encode_kmer(b"GGGGG").unwrap(), 1, &mut indices);
+        assert!(indices.is_empty());
     }
 
     #[test]
@@ -470,42 +719,76 @@ mod tests {
     #[test]
     fn full_adjacency_is_symmetric() {
         let sp = spectrum_of(&[b"ACGTA", b"ACGTT", b"ACGGA", b"GCGGA"]);
-        let idx = NeighborIndex::build(&sp, 1, NeighborStrategy::BruteForce);
+        let idx = NeighborIndex::build(&sp, 1, NeighborStrategy::MaskedReplicas { chunks: 3 });
         let adj = idx.full_adjacency(1);
         for (i, ns) in adj.iter().enumerate() {
             for &j in ns {
                 assert!(adj[j as usize].contains(&(i as u32)), "edge {i}-{j} not symmetric");
             }
         }
+        let brute = NeighborIndex::build(&sp, 1, NeighborStrategy::BruteForce);
+        assert_eq!(adj, brute.full_adjacency(1));
     }
 
-    fn arb_kmer_set(k: usize) -> impl Strategy<Value = Vec<Vec<u8>>> {
-        proptest::collection::vec(
-            proptest::collection::vec(
-                prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T')],
-                k..=k,
-            ),
-            2..40,
-        )
+    /// A random spectrum of about `n` k-mers in which neighbours exist also
+    /// at large k: half the draws mutate up to three bases of an earlier
+    /// k-mer. Returns it with queries inside it, near it and anywhere.
+    fn random_spectrum(k: usize, n: usize, seed: u64) -> (KSpectrum, Vec<Kmer>) {
+        let mut rng = seed;
+        let mutant = |rng: &mut u64, v: Kmer| {
+            (0..next(rng) % 4).fold(v, |m, _| {
+                mutate_base(m, k, (next(rng) % k as u64) as usize, 1 + (next(rng) % 3) as u8)
+            })
+        };
+        let mut drawn: Vec<Kmer> = Vec::with_capacity(n);
+        for i in 0..n {
+            let v = if i > 0 && next(&mut rng) & 1 == 0 {
+                let parent = drawn[(next(&mut rng) % i as u64) as usize];
+                mutant(&mut rng, parent)
+            } else {
+                next(&mut rng) & kmer_bits(k)
+            };
+            drawn.push(v);
+        }
+        let mut queries: Vec<Kmer> = Vec::new();
+        for _ in 0..24 {
+            if !drawn.is_empty() {
+                let inside = drawn[(next(&mut rng) % drawn.len() as u64) as usize];
+                queries.push(inside);
+                queries.push(mutant(&mut rng, inside));
+            }
+            queries.push(next(&mut rng) & kmer_bits(k));
+        }
+        let map: FxHashMap<Kmer, u32> = drawn.into_iter().map(|v| (v, 1)).collect();
+        (KSpectrum::from_map(map, k), queries)
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// ROADMAP 4(b): the masked-replica index against the brute-force
+        /// oracle for every legal chunk count — k not divisible by the
+        /// chunk count, k = d + 1, empty and one-element spectra included —
+        /// and brute force itself against an exhaustive scan.
         #[test]
-        fn replica_index_complete_vs_exhaustive(seqs in arb_kmer_set(9),
-                                                d in 1usize..=2,
-                                                chunks in 3usize..=5) {
-            let refs: Vec<&[u8]> = seqs.iter().map(|s| s.as_slice()).collect();
-            let sp = spectrum_of(&refs);
-            let idx = NeighborIndex::build(&sp, d, NeighborStrategy::MaskedReplicas { chunks });
-            for (qi, &q) in sp.kmers().iter().enumerate() {
-                // Exhaustive truth: scan all spectrum kmers.
+        fn masked_replicas_equal_brute_force_for_every_chunk_count(
+            k in 2usize..=16,
+            d in 1usize..=2,
+            n in prop_oneof![Just(0usize), Just(1), Just(2), 3usize..64, 64usize..5000],
+            seed in any::<u64>(),
+        ) {
+            let d = d.min(k - 1);
+            let (sp, queries) = random_spectrum(k, n, seed);
+            if let Err(e) = check_against_brute_force(&sp, d, &queries) {
+                return Err(TestCaseError::fail(e));
+            }
+            let brute = NeighborIndex::build(&sp, d, NeighborStrategy::BruteForce);
+            for &q in queries.iter().take(12) {
                 let truth: Vec<usize> = sp.kmers().iter().enumerate()
-                    .filter(|&(i, &v)| i != qi && hamming_distance(v, q) as usize <= d)
+                    .filter(|&(_, &v)| v != q && hamming_distance(v, q) as usize <= d)
                     .map(|(i, _)| i)
                     .collect();
-                prop_assert_eq!(idx.neighbors(q, d), truth);
+                prop_assert_eq!(brute.neighbors(q, d), truth);
             }
         }
     }

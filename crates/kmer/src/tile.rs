@@ -115,7 +115,9 @@ impl TileTable {
     ) -> TileTable {
         assert!((1..=16).contains(&k), "tile table requires k in 1..=16");
         assert!(l < k, "overlap l must be < k");
+        let entries = entries.into_iter();
         let mut map: FxHashMap<Tile, TileCounts> = FxHashMap::default();
+        map.reserve(entries.size_hint().0);
         for (t, c) in entries {
             let e = map.entry(t).or_default();
             e.oc += c.oc;

@@ -97,11 +97,13 @@ fn peak_is_at_least_live_at_every_sample() {
 fn spans_attribute_allocation_deltas() {
     with_tracking(|| {
         alloc::reset_peak();
+        let before = alloc::snapshot().expect("tracking is enabled");
         let c = Collector::new();
         let big = {
             let _span = c.span("test.big_alloc");
             vec![0u8; 8 << 20] // 8 MiB
         };
+        let after = alloc::snapshot().expect("tracking is enabled");
         let report = c.report("test");
         let s = report.span("test.big_alloc").expect("span recorded");
         assert!(
@@ -109,11 +111,20 @@ fn spans_attribute_allocation_deltas() {
             "span saw the 8 MiB allocation: alloc_bytes={}",
             s.alloc_bytes
         );
+        // The watermark is `allocated - freed` at its highest, and the
+        // harness's other threads free, while tracking is on, blocks they
+        // allocated while it was off: frees with no counted allocation. So
+        // "peak >= 8 MiB" holds only in a quiet process (it failed 3 runs in
+        // 30, short by 8..333 bytes). What holds always: when the 8 MiB
+        // landed, live was at least all that was allocated before plus the
+        // 8 MiB, less all that has been freed by now.
+        let floor = (before.allocated_bytes + (8 << 20)).saturating_sub(after.freed_bytes);
         assert!(
-            s.alloc_peak_bytes >= 8 << 20,
-            "peak watermark covers the allocation: alloc_peak_bytes={}",
+            s.alloc_peak_bytes >= floor,
+            "peak watermark covers the allocation: alloc_peak_bytes={} < {floor}",
             s.alloc_peak_bytes
         );
+        assert!(floor > 7 << 20, "the bound is not vacuous: {floor}");
         drop(big);
         let json = report.to_json();
         assert!(json.contains("\"schema_version\": 3"));
@@ -170,13 +181,22 @@ fn disabled_tracking_is_a_no_op() {
 #[test]
 fn enabled_overhead_is_modest() {
     // A loose guard, not a benchmark: the tracked path must stay within a
-    // generous factor of the untracked path on an allocation-heavy loop.
-    // CI machines are noisy, so this only catches order-of-magnitude
-    // slowdowns (e.g. an accidental lock on the hot path).
+    // generous factor of the untracked path on an allocation-heavy loop, so
+    // an accidental lock or syscall on the hot path fails here.
+    //
+    // The true ratio is about 1.65. One long storm per side, as this test
+    // used to take, is one wall-clock sample each: with the two cores
+    // oversubscribed the ratio of two such samples was measured anywhere
+    // between 0.8 and 2.4 in thirty runs, and a tier-1 run has seen it
+    // above the bound. So the storms
+    // are short — well under a scheduler timeslice, so most run undisturbed
+    // — the two sides alternate, and the *fastest* storm of each side is
+    // compared (1.57..1.79 under the same load). A slowdown that is in the
+    // code is in every sample, the fastest included.
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     fn storm() -> Duration {
         let start = Instant::now();
-        for i in 0..200_000usize {
+        for i in 0..5_000usize {
             let v = vec![0u8; 64 + (i % 512)];
             std::hint::black_box(&v);
         }
@@ -184,10 +204,14 @@ fn enabled_overhead_is_modest() {
     }
     alloc::disable();
     storm(); // warm-up
-    let disabled = storm().max(Duration::from_micros(1));
-    alloc::enable();
-    let enabled = storm();
+    let (mut disabled, mut enabled) = (Duration::MAX, Duration::MAX);
+    for _ in 0..50 {
+        alloc::disable();
+        disabled = disabled.min(storm());
+        alloc::enable();
+        enabled = enabled.min(storm());
+    }
     alloc::disable();
-    let ratio = enabled.as_secs_f64() / disabled.as_secs_f64();
+    let ratio = enabled.as_secs_f64() / disabled.as_secs_f64().max(1e-6);
     assert!(ratio < 3.0, "tracked allocation path is {ratio:.2}x the untracked path");
 }

@@ -15,7 +15,7 @@
 
 use crate::error_model::KmerErrorModel;
 use ngs_core::Read;
-use ngs_kmer::neighbor::{NeighborIndex, NeighborStrategy};
+use ngs_kmer::neighbor::{default_chunks, NeighborIndex, NeighborStrategy};
 use ngs_kmer::KSpectrum;
 use rayon::prelude::*;
 
@@ -118,7 +118,7 @@ impl Redeem {
     /// Build from a precomputed spectrum.
     pub fn from_spectrum(spectrum: KSpectrum, model: &KmerErrorModel, dmax: usize) -> Redeem {
         let n = spectrum.len();
-        let chunks = if dmax == 1 { spectrum.k() } else { (dmax + 4).min(spectrum.k()) };
+        let chunks = default_chunks(spectrum.k(), dmax);
         let index =
             NeighborIndex::build(&spectrum, dmax, NeighborStrategy::MaskedReplicas { chunks });
         let adjacency = index.full_adjacency(dmax);

@@ -50,6 +50,16 @@ pub struct Reptile {
     neighbor_tables: NeighborTables,
 }
 
+/// The neighbour tables every corrector uses: a pure function of the
+/// spectrum and `(k, d)`, so a snapshot re-derives instead of storing them.
+fn build_neighbor_tables(spectrum: &KSpectrum, params: &ReptileParams) -> NeighborTables {
+    NeighborTables::build(
+        spectrum,
+        params.d,
+        NeighborStrategy::MaskedReplicas { chunks: params.neighbor_chunks() },
+    )
+}
+
 impl Reptile {
     /// Build the Phase-1 indexes from the (already ambiguity-preprocessed)
     /// read set.
@@ -82,11 +92,7 @@ impl Reptile {
         let neighbor_tables = {
             let mut s = collector.span_with_threads("reptile.build.neighbor_index", threads);
             collector.incr("reptile.index_builds");
-            let tables = NeighborTables::build(
-                &spectrum,
-                params.d,
-                NeighborStrategy::MaskedReplicas { chunks: params.neighbor_chunks() },
-            );
+            let tables = build_neighbor_tables(&spectrum, &params);
             s.set_threads(rayon::last_threads_used());
             tables
         };

@@ -113,13 +113,9 @@ impl ReptileParams {
     }
 
     /// Number of positional chunks for the masked-replica neighbour index:
-    /// one position per chunk at `d = 1` (the paper's "13 copies of R^k" for
-    /// 13-mers), coarser chunks at `d = 2` to bound the replica count.
+    /// the workspace-wide rule [`ngs_kmer::neighbor::default_chunks`].
     pub fn neighbor_chunks(&self) -> usize {
-        match self.d {
-            1 => self.k,
-            _ => (self.d + 4).min(self.k),
-        }
+        ngs_kmer::neighbor::default_chunks(self.k, self.d)
     }
 
     /// Tile length in bases.
@@ -181,9 +177,11 @@ mod tests {
     #[test]
     fn neighbor_chunks_by_distance() {
         let mut p = ReptileParams::defaults(1_000_000);
-        assert_eq!(p.neighbor_chunks(), p.k);
+        assert_eq!(p.neighbor_chunks(), 3);
         p.d = 2;
-        assert_eq!(p.neighbor_chunks(), 6);
+        assert_eq!(p.neighbor_chunks(), 4);
+        p.k = 3;
+        assert_eq!(p.neighbor_chunks(), 3);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! are strand-symmetric, so every table lookup is valid verbatim).
 
 use crate::params::ReptileParams;
-use crate::tile_correct::{correct_tile, differing_positions, TileDecision};
+use crate::tile_correct::{correct_tile, differing_positions, TileDecision, TileScratch};
 use ngs_core::alphabet;
 use ngs_core::Read;
 use ngs_kmer::neighbor::NeighborIndex;
-use ngs_kmer::packed::{decode_kmer, encode_kmer};
+use ngs_kmer::packed::{encode_kmer, packed_base};
 use ngs_kmer::TileTable;
 
 /// Statistics for a correction run.
@@ -68,6 +68,7 @@ fn pass(
     params: &ReptileParams,
     tiles: &TileTable,
     index: &NeighborIndex<'_>,
+    scratch: &mut TileScratch,
     stats: &mut ReptileStats,
 ) {
     let k = params.k;
@@ -98,16 +99,16 @@ fn pass(
             // guarantee, so they get the full budget back.
             let eff_d1 = if shift == 0 { d1.min(params.d) } else { params.d };
             let tile_quals = quals.map(|qv| &qv[q..q + m]);
-            match correct_tile(a1, a2, eff_d1, params.d, tile_quals, params, tiles, index) {
+            match correct_tile(a1, a2, eff_d1, params.d, tile_quals, params, tiles, index, scratch)
+            {
                 TileDecision::Valid => {
                     stats.tiles_validated += 1;
                 }
                 TileDecision::Corrected { tile } => {
                     let original =
                         ngs_kmer::tile::compose_tile(a1, a2, k, params.tile_overlap).unwrap();
-                    let new_bases = decode_kmer(tile, m);
                     for i in differing_positions(original, tile, m) {
-                        seq[q + i] = new_bases[i];
+                        seq[q + i] = alphabet::decode_base(packed_base(tile, m, i));
                         stats.bases_changed += 1;
                     }
                     stats.tiles_corrected += 1;
@@ -147,23 +148,22 @@ pub fn correct_read(
     index: &NeighborIndex<'_>,
 ) -> ReptileStats {
     let mut stats = ReptileStats::default();
-    let before = read.seq.clone();
+    let mut scratch = TileScratch::default();
+    // Both passes work on one copy, so the read itself stays the "before"
+    // to compare against.
+    let mut seq = read.seq.clone();
 
     // Forward pass.
-    let quals = read.qual.clone();
-    pass(&mut read.seq, quals.as_deref(), params, tiles, index, &mut stats);
+    pass(&mut seq, read.qual.as_deref(), params, tiles, index, &mut scratch, &mut stats);
 
     // Backward pass on the reverse complement (strand-symmetric tables).
-    let mut rc = alphabet::reverse_complement(&read.seq);
-    let rev_quals = quals.map(|mut q| {
-        q.reverse();
-        q
-    });
-    pass(&mut rc, rev_quals.as_deref(), params, tiles, index, &mut stats);
-    alphabet::reverse_complement_in_place(&mut rc);
-    read.seq = rc;
+    alphabet::reverse_complement_in_place(&mut seq);
+    let rev_quals: Option<Vec<u8>> = read.qual.as_ref().map(|q| q.iter().rev().copied().collect());
+    pass(&mut seq, rev_quals.as_deref(), params, tiles, index, &mut scratch, &mut stats);
+    alphabet::reverse_complement_in_place(&mut seq);
 
-    if read.seq != before {
+    if seq != read.seq {
+        read.seq = seq;
         stats.reads_changed = 1;
     }
     stats

@@ -5,21 +5,25 @@
 //! snapshots. The encoding is deterministic — the tile map is emitted sorted
 //! by tile — so identical inputs produce identical snapshot bytes, and
 //! every numeric restores bit-exactly (see `ngs_durable::codec`).
+//!
+//! The neighbour tables are **not** stored: they are a pure function of the
+//! spectrum and `(k, d)`, re-deriving them costs less than decoding them
+//! would, and a stored replica can only be checked for shape — one sorted in
+//! the wrong order would load and answer garbage.
 
 use crate::{Reptile, ReptileParams};
 use ngs_core::{NgsError, Result};
 use ngs_durable::{ByteReader, ByteWriter};
-use ngs_kmer::neighbor::{NeighborStrategy, NeighborTables};
 use ngs_kmer::tile::TileCounts;
 use ngs_kmer::{KSpectrum, TileTable};
 
 /// Format magic + version; bump on any layout change so older snapshots
 /// miss cleanly instead of decoding as garbage.
-const MAGIC: &str = "RPTSNAP1";
+const MAGIC: &str = "RPTSNAP2";
 
 impl Reptile {
-    /// Serialize the full Phase-1 state (params, spectrum, tile table,
-    /// neighbour tables) for checkpointing.
+    /// Serialize the Phase-1 state (params, spectrum, tile table) for
+    /// checkpointing.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut w =
             ByteWriter::with_capacity(64 + self.spectrum.len() * 12 + self.tiles.len() * 16);
@@ -40,10 +44,7 @@ impl Reptile {
 
         w.put_usize(self.spectrum.k());
         w.put_u64_slice(self.spectrum.kmers());
-        w.put_usize(self.spectrum.counts().len());
-        for &c in self.spectrum.counts() {
-            w.put_u32(c);
-        }
+        w.put_u32_slice(self.spectrum.counts());
 
         w.put_usize(self.tiles.k());
         w.put_usize(self.tiles.overlap());
@@ -56,32 +57,14 @@ impl Reptile {
             w.put_u32(c.og);
         }
 
-        let nt = &self.neighbor_tables;
-        w.put_usize(nt.d());
-        match nt.strategy() {
-            NeighborStrategy::BruteForce => {
-                w.put_u8(0);
-                w.put_usize(0);
-            }
-            NeighborStrategy::MaskedReplicas { chunks } => {
-                w.put_u8(1);
-                w.put_usize(chunks);
-            }
-        }
-        w.put_usize(nt.spectrum_len());
-        w.put_usize(nt.k());
-        w.put_usize(nt.replica_count());
-        for (keep_mask, order) in nt.replica_parts() {
-            w.put_u64(keep_mask);
-            w.put_u32_slice(order);
-        }
         w.into_bytes()
     }
 
     /// Rebuild a corrector from [`Reptile::snapshot_bytes`] output.
-    /// Structural invariants (sorted spectrum, in-range replica indices,
-    /// parameter domains) are re-validated so a stale or corrupt snapshot
-    /// errors instead of producing a corrector that answers garbage.
+    /// Structural invariants (sorted spectrum, parameter domains, one `k`
+    /// throughout) are re-validated so a stale or corrupt snapshot errors
+    /// instead of producing a corrector that answers garbage; the neighbour
+    /// tables are rebuilt from the restored spectrum.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Reptile> {
         let mut r = ByteReader::new(bytes);
         if r.get_str()? != MAGIC {
@@ -105,7 +88,7 @@ impl Reptile {
         // errors: a checkpoint must never panic the resuming process.
         if !(1..=16).contains(&params.k)
             || params.d == 0
-            || params.d > params.k
+            || params.d >= params.k
             || params.tile_overlap >= params.k
             || params.cr < 1.0
             || !matches!(params.default_n_base, b'A' | b'C' | b'G' | b'T')
@@ -117,19 +100,23 @@ impl Reptile {
 
         let sk = r.get_usize()?;
         let kmers = r.get_u64_vec()?;
-        let n_counts = r.get_usize()?;
-        let mut counts = Vec::with_capacity(n_counts.min(kmers.len() + 1));
-        for _ in 0..n_counts {
-            counts.push(r.get_u32()?);
+        let counts = r.get_u32_vec()?;
+        // The neighbour tables are rebuilt from these k-mers, so they must
+        // be k-mers: one `k` throughout, nothing above bit 2k (sortedness,
+        // checked by `from_sorted`, makes the last k-mer the largest).
+        if sk != params.k || kmers.last().is_some_and(|&v| v >> (2 * sk) != 0) {
+            return Err(NgsError::MalformedRecord(
+                "reptile snapshot: spectrum is not a set of k-mers of the parameters' k".into(),
+            ));
         }
         let spectrum = KSpectrum::from_sorted(sk, kmers, counts)
             .map_err(|e| NgsError::MalformedRecord(format!("reptile snapshot: {e}")))?;
 
         let tk = r.get_usize()?;
         let tl = r.get_usize()?;
-        if !(1..=16).contains(&tk) || tl >= tk {
+        if (tk, tl) != (params.k, params.tile_overlap) {
             return Err(NgsError::MalformedRecord(
-                "reptile snapshot: tile table k/l out of domain".into(),
+                "reptile snapshot: tile table k/l do not match parameters".into(),
             ));
         }
         let n_tiles = r.get_usize()?;
@@ -142,36 +129,8 @@ impl Reptile {
         }
         let tiles = TileTable::from_parts(tk, tl, entries);
 
-        let nd = r.get_usize()?;
-        let strategy = match r.get_u8()? {
-            0 => {
-                r.get_usize()?;
-                NeighborStrategy::BruteForce
-            }
-            1 => NeighborStrategy::MaskedReplicas { chunks: r.get_usize()? },
-            tag => {
-                return Err(NgsError::MalformedRecord(format!(
-                    "reptile snapshot: unknown neighbour strategy tag {tag}"
-                )))
-            }
-        };
-        let nlen = r.get_usize()?;
-        let nk = r.get_usize()?;
-        let n_replicas = r.get_usize()?;
-        let mut replicas = Vec::with_capacity(n_replicas.min(bytes.len() / 8 + 1));
-        for _ in 0..n_replicas {
-            let keep_mask = r.get_u64()?;
-            let order = r.get_u32_vec()?;
-            replicas.push((keep_mask, order));
-        }
-        let neighbor_tables = NeighborTables::from_parts(nd, strategy, nlen, nk, replicas)
-            .map_err(|e| NgsError::MalformedRecord(format!("reptile snapshot: {e}")))?;
-        if (nlen, nk) != (spectrum.len(), spectrum.k()) {
-            return Err(NgsError::MalformedRecord(
-                "reptile snapshot: neighbour tables do not match spectrum".into(),
-            ));
-        }
         r.finish()?;
+        let neighbor_tables = crate::build_neighbor_tables(&spectrum, &params);
         Ok(Reptile { params, spectrum, tiles, neighbor_tables })
     }
 }
@@ -229,8 +188,33 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_an_error() {
-        let mut w = ngs_durable::ByteWriter::new();
-        w.put_str("RPTSNAP9");
-        assert!(Reptile::from_snapshot_bytes(w.as_bytes()).is_err());
+        // Also the previous format, which carried replicas: it must miss
+        // cleanly so the caller recomputes.
+        for magic in ["RPTSNAP9", "RPTSNAP1"] {
+            let mut w = ngs_durable::ByteWriter::new();
+            w.put_str(magic);
+            assert!(Reptile::from_snapshot_bytes(w.as_bytes()).is_err());
+        }
+    }
+
+    /// Regression: the loader used to accept any `k` for the spectrum and
+    /// the tile table as long as each was in range on its own.
+    #[test]
+    fn inconsistent_spectrum_is_an_error() {
+        let (_, reptile) = sample();
+        let mut params = reptile.params().clone();
+        params.k += 1;
+        let inconsistent = Reptile { params, ..reptile };
+        assert!(Reptile::from_snapshot_bytes(&inconsistent.snapshot_bytes()).is_err());
+
+        // A "k-mer" with bits above 2k would index the rebuilt tables out
+        // of range.
+        let (_, reptile) = sample();
+        let mut kmers = reptile.spectrum().kmers().to_vec();
+        *kmers.last_mut().unwrap() |= 1 << 63;
+        let counts = reptile.spectrum().counts().to_vec();
+        let spectrum = KSpectrum::from_sorted(reptile.params().k, kmers, counts).unwrap();
+        let corrupt = Reptile { spectrum, ..reptile };
+        assert!(Reptile::from_snapshot_bytes(&corrupt.snapshot_bytes()).is_err());
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::params::ReptileParams;
 use ngs_kmer::neighbor::NeighborIndex;
-use ngs_kmer::packed::{decode_kmer, Kmer};
+use ngs_kmer::packed::{decode_kmer, hamming_distance, packed_base, Kmer};
 use ngs_kmer::tile::{compose_tile, Tile};
 use ngs_kmer::TileTable;
 
@@ -27,66 +27,67 @@ pub enum TileDecision {
     Unresolved,
 }
 
-/// Candidate k-mers for one side of a tile: the original plus its observed
-/// Hamming neighbours within the side's budget.
-fn side_candidates(index: &NeighborIndex<'_>, kmer: Kmer, budget: usize) -> Vec<Kmer> {
-    let mut out = Vec::with_capacity(8);
-    out.push(kmer);
-    if budget > 0 {
-        let spectrum = index.spectrum();
-        for i in index.neighbors(kmer, budget) {
-            out.push(spectrum.kmers()[i]);
-        }
-    }
-    out
+/// Buffers one read's tile decisions reuse, so Algorithm 1 allocates
+/// nothing per tile.
+#[derive(Default)]
+pub struct TileScratch {
+    /// Observed Hamming neighbours of the tile's first and second k-mer.
+    side1: Vec<Kmer>,
+    side2: Vec<Kmer>,
+    /// The tile's observed d-mutant tiles with their high-quality counts.
+    mutants: Vec<(Tile, u32)>,
+}
+
+/// Candidate k-mers for one side of a tile: the original, then its observed
+/// Hamming neighbours within the side's budget (`neighbors` is the buffer
+/// they are read into).
+fn side_candidates<'a>(
+    index: &NeighborIndex<'_>,
+    kmer: Kmer,
+    budget: usize,
+    neighbors: &'a mut Vec<Kmer>,
+) -> impl Iterator<Item = Kmer> + Clone + 'a {
+    index.neighbor_kmers_into(kmer, budget, neighbors);
+    std::iter::once(kmer).chain(neighbors.iter().copied())
 }
 
 /// Enumerate the observed d-mutant tiles of `(a1, a2)` (excluding the tile
-/// itself), with their high-quality counts.
-pub fn mutant_tiles(
+/// itself), with their high-quality counts, ascending, into
+/// `scratch.mutants`.
+fn mutant_tiles(
     a1: Kmer,
     a2: Kmer,
-    d1: usize,
-    d2: usize,
+    (d1, d2): (usize, usize),
     params: &ReptileParams,
     tiles: &TileTable,
     index: &NeighborIndex<'_>,
-) -> Vec<(Tile, u32)> {
+    scratch: &mut TileScratch,
+) {
     let k = params.k;
     let l = params.tile_overlap;
     let original = compose_tile(a1, a2, k, l).expect("read-derived tile must be consistent");
-    let c1 = side_candidates(index, a1, d1);
-    let c2 = side_candidates(index, a2, d2);
-    let mut out = Vec::new();
-    for &m1 in &c1 {
-        for &m2 in &c2 {
+    let TileScratch { side1, side2, mutants } = scratch;
+    mutants.clear();
+    let c2 = side_candidates(index, a2, d2, side2);
+    for m1 in side_candidates(index, a1, d1, side1) {
+        for m2 in c2.clone() {
             let Some(t) = compose_tile(m1, m2, k, l) else { continue };
             if t == original {
                 continue;
             }
             let counts = tiles.counts(t);
             if counts.oc > 0 {
-                out.push((t, counts.og));
+                mutants.push((t, counts.og));
             }
         }
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+    mutants.sort_unstable();
+    mutants.dedup();
 }
 
-/// Hamming distance between two packed tiles of `m` bases.
-fn tile_distance(a: Tile, b: Tile) -> u32 {
-    ngs_kmer::packed::hamming_distance(a, b)
-}
-
-/// Positions (within the tile) where `a` and `b` differ.
-pub fn differing_positions(a: Tile, b: Tile, m: usize) -> Vec<usize> {
-    (0..m)
-        .filter(|&i| {
-            ngs_kmer::packed::packed_base(a, m, i) != ngs_kmer::packed::packed_base(b, m, i)
-        })
-        .collect()
+/// Positions (within the tile) where `a` and `b` differ, ascending.
+pub fn differing_positions(a: Tile, b: Tile, m: usize) -> impl Iterator<Item = usize> {
+    (0..m).filter(move |&i| packed_base(a, m, i) != packed_base(b, m, i))
 }
 
 /// Algorithm 1: decide the fate of the tile `(a1, a2)` as read from a read,
@@ -102,6 +103,7 @@ pub fn correct_tile(
     params: &ReptileParams,
     tiles: &TileTable,
     index: &NeighborIndex<'_>,
+    scratch: &mut TileScratch,
 ) -> TileDecision {
     let k = params.k;
     let l = params.tile_overlap;
@@ -114,7 +116,8 @@ pub fn correct_tile(
         return TileDecision::Valid;
     }
 
-    let mutants = mutant_tiles(a1, a2, d1, d2, params, tiles, index);
+    mutant_tiles(a1, a2, (d1, d2), params, tiles, index, scratch);
+    let mutants = &scratch.mutants;
 
     // Lines 4–9: no mutant tiles.
     if mutants.is_empty() {
@@ -123,24 +126,19 @@ pub fn correct_tile(
 
     if og >= params.cm {
         // Lines 10–15: moderately supported tile; correct only on compelling
-        // relative evidence.
+        // relative evidence: the one strong mutant closest to the tile.
         let threshold = (og as f64) * params.cr;
-        let strong: Vec<&(Tile, u32)> =
-            mutants.iter().filter(|(_, mog)| *mog as f64 >= threshold).collect();
-        if strong.is_empty() {
+        let strong = mutants.iter().filter(|&&(_, mog)| mog as f64 >= threshold);
+        let Some(min_d) = strong.clone().map(|&(mt, _)| hamming_distance(t, mt)).min() else {
             return TileDecision::Valid;
-        }
-        let min_d = strong.iter().map(|(mt, _)| tile_distance(t, *mt)).min().unwrap();
-        let closest: Vec<&&(Tile, u32)> =
-            strong.iter().filter(|(mt, _)| tile_distance(t, *mt) == min_d).collect();
-        if closest.len() != 1 {
+        };
+        let mut closest = strong.filter(|&&(mt, _)| hamming_distance(t, mt) == min_d);
+        let (Some(&(target, _)), None) = (closest.next(), closest.next()) else {
             return TileDecision::Unresolved;
-        }
-        let target = closest[0].0;
+        };
         // Quality gate: at least one corrected base must be low-quality.
         if let Some(quals) = tile_quals {
             let touched_lowq = differing_positions(t, target, m)
-                .into_iter()
                 .any(|i| quals.get(i).is_none_or(|&q| q < params.qm));
             if !touched_lowq {
                 return TileDecision::Unresolved;
@@ -150,12 +148,10 @@ pub fn correct_tile(
     } else {
         // Lines 16–21: weakly supported tile; correct only to a unique
         // strong mutant.
-        let strong: Vec<&(Tile, u32)> =
-            mutants.iter().filter(|(_, mog)| *mog >= params.cm).collect();
-        if strong.len() == 1 {
-            TileDecision::Corrected { tile: strong[0].0 }
-        } else {
-            TileDecision::Unresolved
+        let mut strong = mutants.iter().filter(|&&(_, mog)| mog >= params.cm);
+        match (strong.next(), strong.next()) {
+            (Some(&(tile, _)), None) => TileDecision::Corrected { tile },
+            _ => TileDecision::Unresolved,
         }
     }
 }
@@ -198,7 +194,7 @@ mod tests {
         let index = NeighborIndex::build(
             &f.spectrum,
             d,
-            NeighborStrategy::MaskedReplicas { chunks: f.params.neighbor_chunks().min(f.params.k) },
+            NeighborStrategy::MaskedReplicas { chunks: f.params.neighbor_chunks() },
         );
         correct_tile(
             encode_kmer(a1).unwrap(),
@@ -209,6 +205,7 @@ mod tests {
             &f.params,
             &f.tiles,
             &index,
+            &mut TileScratch::default(),
         )
     }
 
@@ -319,6 +316,7 @@ mod tests {
             &f.params,
             &f.tiles,
             &index,
+            &mut TileScratch::default(),
         );
         assert_eq!(dec, TileDecision::Unresolved);
     }
@@ -327,6 +325,6 @@ mod tests {
     fn differing_positions_reported() {
         let a = encode_kmer(b"ACGTAA").unwrap();
         let b = encode_kmer(b"ACCTAT").unwrap();
-        assert_eq!(differing_positions(a, b, 6), vec![2, 5]);
+        assert_eq!(differing_positions(a, b, 6).collect::<Vec<_>>(), vec![2, 5]);
     }
 }

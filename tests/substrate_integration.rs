@@ -61,16 +61,20 @@ fn dfs_stores_and_restores_fastq() {
 
 #[test]
 fn neighbor_index_strategies_agree_on_simulated_spectrum() {
-    use ngs::kmer::neighbor::{NeighborIndex, NeighborStrategy};
+    use ngs::kmer::neighbor::check_against_brute_force;
     let genome = GenomeSpec::uniform(2_000).generate(6).seq;
     let cfg =
         ReadSimConfig::with_coverage(genome.len(), 36, 15.0, ErrorModel::uniform(36, 0.02), 7);
     let sim = simulate_reads(&genome, &cfg);
-    let spectrum = KSpectrum::from_reads(&sim.reads, 9);
-    let brute = NeighborIndex::build(&spectrum, 1, NeighborStrategy::BruteForce);
-    let masked = NeighborIndex::build(&spectrum, 1, NeighborStrategy::MaskedReplicas { chunks: 9 });
-    for &kmer in spectrum.kmers().iter().step_by(17) {
-        assert_eq!(brute.neighbors(kmer, 1), masked.neighbors(kmer, 1));
+    // Every legal chunk count against brute force, on observed k-mers and
+    // on a substitution of each (mostly unobserved, with observed
+    // neighbours).
+    for (k, d) in [(9, 1), (9, 2), (11, 1)] {
+        let spectrum = KSpectrum::from_reads(&sim.reads, k);
+        let observed = spectrum.kmers().iter().step_by(17);
+        let queries: Vec<u64> =
+            observed.flat_map(|&v| [v, ngs::kmer::mutate_base(v, k, k / 2, 2)]).collect();
+        check_against_brute_force(&spectrum, d, &queries).unwrap();
     }
 }
 
