@@ -536,15 +536,22 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
     {
         let mut out = std::io::BufWriter::new(&mut file);
         writeln!(out, "kmer\tY\tT\terroneous")?;
+        // One line buffer for the whole table: k base letters, then the
+        // numeric columns formatted in place.
+        let mut line = Vec::with_capacity(k + 48);
         for (i, (kmer, _)) in rd.spectrum().iter().enumerate() {
+            line.clear();
+            line.extend((0..k).map(|pos| {
+                ngs_core::alphabet::decode_base(ngs_kmer::packed::packed_base(kmer, k, pos))
+            }));
             writeln!(
-                out,
-                "{}\t{}\t{:.3}\t{}",
-                String::from_utf8_lossy(&ngs_kmer::packed::decode_kmer(kmer, k)),
+                line,
+                "\t{}\t{:.3}\t{}",
                 rd.y()[i] as u64,
                 result.t[i],
                 u8::from(result.t[i] < threshold),
             )?;
+            out.write_all(&line)?;
         }
         out.flush()?;
     }

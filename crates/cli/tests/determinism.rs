@@ -62,7 +62,15 @@ fn counters_section(metrics_path: &Path) -> String {
 }
 
 /// Run `bin` once per thread count; outputs and counters must agree.
-fn determinism_matrix(bin: &str, dir: &Path, input: &Path, extra: &[&str]) {
+/// `side_output` names a flag taking a second output path (`--correct`),
+/// whose file must agree too.
+fn determinism_matrix(
+    bin: &str,
+    dir: &Path,
+    input: &Path,
+    extra: &[&str],
+    side_output: Option<&str>,
+) {
     let input = input.to_str().unwrap();
     let mut baseline: Option<(Vec<u8>, String)> = None;
     for threads in ["1", "8"] {
@@ -72,6 +80,10 @@ fn determinism_matrix(bin: &str, dir: &Path, input: &Path, extra: &[&str]) {
         args.extend_from_slice(extra);
         let metrics = metrics_path.to_str().unwrap().to_string();
         args.extend_from_slice(&["--metrics-json", &metrics]);
+        let side_path = dir.join(format!("t{threads}.side"));
+        if let Some(flag) = side_output {
+            args.extend_from_slice(&[flag, side_path.to_str().unwrap()]);
+        }
         let out = Command::new(bin)
             .args(&args)
             .env("NGS_THREADS", threads)
@@ -83,7 +95,10 @@ fn determinism_matrix(bin: &str, dir: &Path, input: &Path, extra: &[&str]) {
             out.status.code(),
             String::from_utf8_lossy(&out.stderr)
         );
-        let bytes = std::fs::read(&out_path).unwrap();
+        let mut bytes = std::fs::read(&out_path).unwrap();
+        if side_output.is_some() {
+            bytes.extend(std::fs::read(&side_path).unwrap());
+        }
         let counters = counters_section(&metrics_path);
         match &baseline {
             None => baseline = Some((bytes, counters)),
@@ -115,6 +130,7 @@ fn reptile_output_is_thread_count_invariant() {
         &dir,
         &input,
         &["--genome-len", "1500"],
+        None,
     );
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -123,8 +139,10 @@ fn reptile_output_is_thread_count_invariant() {
 fn redeem_output_is_thread_count_invariant() {
     let dir = test_dir("redeem");
     let mut seed = 0xd37e_0002;
-    let genome = random_genome(700, &mut seed);
-    let reads = sample_reads(&genome, 300, 40, &mut seed);
+    // Enough distinct k-mers (~14 k) that the threshold fit's E step spans
+    // several blocks and its block fold is part of what is pinned.
+    let genome = random_genome(5000, &mut seed);
+    let reads = sample_reads(&genome, 3000, 40, &mut seed);
     let input = dir.join("reads.fastq");
     let file = std::fs::File::create(&input).unwrap();
     ngs_seqio::write_fastq(file, &reads).unwrap();
@@ -133,6 +151,7 @@ fn redeem_output_is_thread_count_invariant() {
         &dir,
         &input,
         &["--k", "9", "--max-iters", "15"],
+        Some("--correct"),
     );
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -156,6 +175,7 @@ fn closet_output_is_thread_count_invariant() {
         &dir,
         &input,
         &["--workers", "2", "--thresholds", "0.7,0.5"],
+        None,
     );
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -19,7 +19,7 @@
 use crate::em::Redeem;
 use crate::error_model::KmerErrorModel;
 use ngs_core::{alphabet, Read};
-use ngs_kmer::packed::packed_base;
+use ngs_kmer::Kmer;
 use rayon::prelude::*;
 
 /// Correct `reads` using EM estimates `t` (parallel to the model's
@@ -43,10 +43,35 @@ pub fn correct_reads(
         .par_iter()
         .map(|r| {
             let mut read = r.clone();
-            correct_one(redeem, model, t, &mut read, liberal_threshold, detect_threshold, k);
+            let mut scratch = ReadScratch::default();
+            correct_one(
+                redeem,
+                model,
+                t,
+                &mut read,
+                liberal_threshold,
+                detect_threshold,
+                k,
+                &mut scratch,
+            );
             read
         })
         .collect()
+}
+
+/// Buffers one read's correction reuses, so the loop over its covering
+/// k-mers allocates nothing.
+#[derive(Default)]
+struct ReadScratch {
+    /// Valid source k-mers of the current observed k-mer, each with its
+    /// posterior mass `T_m · pe(x_m, x_l)`.
+    sources: Vec<(Kmer, f64)>,
+    /// Source mass by k-mer position and base.
+    by_base: Vec<[f64; 4]>,
+    /// Per read position: summed per-k-mer posteriors, and how many
+    /// k-mers contributed.
+    post: Vec<[f64; 4]>,
+    cover: Vec<u32>,
 }
 
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
@@ -58,6 +83,7 @@ fn correct_one(
     liberal_threshold: f64,
     detect_threshold: f64,
     k: usize,
+    scratch: &mut ReadScratch,
 ) {
     let spectrum = redeem.spectrum();
     if read.len() < k {
@@ -76,14 +102,18 @@ fn correct_one(
 
     // Accumulate per-base posteriors averaged over covering k-mers.
     let len = read.len();
-    let mut post = vec![[0.0f64; 4]; len];
-    let mut cover = vec![0u32; len];
+    let ReadScratch { sources, by_base, post, cover } = scratch;
+    post.clear();
+    post.resize(len, [0.0f64; 4]);
+    cover.clear();
+    cover.resize(len, 0u32);
+    let nbr = redeem.neighbors_raw();
+    let spectrum_kmers = spectrum.kmers();
     for &(offset, v) in &kmers {
         let Some(l) = spectrum.index_of(v) else { continue };
         // Posterior over sources m for this observed k-mer instance.
         let (s, e) = (redeem.offset_of(l), redeem.offset_of(l + 1));
-        let nbr = redeem.neighbors_raw();
-        let mut weights = Vec::with_capacity(e - s);
+        sources.clear();
         let mut z = 0.0f64;
         for &m in &nbr[s..e] {
             let m = m as usize;
@@ -92,20 +122,25 @@ fn correct_one(
             if t[m] < detect_threshold {
                 continue;
             }
-            let w = t[m] * model.pe(spectrum.kmers()[m], v);
-            weights.push((m, w));
+            let w = t[m] * model.pe(spectrum_kmers[m], v);
+            sources.push((spectrum_kmers[m], w));
             z += w;
         }
         if z <= 0.0 {
             continue;
         }
-        for pos_in_kmer in 0..k {
-            let read_pos = offset + pos_in_kmer;
-            let mut pb = [0.0f64; 4];
-            for &(m, w) in &weights {
-                let b = packed_base(spectrum.kmers()[m], k, pos_in_kmer) as usize;
-                pb[b] += w;
+        // Each source is decoded once, last base first; every
+        // (position, base) cell still sums its sources in row order.
+        by_base.clear();
+        by_base.resize(k, [0.0f64; 4]);
+        for &(mut source, w) in sources.iter() {
+            for cell in by_base.iter_mut().rev() {
+                cell[(source & 3) as usize] += w;
+                source >>= 2;
             }
+        }
+        for (pos_in_kmer, pb) in by_base.iter().enumerate() {
+            let read_pos = offset + pos_in_kmer;
             for b in 0..4 {
                 post[read_pos][b] += pb[b] / z;
             }

@@ -85,6 +85,7 @@ where
 {
     let n = items.len();
     if n <= 1 || pool::effective_threads() <= 1 {
+        pool::note_sequential();
         return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let bounds = chunk_bounds(n, pool::effective_threads().saturating_mul(TASKS_PER_THREAD));
