@@ -603,8 +603,9 @@ fn closet_edges_key(params: &closet::ClosetParams) -> u64 {
 }
 
 /// `closet-cluster` driver. Checkpointed stage: `edges` (the validated edge
-/// list closing Phase I — sketching + validation dominate runtime, while
-/// Phase II is cheap and depends on the threshold series).
+/// list closing Phase I). Phase II depends on the threshold series and is
+/// re-run on resume; on the `closet-16s` benchmark input it is about a
+/// third of a run, behind validation (DESIGN.md §CLOSET).
 pub fn closet_cluster(args: &Args) -> Result<()> {
     let input = args.require("input")?;
     let output = args.require("output")?;
@@ -689,9 +690,19 @@ pub fn closet_cluster(args: &Args) -> Result<()> {
     }
     for stats in &result.threshold_stats {
         eprintln!(
-            "  t={:.2}: {} edges, {} clusters ({} processed)",
-            stats.threshold, stats.edges, stats.resulting_clusters, stats.clusters_processed
+            "  t={:.2}: {} edges, {} clusters ({} processed, {} rounds)",
+            stats.threshold,
+            stats.edges,
+            stats.resulting_clusters,
+            stats.clusters_processed,
+            stats.rounds
         );
+        if !stats.converged {
+            eprintln!(
+                "  warning: t={:.2} stopped at the {}-round cut-off with clusters still merging",
+                stats.threshold, stats.rounds
+            );
+        }
     }
 
     let mut file = ngs_durable::AtomicFile::create(output)?;
@@ -700,9 +711,14 @@ pub fn closet_cluster(args: &Args) -> Result<()> {
         writeln!(out, "threshold\tcluster\treads")?;
         for (t, clusters) in &result.clusters_by_threshold {
             for (ci, cluster) in clusters.iter().enumerate() {
-                let members: Vec<String> =
-                    cluster.vertices.iter().map(|&v| reads[v as usize].id.clone()).collect();
-                writeln!(out, "{t:.3}\t{ci}\t{}", members.join(","))?;
+                write!(out, "{t:.3}\t{ci}\t")?;
+                for (i, &v) in cluster.vertices.iter().enumerate() {
+                    if i > 0 {
+                        out.write_all(b",")?;
+                    }
+                    out.write_all(reads[v as usize].id.as_bytes())?;
+                }
+                out.write_all(b"\n")?;
             }
         }
         out.flush()?;

@@ -21,6 +21,8 @@
 pub mod checkpoint;
 pub mod dist;
 pub mod quasiclique;
+#[cfg(test)]
+mod quasiclique_reference;
 pub mod sketch;
 pub mod validate;
 
@@ -54,7 +56,8 @@ pub struct ClosetParams {
     /// everything in-process.
     pub pool: Option<PoolConfig>,
     /// Safety cap on live clusters per enumeration round (0 = uncapped).
-    /// When hit, smallest clusters are dropped and the event is recorded in
+    /// When hit, the smallest clusters are dropped (among equal sizes, those
+    /// whose vertex list sorts last) and the event is recorded in
     /// [`ThresholdStats::clusters_dropped`] — never silently.
     pub max_live_clusters: usize,
 }
@@ -97,6 +100,11 @@ pub struct ThresholdStats {
     pub resulting_clusters: usize,
     /// Clusters dropped by the safety cap (0 in normal operation).
     pub clusters_dropped: u64,
+    /// Task 7/8 rounds this level ran.
+    pub rounds: u32,
+    /// False when the level stopped at the round cut-off with its clusters
+    /// still changing — recorded, like the cap, never silent.
+    pub converged: bool,
     /// Wall time of the filtering step (Task 6).
     pub filter_time: Duration,
     /// Wall time of the clustering step (Tasks 7–8).
@@ -262,8 +270,9 @@ pub fn cluster_edges_observed(
     let confirmed_edges = validated.len();
     let mut job_stats = edges.sketch_stats.job_stats.clone();
 
-    // Phase II: incremental quasi-clique enumeration per threshold.
-    let mut clusters: Vec<Cluster> = Vec::new();
+    // Phase II: incremental quasi-clique enumeration per threshold, over one
+    // cluster store that outlives the levels.
+    let mut store = quasiclique::ClusterStore::default();
     let mut added = vec![false; validated.len()];
     let mut clusters_by_threshold = Vec::new();
     let mut threshold_stats = Vec::new();
@@ -285,32 +294,33 @@ pub fn cluster_edges_observed(
         let tc = Instant::now();
         let result = {
             let _span = collector.span_with_threads("closet.cluster", workers);
-            enumerate_quasicliques(
-                clusters,
-                &new_edges,
-                params.gamma,
-                &params.job,
-                params.max_live_clusters,
-            )?
+            store.advance(&new_edges, params.gamma, &params.job, params.max_live_clusters)?
         };
         job_stats.merge(&result.job_stats);
-        clusters = result.clusters;
         stats.clusters_processed = result.clusters_processed;
         stats.clusters_dropped = result.clusters_dropped;
-        stats.resulting_clusters = clusters.len();
+        stats.rounds = result.rounds;
+        stats.converged = result.converged;
+        stats.resulting_clusters = result.clusters.len();
         stats.cluster_time = tc.elapsed();
         collector.add("closet.clusters_processed", stats.clusters_processed);
         collector.add("closet.clusters_dropped", stats.clusters_dropped);
+        collector.add("closet.enum.rounds", u64::from(result.rounds));
+        collector.add("closet.enum.groups_reduced", result.groups_reduced);
+        collector.add("closet.enum.groups_skipped", result.groups_skipped);
+        collector.add("closet.enum.merges", result.merges);
+        collector.add("closet.enum.unconverged", u64::from(!result.converged));
 
-        clusters_by_threshold.push((t, clusters.clone()));
+        clusters_by_threshold.push((t, result.clusters));
         threshold_stats.push(stats);
     }
 
     // Clique sizes of the final (lowest-threshold) level, pre-aggregated
     // locally so the collector is touched once.
     if collector.is_enabled() {
+        let clusters = clusters_by_threshold.last().map_or(&[][..], |(_, c)| c);
         let mut sizes = ngs_observe::LogHistogram::default();
-        for cluster in &clusters {
+        for cluster in clusters {
             sizes.record(cluster.vertices.len() as u64);
         }
         collector.merge_histogram("closet.clique_size", &sizes);
@@ -409,14 +419,50 @@ mod tests {
         p4.max_live_clusters = 0;
         let o1 = run(&c.reads, &p1).expect("pipeline");
         let o4 = run(&c.reads, &p4).expect("pipeline");
-        for ((t1, c1), (t4, c4)) in o1.clusters_by_threshold.iter().zip(&o4.clusters_by_threshold) {
-            assert_eq!(t1, t4);
-            let mut v1: Vec<Vec<u32>> = c1.iter().map(|c| c.vertices.clone()).collect();
-            let mut v4: Vec<Vec<u32>> = c4.iter().map(|c| c.vertices.clone()).collect();
-            v1.sort();
-            v4.sort();
-            assert_eq!(v1, v4);
+        // Vertices and recorded edges, in the same order.
+        assert_eq!(o1.clusters_by_threshold, o4.clusters_by_threshold);
+    }
+
+    /// Hand-made Phase I output: two 4-cliques at 0.9, then three edges at
+    /// 0.7 that attach read 4 to the first of them.
+    fn two_component_edges() -> EdgePhase {
+        let mut validated = Vec::new();
+        for base in [0u32, 10] {
+            for a in base..base + 4 {
+                for b in a + 1..base + 4 {
+                    validated.push((a, b, 0.95));
+                }
+            }
         }
+        validated.extend([(0, 4, 0.75), (1, 4, 0.75), (2, 4, 0.75)]);
+        EdgePhase {
+            validated,
+            sketch_stats: SketchStats::default(),
+            sketch_time: Duration::ZERO,
+            validate_time: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn enumeration_signals_reach_the_collector() {
+        let params = ClosetParams::standard(300, vec![0.9, 0.7], 2);
+        let collector = ngs_observe::Collector::new();
+        let out =
+            cluster_edges_observed(&two_component_edges(), &params, &collector).expect("phase II");
+        let (_, last) = out.clusters_by_threshold.last().unwrap();
+        let sets: Vec<&[u32]> = last.iter().map(|c| &c.vertices[..]).collect();
+        assert_eq!(sets, [&[0, 1, 2, 3, 4][..], &[10, 11, 12, 13]]);
+        assert!(out.threshold_stats.iter().all(|s| s.converged && s.rounds >= 1));
+
+        let report = collector.report("closet");
+        assert_eq!(report.counter("closet.enum.unconverged"), 0);
+        let rounds: u64 = out.threshold_stats.iter().map(|s| u64::from(s.rounds)).sum();
+        assert_eq!(report.counter("closet.enum.rounds"), rounds);
+        assert!(report.counter("closet.enum.merges") > 0);
+        assert!(report.counter("closet.enum.groups_reduced") > 0);
+        // The second level leaves reads 10..14 alone in every round.
+        let second = u64::from(out.threshold_stats[1].rounds);
+        assert!(report.counter("closet.enum.groups_skipped") >= 4 * second, "{report:?}");
     }
 
     #[test]
