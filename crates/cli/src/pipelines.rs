@@ -400,6 +400,16 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
         stats.tiles_corrected,
         stats.tiles_unresolved
     );
+    let cost = stats.enumeration;
+    eprintln!(
+        "enumeration: {} tiles enumerated, {} neighbour probes, {} tile runs / {} entries scanned, \
+         {} mutant tiles found",
+        cost.enumerations,
+        cost.neighbor_probes,
+        cost.tile_runs_scanned,
+        cost.tile_entries_scanned,
+        cost.mutants_found
+    );
     write_sequences(output, &corrected)?;
     eprintln!("wrote {output}");
 

@@ -12,7 +12,8 @@
 //!
 //! Statistics are compared via the `counters` section of the metrics
 //! report, which carries `ReptileStats` (bases changed, per-decision
-//! counts) and the MapReduce `JobStats` (`job.*`) verbatim; wall-time
+//! counts, the `reptile.enum.*` enumeration costs) and the MapReduce
+//! `JobStats` (`job.*`) verbatim; wall-time
 //! spans differ between runs by nature and are excluded.
 
 use ngs_core::Read;
@@ -125,13 +126,22 @@ fn reptile_output_is_thread_count_invariant() {
     let input = dir.join("reads.fastq");
     let file = std::fs::File::create(&input).unwrap();
     ngs_seqio::write_fastq(file, &reads).unwrap();
-    determinism_matrix(
-        env!("CARGO_BIN_EXE_reptile-correct"),
-        &dir,
-        &input,
-        &["--genome-len", "1500"],
-        None,
-    );
+    // d = 2 as well: most of the enumeration work, and with it most of what
+    // the `reptile.enum.*` counters count, only happens there.
+    for d in ["1", "2"] {
+        determinism_matrix(
+            env!("CARGO_BIN_EXE_reptile-correct"),
+            &dir,
+            &input,
+            &["--genome-len", "1500", "--d", d],
+            None,
+        );
+        let counters = counters_section(&dir.join("t1_metrics.json"));
+        for name in ["enumerations", "neighbor_probes", "tile_runs_scanned", "tile_entries_scanned"]
+        {
+            assert!(counters.contains(&format!("\"reptile.enum.{name}\"")), "d={d}: {counters}");
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -8,16 +8,21 @@
 //!   base access/mutation and O(k) reverse complement;
 //! * [`extract`] — rolling k-mer extraction from ASCII reads with correct
 //!   handling of ambiguous bases;
+//! * [`directory`] — the bucket directory over a sorted key array's top
+//!   bits that the spectrum, the neighbour replicas and the tile table all
+//!   look keys up through;
 //! * [`spectrum`] — the k-spectrum `R^k` with occurrence counts `Y_l`,
-//!   built in parallel and stored sorted for binary-search access;
+//!   built in parallel and stored sorted behind a directory;
 //! * [`neighbor`] — retrieval of the d-neighbourhood `N^d_i` of a k-mer,
 //!   either by brute-force mutant enumeration or by the paper's
 //!   masked-replica index (§2.3 Phase 1): `C(c,d)` copies of the spectrum,
 //!   each stored as bit-permuted keys behind a bucket directory, one
 //!   contiguous run streamed per replica;
 //! * [`tile`] — tiles `t = α₁ ||_l α₂` (Definition 2.1) with plain and
-//!   high-quality occurrence counts `O_c` / `O_g`.
+//!   high-quality occurrence counts `O_c` / `O_g`, sorted behind a directory
+//!   so the tiles of one first k-mer are one run.
 
+pub mod directory;
 pub mod extract;
 pub mod neighbor;
 pub mod packed;
@@ -31,4 +36,15 @@ pub use packed::{
     reverse_complement_packed, set_base, Kmer,
 };
 pub use spectrum::KSpectrum;
-pub use tile::{Tile, TileCounts, TileTable};
+pub use tile::{Tile, TileCounts, TileEntry, TileTable};
+
+/// splitmix64 for tests that draw their own values from a seed, so a failing
+/// case prints the seed and not thousands of k-mers.
+#[cfg(test)]
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

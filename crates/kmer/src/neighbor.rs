@@ -24,6 +24,7 @@
 //! that moves whole 2-bit bases preserves Hamming distance, so candidates
 //! are verified on the permuted keys without touching the spectrum.
 
+use crate::directory::BucketDirectory;
 use crate::packed::{hamming_distance, mutate_base, Kmer};
 use crate::spectrum::KSpectrum;
 use rayon::prelude::*;
@@ -126,11 +127,9 @@ impl BitPermutation {
 #[derive(Clone)]
 struct Replica {
     perm: BitPermutation,
-    /// `key >> dir_shift` is the key's bucket; the directory covers kept
-    /// bits only (`dir_shift >= perm.masked_bits`).
-    dir_shift: u32,
-    /// Bucket `b` is `keys[dir[b]..dir[b + 1]]`.
-    dir: Vec<u32>,
+    /// Buckets of `keys`; the directory covers kept bits only, so a kept
+    /// prefix is never split over buckets.
+    dir: BucketDirectory,
     /// The permuted k-mers, sorted.
     keys: Vec<Kmer>,
     /// Spectrum index of each key.
@@ -143,42 +142,25 @@ impl Replica {
     /// bucket, no comparison sort of the whole spectrum.
     fn build(kmers: &[Kmer], k: usize, chunks: usize, masked: &[usize]) -> Replica {
         let perm = BitPermutation::new(k, chunks, masked);
-        // About four keys per bucket, but never split a kept prefix, and at
-        // least one bit so the shift stays below 64 at k = 32.
         let key_bits = 2 * k as u32;
         let kept_bits = key_bits - perm.masked_bits;
-        let dir_bits = (kmers.len() / 4).max(1).next_power_of_two().trailing_zeros();
-        let dir_bits = dir_bits.clamp(1, kept_bits);
-        let dir_shift = key_bits - dir_bits;
-        let bucket_of = |key: Kmer| (key >> dir_shift) as usize;
-
-        let mut dir = vec![0u32; (1usize << dir_bits) + 1];
-        for &v in kmers {
-            dir[bucket_of(perm.apply(v)) + 1] += 1;
-        }
-        for b in 1..dir.len() {
-            dir[b] += dir[b - 1];
-        }
+        let dir = BucketDirectory::build(key_bits, kept_bits, kmers.iter().map(|&v| perm.apply(v)));
 
         // Scatter in spectrum order. The spectrum is ascending and the
         // permutation keeps the masked chunks in their original order, so
         // k-mers that share their kept chunks arrive in key order: a bucket
         // that is one kept prefix is born sorted.
-        let mut next = dir.clone();
         let mut keys = vec![0; kmers.len()];
         let mut order = vec![0u32; kmers.len()];
-        for (i, &v) in kmers.iter().enumerate() {
-            let key = perm.apply(v);
-            let slot = &mut next[bucket_of(key)];
-            keys[*slot as usize] = key;
-            order[*slot as usize] = i as u32;
-            *slot += 1;
-        }
+        dir.scatter(kmers.iter().map(|&v| perm.apply(v)), |slot, i, key| {
+            keys[slot] = key;
+            order[slot] = i as u32;
+        });
         // A bucket that spans several kept prefixes (large k) is sorted here;
         // it holds about four keys.
-        if dir_bits < kept_bits {
+        if dir.bits() < kept_bits {
             let mut run: Vec<(Kmer, u32)> = Vec::new();
-            for w in dir.windows(2) {
+            for w in dir.starts().windows(2) {
                 let range = w[0] as usize..w[1] as usize;
                 run.clear();
                 run.extend(
@@ -191,7 +173,7 @@ impl Replica {
             }
         }
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "replica keys must be ascending");
-        Replica { perm, dir_shift, dir, keys, order }
+        Replica { perm, dir, keys, order }
     }
 
     /// Call `hit(spectrum index, k-mer)` for every k-mer that agrees with
@@ -199,11 +181,10 @@ impl Replica {
     #[inline]
     fn scan(&self, query: Kmer, max_d: usize, hit: &mut impl FnMut(usize, Kmer)) {
         let pq = self.perm.apply(query);
-        let bucket = (pq >> self.dir_shift) as usize;
-        let (start, end) = (self.dir[bucket] as usize, self.dir[bucket + 1] as usize);
+        let bucket = self.dir.range(pq);
         let masked_bits = self.perm.masked_bits;
         let prefix = pq >> masked_bits;
-        for (&key, &i) in self.keys[start..end].iter().zip(&self.order[start..]) {
+        for (&key, &i) in self.keys[bucket.clone()].iter().zip(&self.order[bucket.start..]) {
             let key_prefix = key >> masked_bits;
             if key_prefix < prefix {
                 continue;
@@ -494,6 +475,7 @@ pub fn check_against_brute_force(
 mod tests {
     use super::*;
     use crate::packed::encode_kmer;
+    use crate::splitmix64 as next;
     use ngs_core::hash::FxHashMap;
     use proptest::prelude::*;
 
@@ -531,16 +513,6 @@ mod tests {
             acc |= m;
         }
         assert_eq!(acc, (1u64 << (2 * k)) - 1, "chunks must cover all positions");
-    }
-
-    /// splitmix64: the tests draw their own values so a failing case prints
-    /// a seed, not thousands of k-mers.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     fn kmer_bits(k: usize) -> u64 {

@@ -2,10 +2,12 @@
 //!
 //! Following §2.2, the spectrum of a read set is the union of the k-spectra
 //! of all reads **and their reverse complements** (double-strandedness,
-//! §2.3). It is stored as a sorted array of `(kmer, count)` so membership and
-//! count queries are binary searches and the neighbour index (§2.3 Phase 1)
-//! can keep masked-sorted permutations of the same array.
+//! §2.3). It is stored as a sorted array of `(kmer, count)` behind a
+//! [`BucketDirectory`], so membership and count queries scan one short
+//! bucket, and the neighbour index (§2.3 Phase 1) can keep masked-sorted
+//! permutations of the same array.
 
+use crate::directory::BucketDirectory;
 use crate::extract::for_each_kmer;
 use crate::packed::{reverse_complement_packed, Kmer};
 use ngs_core::hash::FxHashMap;
@@ -18,6 +20,8 @@ pub struct KSpectrum {
     k: usize,
     kmers: Vec<Kmer>,
     counts: Vec<u32>,
+    /// Buckets of `kmers` by their top bits.
+    dir: BucketDirectory,
 }
 
 impl KSpectrum {
@@ -71,29 +75,38 @@ impl KSpectrum {
     }
 
     /// Build from an explicit `(kmer -> count)` map.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ k ≤ 32` and every key is a k-mer of that length.
     pub fn from_map(map: FxHashMap<Kmer, u32>, k: usize) -> KSpectrum {
         let mut pairs: Vec<(Kmer, u32)> = map.into_iter().collect();
         pairs.par_sort_unstable_by_key(|&(v, _)| v);
         let (kmers, counts): (Vec<Kmer>, Vec<u32>) = pairs.into_iter().unzip();
-        KSpectrum { k, kmers, counts }
+        Self::from_sorted(k, kmers, counts).expect("the keys of a k-mer map are distinct k-mers")
     }
 
     /// Build from pre-sorted, deduplicated parallel arrays.
     ///
     /// The invariant is validated unconditionally — also in release builds —
-    /// because every `count`/`index_of` lookup binary-searches `kmers`:
-    /// accepting unsorted or duplicated input would not crash, it would
-    /// silently return wrong counts for the rest of the run.
+    /// because every `count`/`index_of` lookup goes through a directory over
+    /// the sorted `kmers`: accepting unsorted or duplicated input would not
+    /// crash, it would silently return wrong counts for the rest of the run.
     ///
     /// # Errors
-    /// [`NgsError::InvalidParameter`] when the arrays differ in length or
-    /// `kmers` is not strictly increasing (i.e. unsorted or containing
-    /// duplicates); the message names the first offending index.
+    /// [`NgsError::InvalidParameter`] when `k` is outside `1..=32`, the
+    /// arrays differ in length, `kmers` is not strictly increasing (i.e.
+    /// unsorted or containing duplicates; the message names the first
+    /// offending index), or a k-mer has bits above `2k`.
     pub fn from_sorted(
         k: usize,
         kmers: Vec<Kmer>,
         counts: Vec<u32>,
     ) -> Result<KSpectrum, NgsError> {
+        if !(1..=32).contains(&k) {
+            return Err(NgsError::InvalidParameter(format!(
+                "KSpectrum::from_sorted: k must be in 1..=32, got {k}"
+            )));
+        }
         if kmers.len() != counts.len() {
             return Err(NgsError::InvalidParameter(format!(
                 "KSpectrum::from_sorted: {} kmers but {} counts",
@@ -109,7 +122,16 @@ impl KSpectrum {
                 kmers[i]
             )));
         }
-        Ok(KSpectrum { k, kmers, counts })
+        // Ascending, so the last k-mer is the largest.
+        if let Some(&last) = kmers.last().filter(|&&v| k < 32 && v >> (2 * k) != 0) {
+            return Err(NgsError::InvalidParameter(format!(
+                "KSpectrum::from_sorted: {last:#x} is not a {k}-mer (bits above {})",
+                2 * k
+            )));
+        }
+        let key_bits = 2 * k as u32;
+        let dir = BucketDirectory::build(key_bits, key_bits, kmers.iter().copied());
+        Ok(KSpectrum { k, kmers, counts, dir })
     }
 
     /// The k this spectrum was built with.
@@ -137,10 +159,13 @@ impl KSpectrum {
         &self.counts
     }
 
-    /// Index of `kmer` in the sorted array, if present.
+    /// Index of `kmer` in the sorted array, if present: one directory
+    /// lookup and a scan of the k-mer's bucket.
     #[inline]
     pub fn index_of(&self, kmer: Kmer) -> Option<usize> {
-        self.kmers.binary_search(&kmer).ok()
+        let bucket = self.dir.range(kmer);
+        let at = bucket.start + self.kmers[bucket].iter().position(|&v| v >= kmer)?;
+        (self.kmers[at] == kmer).then_some(at)
     }
 
     /// Occurrence count of `kmer` (0 if absent).
@@ -233,6 +258,14 @@ mod tests {
         // Length mismatch.
         let err = KSpectrum::from_sorted(3, vec![1, 2], vec![1]).unwrap_err();
         assert!(err.to_string().contains("2 kmers but 1 counts"), "{err}");
+        // A word with bits above 2k is no k-mer; a k outside 1..=32 has none.
+        let err = KSpectrum::from_sorted(3, vec![1, 64], vec![1, 1]).unwrap_err();
+        assert!(err.to_string().contains("not a 3-mer"), "{err}");
+        assert!(KSpectrum::from_sorted(3, vec![1, 63], vec![1, 1]).is_ok());
+        assert!(KSpectrum::from_sorted(32, vec![1, u64::MAX], vec![1, 1]).is_ok());
+        for k in [0, 33, usize::MAX] {
+            assert!(KSpectrum::from_sorted(k, vec![], vec![]).is_err(), "k={k}");
+        }
     }
 
     #[test]
@@ -243,6 +276,44 @@ mod tests {
     }
 
     proptest! {
+        /// The directory lookup against a binary search of the same array,
+        /// for present k-mers, near misses, random words and words with
+        /// bits above 2k — k = 1 and k = 32 (a k-mer fills the word) too.
+        #[test]
+        fn index_of_matches_binary_search(
+            k in prop_oneof![Just(1usize), Just(2), 3usize..=31, Just(32)],
+            n in prop_oneof![Just(0usize), Just(1), 2usize..50, 50usize..3000],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let mut next = move || crate::splitmix64(&mut rng);
+            let mask = u64::MAX >> (64 - 2 * k);
+            // Half the draws stay near an earlier one, so buckets fill.
+            let mut drawn: Vec<Kmer> = Vec::with_capacity(n);
+            for i in 0..n {
+                let v = if i > 0 && next() & 1 == 0 {
+                    drawn[(next() % i as u64) as usize] ^ (next() & 0xff)
+                } else {
+                    next()
+                };
+                drawn.push(v & mask);
+            }
+            let map: FxHashMap<Kmer, u32> =
+                drawn.iter().map(|&v| (v, 1 + (v % 7) as u32)).collect();
+            let sp = KSpectrum::from_map(map, k);
+            let mut queries = drawn.clone();
+            for &v in &drawn {
+                queries.extend([v ^ 1, v.wrapping_add(1), v.wrapping_sub(1), next() & mask]);
+            }
+            queries.extend([0, mask, mask.wrapping_add(1), u64::MAX, 1 << 63, next()]);
+            for q in queries {
+                let want = sp.kmers().binary_search(&q).ok();
+                prop_assert_eq!(sp.index_of(q), want);
+                prop_assert_eq!(sp.contains(q), want.is_some());
+                prop_assert_eq!(sp.count(q), want.map_or(0, |i| sp.counts()[i]));
+            }
+        }
+
         #[test]
         fn parallel_build_matches_sequential_count(
             seqs in proptest::collection::vec(

@@ -5,11 +5,17 @@
 //! tile observed in the reads (both strands), its multiplicity `O_c` and its
 //! high-quality multiplicity `O_g` — the number of instances in which *every*
 //! base has quality above `Q_c` (§2.3 "Tile Correction").
+//!
+//! The table is one array of `(tile, O_c, O_g)` entries ascending by tile
+//! behind a [`BucketDirectory`]. The first k-mer is the tile's high bits, so
+//! the observed tiles that start with one k-mer are one contiguous run
+//! ([`TileTable::first_kmer_run`]) — what Algorithm 1's d-mutant enumeration
+//! scans instead of probing every candidate pair.
 
+use crate::directory::BucketDirectory;
 use crate::extract::for_each_kmer;
 use crate::packed::{reverse_complement_packed, Kmer};
-use ngs_core::hash::FxHashMap;
-use ngs_core::Read;
+use ngs_core::{NgsError, Read};
 use rayon::prelude::*;
 
 /// A packed tile value (same encoding as a packed k-mer of length `2k − l`).
@@ -22,6 +28,15 @@ pub struct TileCounts {
     pub oc: u32,
     /// High-quality occurrences `O_g` (every base quality > `Q_c`).
     pub og: u32,
+}
+
+/// One row of the tile table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileEntry {
+    /// The packed tile.
+    pub tile: Tile,
+    /// Its occurrence counts.
+    pub counts: TileCounts,
 }
 
 /// Compose a tile from two packed k-mers overlapping in `l` bases.
@@ -56,7 +71,10 @@ pub fn split_tile(tile: Tile, k: usize, l: usize) -> (Kmer, Kmer) {
 pub struct TileTable {
     k: usize,
     l: usize,
-    map: FxHashMap<Tile, TileCounts>,
+    /// Ascending by tile, no tile twice.
+    entries: Vec<TileEntry>,
+    /// Buckets of `entries` by the tile's top bits.
+    dir: BucketDirectory,
 }
 
 impl TileTable {
@@ -77,18 +95,23 @@ impl TileTable {
 
     /// Number of distinct tiles observed.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// True when no tile was observed.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Counts for `tile` (zero counts if unobserved).
+    /// Counts for `tile` (zero counts if unobserved): one directory lookup
+    /// and a scan of the tile's bucket.
     #[inline]
     pub fn counts(&self, tile: Tile) -> TileCounts {
-        self.map.get(&tile).copied().unwrap_or_default()
+        self.entries[self.dir.range(tile)]
+            .iter()
+            .find(|e| e.tile >= tile)
+            .filter(|e| e.tile == tile)
+            .map_or_else(TileCounts::default, |e| e.counts)
     }
 
     /// High-quality count `O_g` of `tile`.
@@ -97,33 +120,72 @@ impl TileTable {
         self.counts(tile).og
     }
 
-    /// Iterate `(tile, counts)` pairs (arbitrary order).
+    /// Iterate `(tile, counts)` pairs, ascending by tile.
     pub fn iter(&self) -> impl Iterator<Item = (Tile, TileCounts)> + '_ {
-        self.map.iter().map(|(&t, &c)| (t, c))
+        self.entries.iter().map(|e| (e.tile, e.counts))
     }
 
-    /// Reassemble a table from `(tile, counts)` entries — the inverse of
-    /// [`TileTable::iter`], used for checkpoint restore. Duplicate tiles sum
-    /// their counts.
-    ///
-    /// # Panics
-    /// Panics unless `1 ≤ k ≤ 16` and `l < k`, like [`TileTable::build`].
-    pub fn from_parts(
-        k: usize,
-        l: usize,
-        entries: impl IntoIterator<Item = (Tile, TileCounts)>,
-    ) -> TileTable {
-        assert!((1..=16).contains(&k), "tile table requires k in 1..=16");
-        assert!(l < k, "overlap l must be < k");
-        let entries = entries.into_iter();
-        let mut map: FxHashMap<Tile, TileCounts> = FxHashMap::default();
-        map.reserve(entries.size_hint().0);
-        for (t, c) in entries {
-            let e = map.entry(t).or_default();
-            e.oc += c.oc;
-            e.og += c.og;
+    /// The observed tiles whose first k-mer is `first`, ascending. The first
+    /// k-mer is a tile's high `2k` bits, so they are contiguous; the
+    /// directory finds where the run starts, also when it covers more bits
+    /// than a first k-mer and the run spans several buckets.
+    #[inline]
+    pub fn first_kmer_run(&self, first: Kmer) -> &[TileEntry] {
+        if first >> (2 * self.k) != 0 {
+            return &[];
         }
-        TileTable { k, l, map }
+        // Bits of a tile below its first k-mer; a first k-mer and its tail
+        // fill at most the word, so neither shift overflows.
+        let tail_bits = 2 * (self.k - self.l);
+        let lo = first << tail_bits;
+        let hi = lo | ((1u64 << tail_bits) - 1);
+        let bucket = self.dir.range(lo);
+        // Every later bucket holds larger tiles, so a bucket without a tile
+        // >= lo still leaves `start` at the global lower bound.
+        let start = bucket.start + self.entries[bucket].iter().take_while(|e| e.tile < lo).count();
+        let len = self.entries[start..].iter().take_while(|e| e.tile <= hi).count();
+        &self.entries[start..start + len]
+    }
+
+    /// Assemble a table from entries that are already ascending by tile —
+    /// the inverse of [`TileTable::iter`], used for checkpoint restore.
+    ///
+    /// # Errors
+    /// [`NgsError::InvalidParameter`] unless `1 ≤ k ≤ 16` and `l < k`;
+    /// [`NgsError::MalformedRecord`] naming the first entry that is not
+    /// larger than its predecessor (unsorted or duplicated) or has bits
+    /// above the tile length `2(2k − l)`.
+    pub fn from_sorted(k: usize, l: usize, entries: Vec<TileEntry>) -> Result<TileTable, NgsError> {
+        if !(1..=16).contains(&k) || l >= k {
+            return Err(NgsError::InvalidParameter(format!(
+                "TileTable::from_sorted: need 1 <= k <= 16 and l < k, got k={k} l={l}"
+            )));
+        }
+        let tile_bits = 2 * (2 * k - l);
+        for (i, e) in entries.iter().enumerate() {
+            if tile_bits < 64 && e.tile >> tile_bits != 0 {
+                return Err(NgsError::MalformedRecord(format!(
+                    "tile table: entry {i} ({:#x}) has bits above {tile_bits}",
+                    e.tile
+                )));
+            }
+            if i > 0 && entries[i - 1].tile >= e.tile {
+                return Err(NgsError::MalformedRecord(format!(
+                    "tile table: tiles not strictly increasing at entry {i} ({:#x} then {:#x})",
+                    entries[i - 1].tile,
+                    e.tile
+                )));
+            }
+        }
+        Ok(Self::from_ascending(k, l, entries))
+    }
+
+    /// The table over `entries`, which the caller guarantees are strictly
+    /// ascending tiles of `2k − l` bases.
+    fn from_ascending(k: usize, l: usize, entries: Vec<TileEntry>) -> TileTable {
+        let tile_bits = 2 * (2 * k - l) as u32;
+        let dir = BucketDirectory::build(tile_bits, tile_bits, entries.iter().map(|e| e.tile));
+        TileTable { k, l, entries, dir }
     }
 
     /// Build the table from `reads` **and their reverse complements**, using
@@ -136,61 +198,126 @@ impl TileTable {
     /// # Panics
     /// Panics unless `1 ≤ k ≤ 16` and `l < k` (so tiles fit in a `u64`).
     pub fn build(reads: &[Read], k: usize, l: usize, q_c: u8) -> TileTable {
+        let chunk = (reads.len() / (rayon::current_num_threads() * 4)).max(256);
+        Self::build_chunked(reads, k, l, q_c, chunk)
+    }
+
+    /// [`TileTable::build`] over chunks of `chunk` reads. The table is born
+    /// sorted: chunks collect tile instances grouped by the tile's top bits,
+    /// then every such partition gathers its instances from all chunks,
+    /// sorts them and counts each tile. Partitions ascend, so the table is
+    /// their concatenation — and, being the ascending array of a multiset's
+    /// counts, depends on neither the chunk size nor the thread count.
+    fn build_chunked(reads: &[Read], k: usize, l: usize, q_c: u8, chunk: usize) -> TileTable {
         assert!((1..=16).contains(&k), "tile table requires k in 1..=16");
         assert!(l < k, "overlap l must be < k");
         let m = 2 * k - l;
-        let chunk = (reads.len() / (rayon::current_num_threads() * 4)).max(256);
-        let map = reads
-            .par_chunks(chunk)
-            .map(|chunk| {
-                let mut table: FxHashMap<Tile, TileCounts> = FxHashMap::default();
-                let mut lowq_prefix: Vec<u32> = Vec::new();
-                for r in chunk {
-                    // Prefix sums of low-quality positions allow O(1)
-                    // "window all-high-quality?" checks.
-                    lowq_prefix.clear();
-                    lowq_prefix.push(0);
-                    match &r.qual {
-                        Some(q) => {
-                            for &s in q {
-                                let last = *lowq_prefix.last().unwrap();
-                                lowq_prefix.push(last + u32::from(s <= q_c));
-                            }
-                        }
-                        None => lowq_prefix.resize(r.seq.len() + 1, 0),
-                    }
-                    for_each_kmer(&r.seq, m, |pos, tile| {
-                        let hq = lowq_prefix[pos + m] == lowq_prefix[pos];
-                        let e = table.entry(tile).or_default();
-                        e.oc += 1;
-                        e.og += u32::from(hq);
-                        // Reverse-complement instance: same base qualities.
-                        let rc = reverse_complement_packed(tile, m);
-                        let e = table.entry(rc).or_default();
-                        e.oc += 1;
-                        e.og += u32::from(hq);
-                    });
-                }
-                table
+        let chunks: Vec<[Instances; 2]> =
+            reads.par_chunks(chunk).map(|chunk| chunk_instances(chunk, m, q_c)).collect();
+        let partitions = 1usize << PARTITION_BITS.min(2 * m as u32);
+        let runs: Vec<Vec<TileEntry>> = (0..partitions)
+            .into_par_iter()
+            .map(|p| {
+                let [high, low] = [HIGH, LOW].map(|quality| {
+                    let parts: Vec<&[Tile]> =
+                        chunks.iter().map(|c| c[quality].partition(p)).collect();
+                    let mut tiles = parts.concat();
+                    tiles.sort_unstable();
+                    tiles
+                });
+                count_tiles(&high, &low)
             })
-            .reduce(FxHashMap::default, |a, b| {
-                let (mut big, small) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-                for (t, c) in small {
-                    let e = big.entry(t).or_default();
-                    e.oc += c.oc;
-                    e.og += c.og;
-                }
-                big
-            });
-        TileTable { k, l, map }
+            .collect();
+        Self::from_ascending(k, l, runs.concat())
     }
+}
+
+/// A tile's top bits that pick its partition of the build: enough partitions
+/// to keep every thread busy, each small enough to sort in cache.
+const PARTITION_BITS: u32 = 8;
+
+/// Index into a chunk's [`Instances`] pair: instances whose bases are all
+/// above `Q_c`, and the others. They are collected apart, so no instance
+/// needs a flag bit beside a tile that may fill the word.
+const HIGH: usize = 0;
+const LOW: usize = 1;
+
+/// Tile instances of one quality class, grouped by build partition.
+struct Instances {
+    tiles: Vec<Tile>,
+    partitions: BucketDirectory,
+}
+
+impl Instances {
+    fn group(tiles: Vec<Tile>, tile_bits: u32) -> Instances {
+        let partitions = BucketDirectory::with_bits(
+            tile_bits,
+            PARTITION_BITS.min(tile_bits),
+            tiles.iter().copied(),
+        );
+        let mut grouped = vec![0; tiles.len()];
+        partitions.scatter(tiles.iter().copied(), |slot, _, tile| grouped[slot] = tile);
+        Instances { tiles: grouped, partitions }
+    }
+
+    fn partition(&self, p: usize) -> &[Tile] {
+        let starts = self.partitions.starts();
+        &self.tiles[starts[p] as usize..starts[p + 1] as usize]
+    }
+}
+
+/// The tile instances of `reads` and of their reverse complements, by
+/// quality class ([`HIGH`], [`LOW`]).
+fn chunk_instances(reads: &[Read], m: usize, q_c: u8) -> [Instances; 2] {
+    let most: usize = reads.iter().map(|r| 2 * (r.len() + 1).saturating_sub(m)).sum();
+    let mut instances = [Vec::with_capacity(most), Vec::new()];
+    let mut lowq_prefix: Vec<u32> = Vec::new();
+    for r in reads {
+        // Prefix sums of low-quality positions allow O(1)
+        // "window all-high-quality?" checks.
+        lowq_prefix.clear();
+        lowq_prefix.push(0);
+        match &r.qual {
+            Some(q) => {
+                let mut below = 0;
+                for &s in q {
+                    below += u32::from(s <= q_c);
+                    lowq_prefix.push(below);
+                }
+            }
+            None => lowq_prefix.resize(r.seq.len() + 1, 0),
+        }
+        for_each_kmer(&r.seq, m, |pos, tile| {
+            let quality = if lowq_prefix[pos + m] == lowq_prefix[pos] { HIGH } else { LOW };
+            instances[quality].push(tile);
+            // Reverse-complement instance: same base qualities.
+            instances[quality].push(reverse_complement_packed(tile, m));
+        });
+    }
+    instances.map(|tiles| Instances::group(tiles, 2 * m as u32))
+}
+
+/// Count each distinct tile of two ascending instance lists: `O_c` over
+/// both, `O_g` over `high`.
+fn count_tiles(mut high: &[Tile], mut low: &[Tile]) -> Vec<TileEntry> {
+    let run_of = |tiles: &[Tile], tile: Tile| tiles.iter().take_while(|&&t| t == tile).count();
+    let mut out = Vec::new();
+    while let Some(&tile) = [high.first(), low.first()].into_iter().flatten().min() {
+        let (og, rest) = (run_of(high, tile), run_of(low, tile));
+        let counts = TileCounts { oc: (og + rest) as u32, og: og as u32 };
+        out.push(TileEntry { tile, counts });
+        (high, low) = (&high[og..], &low[rest..]);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packed::{decode_kmer, encode_kmer};
+    use crate::splitmix64 as next;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn compose_zero_overlap() {
@@ -264,6 +391,207 @@ mod tests {
         // Valid length-4 windows avoiding N: none before N (only 3 bases),
         // "TTG" after N is 3 bases -> no length-4 window at all.
         assert!(table.is_empty());
+    }
+
+    /// Reads drawn from a short random genome (so tiles repeat), with
+    /// substitutions, the odd `N`, and — when `with_quals` — qualities on
+    /// both sides of a cutoff of 20.
+    fn random_reads(n: usize, read_len: usize, with_quals: bool, seed: u64) -> Vec<Read> {
+        let mut rng = seed;
+        let genome: Vec<u8> =
+            (0..3 * read_len).map(|_| b"ACGT"[(next(&mut rng) % 4) as usize]).collect();
+        (0..n)
+            .map(|i| {
+                let at = (next(&mut rng) % (genome.len() - read_len + 1) as u64) as usize;
+                let mut seq = genome[at..at + read_len].to_vec();
+                for b in seq.iter_mut() {
+                    match next(&mut rng) % 40 {
+                        0 => *b = b'N',
+                        1..=4 => *b = b"ACGT"[(next(&mut rng) % 4) as usize],
+                        _ => {}
+                    }
+                }
+                if with_quals {
+                    let qual = (0..read_len).map(|_| 10 + (next(&mut rng) % 30) as u8).collect();
+                    Read::with_qual(format!("r{i}"), seq, qual)
+                } else {
+                    Read::new(format!("r{i}"), seq)
+                }
+            })
+            .collect()
+    }
+
+    /// The table as Definition 2.1 reads: every window of `m` unambiguous
+    /// bases and its reverse complement, one at a time.
+    fn model(reads: &[Read], m: usize, q_c: u8) -> BTreeMap<Tile, TileCounts> {
+        let mut map: BTreeMap<Tile, TileCounts> = BTreeMap::new();
+        for r in reads {
+            for (at, window) in r.seq.windows(m).enumerate() {
+                let Some(tile) = encode_kmer(window) else { continue };
+                let hq = r.qual.as_ref().is_none_or(|q| q[at..at + m].iter().all(|&s| s > q_c));
+                let rc = encode_kmer(&ngs_core::alphabet::reverse_complement(window)).unwrap();
+                for t in [tile, rc] {
+                    let c = map.entry(t).or_default();
+                    c.oc += 1;
+                    c.og += u32::from(hq);
+                }
+            }
+        }
+        map
+    }
+
+    /// Every query of `table` against the model of the same reads.
+    fn check_against_model(table: &TileTable, reads: &[Read], q_c: u8, seed: u64) {
+        let (k, l, m) = (table.k(), table.overlap(), table.tile_len());
+        let want = model(reads, m, q_c);
+        assert_eq!(table.len(), want.len());
+        assert_eq!(table.is_empty(), want.is_empty());
+        assert!(table.iter().eq(want.iter().map(|(&t, &c)| (t, c))), "iter must ascend");
+
+        let tile_mask = u64::MAX >> (64 - 2 * m);
+        let mut rng = seed;
+        for (&t, &c) in &want {
+            assert_eq!(table.counts(t), c);
+            assert_eq!(table.og(t), c.og);
+            // Near misses and random words, present or not.
+            for probe in [t ^ 1, t.wrapping_add(1) & tile_mask, next(&mut rng) & tile_mask] {
+                assert_eq!(table.counts(probe), want.get(&probe).copied().unwrap_or_default());
+            }
+            // The same tile with a bit above the tile length is no tile.
+            if 2 * m < 64 {
+                assert_eq!(table.counts(t | 1 << (2 * m)), TileCounts::default());
+                assert_eq!(table.counts(t | 1 << 63), TileCounts::default());
+            }
+        }
+
+        let run_of = |first: Kmer| -> Vec<(Tile, TileCounts)> {
+            table.first_kmer_run(first).iter().map(|e| (e.tile, e.counts)).collect()
+        };
+        let kmer_mask = u64::MAX >> (64 - 2 * k);
+        let mut by_first: BTreeMap<Kmer, Vec<(Tile, TileCounts)>> = BTreeMap::new();
+        for (&t, &c) in &want {
+            by_first.entry(split_tile(t, k, l).0).or_default().push((t, c));
+        }
+        let mut firsts: Vec<Kmer> = by_first.keys().copied().collect();
+        firsts.extend([0, kmer_mask]);
+        for first in firsts.clone() {
+            firsts.extend([first ^ 1, next(&mut rng) & kmer_mask]);
+        }
+        for first in firsts {
+            let expect = by_first.get(&first).cloned().unwrap_or_default();
+            assert_eq!(run_of(first), expect, "k={k} l={l} first={first:#x}");
+        }
+        assert_eq!(run_of(kmer_mask + 1), vec![], "a word above 2k bits starts no tile");
+        assert_eq!(run_of(u64::MAX), vec![]);
+    }
+
+    #[test]
+    fn directory_wider_than_a_first_kmer() {
+        // 4^6 possible tiles of which most occur: seven directory bits over
+        // six bits of first k-mer, so a run spans two buckets.
+        let reads = random_reads(120, 40, true, 11);
+        let table = TileTable::build(&reads, 3, 0, 20);
+        assert!(table.dir.bits() > 6, "{} tiles, {} bits", table.len(), table.dir.bits());
+        check_against_model(&table, &reads, 20, 11);
+    }
+
+    #[test]
+    fn tile_that_fills_the_word() {
+        let reads = random_reads(60, 48, true, 12);
+        let table = TileTable::build(&reads, 16, 0, 20);
+        assert!(table.iter().any(|(t, _)| t >> 62 == 3), "some tile should start with T");
+        check_against_model(&table, &reads, 20, 12);
+    }
+
+    #[test]
+    fn build_does_not_depend_on_chunking() {
+        let reads = random_reads(700, 36, true, 13);
+        let whole = TileTable::build_chunked(&reads, 6, 1, 20, reads.len());
+        check_against_model(&whole, &reads, 20, 13);
+        for chunk in [1, 7, 256, 699] {
+            let chunked = TileTable::build_chunked(&reads, 6, 1, 20, chunk);
+            assert!(chunked.iter().eq(whole.iter()), "chunk size {chunk}");
+            assert_eq!(chunked.dir.starts(), whole.dir.starts());
+        }
+        assert!(TileTable::build(&reads, 6, 1, 20).iter().eq(whole.iter()));
+    }
+
+    /// Pins the built table to the bit — the value is what the hash-map
+    /// build this one replaced produced, sorted. CI runs this at
+    /// `NGS_THREADS=1` and `NGS_THREADS=4`, where `build` cuts 3000 reads
+    /// into 4 and 12 chunks.
+    #[test]
+    fn build_golden_fingerprint() {
+        let reads = random_reads(3000, 36, true, 14);
+        let table = TileTable::build(&reads, 8, 0, 20);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (t, c) in table.iter() {
+            for word in [t, u64::from(c.oc), u64::from(c.og)] {
+                h = (h ^ word).wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        assert_eq!((table.len(), h), (37_436, 17_864_949_275_598_188_359));
+    }
+
+    fn entry(tile: Tile, oc: u32, og: u32) -> TileEntry {
+        TileEntry { tile, counts: TileCounts { oc, og } }
+    }
+
+    #[test]
+    fn from_sorted_accepts_ascending_entries() {
+        let table = TileTable::from_sorted(3, 1, vec![entry(5, 2, 1), entry(9, 1, 0)]).unwrap();
+        assert_eq!(table.counts(9), TileCounts { oc: 1, og: 0 });
+        assert_eq!(table.counts(6), TileCounts::default());
+        assert_eq!(table.iter().count(), 2);
+        assert!(TileTable::from_sorted(16, 0, vec![entry(u64::MAX, 1, 1)]).is_ok());
+        assert!(TileTable::from_sorted(3, 1, Vec::new()).unwrap().is_empty());
+    }
+
+    /// A checkpoint's tile section is outside input: duplicates used to sum
+    /// silently and stray bits were accepted.
+    #[test]
+    fn from_sorted_rejects_corrupt_entries() {
+        let malformed =
+            |entries: Vec<TileEntry>, what: &str| match TileTable::from_sorted(3, 1, entries) {
+                Err(NgsError::MalformedRecord(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("expected a malformed-record error, got {other:?}"),
+            };
+        malformed(vec![entry(1, 1, 1), entry(4, 1, 1), entry(4, 2, 2)], "at entry 2");
+        malformed(vec![entry(1, 1, 1), entry(9, 1, 1), entry(4, 1, 1), entry(2, 1, 1)], "entry 2");
+        // k = 3, l = 1: a tile is 5 bases, 10 bits.
+        malformed(vec![entry(1, 1, 1), entry(1 << 10, 1, 1)], "entry 1");
+        malformed(vec![entry(u64::MAX, 1, 1)], "entry 0");
+        for (k, l) in [(0, 0), (17, 0), (4, 4)] {
+            assert!(matches!(
+                TileTable::from_sorted(k, l, Vec::new()),
+                Err(NgsError::InvalidParameter(_))
+            ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The sorted table against a `BTreeMap` filled one instance at a
+        /// time: small k (directory wider than a first k-mer), overlaps,
+        /// and tiles that fill the word.
+        #[test]
+        fn table_matches_model(
+            kl in prop_oneof![
+                (1usize..=3, Just(0usize)),
+                (2usize..=8, 1usize..=7),
+                (4usize..=12, Just(0usize)),
+                (Just(16usize), 0usize..=2),
+            ],
+            n in prop_oneof![Just(0usize), Just(1), 2usize..40, 40usize..300],
+            with_quals in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (k, l) = (kl.0, kl.1.min(kl.0 - 1));
+            let reads = random_reads(n, (2 * k - l).max(8) + 12, with_quals, seed);
+            let table = TileTable::build(&reads, k, l, 20);
+            check_against_model(&table, &reads, 20, seed);
+        }
     }
 
     proptest! {

@@ -27,7 +27,7 @@ pub mod tile_correct;
 
 pub use params::ReptileParams;
 pub use read_correct::ReptileStats;
-pub use tile_correct::TileDecision;
+pub use tile_correct::{EnumStats, TileDecision};
 
 use ngs_core::Read;
 use ngs_kmer::neighbor::{NeighborStrategy, NeighborTables};
@@ -302,6 +302,19 @@ mod tests {
             stats1.tiles_validated + stats2.tiles_validated
         );
         assert_eq!(report.counter("reptile.bases_changed"), stats1.bases_changed * 2);
+        // So do the enumeration costs, which are counts and not timings:
+        // every corrected or unresolved placement went through an
+        // enumeration, and an enumeration probes at most once.
+        let cost = stats1.enumeration;
+        let enum_counter = |name: &str| report.counter(&format!("reptile.enum.{name}"));
+        assert_eq!(enum_counter("enumerations"), cost.enumerations * 2);
+        assert_eq!(enum_counter("neighbor_probes"), cost.neighbor_probes * 2);
+        assert_eq!(enum_counter("tile_runs_scanned"), cost.tile_runs_scanned * 2);
+        assert_eq!(enum_counter("tile_entries_scanned"), cost.tile_entries_scanned * 2);
+        assert_eq!(enum_counter("mutants_found"), cost.mutants_found * 2);
+        assert!(cost.enumerations >= stats1.tiles_corrected + stats1.tiles_unresolved);
+        assert!(cost.neighbor_probes > 0 && cost.neighbor_probes < cost.enumerations, "{cost:?}");
+        assert!(cost.tile_runs_scanned > cost.enumerations, "{cost:?}");
     }
 
     #[test]

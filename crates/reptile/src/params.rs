@@ -161,6 +161,44 @@ mod tests {
         p.validate();
     }
 
+    /// `from_data` histograms a tile table it builds itself; the thresholds
+    /// on the inputs of the `lib.rs` tests are those the hash-map table gave.
+    #[test]
+    fn from_data_thresholds_are_pinned() {
+        let thresholds =
+            |genome_seed: u64, genome_len: usize, cfg: &dyn Fn(usize) -> ReadSimConfig| {
+                let g = GenomeSpec::uniform(genome_len).generate(genome_seed).seq;
+                let p = ReptileParams::from_data(&simulate_reads(&g, &cfg(g.len())).reads, g.len());
+                (p.cg, p.cm, p.qc, p.qm)
+            };
+        let illumina = |pe: f64, coverage: f64, seed: u64| {
+            move |len: usize| {
+                ReadSimConfig::with_coverage(
+                    len,
+                    36,
+                    coverage,
+                    ErrorModel::illumina_like(36, pe),
+                    seed,
+                )
+            }
+        };
+        assert_eq!(thresholds(23, 20_000, &illumina(0.01, 60.0, 1)), (17, 4, 21, 24));
+        assert_eq!(thresholds(23, 20_000, &illumina(0.0, 40.0, 2)), (17, 4, 21, 24));
+        assert_eq!(thresholds(23, 15_000, &illumina(0.015, 40.0, 3)), (11, 2, 21, 24));
+        assert_eq!(thresholds(23, 8_000, &illumina(0.02, 30.0, 11)), (8, 2, 21, 24));
+        assert_eq!(thresholds(23, 8_000, &illumina(0.02, 30.0, 5)), (9, 2, 21, 24));
+        let with_ns = |_: usize| ReadSimConfig {
+            read_len: 36,
+            n_reads: 12_000,
+            error_model: ErrorModel::uniform(36, 0.005),
+            both_strands: true,
+            with_quals: true,
+            n_rate: 0.01,
+            seed: 4,
+        };
+        assert_eq!(thresholds(29, 10_000, &with_ns), (12, 3, 21, 24));
+    }
+
     #[test]
     fn from_data_without_quals() {
         let g = GenomeSpec::uniform(5_000).generate(2).seq;

@@ -12,7 +12,9 @@
 //! are strand-symmetric, so every table lookup is valid verbatim).
 
 use crate::params::ReptileParams;
-use crate::tile_correct::{correct_tile, differing_positions, TileDecision, TileScratch};
+use crate::tile_correct::{
+    correct_tile, differing_positions, EnumStats, TileDecision, TileScratch,
+};
 use ngs_core::alphabet;
 use ngs_core::Read;
 use ngs_kmer::neighbor::NeighborIndex;
@@ -32,6 +34,8 @@ pub struct ReptileStats {
     pub bases_changed: u64,
     /// Reads with at least one changed base.
     pub reads_changed: u64,
+    /// What the d-mutant enumerations behind those decisions cost.
+    pub enumeration: EnumStats,
 }
 
 impl ReptileStats {
@@ -42,11 +46,13 @@ impl ReptileStats {
         self.tiles_unresolved += other.tiles_unresolved;
         self.bases_changed += other.bases_changed;
         self.reads_changed += other.reads_changed;
+        self.enumeration.merge(&other.enumeration);
     }
 
     /// Fold the counters into an observe collector: one counter per field
-    /// plus the `reptile.tile_decision` histogram recording the D1/D2/D3
-    /// mix of Algorithm 2 (1 = validated, 2 = corrected, 3 = unresolved).
+    /// (the enumeration costs as `reptile.enum.*`) plus the
+    /// `reptile.tile_decision` histogram recording the D1/D2/D3 mix of
+    /// Algorithm 2 (1 = validated, 2 = corrected, 3 = unresolved).
     /// Stats are accumulated per-read and folded here once, so correction's
     /// hot path never touches the collector.
     pub fn record_into(&self, collector: &ngs_observe::Collector) {
@@ -55,6 +61,12 @@ impl ReptileStats {
         collector.add("reptile.tiles_unresolved", self.tiles_unresolved);
         collector.add("reptile.bases_changed", self.bases_changed);
         collector.add("reptile.reads_changed", self.reads_changed);
+        let e = &self.enumeration;
+        collector.add("reptile.enum.enumerations", e.enumerations);
+        collector.add("reptile.enum.neighbor_probes", e.neighbor_probes);
+        collector.add("reptile.enum.tile_runs_scanned", e.tile_runs_scanned);
+        collector.add("reptile.enum.tile_entries_scanned", e.tile_entries_scanned);
+        collector.add("reptile.enum.mutants_found", e.mutants_found);
         collector.record_n("reptile.tile_decision", 1, self.tiles_validated);
         collector.record_n("reptile.tile_decision", 2, self.tiles_corrected);
         collector.record_n("reptile.tile_decision", 3, self.tiles_unresolved);
@@ -166,6 +178,7 @@ pub fn correct_read(
         read.seq = seq;
         stats.reads_changed = 1;
     }
+    stats.enumeration = scratch.stats;
     stats
 }
 
@@ -253,6 +266,37 @@ mod tests {
         assert_eq!(fixed.seq, clean);
         assert_eq!(stats.reads_changed, 0);
         assert_eq!(stats.bases_changed, 0);
+    }
+
+    /// The walk of a clean 20-base read, by hand: per pass, tiles at 0, 5
+    /// and 10; only the first has a budget for its leading k-mer (`d₁ = d`),
+    /// the two after an advance have `d₁ = 0`. With `C_g` out of reach every
+    /// placement enters enumeration, so of six enumerations two probe the
+    /// neighbour index and four scan exactly one run.
+    #[test]
+    fn only_placements_with_a_leading_budget_probe_the_index() {
+        let genome = b"ACGTTGCAGGATCCATTACAGTGGCCAATG";
+        let (reads, mut params) = setup(genome, 4, 5);
+        params.cg = u32::MAX;
+        let (fixed, stats) = run_one(&reads, &params, Read::new("clean", &genome[3..23]));
+        assert_eq!(fixed.seq, genome[3..23].to_vec());
+        assert_eq!(
+            (stats.tiles_validated, stats.tiles_corrected, stats.tiles_unresolved),
+            (6, 0, 0)
+        );
+        let cost = stats.enumeration;
+        assert_eq!(cost.enumerations, 6);
+        assert_eq!(cost.neighbor_probes, 2);
+        // One run per enumeration plus one per neighbour the two probes found.
+        assert!(cost.tile_runs_scanned >= 6, "{cost:?}");
+        assert!(cost.tile_entries_scanned >= cost.mutants_found + 6, "{cost:?}");
+
+        // With every observed tile trusted, the same read validates on the
+        // first lookup throughout and enumerates nothing.
+        params.cg = 1;
+        let (_, stats) = run_one(&reads, &params, Read::new("clean", &genome[3..23]));
+        assert_eq!(stats.tiles_validated, 6);
+        assert_eq!(stats.enumeration, EnumStats::default());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Phase 1 (spectrum + tile table + neighbour index) dominates Reptile's
 //! build cost, so it is the stage boundary `reptile-correct --checkpoint-dir`
-//! snapshots. The encoding is deterministic — the tile map is emitted sorted
-//! by tile — so identical inputs produce identical snapshot bytes, and
-//! every numeric restores bit-exactly (see `ngs_durable::codec`).
+//! snapshots. The encoding is deterministic — spectrum and tile table are
+//! both stored ascending — so identical inputs produce identical snapshot
+//! bytes, and every numeric restores bit-exactly (see `ngs_durable::codec`).
 //!
 //! The neighbour tables are **not** stored: they are a pure function of the
 //! spectrum and `(k, d)`, re-deriving them costs less than decoding them
@@ -14,8 +14,7 @@
 use crate::{Reptile, ReptileParams};
 use ngs_core::{NgsError, Result};
 use ngs_durable::{ByteReader, ByteWriter};
-use ngs_kmer::tile::TileCounts;
-use ngs_kmer::{KSpectrum, TileTable};
+use ngs_kmer::{KSpectrum, TileCounts, TileEntry, TileTable};
 
 /// Format magic + version; bump on any layout change so older snapshots
 /// miss cleanly instead of decoding as garbage.
@@ -48,10 +47,8 @@ impl Reptile {
 
         w.put_usize(self.tiles.k());
         w.put_usize(self.tiles.overlap());
-        let mut entries: Vec<_> = self.tiles.iter().collect();
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        w.put_usize(entries.len());
-        for (t, c) in entries {
+        w.put_usize(self.tiles.len());
+        for (t, c) in self.tiles.iter() {
             w.put_u64(t);
             w.put_u32(c.oc);
             w.put_u32(c.og);
@@ -61,10 +58,11 @@ impl Reptile {
     }
 
     /// Rebuild a corrector from [`Reptile::snapshot_bytes`] output.
-    /// Structural invariants (sorted spectrum, parameter domains, one `k`
-    /// throughout) are re-validated so a stale or corrupt snapshot errors
-    /// instead of producing a corrector that answers garbage; the neighbour
-    /// tables are rebuilt from the restored spectrum.
+    /// Structural invariants (parameter domains, one `k` throughout, spectrum
+    /// and tile table strictly ascending words of their length) are
+    /// re-validated so a stale or corrupt snapshot errors instead of
+    /// producing a corrector that answers garbage; the neighbour tables are
+    /// rebuilt from the restored spectrum.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Reptile> {
         let mut r = ByteReader::new(bytes);
         if r.get_str()? != MAGIC {
@@ -101,12 +99,9 @@ impl Reptile {
         let sk = r.get_usize()?;
         let kmers = r.get_u64_vec()?;
         let counts = r.get_u32_vec()?;
-        // The neighbour tables are rebuilt from these k-mers, so they must
-        // be k-mers: one `k` throughout, nothing above bit 2k (sortedness,
-        // checked by `from_sorted`, makes the last k-mer the largest).
-        if sk != params.k || kmers.last().is_some_and(|&v| v >> (2 * sk) != 0) {
+        if sk != params.k {
             return Err(NgsError::MalformedRecord(
-                "reptile snapshot: spectrum is not a set of k-mers of the parameters' k".into(),
+                "reptile snapshot: spectrum k does not match parameters".into(),
             ));
         }
         let spectrum = KSpectrum::from_sorted(sk, kmers, counts)
@@ -125,9 +120,10 @@ impl Reptile {
             let t = r.get_u64()?;
             let oc = r.get_u32()?;
             let og = r.get_u32()?;
-            entries.push((t, TileCounts { oc, og }));
+            entries.push(TileEntry { tile: t, counts: TileCounts { oc, og } });
         }
-        let tiles = TileTable::from_parts(tk, tl, entries);
+        let tiles = TileTable::from_sorted(tk, tl, entries)
+            .map_err(|e| NgsError::MalformedRecord(format!("reptile snapshot: {e}")))?;
 
         r.finish()?;
         let neighbor_tables = crate::build_neighbor_tables(&spectrum, &params);
@@ -197,6 +193,62 @@ mod tests {
         }
     }
 
+    /// A tile-table row as the snapshot stores it: tile, `O_c`, `O_g`.
+    type Row = (u64, u32, u32);
+
+    /// The `RPTSNAP2` layout as the previous writer produced it, from raw
+    /// parts — so a test can also lay out sections no `Reptile` would hold.
+    fn layout(p: &ReptileParams, kmers: &[u64], counts: &[u32], entries: &[Row]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_str(MAGIC);
+        w.put_usize(p.k);
+        w.put_usize(p.d);
+        w.put_usize(p.tile_overlap);
+        w.put_u32(p.cg);
+        w.put_u32(p.cm);
+        w.put_f64(p.cr);
+        w.put_u8(p.qc);
+        w.put_u8(p.qm);
+        w.put_u8(p.default_n_base);
+        w.put_usize(p.max_n_per_window);
+        w.put_usize(p.max_shift_retries);
+        w.put_usize(p.k);
+        w.put_u64_slice(kmers);
+        w.put_u32_slice(counts);
+        w.put_usize(p.k);
+        w.put_usize(p.tile_overlap);
+        w.put_usize(entries.len());
+        for &(t, oc, og) in entries {
+            w.put_u64(t);
+            w.put_u32(oc);
+            w.put_u32(og);
+        }
+        w.into_bytes()
+    }
+
+    /// `sample()` laid out with its spectrum and tile sections edited.
+    fn edited_sample(edit: impl Fn(&mut Vec<u64>, &mut Vec<Row>)) -> Vec<u8> {
+        let (_, reptile) = sample();
+        let mut kmers = reptile.spectrum().kmers().to_vec();
+        let mut entries: Vec<_> = reptile.tiles().iter().map(|(t, c)| (t, c.oc, c.og)).collect();
+        edit(&mut kmers, &mut entries);
+        layout(reptile.params(), &kmers, reptile.spectrum().counts(), &entries)
+    }
+
+    /// Existing checkpoints must keep loading: the bytes of a given index
+    /// are what the previous writer (which collected the hash-map table and
+    /// sorted it) wrote — pinned by its length and FNV-1a hash on `sample()`.
+    #[test]
+    fn snapshot_bytes_keep_the_rptsnap2_layout() {
+        let (_, reptile) = sample();
+        let bytes = reptile.snapshot_bytes();
+        assert_eq!(bytes, edited_sample(|_, _| {}));
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (647, 698_441_648_929_992_009));
+    }
+
     /// Regression: the loader used to accept any `k` for the spectrum and
     /// the tile table as long as each was in range on its own.
     #[test]
@@ -209,12 +261,25 @@ mod tests {
 
         // A "k-mer" with bits above 2k would index the rebuilt tables out
         // of range.
-        let (_, reptile) = sample();
-        let mut kmers = reptile.spectrum().kmers().to_vec();
-        *kmers.last_mut().unwrap() |= 1 << 63;
-        let counts = reptile.spectrum().counts().to_vec();
-        let spectrum = KSpectrum::from_sorted(reptile.params().k, kmers, counts).unwrap();
-        let corrupt = Reptile { spectrum, ..reptile };
-        assert!(Reptile::from_snapshot_bytes(&corrupt.snapshot_bytes()).is_err());
+        let corrupt = edited_sample(|kmers, _| *kmers.last_mut().unwrap() |= 1 << 63);
+        assert!(Reptile::from_snapshot_bytes(&corrupt).is_err());
+    }
+
+    /// Regression: the tile section went through `TileTable::from_parts`,
+    /// which summed duplicate tiles and kept words longer than a tile.
+    #[test]
+    fn corrupt_tile_section_is_an_error() {
+        assert!(Reptile::from_snapshot_bytes(&edited_sample(|_, _| {})).is_ok());
+        let rejected = |what: &str, edit: &dyn Fn(&mut Vec<Row>)| match Reptile::from_snapshot_bytes(
+            &edited_sample(|_, entries| edit(entries)),
+        ) {
+            Err(NgsError::MalformedRecord(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(other) => panic!("expected a malformed-record error, got {other}"),
+            Ok(_) => panic!("a snapshot with {what} loaded"),
+        };
+        rejected("entry 3", &|e| e[3] = e[2]);
+        rejected("entry 1", &|e| e.swap(0, 1));
+        rejected("entry 5", &|e| e[5].0 |= 1 << 40);
+        rejected("entry 0", &|e| e[0].0 = u64::MAX);
     }
 }

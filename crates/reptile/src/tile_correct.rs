@@ -27,33 +27,55 @@ pub enum TileDecision {
     Unresolved,
 }
 
-/// Buffers one read's tile decisions reuse, so Algorithm 1 allocates
-/// nothing per tile.
-#[derive(Default)]
-pub struct TileScratch {
-    /// Observed Hamming neighbours of the tile's first and second k-mer.
-    side1: Vec<Kmer>,
-    side2: Vec<Kmer>,
-    /// The tile's observed d-mutant tiles with their high-quality counts.
-    mutants: Vec<(Tile, u32)>,
+/// What Algorithm 1's d-mutant enumerations cost: exact counts, summed per
+/// read and folded into the collector once per run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EnumStats {
+    /// Tile placements that entered mutant enumeration (`O_g < C_g`).
+    pub enumerations: u64,
+    /// Neighbour-index probes: one per enumeration entered with `d₁ > 0`.
+    pub neighbor_probes: u64,
+    /// First-k-mer runs of the tile table scanned.
+    pub tile_runs_scanned: u64,
+    /// Tile-table entries those runs held.
+    pub tile_entries_scanned: u64,
+    /// Observed d-mutant tiles found.
+    pub mutants_found: u64,
 }
 
-/// Candidate k-mers for one side of a tile: the original, then its observed
-/// Hamming neighbours within the side's budget (`neighbors` is the buffer
-/// they are read into).
-fn side_candidates<'a>(
-    index: &NeighborIndex<'_>,
-    kmer: Kmer,
-    budget: usize,
-    neighbors: &'a mut Vec<Kmer>,
-) -> impl Iterator<Item = Kmer> + Clone + 'a {
-    index.neighbor_kmers_into(kmer, budget, neighbors);
-    std::iter::once(kmer).chain(neighbors.iter().copied())
+impl EnumStats {
+    /// Accumulate another run's counters.
+    pub fn merge(&mut self, other: &EnumStats) {
+        self.enumerations += other.enumerations;
+        self.neighbor_probes += other.neighbor_probes;
+        self.tile_runs_scanned += other.tile_runs_scanned;
+        self.tile_entries_scanned += other.tile_entries_scanned;
+        self.mutants_found += other.mutants_found;
+    }
+}
+
+/// Buffers one read's tile decisions reuse, so Algorithm 1 allocates
+/// nothing per tile, and the counters they add up.
+#[derive(Default)]
+pub struct TileScratch {
+    /// Observed Hamming neighbours of the tile's first k-mer.
+    side1: Vec<Kmer>,
+    /// The tile's observed d-mutant tiles with their high-quality counts.
+    mutants: Vec<(Tile, u32)>,
+    /// Enumeration cost so far.
+    pub stats: EnumStats,
 }
 
 /// Enumerate the observed d-mutant tiles of `(a1, a2)` (excluding the tile
 /// itself), with their high-quality counts, ascending, into
 /// `scratch.mutants`.
+///
+/// Definition 2.2 asks for the *observed* tiles `α₁' ||_l α₂'` with
+/// `α₁' ∈ {α₁} ∪ N^{d₁}(α₁)` and `α₂' ∈ {α₂} ∪ N^{d₂}(α₂)`. The observed
+/// tiles starting with one `α₁'` are one run of the sorted tile table, so
+/// only side 1 is probed (not at all when `d₁ = 0`) and each run is filtered
+/// by its second k-mer: within `d₂` of `α₂` and, unless it is `α₂` itself,
+/// in the spectrum — the membership a neighbour probe of `α₂` would imply.
 fn mutant_tiles(
     a1: Kmer,
     a2: Kmer,
@@ -64,12 +86,69 @@ fn mutant_tiles(
     scratch: &mut TileScratch,
 ) {
     let k = params.k;
+    let original =
+        compose_tile(a1, a2, k, params.tile_overlap).expect("read-derived tile must be consistent");
+    let second_kmer = (1u64 << (2 * k)) - 1;
+    let TileScratch { side1, mutants, stats } = scratch;
+    stats.enumerations += 1;
+    mutants.clear();
+    side1.clear();
+    if d1 > 0 {
+        index.neighbor_kmers_into(a1, d1, side1);
+        stats.neighbor_probes += 1;
+    }
+    let spectrum = index.spectrum();
+    for m1 in std::iter::once(a1).chain(side1.iter().copied()) {
+        let run = tiles.first_kmer_run(m1);
+        stats.tile_runs_scanned += 1;
+        stats.tile_entries_scanned += run.len() as u64;
+        for e in run {
+            let m2 = e.tile & second_kmer;
+            if e.tile != original
+                && e.counts.oc > 0
+                && hamming_distance(m2, a2) as usize <= d2
+                && (m2 == a2 || spectrum.contains(m2))
+            {
+                mutants.push((e.tile, e.counts.og));
+            }
+        }
+    }
+    // Runs ascend, but `a1`'s comes first whatever its rank among the
+    // neighbours. A tile has one first k-mer, so nothing repeats.
+    mutants.sort_unstable();
+    stats.mutants_found += mutants.len() as u64;
+}
+
+/// The enumeration `mutant_tiles` replaced, kept verbatim as the oracle:
+/// probe the neighbour index on both sides and look every pair of the
+/// product up in the tile table.
+#[cfg(test)]
+fn reference_mutant_tiles(
+    a1: Kmer,
+    a2: Kmer,
+    (d1, d2): (usize, usize),
+    params: &ReptileParams,
+    tiles: &TileTable,
+    index: &NeighborIndex<'_>,
+) -> Vec<(Tile, u32)> {
+    /// Candidate k-mers for one side of a tile: the original, then its
+    /// observed Hamming neighbours within the side's budget.
+    fn side_candidates<'a>(
+        index: &NeighborIndex<'_>,
+        kmer: Kmer,
+        budget: usize,
+        neighbors: &'a mut Vec<Kmer>,
+    ) -> impl Iterator<Item = Kmer> + Clone + 'a {
+        index.neighbor_kmers_into(kmer, budget, neighbors);
+        std::iter::once(kmer).chain(neighbors.iter().copied())
+    }
+
+    let k = params.k;
     let l = params.tile_overlap;
     let original = compose_tile(a1, a2, k, l).expect("read-derived tile must be consistent");
-    let TileScratch { side1, side2, mutants } = scratch;
-    mutants.clear();
-    let c2 = side_candidates(index, a2, d2, side2);
-    for m1 in side_candidates(index, a1, d1, side1) {
+    let (mut side1, mut side2, mut mutants) = (Vec::new(), Vec::new(), Vec::new());
+    let c2 = side_candidates(index, a2, d2, &mut side2);
+    for m1 in side_candidates(index, a1, d1, &mut side1) {
         for m2 in c2.clone() {
             let Some(t) = compose_tile(m1, m2, k, l) else { continue };
             if t == original {
@@ -83,6 +162,7 @@ fn mutant_tiles(
     }
     mutants.sort_unstable();
     mutants.dedup();
+    mutants
 }
 
 /// Positions (within the tile) where `a` and `b` differ, ascending.
@@ -105,10 +185,8 @@ pub fn correct_tile(
     index: &NeighborIndex<'_>,
     scratch: &mut TileScratch,
 ) -> TileDecision {
-    let k = params.k;
-    let l = params.tile_overlap;
-    let m = params.tile_len();
-    let t = compose_tile(a1, a2, k, l).expect("read-derived tile must be consistent");
+    let t = compose_tile(a1, a2, params.k, params.tile_overlap)
+        .expect("read-derived tile must be consistent");
     let og = tiles.og(t);
 
     // Lines 1–3: unconditional validation above Cg.
@@ -117,8 +195,18 @@ pub fn correct_tile(
     }
 
     mutant_tiles(a1, a2, (d1, d2), params, tiles, index, scratch);
-    let mutants = &scratch.mutants;
+    decide_from(t, og, &scratch.mutants, tile_quals, params)
+}
 
+/// Algorithm 1 from line 4 on: the fate of tile `t`, whose high-quality
+/// count `og` is below `C_g`, given its observed d-mutant tiles.
+fn decide_from(
+    t: Tile,
+    og: u32,
+    mutants: &[(Tile, u32)],
+    tile_quals: Option<&[u8]>,
+    params: &ReptileParams,
+) -> TileDecision {
     // Lines 4–9: no mutant tiles.
     if mutants.is_empty() {
         return if og >= params.cm { TileDecision::Valid } else { TileDecision::Unresolved };
@@ -138,7 +226,7 @@ pub fn correct_tile(
         };
         // Quality gate: at least one corrected base must be low-quality.
         if let Some(quals) = tile_quals {
-            let touched_lowq = differing_positions(t, target, m)
+            let touched_lowq = differing_positions(t, target, params.tile_len())
                 .any(|i| quals.get(i).is_none_or(|&q| q < params.qm));
             if !touched_lowq {
                 return TileDecision::Unresolved;
@@ -166,8 +254,11 @@ mod tests {
     use super::*;
     use ngs_core::Read;
     use ngs_kmer::neighbor::NeighborStrategy;
-    use ngs_kmer::packed::encode_kmer;
-    use ngs_kmer::KSpectrum;
+    use ngs_kmer::packed::{encode_kmer, mutate_base};
+    use ngs_kmer::tile::split_tile;
+    use ngs_kmer::{KSpectrum, TileCounts, TileEntry};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// Build a tiny corpus where `good` occurs `n_good` times and `bad`
     /// occurs once, then return everything a tile decision needs.
@@ -319,6 +410,219 @@ mod tests {
             &mut TileScratch::default(),
         );
         assert_eq!(dec, TileDecision::Unresolved);
+    }
+
+    fn masked_index<'s>(spectrum: &'s KSpectrum, params: &ReptileParams) -> NeighborIndex<'s> {
+        let strategy = NeighborStrategy::MaskedReplicas { chunks: params.neighbor_chunks() };
+        NeighborIndex::build(spectrum, params.d, strategy)
+    }
+
+    /// For every placement of every query read, with `d₁ = 0` and `d₁ = d`:
+    /// the run-scan enumeration lists exactly what the product enumeration
+    /// lists, counts what it did, and leads to the same decision.
+    fn assert_matches_reference(
+        params: &ReptileParams,
+        spectrum: &KSpectrum,
+        tiles: &TileTable,
+        queries: &[Read],
+    ) {
+        let index = masked_index(spectrum, params);
+        let (k, m, d) = (params.k, params.tile_len(), params.d);
+        let mut scratch = TileScratch::default();
+        for r in queries {
+            for q in 0..=r.len().saturating_sub(m) {
+                let Some(span) = r.seq.get(q..q + m) else { continue };
+                let (Some(a1), Some(a2)) = (encode_kmer(&span[..k]), encode_kmer(&span[m - k..]))
+                else {
+                    continue;
+                };
+                let quals = r.qual.as_deref().map(|v| &v[q..q + m]);
+                for d1 in [0, d] {
+                    let ctx = format!("read {} at {q}, d1={d1}", r.id);
+                    let before = scratch.stats;
+                    mutant_tiles(a1, a2, (d1, d), params, tiles, &index, &mut scratch);
+                    let want = reference_mutant_tiles(a1, a2, (d1, d), params, tiles, &index);
+                    assert_eq!(scratch.mutants, want, "{ctx}");
+                    let cost = scratch.stats;
+                    assert_eq!(cost.enumerations, before.enumerations + 1, "{ctx}");
+                    assert_eq!(
+                        cost.neighbor_probes,
+                        before.neighbor_probes + u64::from(d1 > 0),
+                        "{ctx}"
+                    );
+                    assert_eq!(cost.mutants_found, before.mutants_found + want.len() as u64);
+                    assert!(cost.tile_runs_scanned > before.tile_runs_scanned, "{ctx}");
+                    if d1 == 0 {
+                        assert_eq!(cost.tile_runs_scanned, before.tile_runs_scanned + 1, "{ctx}");
+                    }
+
+                    let t = compose_tile(a1, a2, k, params.tile_overlap).unwrap();
+                    let og = tiles.og(t);
+                    let expect = if og >= params.cg {
+                        TileDecision::Valid
+                    } else {
+                        decide_from(t, og, &want, quals, params)
+                    };
+                    let got =
+                        correct_tile(a1, a2, d1, d, quals, params, tiles, &index, &mut scratch);
+                    assert_eq!(got, expect, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// splitmix64, so a failing case prints a seed instead of its reads.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_genome(len: usize, rng: &mut u64) -> Vec<u8> {
+        (0..len).map(|_| b"ACGT"[(next(rng) % 4) as usize]).collect()
+    }
+
+    /// Reads off `genome` with one base in twelve substituted, so observed
+    /// neighbours and mutant tiles are plentiful.
+    fn noisy_reads(
+        genome: &[u8],
+        n: usize,
+        read_len: usize,
+        with_quals: bool,
+        rng: &mut u64,
+    ) -> Vec<Read> {
+        (0..n)
+            .map(|i| {
+                let at = (next(rng) % (genome.len() - read_len + 1) as u64) as usize;
+                let mut seq = genome[at..at + read_len].to_vec();
+                for b in seq.iter_mut() {
+                    if next(rng).is_multiple_of(12) {
+                        *b = b"ACGT"[(next(rng) % 4) as usize];
+                    }
+                }
+                if with_quals {
+                    let qual = (0..read_len).map(|_| 10 + (next(rng) % 30) as u8).collect();
+                    Read::with_qual(format!("r{i}"), seq, qual)
+                } else {
+                    Read::new(format!("r{i}"), seq)
+                }
+            })
+            .collect()
+    }
+
+    /// `tiles` as a checkpoint that disagrees with its spectrum might hold
+    /// it: some entries with `O_c = 0`, and extra tiles whose second k-mer
+    /// was mutated and so need not be in the spectrum.
+    fn tampered(tiles: &TileTable, rng: &mut u64) -> TileTable {
+        let (k, l) = (tiles.k(), tiles.overlap());
+        let mut entries: BTreeMap<Tile, TileCounts> = tiles.iter().collect();
+        for (t, c) in tiles.iter() {
+            match next(rng) % 8 {
+                0 => entries.insert(t, TileCounts { oc: 0, og: c.og }),
+                1 => {
+                    let (a1, a2) = split_tile(t, k, l);
+                    // Mutate outside the overlap, so the pair still composes.
+                    let at = l + (next(rng) % (k - l) as u64) as usize;
+                    let m2 = mutate_base(a2, k, at, 1 + (next(rng) % 3) as u8);
+                    let extra = compose_tile(a1, m2, k, l).unwrap();
+                    let og = (next(rng) % 12) as u32;
+                    entries.entry(extra).or_insert(TileCounts { oc: og + 1, og });
+                    None
+                }
+                _ => None,
+            };
+        }
+        let entries = entries.into_iter().map(|(tile, counts)| TileEntry { tile, counts });
+        TileTable::from_sorted(k, l, entries.collect()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// ROADMAP 4(a): run-scan enumeration against the product
+        /// enumeration it replaced — reads of the index, reads near it and
+        /// reads the index never saw, over the built table and over one
+        /// that disagrees with the spectrum.
+        #[test]
+        fn run_scan_enumeration_matches_product_enumeration(
+            k in 4usize..=6,
+            l in 0usize..=2,
+            d in 1usize..=2,
+            with_quals in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let mut params = ReptileParams::defaults(1 << (2 * k));
+            params.k = k;
+            params.d = d;
+            params.tile_overlap = l;
+            params.cg = 6;
+            params.cm = 2;
+            params.qc = if with_quals { 20 } else { 0 };
+            params.qm = if with_quals { 25 } else { u8::MAX };
+            let read_len = params.tile_len() + 6;
+            let genome = random_genome(5 * read_len, &mut rng);
+            let reads = noisy_reads(&genome, 90, read_len, with_quals, &mut rng);
+            let spectrum = KSpectrum::from_reads_both_strands(&reads, k);
+            let tiles = TileTable::build(&reads, k, l, params.qc);
+
+            let mut queries = reads.clone();
+            // Near the index: fresh draws off the same genome, noisier.
+            let near = noisy_reads(&genome, 20, read_len, with_quals, &mut rng);
+            queries.extend(noisy_reads(&near[0].seq, 6, read_len, with_quals, &mut rng));
+            queries.extend(near);
+            // Absent from it: another genome (the `ngs-serve` case).
+            let elsewhere = random_genome(2 * read_len, &mut rng);
+            queries.extend(noisy_reads(&elsewhere, 10, read_len, with_quals, &mut rng));
+            assert_matches_reference(&params, &spectrum, &tiles, &queries);
+            assert_matches_reference(&params, &spectrum, &tampered(&tiles, &mut rng), &queries);
+        }
+    }
+
+    /// The two filters of the run scan that the product enumeration had for
+    /// free, each on a table assembled entry by entry.
+    #[test]
+    fn run_scan_keeps_the_spectrum_and_zero_count_rules() {
+        let mut reads = repeat_reads(b"ACGTATTGCA", 9);
+        reads.push(Read::new("err", b"ACGTATTGGA"));
+        let f = fixture(reads.clone(), 5);
+        let index = masked_index(&f.spectrum, &f.params);
+        let tile = |s: &[u8]| encode_kmer(s).unwrap();
+        let (a1, a2) = (tile(b"ACGTA"), tile(b"TTGGA"));
+        let good = tile(b"ACGTATTGCA");
+        let assemble = |change: &dyn Fn(&mut BTreeMap<Tile, TileCounts>)| {
+            let mut entries: BTreeMap<Tile, TileCounts> = f.tiles.iter().collect();
+            change(&mut entries);
+            let entries = entries.into_iter().map(|(tile, counts)| TileEntry { tile, counts });
+            TileTable::from_sorted(5, 0, entries.collect()).unwrap()
+        };
+        let enumerate = |tiles: &TileTable| {
+            let mut scratch = TileScratch::default();
+            mutant_tiles(a1, a2, (1, 1), &f.params, tiles, &index, &mut scratch);
+            let want = reference_mutant_tiles(a1, a2, (1, 1), &f.params, tiles, &index);
+            assert_eq!(scratch.mutants, want);
+            want
+        };
+        assert_eq!(enumerate(&f.tiles), vec![(good, 9)]);
+
+        // A strong tile one base from the query whose second k-mer no read
+        // holds: a probe of the spectrum's neighbours never proposed it.
+        let unseen = tile(b"ACGTATTGGC");
+        assert!(!f.spectrum.contains(tile(b"TTGGC")));
+        let with_unseen = assemble(&|e| {
+            e.insert(unseen, TileCounts { oc: 9, og: 9 });
+        });
+        assert!(with_unseen.first_kmer_run(a1).iter().any(|e| e.tile == unseen));
+        assert_eq!(enumerate(&with_unseen), vec![(good, 9)]);
+
+        // An entry with no occurrences is no observed tile.
+        let zeroed = assemble(&|e| {
+            e.insert(good, TileCounts { oc: 0, og: 9 });
+        });
+        assert!(zeroed.first_kmer_run(a1).iter().any(|e| e.tile == good));
+        assert_eq!(enumerate(&zeroed), vec![]);
     }
 
     #[test]
