@@ -614,8 +614,9 @@ fn closet_edges_key(params: &closet::ClosetParams) -> u64 {
 
 /// `closet-cluster` driver. Checkpointed stage: `edges` (the validated edge
 /// list closing Phase I). Phase II depends on the threshold series and is
-/// re-run on resume; on the `closet-16s` benchmark input it is about a
-/// third of a run, behind validation (DESIGN.md §CLOSET).
+/// re-run on resume; on the `closet-16s` benchmark input it is about half
+/// of a run, more than sketching and validation together (DESIGN.md §CLOSET
+/// Phase I).
 pub fn closet_cluster(args: &Args) -> Result<()> {
     let input = args.require("input")?;
     let output = args.require("output")?;

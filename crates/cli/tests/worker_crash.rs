@@ -8,7 +8,9 @@
 //! stats must show the death, the respawn, and the lease reassignment.
 
 use closet::PairCountSpec;
-use mapreduce_lite::{run_local, run_pooled, FaultKind, FaultPlan, JobConfig, PoolConfig, Stage};
+use mapreduce_lite::{
+    run_local, run_pooled, FaultKind, FaultPlan, JobConfig, PoolConfig, Stage, WordCountSpec,
+};
 use std::time::{Duration, Instant};
 
 fn worker_cmd() -> Vec<String> {
@@ -95,6 +97,37 @@ fn stalled_worker_process_is_detected_by_heartbeat_deadline() {
     // Detection must come from the 400 ms heartbeat deadline, nowhere
     // near the 60 s lease timeout.
     assert!(elapsed < Duration::from_secs(30), "detection took {elapsed:?}");
+}
+
+/// A job of two records is over before a slow-starting sibling worker has
+/// said `Hello`. That worker then waits for a `Setup` nobody will send;
+/// teardown must kill it at once, not sit out the reap deadline on it (the
+/// 2.012 s `mapreduce.pool_fixed_cost_s` the benchmark once recorded).
+#[test]
+fn teardown_never_waits_for_a_worker_that_missed_the_job() {
+    let lines = ["a b".to_string(), "b c".to_string()];
+    let cfg = JobConfig::with_workers(2);
+    let (clean, _) = run_local(&WordCountSpec, &lines, &cfg).expect("local");
+    for round in 0..200u32 {
+        // Worker 1 starts 0–40 ms late, sweeping its `Hello` from well
+        // inside the job to well after it; worker 0 starts at once. The
+        // pool appends `<socket> <worker-id>` to the command.
+        let late =
+            format!(r#"[ "$2" = 1 ] && sleep 0.0{:02}; exec "$0" "$1" "$2""#, round % 5 * 10);
+        let mut cmd = vec!["sh".to_string(), "-c".to_string(), late];
+        cmd.extend(worker_cmd());
+        let pool = PoolConfig::with_worker_cmd(2, cmd);
+        let started = Instant::now();
+        let (pooled, stats) = run_pooled(&WordCountSpec, &lines, &cfg, &pool).expect("pooled");
+        // What is not a stage is spawn and teardown, and spawn does not wait.
+        let outside = started.elapsed() - (stats.map_time + stats.shuffle_time + stats.reduce_time);
+        assert_eq!(pooled, clean);
+        assert_eq!(stats.worker_deaths, 0);
+        assert!(
+            outside < Duration::from_millis(200),
+            "round {round}: spawn and teardown took {outside:?}"
+        );
+    }
 }
 
 #[test]

@@ -148,6 +148,8 @@ impl EdgePhase {
         collector.record_span_ns("closet.sketch", duration_ns(self.sketch_time), workers);
         collector.add("closet.candidate_edges", self.sketch_stats.unique_edges);
         collector.add("closet.predicted_edges", self.sketch_stats.predicted_edges);
+        collector.add("closet.sketch_entries", self.sketch_stats.sketch_entries);
+        collector.add("closet.deferred_hashes", self.sketch_stats.deferred_hashes);
         collector.record_span_ns("closet.validate", duration_ns(self.validate_time), workers);
         collector.add("closet.confirmed_edges", self.validated.len() as u64);
     }
@@ -226,6 +228,10 @@ mod tests {
         assert_eq!(report.counter("closet.reads"), 4);
         assert_eq!(report.counter("closet.confirmed_edges"), 3);
         assert_eq!(report.counter("closet.candidate_edges"), 5);
+        assert_eq!(report.counter("closet.sketch_entries"), 91);
+        assert_eq!(report.counter("closet.deferred_hashes"), 2);
+        // Nothing was hashed or merged in a resumed run.
+        assert_eq!(report.counter("closet.shingles_hashed"), 0);
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod dist;
 pub mod quasiclique;
 #[cfg(test)]
 mod quasiclique_reference;
+mod shingle;
 pub mod sketch;
 pub mod validate;
 
@@ -226,28 +227,43 @@ pub fn build_edges_observed(
     let workers = params.job.workers.max(1);
     collector.add("closet.reads", reads.len() as u64);
 
-    // Phase I: candidate edges via sketching (Tasks 1–3).
+    // Phase I: hash every read once, then candidate edges via sketching
+    // (Tasks 1–3).
     let t0 = Instant::now();
-    let (candidates, sketch_stats) = {
+    let (arena, candidates, sketch_stats) = {
         let _span = collector.span_with_threads("closet.sketch", workers);
-        build_candidate_edges_pooled(reads, &params.sketch, &params.job, params.pool.as_ref())?
+        let arena = shingle::ShingleArena::build(reads, params.sketch.k);
+        let (candidates, sketch_stats) =
+            sketch::candidate_edges(&arena, &params.sketch, &params.job, params.pool.as_ref())?;
+        (arena, candidates, sketch_stats)
     };
     let sketch_time = t0.elapsed();
     collector.add("closet.candidate_edges", candidates.len() as u64);
     collector.add("closet.predicted_edges", sketch_stats.predicted_edges);
+    collector.add("closet.sketch_entries", sketch_stats.sketch_entries);
+    collector.add("closet.deferred_hashes", sketch_stats.deferred_hashes);
 
-    // Tasks 4–5: validation.
+    // Tasks 4–5: validation, over the same shingle sets when `F` wants them.
     let t1 = Instant::now();
-    let validated = {
+    let (validated, validate_stats) = {
         // Validation runs on the rayon pool (not the MapReduce workers),
         // so close the span with the parallelism it actually got.
         let mut span = collector.span_with_threads("closet.validate", workers);
-        let validated = validate_edges(reads, &candidates, &params.validator, params.sketch.cmin);
+        let validated = validate::validate_edges_on(
+            reads,
+            Some(&arena),
+            &candidates,
+            &params.validator,
+            params.sketch.cmin,
+        );
         span.set_threads(rayon::last_threads_used());
         validated
     };
     let validate_time = t1.elapsed();
     collector.add("closet.confirmed_edges", validated.len() as u64);
+    collector.add("closet.shingles_hashed", arena.windows() + validate_stats.shingles_hashed);
+    collector.add("closet.validate.merge_steps", validate_stats.merge_steps);
+    collector.add("closet.validate.early_exits", validate_stats.early_exits);
 
     Ok(EdgePhase { validated, sketch_stats, sketch_time, validate_time })
 }
@@ -471,16 +487,129 @@ mod tests {
         let inproc = ClosetParams::standard(300, vec![0.8, 0.6], 2);
         let mut pooled = inproc.clone();
         pooled.pool = Some(PoolConfig::with_workers(2));
-        let a = run(&c.reads, &inproc).expect("in-process");
-        let b = run(&c.reads, &pooled).expect("pooled");
-        assert_eq!(a.confirmed_edges, b.confirmed_edges);
-        assert_eq!(a.sketch_stats.unique_edges, b.sketch_stats.unique_edges);
+        let quiet = ngs_observe::Collector::disabled();
+        let ea = build_edges_observed(&c.reads, &inproc, &quiet).expect("in-process");
+        let eb = build_edges_observed(&c.reads, &pooled, &quiet).expect("pooled");
+        assert!(!ea.validated.is_empty());
+        assert_eq!(triple_bits(&ea.validated), triple_bits(&eb.validated));
+        assert_eq!(ea.sketch_stats.unique_edges, eb.sketch_stats.unique_edges);
+        let a = cluster_edges_observed(&ea, &inproc, &quiet).expect("in-process");
+        let b = cluster_edges_observed(&eb, &pooled, &quiet).expect("pooled");
         for ((ta, ca), (tb, cb)) in a.clusters_by_threshold.iter().zip(&b.clusters_by_threshold) {
             assert_eq!(ta, tb);
             let va: Vec<&Vec<u32>> = ca.iter().map(|c| &c.vertices).collect();
             let vb: Vec<&Vec<u32>> = cb.iter().map(|c| &c.vertices).collect();
             assert_eq!(va, vb);
         }
+    }
+
+    /// Valid (`N`-free) k-mer windows over all `reads`.
+    fn kmer_windows(reads: &[Read], k: usize) -> u64 {
+        let mut n = 0;
+        for r in reads {
+            ngs_kmer::for_each_kmer(&r.seq, k, |_, _| n += 1);
+        }
+        n
+    }
+
+    /// Validated triples with the score as its bits, for exact comparison.
+    fn triple_bits(validated: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
+        validated.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect()
+    }
+
+    #[test]
+    fn read_order_permutation_maps_the_edge_sets_through_it() {
+        let c = community(120, 11);
+        let params = ClosetParams::standard(300, vec![0.8], 2);
+        // Read `i` of the original order sits at `at[i]` in the shuffled one.
+        let n = c.reads.len();
+        let at: Vec<usize> = (0..n).map(|i| (i * 37 + 5) % n).collect();
+        let mut shuffled = c.reads.clone();
+        for (i, read) in c.reads.iter().enumerate() {
+            shuffled[at[i]] = read.clone();
+        }
+        let through = |a: u32, b: u32| {
+            let (a, b) = (at[a as usize] as u32, at[b as usize] as u32);
+            (a.min(b), a.max(b))
+        };
+
+        let phase_one = |reads: &[Read]| {
+            let (candidates, _) =
+                build_candidate_edges(reads, &params.sketch, &params.job).expect("sketch jobs");
+            let validated =
+                validate_edges(reads, &candidates, &params.validator, params.sketch.cmin);
+            (candidates, validated)
+        };
+        let (candidates, validated) = phase_one(&c.reads);
+        let (shuffled_candidates, shuffled_validated) = phase_one(&shuffled);
+        assert!(validated.len() > 50 && validated.len() < candidates.len());
+
+        let mut mapped: Vec<(u32, u32)> = candidates.iter().map(|&(a, b)| through(a, b)).collect();
+        mapped.sort_unstable();
+        assert_eq!(mapped, shuffled_candidates);
+        let mut mapped: Vec<(u32, u32, u64)> = validated
+            .iter()
+            .map(|&(a, b, w)| {
+                let (a, b) = through(a, b);
+                (a, b, w.to_bits())
+            })
+            .collect();
+        mapped.sort_unstable();
+        assert_eq!(mapped, triple_bits(&shuffled_validated));
+    }
+
+    #[test]
+    fn degenerate_inputs_run_through() {
+        let params = ClosetParams::standard(300, vec![0.8, 0.6], 2);
+        let c = community(40, 13);
+        for reads in [&c.reads[..0], &c.reads[..1]] {
+            let out = run(reads, &params).expect("pipeline");
+            assert_eq!(out.confirmed_edges, 0);
+            assert!(out.clusters_by_threshold.iter().all(|(_, clusters)| clusters.is_empty()));
+        }
+    }
+
+    #[test]
+    fn validator_with_its_own_k_hashes_for_itself() {
+        let c = community(80, 17);
+        let mut params = ClosetParams::standard(300, vec![0.8], 2);
+        params.validator = Validator::KmerContainment { k: 12 };
+        assert_ne!(params.sketch.k, 12);
+        let collector = ngs_observe::Collector::new();
+        let edges = build_edges_observed(&c.reads, &params, &collector).expect("phase I");
+        // Same answer as the public entry points, each hashing on its own.
+        let (candidates, _) =
+            build_candidate_edges(&c.reads, &params.sketch, &params.job).expect("sketch jobs");
+        let alone = validate_edges(&c.reads, &candidates, &params.validator, params.sketch.cmin);
+        assert!(!alone.is_empty());
+        assert_eq!(triple_bits(&edges.validated), triple_bits(&alone));
+        // Two arenas were hashed, and the counter says so.
+        assert_eq!(
+            collector.report("closet").counter("closet.shingles_hashed"),
+            kmer_windows(&c.reads, params.sketch.k) + kmer_windows(&c.reads, 12)
+        );
+    }
+
+    #[test]
+    fn phase_one_counters_pin_the_work_done() {
+        let c = community(150, 19);
+        let params = ClosetParams::standard(300, vec![0.8], 2);
+        let collector = ngs_observe::Collector::new();
+        let edges = build_edges_observed(&c.reads, &params, &collector).expect("phase I");
+        let report = collector.report("closet");
+        // Every read is hashed once per run: one hash per valid k-mer window.
+        assert_eq!(
+            report.counter("closet.shingles_hashed"),
+            kmer_windows(&c.reads, params.sketch.k)
+        );
+        assert_eq!(report.counter("closet.sketch_entries"), edges.sketch_stats.sketch_entries);
+        assert_eq!(report.counter("closet.deferred_hashes"), edges.sketch_stats.deferred_hashes);
+        // Only a pair that ends up rejected can have its merge abandoned.
+        let rejected = report.counter("closet.candidate_edges") - edges.validated.len() as u64;
+        assert!(rejected > 0);
+        assert!(report.counter("closet.validate.early_exits") <= rejected);
+        let steps = report.counter("closet.validate.merge_steps");
+        assert!(steps >= edges.validated.len() as u64 && steps > 0);
     }
 
     #[test]

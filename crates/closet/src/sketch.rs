@@ -14,9 +14,11 @@
 //! generated by at least one of these sketches").
 
 use crate::dist::{run_spec, PairCountSpec, SketchGroupSpec};
+pub use crate::shingle::read_hashes;
+use crate::shingle::{sorted_intersection_size, ShingleArena};
 use mapreduce_lite::{JobConfig, JobError, JobStats, PoolConfig};
-use ngs_core::hash::{hash_u64, FxHashMap, FxHashSet};
 use ngs_core::Read;
+use rayon::prelude::*;
 
 /// Sketching-stage parameters.
 #[derive(Debug, Clone)]
@@ -50,16 +52,6 @@ pub struct SketchStats {
     pub job_stats: JobStats,
 }
 
-/// All k-mer hashes of a read, sorted and deduplicated (its shingle set
-/// `H_i`).
-pub fn read_hashes(read: &Read, k: usize) -> Vec<u64> {
-    let mut hs: Vec<u64> = Vec::with_capacity(read.len().saturating_sub(k - 1));
-    ngs_kmer::for_each_kmer(&read.seq, k, |_, v| hs.push(hash_u64(v)));
-    hs.sort_unstable();
-    hs.dedup();
-    hs
-}
-
 /// Run Tasks 1–3 and return deduplicated candidate edges `(i, j)` with
 /// `i < j`, as read indices.
 ///
@@ -90,39 +82,100 @@ pub fn build_candidate_edges_pooled(
     job: &JobConfig,
     pool: Option<&PoolConfig>,
 ) -> Result<(Vec<(u32, u32)>, SketchStats), JobError> {
-    let mut stats = SketchStats::default();
-    let hashes: Vec<Vec<u64>> = reads.iter().map(|r| read_hashes(r, params.k)).collect();
-    let mut all_edges: FxHashSet<(u32, u32)> = FxHashSet::default();
+    candidate_edges(&ShingleArena::build(reads, params.k), params, job, pool)
+}
 
-    for round in 0..params.rounds.min(params.modulus as usize) {
-        let l = round as u64;
-        // Sketches for this round.
-        let sketches: Vec<Vec<u64>> = hashes
-            .iter()
-            .map(|hs| hs.iter().copied().filter(|h| h % params.modulus == l).collect())
-            .collect();
-        stats.sketch_entries += sketches.iter().map(|s| s.len() as u64).sum::<u64>();
+/// Reads whose sketches one pool task selects.
+const BLOCK: usize = 256;
+
+/// Counted pairs one pool task tops up and filters.
+const PAIR_BLOCK: usize = 4096;
+
+/// One input record of Task 1: a read id and its sketch of the round.
+type SketchRecord = (u32, Vec<u64>);
+
+/// Task 1's input for every round at once: `rounds[l]` holds one
+/// `(read_id, sketch)` record per read, the sketch being the read's hashes
+/// `≡ l (mod modulus)` in ascending order. Each hash is reduced once and
+/// goes straight to the record of its residue.
+fn round_inputs(arena: &ShingleArena, modulus: u64, n_rounds: usize) -> Vec<Vec<SketchRecord>> {
+    if n_rounds == 0 {
+        // No round to fill — and `modulus` may be the zero that caused it.
+        return Vec::new();
+    }
+    let blocks: Vec<usize> = (0..arena.len()).step_by(BLOCK).collect();
+    let per_block: Vec<Vec<Vec<SketchRecord>>> = blocks
+        .into_par_iter()
+        .map(|start| {
+            let end = (start + BLOCK).min(arena.len());
+            let mut rounds: Vec<Vec<SketchRecord>> =
+                (0..n_rounds).map(|_| Vec::with_capacity(end - start)).collect();
+            for rid in start..end {
+                let set = arena.set(rid);
+                let expected = set.len() / modulus as usize + 4;
+                let mut sketches: Vec<Vec<u64>> =
+                    (0..n_rounds).map(|_| Vec::with_capacity(expected)).collect();
+                for &h in set {
+                    let residue = h % modulus;
+                    if residue < n_rounds as u64 {
+                        sketches[residue as usize].push(h);
+                    }
+                }
+                for (round, sketch) in rounds.iter_mut().zip(sketches) {
+                    round.push((rid as u32, sketch));
+                }
+            }
+            rounds
+        })
+        .collect();
+
+    let mut rounds: Vec<Vec<SketchRecord>> =
+        (0..n_rounds).map(|_| Vec::with_capacity(arena.len())).collect();
+    for block in per_block {
+        for (round, records) in rounds.iter_mut().zip(block) {
+            round.extend(records);
+        }
+    }
+    rounds
+}
+
+/// Tasks 1–3 over an already hashed read collection.
+#[allow(clippy::type_complexity)]
+pub(crate) fn candidate_edges(
+    arena: &ShingleArena,
+    params: &SketchParams,
+    job: &JobConfig,
+    pool: Option<&PoolConfig>,
+) -> Result<(Vec<(u32, u32)>, SketchStats), JobError> {
+    let mut stats = SketchStats::default();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    // Deferred hashes of each read in the current round, for the count
+    // top-up of line 14.
+    let mut deferred_of: Vec<Vec<u64>> = vec![Vec::new(); arena.len()];
+
+    let n_rounds = params.rounds.min(params.modulus as usize);
+    for input in round_inputs(arena, params.modulus, n_rounds) {
+        let sketch_len: Vec<u32> = input.iter().map(|(_, s)| s.len() as u32).collect();
+        stats.sketch_entries += sketch_len.iter().map(|&n| u64::from(n)).sum::<u64>();
 
         // Task 1: sketch value -> read ids; values over C_max are deferred.
         // Input records carry their sketch so the job is self-contained —
         // the process-portable form a pooled worker can execute.
-        let input: Vec<(u32, Vec<u64>)> =
-            sketches.iter().cloned().enumerate().map(|(rid, s)| (rid as u32, s)).collect();
         let (groups, group_stats) = run_spec(&SketchGroupSpec, &input, job, pool)?;
+        drop(input);
         stats.job_stats.merge(&group_stats);
         let (small_groups, deferred): (Vec<_>, Vec<_>) =
             groups.into_iter().partition(|(_, rids)| rids.len() <= params.cmax);
         stats.deferred_hashes += deferred.len() as u64;
 
-        // Deferred membership per read, for the count top-up of line 14.
-        let mut deferred_sets: FxHashMap<u32, Vec<u64>> = FxHashMap::default();
+        deferred_of.iter_mut().for_each(Vec::clear);
         for (h, rids) in &deferred {
             for &rid in rids {
-                deferred_sets.entry(rid).or_default().push(*h);
+                deferred_of[rid as usize].push(*h);
             }
         }
-        for v in deferred_sets.values_mut() {
-            v.sort_unstable();
+        for hs in &mut deferred_of {
+            hs.sort_unstable();
         }
 
         // Task 2: pair generation + counting.
@@ -131,47 +184,34 @@ pub fn build_candidate_edges_pooled(
         stats.job_stats.merge(&pair_stats);
 
         // Top-up with deferred co-membership, then apply the C_min filter.
-        for ((a, b), mut count) in pairs {
-            if let (Some(da), Some(db)) = (deferred_sets.get(&a), deferred_sets.get(&b)) {
-                count += sorted_intersection_size(da, db) as u32;
-            }
-            let denom = sketches[a as usize].len().min(sketches[b as usize].len());
-            if denom == 0 {
-                continue;
-            }
-            let j = count as f64 / denom as f64;
-            if j >= params.cmin {
-                // Task 3: cross-round deduplication.
-                all_edges.insert((a, b));
-            }
-        }
+        let survivors: Vec<Vec<(u32, u32)>> = pairs
+            .par_chunks(PAIR_BLOCK)
+            .map(|block| {
+                let survives = |&((a, b), count): &((u32, u32), u32)| {
+                    let (da, db) = (&deferred_of[a as usize], &deferred_of[b as usize]);
+                    let (topup, _) = sorted_intersection_size(da, db, 0);
+                    let count = count + topup.expect("a merge that needs nothing completes") as u32;
+                    let denom = sketch_len[a as usize].min(sketch_len[b as usize]);
+                    (denom > 0 && count as f64 / denom as f64 >= params.cmin).then_some((a, b))
+                };
+                block.iter().filter_map(survives).collect()
+            })
+            .collect();
+        edges.extend(survivors.into_iter().flatten());
     }
 
-    let mut edges: Vec<(u32, u32)> = all_edges.into_iter().collect();
+    // Task 3: cross-round deduplication.
     edges.sort_unstable();
+    edges.dedup();
     stats.unique_edges = edges.len() as u64;
     Ok((edges, stats))
-}
-
-fn sorted_intersection_size(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn params() -> SketchParams {
         SketchParams { k: 9, modulus: 2, rounds: 2, cmax: 16, cmin: 0.5 }
@@ -237,10 +277,23 @@ mod tests {
     }
 
     #[test]
+    fn no_rounds_no_edges() {
+        let g: Vec<u8> = (0..120).map(|i| b"ACGT"[(i * 7 + i / 3) % 4]).collect();
+        let reads = mk_reads(&[&g, &g]);
+        for (modulus, rounds) in [(0, 3), (2, 0)] {
+            let p = SketchParams { modulus, rounds, ..params() };
+            let (edges, stats) = build_candidate_edges(&reads, &p, &JobConfig::with_workers(2))
+                .expect("sketch jobs");
+            assert!(edges.is_empty());
+            assert_eq!(stats.sketch_entries, 0);
+        }
+    }
+
+    #[test]
     fn sorted_intersection_counts() {
-        assert_eq!(sorted_intersection_size(&[1, 3, 5], &[2, 3, 5, 7]), 2);
-        assert_eq!(sorted_intersection_size(&[], &[1]), 0);
-        assert_eq!(sorted_intersection_size(&[4, 9], &[4, 9]), 2);
+        assert_eq!(sorted_intersection_size(&[1, 3, 5], &[2, 3, 5, 7], 0), (Some(2), 3));
+        assert_eq!(sorted_intersection_size(&[], &[1], 0), (Some(0), 0));
+        assert_eq!(sorted_intersection_size(&[4, 9], &[4, 9], 2), (Some(2), 2));
     }
 
     #[test]
@@ -259,5 +312,95 @@ mod tests {
         let (e8, _) = build_candidate_edges(&reads, &params(), &JobConfig::with_workers(8))
             .expect("sketch jobs");
         assert_eq!(e1, e8);
+    }
+    /// §4.3.1 applied pair by pair: per round, a pair is generated when it
+    /// shares a sketch hash that is not deferred, its count is topped up with
+    /// the deferred hashes both reads hold, and it survives at
+    /// `count / min(|S_i|, |S_j|) ≥ C_min`; the edge set is the union over
+    /// rounds. No MapReduce job, no arena.
+    fn all_pairs_reference(reads: &[Read], p: &SketchParams) -> (Vec<(u32, u32)>, SketchStats) {
+        let mut stats = SketchStats::default();
+        let mut edges = BTreeSet::new();
+        for round in 0..p.rounds.min(p.modulus as usize) as u64 {
+            let sketches: Vec<BTreeSet<u64>> = reads
+                .iter()
+                .map(|r| {
+                    read_hashes(r, p.k).into_iter().filter(|h| h % p.modulus == round).collect()
+                })
+                .collect();
+            stats.sketch_entries += sketches.iter().map(|s| s.len() as u64).sum::<u64>();
+            let mut holders: BTreeMap<u64, u64> = BTreeMap::new();
+            for h in sketches.iter().flatten() {
+                *holders.entry(*h).or_default() += 1;
+            }
+            let deferred = |h: &u64| holders[h] > p.cmax as u64;
+            for n in holders.values().filter(|&&n| n > 1) {
+                if *n > p.cmax as u64 {
+                    stats.deferred_hashes += 1;
+                } else {
+                    stats.predicted_edges += n * (n - 1) / 2;
+                }
+            }
+            for a in 0..reads.len() {
+                for b in a + 1..reads.len() {
+                    let shared: Vec<&u64> = sketches[a].intersection(&sketches[b]).collect();
+                    let denom = sketches[a].len().min(sketches[b].len());
+                    if shared.iter().any(|h| !deferred(h))
+                        && shared.len() as f64 / denom as f64 >= p.cmin
+                    {
+                        edges.insert((a as u32, b as u32));
+                    }
+                }
+            }
+        }
+        stats.unique_edges = edges.len() as u64;
+        (edges.into_iter().collect(), stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Differential oracle for Tasks 1–3 at n ≤ 40: the edge list and the
+        /// stage counters equal the all-pairs definition exactly.
+        #[test]
+        fn candidate_edges_match_all_pairs_reference(
+            templates in proptest::collection::vec(proptest::collection::vec(0usize..4, 20..70), 1..4),
+            raw in proptest::collection::vec(
+                (0usize..3, 0usize..30, 10usize..70, proptest::collection::vec(0usize..60, 0..4)),
+                0..40,
+            ),
+            k in prop_oneof![Just(4usize), Just(6)],
+            modulus in 1u64..5,
+            rounds in 1usize..5,
+            cmax in 1usize..7,
+            cmin in prop_oneof![Just(0.0), Just(0.3), Just(0.6), Just(1.0)],
+        ) {
+            // Windows of a few templates with a few substitutions: reads that
+            // share many hashes, some of them with more than `cmax` others.
+            let reads: Vec<Read> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, (t, start, len, subs))| {
+                    let template = &templates[t % templates.len()];
+                    let start = start % template.len();
+                    let mut seq: Vec<u8> =
+                        template[start..].iter().take(*len).map(|&c| b"ACGT"[c]).collect();
+                    for &at in subs {
+                        let at = at % seq.len();
+                        seq[at] = if seq[at] == b'A' { b'N' } else { b'A' };
+                    }
+                    Read::new(format!("r{i}"), &seq)
+                })
+                .collect();
+            let params = SketchParams { k, modulus, rounds, cmax, cmin };
+            let (edges, stats) =
+                build_candidate_edges(&reads, &params, &JobConfig::with_workers(2)).expect("jobs");
+            let (want_edges, want) = all_pairs_reference(&reads, &params);
+            prop_assert_eq!(edges, want_edges);
+            prop_assert_eq!(stats.unique_edges, want.unique_edges);
+            prop_assert_eq!(stats.predicted_edges, want.predicted_edges);
+            prop_assert_eq!(stats.deferred_hashes, want.deferred_hashes);
+            prop_assert_eq!(stats.sketch_entries, want.sketch_entries);
+        }
     }
 }

@@ -389,6 +389,17 @@ struct Pool<'a> {
     tasks_reassigned: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only latch: while set, pools driven from this thread lease no
+    /// task before every worker has finished its handshake. A job small
+    /// enough to end before a slow worker's `Hello` would otherwise never
+    /// see that worker, and tests that count per-worker spans would depend
+    /// on the scheduler.
+    static LEASE_AFTER_FULL_HANDSHAKE: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
 impl<'a> Pool<'a> {
     fn start(
         cfg: &'a JobConfig,
@@ -616,6 +627,10 @@ impl<'a> Pool<'a> {
         st: &mut StageState,
         stage_span: Option<ngs_observe::SpanId>,
     ) -> Result<(), JobError> {
+        #[cfg(test)]
+        if LEASE_AFTER_FULL_HANDSHAKE.get() && !self.slots.iter().all(|s| s.ready || s.dead) {
+            return Ok(());
+        }
         loop {
             let now = Instant::now();
             let Some(task) = st
@@ -975,13 +990,28 @@ impl<'a> Pool<'a> {
             .collect())
     }
 
-    /// Graceful drain: tell every live worker the job is over, collect
-    /// their final trace flushes, reap processes (kill stragglers), stop
-    /// the accept thread.
+    /// Graceful drain: tell every live worker the job is over, kill those
+    /// that never got as far as being live, collect the final trace
+    /// flushes, reap processes (kill stragglers), stop the accept thread.
     fn teardown(&mut self) {
         for slot in &mut self.slots {
             if let Some(conn) = slot.conn.as_mut() {
                 let _ = conn.send(&Message::Drain);
+            }
+        }
+        // A worker that had not finished `Hello`/`Setup` when the job ended
+        // gets no `Drain`: it blocks waiting for a `Setup` nobody will send,
+        // and the reap loop below would sit out its whole deadline on it.
+        // Hang up on the half-made connections and kill such workers now.
+        for (_, conn) in self.pending_conns.drain() {
+            conn.shutdown();
+        }
+        for slot in &mut self.slots {
+            if slot.conn.is_none() {
+                if let Some(mut child) = slot.child.take() {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
             }
         }
         // Traced or CPU-profiled runs: each live worker answers `Drain`
@@ -1600,6 +1630,7 @@ mod tests {
     #[test]
     fn pooled_run_emits_worker_and_task_spans() {
         use ngs_observe::TraceEventKind;
+        LEASE_AFTER_FULL_HANDSHAKE.set(true);
         let input = docs();
         let tracer = Arc::new(ngs_observe::Tracer::new());
         let collector = Arc::new(ngs_observe::Collector::with_tracer(tracer.clone()));
@@ -1629,6 +1660,7 @@ mod tests {
     #[test]
     fn pooled_run_stitches_worker_spans_under_leases() {
         use ngs_observe::TraceEventKind;
+        LEASE_AFTER_FULL_HANDSHAKE.set(true);
         let input = docs();
         let tracer = Arc::new(ngs_observe::Tracer::new());
         let collector = Arc::new(ngs_observe::Collector::with_tracer(tracer.clone()));
