@@ -9,7 +9,8 @@
 
 use closet::PairCountSpec;
 use mapreduce_lite::{
-    run_local, run_pooled, FaultKind, FaultPlan, JobConfig, PoolConfig, Stage, WordCountSpec,
+    run_local, run_pooled, FaultKind, FaultPlan, JobConfig, JobStats, PoolConfig, PoolSession,
+    Stage, WordCountSpec,
 };
 use std::time::{Duration, Instant};
 
@@ -128,6 +129,64 @@ fn teardown_never_waits_for_a_worker_that_missed_the_job() {
             "round {round}: spawn and teardown took {outside:?}"
         );
     }
+}
+
+/// The heartbeat thread waits on a condvar that `Drain` wakes, so a worker
+/// leaves when told and not at its next beat: with a 5 s interval, a whole
+/// run — spawn, a two-record job, teardown — stays under 2 s, round after
+/// round. (A worker joined behind `sleep(heartbeat_interval)` takes 5 s.)
+#[test]
+fn teardown_is_not_held_up_by_the_heartbeat_interval() {
+    let lines = ["a b".to_string(), "b c".to_string()];
+    let cfg = JobConfig::with_workers(2);
+    let (clean, _) = run_local(&WordCountSpec, &lines, &cfg).expect("local");
+    let mut pool = process_pool(2);
+    pool.heartbeat_interval = Duration::from_secs(5);
+    // No beat arrives during a job this short; nobody is to die of that.
+    pool.heartbeat_timeout = Duration::from_secs(60);
+    for round in 0..5u32 {
+        let started = Instant::now();
+        let (pooled, stats) = run_pooled(&WordCountSpec, &lines, &cfg, &pool).expect("pooled");
+        let took = started.elapsed();
+        assert_eq!(pooled, clean);
+        assert_eq!((stats.worker_deaths, stats.pool_sessions, stats.pool_spawns), (0, 1, 2));
+        assert!(took < Duration::from_secs(2), "round {round}: the run took {took:?}");
+    }
+}
+
+/// One session of real worker processes, six jobs alternating two specs,
+/// one worker SIGKILLed while it holds a lease of job 3: every job's output
+/// is `run_local`'s, the death costs one respawn, and jobs 4–6 run on the
+/// replacement without another spawn.
+#[test]
+fn a_session_survives_a_sigkill_and_keeps_its_workers_for_the_later_jobs() {
+    let pairs = groups();
+    let lines: Vec<String> = (0..40).map(|i| format!("w{} w{} the end", i % 7, i % 3)).collect();
+    let mut session = PoolSession::start(&process_pool(2)).expect("session");
+    let mut total = JobStats::default();
+    for n in 0..6 {
+        let mut cfg = base_cfg();
+        if n == 2 {
+            cfg.fault_plan =
+                FaultPlan::none().with_fault(Stage::Shuffle, 1, 0, FaultKind::KillWorker);
+        }
+        let stats = if n % 2 == 0 {
+            let (clean, _) = run_local(&PairCountSpec, &pairs, &base_cfg()).expect("local");
+            let (pooled, stats) = session.run(&PairCountSpec, &pairs, &cfg).expect("pooled");
+            assert_eq!(pooled, clean, "job {n}");
+            stats
+        } else {
+            let (clean, _) = run_local(&WordCountSpec, &lines, &base_cfg()).expect("local");
+            let (pooled, stats) = session.run(&WordCountSpec, &lines, &cfg).expect("pooled");
+            assert_eq!(pooled, clean, "job {n}");
+            stats
+        };
+        assert_eq!(stats.worker_deaths, u64::from(n == 2), "job {n}");
+        assert_eq!(stats.pool_spawns, [2, 0, 1, 0, 0, 0][n], "job {n}");
+        total.merge(&stats);
+    }
+    assert_eq!((total.workers_respawned, total.tasks_reassigned), (1, 1));
+    assert_eq!((total.pool_sessions, total.pool_spawns), (1, 3));
 }
 
 #[test]

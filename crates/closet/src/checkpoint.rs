@@ -65,6 +65,9 @@ fn get_job_stats(r: &mut ByteReader) -> Result<JobStats> {
         worker_deaths: r.get_u64()?,
         workers_respawned: r.get_u64()?,
         tasks_reassigned: r.get_u64()?,
+        // What the pool of the original run cost is not part of the
+        // snapshot: a resumed Phase I starts no worker and moves no byte.
+        ..JobStats::default()
     })
 }
 

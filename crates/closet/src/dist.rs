@@ -8,7 +8,7 @@
 //! `run_local` over the same specs is byte-identical to the pooled run —
 //! the parity the kill-matrix tests pin down.
 
-use mapreduce_lite::{JobConfig, JobError, JobRegistry, JobStats, MapReduceSpec, PoolConfig};
+use mapreduce_lite::{JobConfig, JobError, JobRegistry, JobStats, MapReduceSpec, PoolSession};
 
 /// Task 1 (§4.4.1): group read ids by shared sketch hash. Input records
 /// are `(read_id, sketch hashes of this round)`; output is one
@@ -102,17 +102,17 @@ pub fn register_specs(reg: &mut JobRegistry) {
     reg.register::<PairCountSpec>();
 }
 
-/// Run `spec` in-process, or on the worker pool when one is configured —
+/// Run `spec` in-process, or on the worker session when one is open —
 /// the single dispatch point [`crate::sketch`] routes every Phase-I job
 /// through.
 pub(crate) fn run_spec<S: MapReduceSpec>(
     spec: &S,
     input: &[S::I],
     job: &JobConfig,
-    pool: Option<&PoolConfig>,
+    session: Option<&mut PoolSession>,
 ) -> Result<(Vec<S::O>, JobStats), JobError> {
-    match pool {
-        Some(pool) => mapreduce_lite::run_pooled(spec, input, job, pool),
+    match session {
+        Some(session) => session.run(spec, input, job),
         None => mapreduce_lite::run_local(spec, input, job),
     }
 }
@@ -140,9 +140,22 @@ mod tests {
         let mut job = JobConfig::with_workers(2);
         job.reduce_partitions = 3;
         let (local, _) = mapreduce_lite::run_local(&PairCountSpec, &groups, &job).expect("local");
-        let pool = PoolConfig::with_workers(2);
-        let (pooled, _) = run_spec(&PairCountSpec, &groups, &job, Some(&pool)).expect("pooled");
-        assert_eq!(pooled, local);
+        // Two sessions back to back in one process, two jobs on each; a
+        // session that is over leaves nothing in its socket directory.
+        let dir = std::env::temp_dir().join(format!("closet_dist_socks_{}", std::process::id()));
+        let mut pool = mapreduce_lite::PoolConfig::with_workers(2);
+        pool.socket_dir = Some(dir.clone());
+        for _ in 0..2 {
+            let mut session = PoolSession::start(&pool).expect("session");
+            for _ in 0..2 {
+                let (pooled, _) =
+                    run_spec(&PairCountSpec, &groups, &job, Some(&mut session)).expect("pooled");
+                assert_eq!(pooled, local);
+            }
+            drop(session);
+            assert_eq!(std::fs::read_dir(&dir).expect("socket dir").count(), 0);
+        }
+        std::fs::remove_dir(&dir).expect("remove the empty socket dir");
         // Pairs appearing in two groups count twice.
         assert!(local.contains(&((1, 2), 2)));
         assert!(local.contains(&((3, 4), 2)));

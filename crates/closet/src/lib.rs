@@ -486,13 +486,26 @@ mod tests {
         let c = community(150, 7);
         let inproc = ClosetParams::standard(300, vec![0.8, 0.6], 2);
         let mut pooled = inproc.clone();
-        pooled.pool = Some(PoolConfig::with_workers(2));
+        let socks = std::env::temp_dir().join(format!("closet_lib_socks_{}", std::process::id()));
+        pooled.pool =
+            Some(PoolConfig { socket_dir: Some(socks.clone()), ..PoolConfig::with_workers(2) });
         let quiet = ngs_observe::Collector::disabled();
         let ea = build_edges_observed(&c.reads, &inproc, &quiet).expect("in-process");
-        let eb = build_edges_observed(&c.reads, &pooled, &quiet).expect("pooled");
         assert!(!ea.validated.is_empty());
-        assert_eq!(triple_bits(&ea.validated), triple_bits(&eb.validated));
-        assert_eq!(ea.sketch_stats.unique_edges, eb.sketch_stats.unique_edges);
+        // Phase I twice in one process: each run is one session of its own,
+        // and a finished session leaves no socket behind.
+        let pooled_run = || {
+            let eb = build_edges_observed(&c.reads, &pooled, &quiet).expect("pooled");
+            assert_eq!(triple_bits(&ea.validated), triple_bits(&eb.validated));
+            assert_eq!(ea.sketch_stats.unique_edges, eb.sketch_stats.unique_edges);
+            let jobs = &eb.sketch_stats.job_stats;
+            assert_eq!((jobs.pool_sessions, jobs.pool_spawns), (1, 2));
+            assert_eq!(std::fs::read_dir(&socks).expect("socket dir").count(), 0);
+            eb
+        };
+        pooled_run();
+        let eb = pooled_run();
+        std::fs::remove_dir(&socks).expect("remove the empty socket dir");
         let a = cluster_edges_observed(&ea, &inproc, &quiet).expect("in-process");
         let b = cluster_edges_observed(&eb, &pooled, &quiet).expect("pooled");
         for ((ta, ca), (tb, cb)) in a.clusters_by_threshold.iter().zip(&b.clusters_by_threshold) {

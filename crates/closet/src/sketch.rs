@@ -16,7 +16,7 @@
 use crate::dist::{run_spec, PairCountSpec, SketchGroupSpec};
 pub use crate::shingle::read_hashes;
 use crate::shingle::{sorted_intersection_size, ShingleArena};
-use mapreduce_lite::{JobConfig, JobError, JobStats, PoolConfig};
+use mapreduce_lite::{JobConfig, JobError, JobStats, PoolConfig, PoolSession};
 use ngs_core::Read;
 use rayon::prelude::*;
 
@@ -69,7 +69,8 @@ pub fn build_candidate_edges(
 
 /// [`build_candidate_edges`] with an optional worker pool: when `pool` is
 /// set, Tasks 1 and 2 run as [`SketchGroupSpec`] / [`PairCountSpec`] jobs
-/// on crash-survivable worker processes instead of in-process threads.
+/// on crash-survivable worker processes instead of in-process threads —
+/// one [`PoolSession`], so the same warm workers serve every round's jobs.
 /// The output is byte-identical either way.
 ///
 /// # Errors
@@ -154,6 +155,12 @@ pub(crate) fn candidate_edges(
     let mut deferred_of: Vec<Vec<u64>> = vec![Vec::new(); arena.len()];
 
     let n_rounds = params.rounds.min(params.modulus as usize);
+    // One session for all `2 × n_rounds` jobs; dropped (workers drained and
+    // reaped) on the way out, error or not.
+    let mut session = match pool {
+        Some(pool) if n_rounds > 0 => Some(PoolSession::start(pool)?),
+        _ => None,
+    };
     for input in round_inputs(arena, params.modulus, n_rounds) {
         let sketch_len: Vec<u32> = input.iter().map(|(_, s)| s.len() as u32).collect();
         stats.sketch_entries += sketch_len.iter().map(|&n| u64::from(n)).sum::<u64>();
@@ -161,7 +168,7 @@ pub(crate) fn candidate_edges(
         // Task 1: sketch value -> read ids; values over C_max are deferred.
         // Input records carry their sketch so the job is self-contained —
         // the process-portable form a pooled worker can execute.
-        let (groups, group_stats) = run_spec(&SketchGroupSpec, &input, job, pool)?;
+        let (groups, group_stats) = run_spec(&SketchGroupSpec, &input, job, session.as_mut())?;
         drop(input);
         stats.job_stats.merge(&group_stats);
         let (small_groups, deferred): (Vec<_>, Vec<_>) =
@@ -179,7 +186,7 @@ pub(crate) fn candidate_edges(
         }
 
         // Task 2: pair generation + counting.
-        let (pairs, pair_stats) = run_spec(&PairCountSpec, &small_groups, job, pool)?;
+        let (pairs, pair_stats) = run_spec(&PairCountSpec, &small_groups, job, session.as_mut())?;
         stats.predicted_edges += pair_stats.map_output_records;
         stats.job_stats.merge(&pair_stats);
 

@@ -7,10 +7,16 @@
 //!
 //! Spill files are written as a sequence of *checksummed frames*
 //! ([`encode_frames`] / [`decode_frames`]): each frame carries a payload
-//! length, an FNV-1a checksum of the payload, and up to
+//! length, the [`checksum`] of the payload, and up to
 //! [`FRAME_RECORDS`] encoded records. A mismatching checksum surfaces as
 //! [`FrameError::ChecksumMismatch`] so the job layer can re-run the map
 //! task that produced the frame instead of consuming corrupt data.
+//!
+//! [`checksum`] is the one integrity function of this crate and of
+//! `ngs-server`'s connection frames: 64-bit words over four independent
+//! lanes, every step a bijection, the length folded in. The same frames
+//! are what the worker pool ships as task input and output
+//! ([`crate::protocol`]).
 
 /// A type that can round-trip through the spill format.
 pub trait Codec: Sized {
@@ -35,6 +41,24 @@ pub trait Codec: Sized {
         let mut slice = buf.as_slice();
         Self::decode(&mut slice).expect("clone_via_codec: encode must be decodable")
     }
+
+    /// Append the encodings of `items` back to back — what `Vec<Self>`
+    /// writes after its length. Fixed-width scalars override the loop with
+    /// one resize and a copy the compiler turns into a block move.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decode `n` values written by [`Codec::encode_slice`].
+    fn decode_vec(inp: &mut &[u8], n: usize) -> Option<Vec<Self>> {
+        let mut v = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            v.push(Self::decode(inp)?);
+        }
+        Some(v)
+    }
 }
 
 macro_rules! impl_codec_scalar {
@@ -51,6 +75,26 @@ macro_rules! impl_codec_scalar {
             }
             fn clone_via_codec(&self) -> Self {
                 *self
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                const N: usize = std::mem::size_of::<$t>();
+                let start = out.len();
+                out.resize(start + items.len() * N, 0);
+                for (dst, item) in out[start..].chunks_exact_mut(N).zip(items) {
+                    dst.copy_from_slice(&item.to_le_bytes());
+                }
+            }
+            fn decode_vec(inp: &mut &[u8], n: usize) -> Option<Vec<Self>> {
+                const N: usize = std::mem::size_of::<$t>();
+                // The length is checked against the bytes present before
+                // anything is allocated for it.
+                let (head, rest) = inp.split_at_checked(n.checked_mul(N)?)?;
+                *inp = rest;
+                Some(
+                    head.chunks_exact(N)
+                        .map(|c| <$t>::from_le_bytes(c.try_into().expect("exact chunk")))
+                        .collect(),
+                )
             }
         })*
     };
@@ -144,18 +188,12 @@ where
 {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
 
     fn decode(inp: &mut &[u8]) -> Option<Self> {
         let len = u32::decode(inp)? as usize;
-        let mut v = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            v.push(T::decode(inp)?);
-        }
-        Some(v)
+        T::decode_vec(inp, len)
     }
 
     fn clone_via_codec(&self) -> Self {
@@ -166,25 +204,20 @@ where
 /// Encode a whole slice of records into one buffer.
 pub fn encode_all<T: Codec>(items: &[T]) -> Vec<u8> {
     let mut out = Vec::new();
-    (items.len() as u64).encode(&mut out);
-    for item in items {
-        item.encode(&mut out);
-    }
+    encode_all_into(items, &mut out);
     out
+}
+
+fn encode_all_into<T: Codec>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u64).encode(out);
+    T::encode_slice(items, out);
 }
 
 /// Decode a buffer produced by [`encode_all`].
 pub fn decode_all<T: Codec>(mut inp: &[u8]) -> Option<Vec<T>> {
-    let n = u64::decode(&mut inp)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(T::decode(&mut inp)?);
-    }
-    if inp.is_empty() {
-        Some(out)
-    } else {
-        None
-    }
+    let n = usize::try_from(u64::decode(&mut inp)?).ok()?;
+    let out = T::decode_vec(&mut inp, n)?;
+    inp.is_empty().then_some(out)
 }
 
 /// Records per spill frame: small enough that one flipped bit only
@@ -192,13 +225,58 @@ pub fn decode_all<T: Codec>(mut inp: &[u8]) -> Option<Vec<T>> {
 /// (16 bytes per frame) is negligible.
 pub const FRAME_RECORDS: usize = 4096;
 
-/// FNV-1a over `data` — the frame checksum.
+/// Lanes of the frame checksum: independent multiply chains, so the
+/// multiplier's latency overlaps instead of adding up byte by byte.
+const LANES: usize = 4;
+const LANE_SEEDS: [u64; LANES] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One checksum step. For a fixed `word` it permutes the states and for a
+/// fixed `state` it permutes the words (xor, multiplication by an odd
+/// constant and rotation are all bijections of `u64`).
+#[inline(always)]
+fn mix(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(MIX).rotate_left(29)
+}
+
+/// The frame checksum — behind inner frames, MRW1 outer frames, map
+/// checkpoints and `ngs-server`'s connection frames.
+///
+/// `data` is read as little-endian 64-bit words, the last one zero-padded;
+/// word `i` goes through [`mix`] into lane `i % 4`, and the four lanes are
+/// then mixed, in order, into a state seeded with the length. A change
+/// confined to one word — any single-bit flip — leaves a different state in
+/// that lane and, every later step being a permutation of the state, a
+/// different checksum; the length seed tells a payload from the same one
+/// cut or extended inside its padding.
 pub fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+    fn word(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
     }
-    h
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = data.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(bytes));
+        }
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    let mut next = 0;
+    for bytes in &mut words {
+        lanes[next] = mix(lanes[next], word(bytes));
+        next += 1;
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        lanes[next] = mix(lanes[next], u64::from_le_bytes(padded));
+    }
+    let h = lanes.iter().fold((data.len() as u64).wrapping_mul(MIX), |h, &lane| mix(h, lane));
+    // Avalanche (xor-shifts and an odd multiplier: permutations again).
+    let h = (h ^ (h >> 32)).wrapping_mul(MIX);
+    h ^ (h >> 29)
 }
 
 /// Why a spill frame failed to decode.
@@ -221,8 +299,24 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Bytes of a `[payload_len u64][checksum(payload) u64]` header — an inner
+/// frame's whole header, and what follows the magic in an outer one.
+pub(crate) const SEAL_LEN: usize = 16;
+
+/// Append a sealed payload to `out`: room for the header, whatever `body`
+/// appends (written once, in place), then the header filled in after it.
+pub(crate) fn sealed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0u8; SEAL_LEN]);
+    body(out);
+    let payload = &out[header + SEAL_LEN..];
+    let (len, sum) = (payload.len() as u64, checksum(payload));
+    out[header..header + 8].copy_from_slice(&len.to_le_bytes());
+    out[header + 8..header + SEAL_LEN].copy_from_slice(&sum.to_le_bytes());
+}
+
 /// Encode `items` as a sequence of checksummed frames:
-/// `[payload_len u64][fnv1a(payload) u64][payload]`, repeated, where each
+/// `[payload_len u64][checksum(payload) u64][payload]`, repeated, where each
 /// payload is [`encode_all`] over at most [`FRAME_RECORDS`] records.
 pub fn encode_frames<T: Codec>(items: &[T]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -231,34 +325,42 @@ pub fn encode_frames<T: Codec>(items: &[T]) -> Vec<u8> {
     let mut chunks = items.chunks(FRAME_RECORDS);
     let first: &[T] = chunks.next().unwrap_or(&[]);
     for chunk in std::iter::once(first).chain(chunks) {
-        let payload = encode_all(chunk);
-        (payload.len() as u64).encode(&mut out);
-        checksum(&payload).encode(&mut out);
-        out.extend_from_slice(&payload);
+        sealed(&mut out, |out| encode_all_into(chunk, out));
     }
     out
 }
 
-/// Decode a buffer produced by [`encode_frames`], verifying every frame
-/// checksum before trusting its payload.
-pub fn decode_frames<T: Codec>(mut inp: &[u8]) -> Result<Vec<T>, FrameError> {
-    let mut out = Vec::new();
+/// Walk a frame sequence, handing `each` every payload whose checksum
+/// holds. An empty buffer is malformed: even no records make one frame.
+fn for_each_frame(
+    mut inp: &[u8],
+    mut each: impl FnMut(&[u8]) -> Result<(), FrameError>,
+) -> Result<(), FrameError> {
     if inp.is_empty() {
         return Err(FrameError::Malformed);
     }
     while !inp.is_empty() {
-        let len = u64::decode(&mut inp).ok_or(FrameError::Malformed)? as usize;
+        let len = u64::decode(&mut inp).ok_or(FrameError::Malformed)?;
         let expected = u64::decode(&mut inp).ok_or(FrameError::Malformed)?;
-        if inp.len() < len {
-            return Err(FrameError::Malformed);
-        }
-        let (payload, rest) = inp.split_at(len);
+        let len = usize::try_from(len).map_err(|_| FrameError::Malformed)?;
+        let (payload, rest) = inp.split_at_checked(len).ok_or(FrameError::Malformed)?;
         inp = rest;
         if checksum(payload) != expected {
             return Err(FrameError::ChecksumMismatch);
         }
-        out.extend(decode_all::<T>(payload).ok_or(FrameError::Malformed)?);
+        each(payload)?;
     }
+    Ok(())
+}
+
+/// Decode a buffer produced by [`encode_frames`], verifying every frame
+/// checksum before trusting its payload.
+pub fn decode_frames<T: Codec>(inp: &[u8]) -> Result<Vec<T>, FrameError> {
+    let mut out = Vec::new();
+    for_each_frame(inp, |payload| {
+        out.extend(decode_all::<T>(payload).ok_or(FrameError::Malformed)?);
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -266,29 +368,17 @@ pub fn decode_frames<T: Codec>(mut inp: &[u8]) -> Result<Vec<T>, FrameError> {
 /// without decoding the records — the frame layout is type-free, so a
 /// driver can vet bytes produced by a worker before handing them to a
 /// typed consumer. Returns the number of frames on success.
-pub fn verify_frames(mut inp: &[u8]) -> Result<usize, FrameError> {
-    if inp.is_empty() {
-        return Err(FrameError::Malformed);
-    }
+pub fn verify_frames(inp: &[u8]) -> Result<usize, FrameError> {
     let mut frames = 0usize;
-    while !inp.is_empty() {
-        let len = u64::decode(&mut inp).ok_or(FrameError::Malformed)? as usize;
-        let expected = u64::decode(&mut inp).ok_or(FrameError::Malformed)?;
-        if inp.len() < len {
-            return Err(FrameError::Malformed);
-        }
-        let (payload, rest) = inp.split_at(len);
-        inp = rest;
-        if checksum(payload) != expected {
-            return Err(FrameError::ChecksumMismatch);
-        }
+    for_each_frame(inp, |_| {
         frames += 1;
-    }
+        Ok(())
+    })?;
     Ok(frames)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -396,7 +486,82 @@ mod tests {
         assert_eq!(verify_frames(&[]), Err(FrameError::Malformed));
     }
 
+    /// The checksum's definition, word by word and nothing else: what
+    /// [`checksum`] must equal whatever way it walks the bytes.
+    fn checksum_reference(data: &[u8]) -> u64 {
+        let step = |state: u64, word: u64| (state ^ word).wrapping_mul(MIX).rotate_left(29);
+        let mut lanes = LANE_SEEDS;
+        for (i, bytes) in data.chunks(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            lanes[i % 4] = step(lanes[i % 4], u64::from_le_bytes(word));
+        }
+        let mut h = (data.len() as u64).wrapping_mul(MIX);
+        for lane in lanes {
+            h = step(h, lane);
+        }
+        h = (h ^ (h >> 32)).wrapping_mul(MIX);
+        h ^ (h >> 29)
+    }
+
+    /// The byte-serial FNV-1a the frames carried before the word-wise
+    /// checksum.
+    pub(crate) fn fnv1a(data: &[u8]) -> u64 {
+        data.iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+    }
+
+    #[test]
+    fn checksum_equals_its_definition_at_every_length_and_alignment() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let bytes: Vec<u8> = (0..208 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=200 {
+                let data = &bytes[offset..offset + len];
+                assert_eq!(checksum(data), checksum_reference(data), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn frames_with_the_old_fnv_checksum_are_a_typed_mismatch() {
+        let mut buf = encode_frames(&[(1u64, 2u32), (3, 4)]);
+        let old = fnv1a(&buf[SEAL_LEN..]);
+        buf[8..SEAL_LEN].copy_from_slice(&old.to_le_bytes());
+        assert_eq!(decode_frames::<(u64, u32)>(&buf), Err(FrameError::ChecksumMismatch));
+        assert_eq!(verify_frames(&buf), Err(FrameError::ChecksumMismatch));
+    }
+
     proptest! {
+        #[test]
+        fn checksum_sees_every_bit_flip_truncation_and_extension(
+            payload in proptest::collection::vec(any::<u8>(), 1..120),
+        ) {
+            let sum = checksum(&payload);
+            let mut flipped = payload.clone();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(checksum(&flipped) != sum, "bit {} flipped unseen", bit);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            for cut in 0..payload.len() {
+                prop_assert!(checksum(&payload[..cut]) != sum, "cut at {} unseen", cut);
+            }
+            let mut longer = payload.clone();
+            longer.push(0);
+            for byte in 0..=u8::MAX {
+                *longer.last_mut().expect("just pushed") = byte;
+                prop_assert!(checksum(&longer) != sum, "extension by {} unseen", byte);
+            }
+        }
+
         #[test]
         fn arbitrary_tuples_round_trip(a in any::<u64>(), s in ".{0,40}", bytes in proptest::collection::vec(any::<u8>(), 0..60)) {
             round_trip((a, s.to_string(), bytes));

@@ -52,6 +52,20 @@ pub struct JobStats {
     /// or stalled. Each reassignment also counts as a `task_failures` +
     /// retry, so existing retry accounting carries over unchanged.
     pub tasks_reassigned: u64,
+    /// Worker processes (or thread-mode workers) started for this job:
+    /// the pool's first spawns count on the first job of their
+    /// [`crate::PoolSession`], a respawn on the job that saw the death.
+    pub pool_spawns: u64,
+    /// 1 on the first job of a [`crate::PoolSession`], 0 on its later
+    /// jobs and on in-process jobs — merged, the sessions a pipeline opened.
+    pub pool_sessions: u64,
+    /// Bytes of the `Task` frames the driver wrote to its workers, outer
+    /// header included.
+    pub wire_bytes_sent: u64,
+    /// Bytes of the `Done`/`Failed` frames the driver accepted from its
+    /// workers (heartbeats and results nobody waited for are not counted,
+    /// so the number repeats exactly on a fault-free, untraced run).
+    pub wire_bytes_received: u64,
 }
 
 impl JobStats {
@@ -80,6 +94,10 @@ impl JobStats {
         self.worker_deaths += other.worker_deaths;
         self.workers_respawned += other.workers_respawned;
         self.tasks_reassigned += other.tasks_reassigned;
+        self.pool_spawns += other.pool_spawns;
+        self.pool_sessions += other.pool_sessions;
+        self.wire_bytes_sent += other.wire_bytes_sent;
+        self.wire_bytes_received += other.wire_bytes_received;
     }
 }
 
@@ -88,7 +106,11 @@ impl JobStats {
 /// `<prefix>.shuffle`, `<prefix>.reduce`), everything else becomes
 /// counters with the field name appended. The fault-tolerance counters
 /// (`task_failures`, `retried_tasks`, `corrupt_frames`) pass through
-/// unchanged, so reports surface recovery activity verbatim.
+/// unchanged, so reports surface recovery activity verbatim. What a worker
+/// pool cost goes under fixed names instead — `mapreduce.pool.spawns`,
+/// `mapreduce.pool.sessions`, `mapreduce.wire_bytes_sent`,
+/// `mapreduce.wire_bytes_received` — so the `<prefix>.*` totals of a pooled
+/// run stay comparable with an in-process one.
 pub fn record_job_stats(collector: &ngs_observe::Collector, prefix: &str, stats: &JobStats) {
     let span_ns = |d: Duration| d.as_nanos().min(u64::MAX as u128) as u64;
     collector.record_span_ns(&format!("{prefix}.map"), span_ns(stats.map_time), 1);
@@ -114,6 +136,10 @@ pub fn record_job_stats(collector: &ngs_observe::Collector, prefix: &str, stats:
     for (field, value) in counters {
         collector.add(&format!("{prefix}.{field}"), value);
     }
+    collector.add("mapreduce.pool.spawns", stats.pool_spawns);
+    collector.add("mapreduce.pool.sessions", stats.pool_sessions);
+    collector.add("mapreduce.wire_bytes_sent", stats.wire_bytes_sent);
+    collector.add("mapreduce.wire_bytes_received", stats.wire_bytes_received);
 }
 
 #[cfg(test)]

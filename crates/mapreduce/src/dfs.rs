@@ -51,7 +51,7 @@ pub struct BlockMeta {
     pub replicas: Vec<usize>,
     /// Payload length (≤ block size).
     pub len: usize,
-    /// FNV-1a checksum of the payload, fixed at write time.
+    /// [`checksum`] of the payload, fixed at write time.
     pub checksum: u64,
 }
 

@@ -15,7 +15,10 @@
 //!   task attempts themselves so [`JobStats`] accounting carries over;
 //! * every payload is checksummed twice (outer frame + inner record
 //!   frames): a worker killed mid-write surfaces as a torn frame and a
-//!   retry, never as corrupt output.
+//!   retry, never as corrupt output;
+//! * the pool is a [`PoolSession`] that outlives its jobs: workers are
+//!   spawned, greeted and reaped once, and each job (`Setup`, then its
+//!   tasks) runs on whoever is alive — [`run_pooled`] is a session of one.
 //!
 //! Closures cannot cross a process boundary, so pooled jobs are written
 //! as [`MapReduceSpec`] implementations: named, serializable task
@@ -31,8 +34,9 @@ use crate::fault::{FaultKind, FaultPlan, Stage};
 use crate::job::{
     backoff_with_jitter, combine_partition, hash_one, reduce_sorted, JobConfig, JobError,
 };
-use crate::protocol::{Message, ProtocolError};
+use crate::protocol::{task_frame, Message, ProtocolError, HEADER_LEN};
 use crate::transport::{bind_socket, scratch_socket_path, FrameConn};
+use ngs_observe::trace::TraceEvent;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -295,8 +299,13 @@ pub fn run_local<S: MapReduceSpec>(
 enum Event {
     /// A new connection was accepted (not yet identified).
     Conn(std::os::unix::net::UnixStream),
-    /// A message arrived on connection `conn_id`.
-    Msg(u64, Message),
+    /// A frame arrived on connection `cid`: its verified payload, read in
+    /// full at `at` — the reader's clock, so a message that waits in the
+    /// queue while the driver is busy between two jobs keeps its true age.
+    /// It is decoded by whoever takes it off the queue: what a `Done`
+    /// carries is then allocated on the scheduler's thread, which also
+    /// frees it, not in a reader thread's malloc arena.
+    Frame { cid: u64, payload: Vec<u8>, at: Instant },
     /// Connection `conn_id`'s reader ended with `err`.
     Gone(u64, ProtocolError),
 }
@@ -312,25 +321,34 @@ struct Lease {
     span_begin_ns: u64,
 }
 
-/// One worker slot: at most one live worker (process or thread) at a time,
-/// respawned in place when it dies.
+/// One worker slot of a session: at most one live worker (process or
+/// thread) at a time, respawned in place when it dies.
 struct Slot {
     child: Option<std::process::Child>,
     conn: Option<FrameConn>,
     conn_id: Option<u64>,
-    ready: bool,
     dead: bool,
     last_beat: Instant,
-    lease: Option<Lease>,
     respawns_left: u32,
-    span: Option<ngs_observe::SpanId>,
     /// OS pid the worker reported in `Hello` (its own pid in thread mode).
     pid: u64,
-    /// Estimated ns to add to this worker's trace timestamps to land on
-    /// the driver's tracer timeline (see the `Hello` handshake).
-    clock_offset_ns: i64,
+    /// The worker tracer's clock in its `Hello` and when that arrived: a
+    /// job with a tracer turns the pair into its clock-offset estimate.
+    hello: (u64, Instant),
+}
+
+/// What one job knows about the worker in a slot.
+#[derive(Default)]
+struct JobWorker {
+    /// The worker has been sent this job's `Setup`.
+    ready: bool,
+    lease: Option<Lease>,
+    span: Option<ngs_observe::SpanId>,
     /// Driver-tracer timestamp at which the worker's span began.
     span_begin_ns: u64,
+    /// Estimated ns to add to this worker's trace timestamps to land on
+    /// the job tracer's timeline.
+    clock_offset_ns: i64,
 }
 
 /// Result of one finished task attempt.
@@ -346,6 +364,14 @@ struct StageState {
     stage: Stage,
     tasks: Vec<TaskSlot>,
     done: usize,
+}
+
+impl StageState {
+    /// The state events are handled against while no stage runs (queued
+    /// events at the start of a job): nothing to lease, nothing to fail.
+    fn idle() -> StageState {
+        StageState { stage: Stage::Map, tasks: Vec::new(), done: 0 }
+    }
 }
 
 struct TaskSlot {
@@ -364,29 +390,36 @@ fn span_path(stage: Stage) -> &'static str {
     }
 }
 
-struct Pool<'a> {
-    cfg: &'a JobConfig,
-    pcfg: &'a PoolConfig,
-    setup: Message,
+/// How long a drained worker gets to hang up before teardown kills it.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A pool of worker processes that outlives the jobs it runs: the socket,
+/// the accept thread, the worker slots with their respawn budget and
+/// liveness — everything that does not depend on which job is running.
+/// [`PoolSession::run`] runs one job after another on the same warm
+/// workers (each job sends its own `Setup`); dropping the session drains
+/// and reaps them. [`run_pooled`] is a session of one job.
+pub struct PoolSession {
+    pcfg: PoolConfig,
     socket_path: PathBuf,
     tx: Sender<Event>,
     events: Receiver<Event>,
     accept_stop: Arc<AtomicBool>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
+    readers: Vec<std::thread::JoinHandle<()>>,
     slots: Vec<Slot>,
     slot_of_conn: HashMap<u64, usize>,
     pending_conns: HashMap<u64, FrameConn>,
     next_conn_id: u64,
-    registry: Arc<JobRegistry>,
-    tracer: Option<Arc<ngs_observe::Tracer>>,
-    job_span: Option<ngs_observe::SpanId>,
-    // Fault-tolerance tallies folded into JobStats at the end.
-    task_failures: u64,
-    retried: std::collections::BTreeSet<(u8, usize)>,
-    corrupt_frames: u64,
-    worker_deaths: u64,
-    workers_respawned: u64,
-    tasks_reassigned: u64,
+    /// What thread-mode workers build their jobs from; every job registers
+    /// its spec before its first `Setup`.
+    registry: Arc<Mutex<JobRegistry>>,
+    jobs_started: u64,
+    /// Workers started, and sessions opened (this one), since a job last
+    /// reported them in its [`JobStats`].
+    unreported_spawns: u64,
+    unreported_sessions: u64,
+    torn_down: bool,
 }
 
 #[cfg(test)]
@@ -400,18 +433,21 @@ thread_local! {
         const { std::cell::Cell::new(false) };
 }
 
-impl<'a> Pool<'a> {
-    fn start(
-        cfg: &'a JobConfig,
-        pcfg: &'a PoolConfig,
-        setup: Message,
-        registry: Arc<JobRegistry>,
-    ) -> Result<Pool<'a>, JobError> {
-        let fail =
-            |msg: String| JobError { stage: Stage::Map, task: 0, attempts: 0, last_error: msg };
-        let socket_path = scratch_socket_path(pcfg.socket_dir.as_deref(), "drv");
+fn session_error(last_error: String) -> JobError {
+    JobError { stage: Stage::Map, task: 0, attempts: 0, last_error }
+}
+
+impl PoolSession {
+    /// Bind the socket and start `pool.workers` workers. They connect and
+    /// say `Hello` on their own time; the first job picks them up.
+    ///
+    /// # Errors
+    /// [`JobError`] when the socket cannot be bound or a worker cannot be
+    /// spawned (whatever was started is torn down again).
+    pub fn start(pool: &PoolConfig) -> Result<PoolSession, JobError> {
+        let socket_path = scratch_socket_path(pool.socket_dir.as_deref(), "drv");
         let listener = bind_socket(&socket_path)
-            .map_err(|e| fail(format!("bind {}: {e}", socket_path.display())))?;
+            .map_err(|e| session_error(format!("bind {}: {e}", socket_path.display())))?;
         let (tx, events) = std::sync::mpsc::channel();
         let accept_stop = Arc::new(AtomicBool::new(false));
         let accept_handle = {
@@ -425,73 +461,97 @@ impl<'a> Pool<'a> {
                 }
             })
         };
-        let tracer = cfg
-            .trace
-            .as_ref()
-            .map(|c| c.tracer().clone())
-            .or_else(|| cfg.collector.as_ref().and_then(|c| c.tracer().cloned()))
-            .filter(|t| t.is_enabled());
-        let job_span = tracer.as_ref().map(|t| match cfg.trace.as_ref() {
-            Some(ctx) => t.begin_under("mapreduce.job", ctx.parent()),
-            None => t.begin("mapreduce.job"),
-        });
-        let n = pcfg.workers.max(1);
-        let mut pool = Pool {
-            cfg,
-            pcfg,
-            setup,
+        let n = pool.workers.max(1);
+        let mut session = PoolSession {
+            pcfg: pool.clone(),
             socket_path,
             tx,
             events,
             accept_stop,
             accept_handle: Some(accept_handle),
+            readers: Vec::new(),
             slots: (0..n)
                 .map(|_| Slot {
                     child: None,
                     conn: None,
                     conn_id: None,
-                    ready: false,
                     dead: false,
                     last_beat: Instant::now(),
-                    lease: None,
-                    respawns_left: pcfg.max_respawns,
-                    span: None,
+                    respawns_left: pool.max_respawns,
                     pid: 0,
-                    clock_offset_ns: 0,
-                    span_begin_ns: 0,
+                    hello: (0, Instant::now()),
                 })
                 .collect(),
             slot_of_conn: HashMap::new(),
             pending_conns: HashMap::new(),
             next_conn_id: 0,
-            registry,
-            tracer,
-            job_span,
-            task_failures: 0,
-            retried: std::collections::BTreeSet::new(),
-            corrupt_frames: 0,
-            worker_deaths: 0,
-            workers_respawned: 0,
-            tasks_reassigned: 0,
+            registry: Arc::new(Mutex::new(JobRegistry::new())),
+            jobs_started: 0,
+            unreported_spawns: 0,
+            unreported_sessions: 1,
+            torn_down: false,
         };
         for idx in 0..n {
-            if let Err(e) = pool.spawn_worker(idx) {
-                pool.teardown();
-                return Err(fail(e));
-            }
+            // On failure the drop of `session` tears down what was started.
+            session.spawn_worker(idx).map_err(session_error)?;
         }
-        Ok(pool)
+        Ok(session)
+    }
+
+    /// Run `spec` over `input` on this session's workers. Output and
+    /// [`JobStats`] are those of [`run_local`] with the same `cfg`, as for
+    /// [`run_pooled`]; the job has its own `mapreduce.job`, worker and
+    /// lease spans. A failed job leaves the session usable.
+    ///
+    /// # Errors
+    /// [`JobError`] when a task exhausts its attempts or every slot its
+    /// respawn budget.
+    pub fn run<S: MapReduceSpec>(
+        &mut self,
+        spec: &S,
+        input: &[S::I],
+        cfg: &JobConfig,
+    ) -> Result<(Vec<S::O>, JobStats), JobError> {
+        self.run_job(spec, input, cfg, false)
+    }
+
+    /// [`PoolSession::run`]; with `last` set the session is torn down
+    /// before the job's spans close, so the workers' final trace flush
+    /// lands under them.
+    fn run_job<S: MapReduceSpec>(
+        &mut self,
+        spec: &S,
+        input: &[S::I],
+        cfg: &JobConfig,
+        last: bool,
+    ) -> Result<(Vec<S::O>, JobStats), JobError> {
+        let parts = cfg.reduce_partitions.max(1);
+        let chunk_size = input.len().div_ceil(cfg.workers.max(1)).max(1);
+        // One map task per chunk, as in process.
+        let map_inputs: Vec<Vec<u8>> = input.chunks(chunk_size).map(encode_frames).collect();
+        self.registry.lock().expect("registry lock").register::<S>();
+        let mut job = JobRun::new(self, cfg, S::NAME, spec.to_bytes(), parts);
+        let result = job.begin().and_then(|()| job.run_stages::<S>(input.len(), map_inputs));
+        if last {
+            job.end_session();
+        }
+        job.finish();
+        result.map(|(output, mut stats)| {
+            job.fold_into(&mut stats);
+            (output, stats)
+        })
     }
 
     /// Launch a worker (process or thread) into slot `idx`.
     fn spawn_worker(&mut self, idx: usize) -> Result<(), String> {
         let slot = &mut self.slots[idx];
-        slot.ready = false;
         slot.conn = None;
         slot.conn_id = None;
         slot.last_beat = Instant::now();
         if self.pcfg.worker_cmd.is_empty() {
             // Thread mode: an in-process worker speaking the same protocol.
+            // Detached on purpose: one that plays dead (`StallHeartbeat`)
+            // never returns.
             let path = self.socket_path.clone();
             let registry = self.registry.clone();
             std::thread::spawn(move || {
@@ -510,6 +570,276 @@ impl<'a> Pool<'a> {
                 .map_err(|e| format!("spawn worker {idx} ({}): {e}", self.pcfg.worker_cmd[0]))?;
             self.slots[idx].child = Some(child);
         }
+        self.unreported_spawns += 1;
+        Ok(())
+    }
+
+    /// Take an accepted connection: it stays pending until its `Hello`
+    /// names a slot, and a reader thread turns its frames into events.
+    fn adopt(&mut self, stream: std::os::unix::net::UnixStream) {
+        let cid = self.next_conn_id;
+        self.next_conn_id += 1;
+        let writer = FrameConn::from_stream(stream);
+        let Ok(mut reader) = writer.try_clone() else {
+            writer.shutdown();
+            return;
+        };
+        self.pending_conns.insert(cid, writer);
+        let tx = self.tx.clone();
+        self.readers.push(std::thread::spawn(move || loop {
+            let event = match reader.recv_payload() {
+                Ok(payload) => Event::Frame { cid, payload, at: Instant::now() },
+                Err(e) => Event::Gone(cid, e),
+            };
+            let gone = matches!(event, Event::Gone(..));
+            if tx.send(event).is_err() || gone {
+                break;
+            }
+        }));
+    }
+
+    /// Graceful end of the session: tell every live worker to leave, kill
+    /// those that never got as far as being live, reap the processes, stop
+    /// the accept and reader threads, remove the socket. Returns each
+    /// worker's final trace flush by slot index. Idempotent.
+    fn teardown(&mut self) -> Vec<(usize, Vec<TraceEvent>)> {
+        let mut flushes = Vec::new();
+        if std::mem::replace(&mut self.torn_down, true) {
+            return flushes;
+        }
+        // Connections a `Drain` went out on and that have not hung up yet.
+        let mut draining: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        for slot in &mut self.slots {
+            if let (Some(conn), Some(cid)) = (slot.conn.as_mut(), slot.conn_id) {
+                if conn.send(&Message::Drain).is_ok() {
+                    draining.insert(cid);
+                }
+            }
+        }
+        // A worker that had not finished `Hello` when the session ended
+        // gets no `Drain`: it blocks waiting for a `Setup` nobody will
+        // send. Hang up on the half-made connections and kill such workers
+        // now instead of waiting out the deadline on them.
+        for (_, conn) in self.pending_conns.drain() {
+            conn.shutdown();
+        }
+        for slot in &mut self.slots {
+            if slot.conn.is_none() {
+                if let Some(mut child) = slot.child.take() {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+            }
+        }
+        // A drained worker answers with its final `TraceFlush` (traced or
+        // profiled runs) and then closes its socket, the last thing it
+        // does before it exits. Block on the event channel until every one
+        // has; past the deadline the rest are killed.
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        while !draining.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.events.recv_timeout(left) {
+                Ok(Event::Frame { cid, payload, .. }) => {
+                    if let Ok(Message::TraceFlush { worker_id, trace, profile }) =
+                        Message::from_payload(&payload)
+                    {
+                        let idx = worker_id as usize;
+                        if self.slots.get(idx).is_some_and(|s| s.conn_id == Some(cid)) {
+                            ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
+                            flushes.push((idx, trace));
+                        }
+                    }
+                }
+                Ok(Event::Gone(cid, _)) => {
+                    draining.remove(&cid);
+                }
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
+        for slot in &mut self.slots {
+            if let Some(mut child) = slot.child.take() {
+                if slot.conn_id.is_some_and(|cid| draining.contains(&cid)) {
+                    let _ = child.kill();
+                }
+                let _ = child.wait();
+            }
+            if let Some(conn) = slot.conn.take() {
+                conn.shutdown();
+            }
+        }
+        self.accept_stop.store(true, Ordering::Relaxed);
+        // Wake the accept loop so it observes the stop flag.
+        let _ = FrameConn::connect(&self.socket_path);
+        if let Some(h) = self.accept_handle.take() {
+            let _ = h.join();
+        }
+        // Every connection is shut down by now, so every reader has seen
+        // end-of-stream.
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
+        let _ = std::fs::remove_file(&self.socket_path);
+        flushes
+    }
+}
+
+impl Drop for PoolSession {
+    fn drop(&mut self) {
+        // Outside a job there is no span for a final trace flush to go
+        // under; its profile rows have been folded in all the same.
+        self.teardown();
+    }
+}
+
+/// One job on a session: the per-job half of the scheduler — config, the
+/// `Setup` it sends, fault tallies, spans — over the session's slots.
+struct JobRun<'s, 'a> {
+    session: &'s mut PoolSession,
+    cfg: &'a JobConfig,
+    /// This job's number within the session, as stamped on its `Setup`.
+    id: u64,
+    /// Template of the `Setup` each worker gets (tracing fields patched per
+    /// worker).
+    setup: Message,
+    parts: usize,
+    workers: Vec<JobWorker>,
+    tracer: Option<Arc<ngs_observe::Tracer>>,
+    job_span: Option<ngs_observe::SpanId>,
+    // Tallies folded into JobStats at the end.
+    task_failures: u64,
+    retried: std::collections::BTreeSet<(u8, usize)>,
+    corrupt_frames: u64,
+    worker_deaths: u64,
+    workers_respawned: u64,
+    tasks_reassigned: u64,
+    wire_bytes_sent: u64,
+    wire_bytes_received: u64,
+}
+
+impl<'s, 'a> JobRun<'s, 'a> {
+    fn new(
+        session: &'s mut PoolSession,
+        cfg: &'a JobConfig,
+        spec: &str,
+        spec_bytes: Vec<u8>,
+        parts: usize,
+    ) -> JobRun<'s, 'a> {
+        let id = session.jobs_started;
+        session.jobs_started += 1;
+        let setup = Message::Setup {
+            job: id,
+            spec: spec.to_string(),
+            spec_bytes,
+            parts: parts as u64,
+            fault_plan: cfg.fault_plan.to_bytes(),
+            heartbeat_ms: session.pcfg.heartbeat_interval.as_millis().max(1) as u64,
+            // Patched per worker in `admit`: traced mirrors the job's
+            // tracer, clock_offset_ns is that worker's estimate.
+            traced: false,
+            profile_mem: ngs_observe::alloc::is_enabled(),
+            // Mirror the driver's ambient CPU-profiler rate so worker lanes
+            // sample at the same cadence and the merged flamegraph's counts
+            // are comparable across processes.
+            profile_hz: ngs_observe::profile::active_hz().unwrap_or(0) as u64,
+            clock_offset_ns: 0,
+        };
+        let tracer = cfg
+            .trace
+            .as_ref()
+            .map(|c| c.tracer().clone())
+            .or_else(|| cfg.collector.as_ref().and_then(|c| c.tracer().cloned()))
+            .filter(|t| t.is_enabled());
+        let job_span = tracer.as_ref().map(|t| match cfg.trace.as_ref() {
+            Some(ctx) => t.begin_under("mapreduce.job", ctx.parent()),
+            None => t.begin("mapreduce.job"),
+        });
+        let workers = session.slots.iter().map(|_| JobWorker::default()).collect();
+        JobRun {
+            session,
+            cfg,
+            id,
+            setup,
+            parts,
+            workers,
+            tracer,
+            job_span,
+            task_failures: 0,
+            retried: std::collections::BTreeSet::new(),
+            corrupt_frames: 0,
+            worker_deaths: 0,
+            workers_respawned: 0,
+            tasks_reassigned: 0,
+            wire_bytes_sent: 0,
+            wire_bytes_received: 0,
+        }
+    }
+
+    /// Catch up with what happened since the last job — heartbeats that
+    /// queued up, workers that said `Hello` or died — and set every
+    /// connected worker up for this job.
+    fn begin(&mut self) -> Result<(), JobError> {
+        let mut idle = StageState::idle();
+        self.pump(&mut idle, Duration::ZERO)?;
+        if self.session.slots.iter().all(|s| s.dead) {
+            return Err(self.exhausted(&idle));
+        }
+        for idx in 0..self.workers.len() {
+            if self.session.slots[idx].conn.is_some() && !self.workers[idx].ready {
+                self.admit(idx, &mut idle)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn exhausted(&self, st: &StageState) -> JobError {
+        let task = st.tasks.iter().position(|t| t.result.is_none()).unwrap_or(0);
+        JobError {
+            stage: st.stage,
+            task,
+            attempts: st.tasks.get(task).map_or(0, |t| t.attempt),
+            last_error: "worker pool exhausted: every slot is out of respawns".into(),
+        }
+    }
+
+    /// Send slot `idx`'s connected worker this job's `Setup` and open its
+    /// `mapreduce.worker.N` span.
+    fn admit(&mut self, idx: usize, st: &mut StageState) -> Result<(), JobError> {
+        let slot = &mut self.session.slots[idx];
+        // Clock-offset estimate: the worker's monotonic clock in its
+        // `Hello`, advanced by the time since that arrived, against ours
+        // now. The error is at most one send-to-read latency (and always
+        // makes worker events look *later*, never earlier, than they were
+        // — residual error is absorbed by clamping at ingest).
+        let clock_offset_ns = self.tracer.as_ref().map_or(0, |t| {
+            let (hello_ns, at) = slot.hello;
+            let worker_now = hello_ns as i128 + at.elapsed().as_nanos() as i128;
+            (t.now_ns() as i128 - worker_now) as i64
+        });
+        let mut setup = self.setup.clone();
+        if let Message::Setup { traced, clock_offset_ns: offset, .. } = &mut setup {
+            *traced = self.tracer.is_some();
+            *offset = clock_offset_ns;
+        }
+        let sent = slot.conn.as_mut().expect("admit needs a connection").send(&setup);
+        if let Err(e) = sent {
+            return self.on_worker_death(idx, st, &format!("send failed: {e}"));
+        }
+        let pid = slot.pid;
+        let span = self.tracer.as_ref().zip(self.job_span).map(|(t, parent)| {
+            t.begin_under_detail(
+                &format!("mapreduce.worker.{idx}"),
+                parent,
+                &format!("pid={pid} clock_offset_ns={clock_offset_ns}"),
+            )
+        });
+        self.workers[idx] = JobWorker {
+            ready: true,
+            lease: None,
+            span,
+            span_begin_ns: self.tracer.as_ref().map_or(0, |t| t.now_ns()),
+            clock_offset_ns,
+        };
         Ok(())
     }
 
@@ -521,14 +851,14 @@ impl<'a> Pool<'a> {
         st: &mut StageState,
         why: &str,
     ) -> Result<(), JobError> {
-        if self.slots[idx].dead && self.slots[idx].conn.is_none() {
+        let slot = &mut self.session.slots[idx];
+        if slot.dead && slot.conn.is_none() {
             return Ok(());
         }
         self.worker_deaths += 1;
         if let Some(c) = self.cfg.collector.as_deref() {
             c.incr("mapreduce.worker_deaths");
         }
-        let slot = &mut self.slots[idx];
         if let Some(mut child) = slot.child.take() {
             let _ = child.kill();
             let _ = child.wait();
@@ -537,35 +867,32 @@ impl<'a> Pool<'a> {
             conn.shutdown();
         }
         if let Some(cid) = slot.conn_id.take() {
-            self.slot_of_conn.remove(&cid);
+            self.session.slot_of_conn.remove(&cid);
         }
-        slot.ready = false;
-        if let (Some(t), Some(span)) = (self.tracer.as_ref(), slot.span.take()) {
+        let worker = std::mem::take(&mut self.workers[idx]);
+        if let (Some(t), Some(span)) = (self.tracer.as_ref(), worker.span) {
             t.instant_under("mapreduce.worker.died", span, why);
             t.end(span);
         }
-        let lease = self.slots[idx].lease.take();
-        if let Some(lease) = lease {
+        if let Some(lease) = worker.lease {
             self.tasks_reassigned += 1;
-            if let Some(t) = self.tracer.as_ref() {
-                if let Some(span) = lease.span {
-                    t.end(span);
-                }
+            if let (Some(t), Some(span)) = (self.tracer.as_ref(), lease.span) {
+                t.end(span);
             }
             self.fail_attempt(st, lease.task, lease.attempt, &format!("worker {idx} died: {why}"))?;
         }
         // Bounded respawn with jittered backoff: the sleep is tiny (base
         // retry_backoff) and happens at most max_respawns times per slot.
-        let slot = &mut self.slots[idx];
+        let slot = &mut self.session.slots[idx];
         if slot.respawns_left > 0 {
             slot.respawns_left -= 1;
-            let used = self.pcfg.max_respawns - slot.respawns_left;
+            let used = self.session.pcfg.max_respawns - slot.respawns_left;
             std::thread::sleep(backoff_with_jitter(self.cfg.retry_backoff, used, st.stage, idx));
             self.workers_respawned += 1;
             if let Some(c) = self.cfg.collector.as_deref() {
                 c.incr("mapreduce.workers_respawned");
             }
-            self.spawn_worker(idx).map_err(|e| JobError {
+            self.session.spawn_worker(idx).map_err(|e| JobError {
                 stage: st.stage,
                 task: 0,
                 attempts: 0,
@@ -573,14 +900,8 @@ impl<'a> Pool<'a> {
             })?;
         } else {
             slot.dead = true;
-            if self.slots.iter().all(|s| s.dead) {
-                let task = st.tasks.iter().position(|t| t.result.is_none()).unwrap_or(0);
-                return Err(JobError {
-                    stage: st.stage,
-                    task,
-                    attempts: st.tasks.get(task).map_or(0, |t| t.attempt),
-                    last_error: "worker pool exhausted: every slot is out of respawns".into(),
-                });
+            if self.session.slots.iter().all(|s| s.dead) {
+                return Err(self.exhausted(st));
             }
         }
         Ok(())
@@ -628,7 +949,9 @@ impl<'a> Pool<'a> {
         stage_span: Option<ngs_observe::SpanId>,
     ) -> Result<(), JobError> {
         #[cfg(test)]
-        if LEASE_AFTER_FULL_HANDSHAKE.get() && !self.slots.iter().all(|s| s.ready || s.dead) {
+        if LEASE_AFTER_FULL_HANDSHAKE.get()
+            && !self.workers.iter().zip(&self.session.slots).all(|(w, s)| w.ready || s.dead)
+        {
             return Ok(());
         }
         loop {
@@ -640,11 +963,7 @@ impl<'a> Pool<'a> {
             else {
                 return Ok(());
             };
-            let Some(widx) = self
-                .slots
-                .iter()
-                .position(|s| s.ready && !s.dead && s.lease.is_none() && s.conn.is_some())
-            else {
+            let Some(widx) = self.workers.iter().position(|w| w.ready && w.lease.is_none()) else {
                 return Ok(());
             };
             let attempt = st.tasks[task].attempt;
@@ -655,19 +974,22 @@ impl<'a> Pool<'a> {
                     &format!("task={task} attempt={attempt} worker={widx}"),
                 )
             });
-            let msg = Message::Task {
-                stage: st.stage.code(),
-                task: task as u64,
+            // Framed straight from the task's input, which stays where it
+            // is for the next attempt.
+            let frame = task_frame(
+                st.stage.code(),
+                task as u64,
                 attempt,
-                trace_span: span.map_or(0, |s| s.as_u64()),
-                input: st.tasks[task].input.clone(),
-            };
+                span.map_or(0, |s| s.as_u64()),
+                &st.tasks[task].input,
+            );
             st.tasks[task].assigned = true;
             let span_begin_ns = self.tracer.as_ref().map_or(0, |t| t.now_ns());
-            self.slots[widx].lease =
+            self.workers[widx].lease =
                 Some(Lease { task, attempt, started: Instant::now(), span, span_begin_ns });
-            let send = self.slots[widx].conn.as_mut().expect("checked above").send(&msg);
-            if let Err(e) = send {
+            self.wire_bytes_sent += frame.len() as u64;
+            let conn = self.session.slots[widx].conn.as_mut().expect("a ready worker is connected");
+            if let Err(e) = conn.send_frame(&frame) {
                 self.on_worker_death(widx, st, &format!("send failed: {e}"))?;
             }
         }
@@ -676,17 +998,18 @@ impl<'a> Pool<'a> {
     /// Kill workers past their heartbeat or lease deadline.
     fn sweep_deadlines(&mut self, st: &mut StageState) -> Result<(), JobError> {
         let now = Instant::now();
-        for idx in 0..self.slots.len() {
-            let s = &self.slots[idx];
-            if s.dead || !s.ready {
+        for idx in 0..self.workers.len() {
+            let worker = &self.workers[idx];
+            if !worker.ready {
                 continue;
             }
-            if now.duration_since(s.last_beat) > self.pcfg.heartbeat_timeout {
+            let silent = now.saturating_duration_since(self.session.slots[idx].last_beat);
+            if silent > self.session.pcfg.heartbeat_timeout {
                 self.on_worker_death(idx, st, "heartbeat deadline exceeded")?;
                 continue;
             }
-            if let Some(lease) = &s.lease {
-                if now.duration_since(lease.started) > self.pcfg.lease_timeout {
+            if let Some(lease) = &worker.lease {
+                if now.duration_since(lease.started) > self.session.pcfg.lease_timeout {
                     self.on_worker_death(idx, st, "task lease expired")?;
                 }
             }
@@ -694,78 +1017,77 @@ impl<'a> Pool<'a> {
         Ok(())
     }
 
-    /// Stitch a worker's shipped trace chunk into the driver trace under
+    /// Stitch a worker's shipped trace chunk into the job trace under
     /// `under`, clamped to `[lo, now]` on the driver timeline.
-    fn ingest_chunk(
-        &self,
-        idx: usize,
-        chunk: &[ngs_observe::trace::TraceEvent],
-        under: ngs_observe::SpanId,
-        lo: u64,
-    ) {
+    fn ingest_chunk(&self, idx: usize, chunk: &[TraceEvent], under: ngs_observe::SpanId, lo: u64) {
         let Some(t) = self.tracer.as_ref() else { return };
         if chunk.is_empty() {
             return;
         }
-        let slot = &self.slots[idx];
         let meta = ngs_observe::trace::ProcessMeta {
-            pid: slot.pid as u32,
+            pid: self.session.slots[idx].pid as u32,
             role: format!("worker{idx}"),
-            clock_offset_ns: slot.clock_offset_ns,
+            clock_offset_ns: self.workers[idx].clock_offset_ns,
         };
         t.ingest(chunk, under, &meta, (lo, t.now_ns()));
     }
 
-    fn handle_msg(&mut self, cid: u64, msg: Message, st: &mut StageState) -> Result<(), JobError> {
+    /// The lease of slot `idx` when `(job, stage, task, attempt)` names
+    /// it; anything else is a result nobody waits for any more.
+    fn take_lease(
+        &mut self,
+        idx: usize,
+        st: &StageState,
+        (job, stage, task, attempt): (u64, u8, u64, u32),
+    ) -> Option<Lease> {
+        let named = job == self.id
+            && stage == st.stage.code()
+            && self.workers[idx]
+                .lease
+                .as_ref()
+                .is_some_and(|l| l.task as u64 == task && l.attempt == attempt);
+        named.then(|| self.workers[idx].lease.take()).flatten()
+    }
+
+    fn handle_msg(
+        &mut self,
+        cid: u64,
+        msg: Message,
+        wire: usize,
+        at: Instant,
+        st: &mut StageState,
+    ) -> Result<(), JobError> {
         match msg {
             Message::Hello { worker_id, pid, now_ns } => {
                 let idx = worker_id as usize;
-                let Some(mut conn) = self.pending_conns.remove(&cid) else {
+                let Some(conn) = self.session.pending_conns.remove(&cid) else {
                     return Ok(());
                 };
-                if idx >= self.slots.len() || self.slots[idx].dead || self.slots[idx].conn.is_some()
-                {
+                let Some(slot) = self
+                    .session
+                    .slots
+                    .get_mut(idx)
+                    .filter(|slot| !slot.dead && slot.conn.is_none())
+                else {
                     conn.shutdown();
                     return Ok(());
-                }
-                // Clock-offset estimate: the worker's monotonic now,
-                // bracketed by our receive time, so the error is at most
-                // one send-to-dispatch latency (and always makes worker
-                // events look *later*, never earlier, than they were —
-                // residual error is absorbed by clamping at ingest).
-                let clock_offset_ns =
-                    self.tracer.as_ref().map_or(0, |t| t.now_ns() as i64 - now_ns as i64);
-                let mut setup = self.setup.clone();
-                if let Message::Setup { traced, clock_offset_ns: offset, .. } = &mut setup {
-                    *traced = self.tracer.is_some();
-                    *offset = clock_offset_ns;
-                }
-                if conn.send(&setup).is_err() {
-                    conn.shutdown();
-                    return Ok(());
-                }
-                let slot = &mut self.slots[idx];
+                };
                 slot.conn = Some(conn);
                 slot.conn_id = Some(cid);
-                slot.ready = true;
+                // Beats are due from the first `Setup`, which goes out right
+                // below — not from the `Hello`, which may have waited in the
+                // queue through a pause between two jobs.
                 slot.last_beat = Instant::now();
                 slot.pid = pid;
-                slot.clock_offset_ns = clock_offset_ns;
-                slot.span = self.tracer.as_ref().zip(self.job_span).map(|(t, parent)| {
-                    t.begin_under_detail(
-                        &format!("mapreduce.worker.{idx}"),
-                        parent,
-                        &format!("pid={pid} clock_offset_ns={clock_offset_ns}"),
-                    )
-                });
-                slot.span_begin_ns = self.tracer.as_ref().map_or(0, |t| t.now_ns());
-                self.slot_of_conn.insert(cid, idx);
+                slot.hello = (now_ns, at);
+                self.session.slot_of_conn.insert(cid, idx);
+                self.admit(idx, st)?;
             }
             Message::Heartbeat { worker_id, rss_bytes, peak_alloc_bytes, alloc_count } => {
                 let idx = worker_id as usize;
-                if let Some(slot) = self.slots.get_mut(idx) {
+                if let Some(slot) = self.session.slots.get_mut(idx) {
                     if slot.conn_id == Some(cid) {
-                        slot.last_beat = Instant::now();
+                        slot.last_beat = at;
                         if let Some(c) = self.cfg.collector.as_deref() {
                             c.gauge_max(
                                 &format!("mapreduce.worker.{idx}.peak_rss_bytes"),
@@ -790,6 +1112,7 @@ impl<'a> Pool<'a> {
                 }
             }
             Message::Done {
+                job,
                 stage,
                 task,
                 attempt,
@@ -801,20 +1124,17 @@ impl<'a> Pool<'a> {
                 trace,
                 profile,
             } => {
-                let Some(&idx) = self.slot_of_conn.get(&cid) else {
+                let Some(&idx) = self.session.slot_of_conn.get(&cid) else {
                     return Ok(());
                 };
                 // Profile samples are real CPU time regardless of lease
                 // bookkeeping — fold them into this worker's lane before
                 // any early return below.
                 ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
-                let matches = self.slots[idx].lease.as_ref().is_some_and(|l| {
-                    l.task == task as usize && l.attempt == attempt && stage == st.stage.code()
-                });
-                if !matches {
+                let Some(lease) = self.take_lease(idx, st, (job, stage, task, attempt)) else {
                     return Ok(());
-                }
-                let lease = self.slots[idx].lease.take().expect("checked above");
+                };
+                self.wire_bytes_received += wire as u64;
                 if let (Some(t), Some(span)) = (self.tracer.as_ref(), lease.span) {
                     // Stitch before ending the lease span: children must
                     // close no later than their parent.
@@ -828,10 +1148,7 @@ impl<'a> Pool<'a> {
                 // Validate shape and inner checksums before trusting a
                 // single byte: a corrupt buffer costs one attempt.
                 let expect_bufs = match st.stage {
-                    Stage::Map => match &self.setup {
-                        Message::Setup { parts, .. } => *parts as usize,
-                        _ => unreachable!("setup template is always Message::Setup"),
-                    },
+                    Stage::Map => self.parts,
                     Stage::Shuffle | Stage::Reduce => 1,
                 };
                 let intact = output.len() == expect_bufs
@@ -855,21 +1172,20 @@ impl<'a> Pool<'a> {
                     }
                 }
                 if st.tasks[task].result.is_none() {
+                    // No attempt will need the input again.
+                    st.tasks[task].input = Vec::new();
                     st.tasks[task].result = Some(DoneOut { output, emitted, combined, groups });
                     st.done += 1;
                 }
             }
-            Message::Failed { stage, task, attempt, error, trace } => {
-                let Some(&idx) = self.slot_of_conn.get(&cid) else {
+            Message::Failed { job, stage, task, attempt, error, trace } => {
+                let Some(&idx) = self.session.slot_of_conn.get(&cid) else {
                     return Ok(());
                 };
-                let matches = self.slots[idx].lease.as_ref().is_some_and(|l| {
-                    l.task == task as usize && l.attempt == attempt && stage == st.stage.code()
-                });
-                if !matches {
+                let Some(lease) = self.take_lease(idx, st, (job, stage, task, attempt)) else {
                     return Ok(());
-                }
-                let lease = self.slots[idx].lease.take().expect("checked above");
+                };
+                self.wire_bytes_received += wire as u64;
                 if let (Some(t), Some(span)) = (self.tracer.as_ref(), lease.span) {
                     self.ingest_chunk(idx, &trace, span, lease.span_begin_ns);
                     t.end(span);
@@ -877,21 +1193,65 @@ impl<'a> Pool<'a> {
                 self.fail_attempt(st, task as usize, attempt, &error)?;
             }
             Message::TraceFlush { worker_id, trace, profile } => {
-                // Normally seen by the drain pump in teardown; mid-stage it
-                // means the worker flushed out-of-band — stitch under its
-                // worker span.
+                // Normally seen by the session's teardown; mid-job it means
+                // the worker flushed out-of-band — stitch under its worker
+                // span.
                 let idx = worker_id as usize;
-                if let Some(slot) = self.slots.get(idx) {
-                    if slot.conn_id == Some(cid) {
-                        ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
-                        if let Some(span) = slot.span {
-                            self.ingest_chunk(idx, &trace, span, slot.span_begin_ns);
-                        }
+                if self.session.slots.get(idx).is_some_and(|s| s.conn_id == Some(cid)) {
+                    ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
+                    if let Some(span) = self.workers[idx].span {
+                        self.ingest_chunk(idx, &trace, span, self.workers[idx].span_begin_ns);
                     }
                 }
             }
             // Workers never receive these; a confused peer is ignored.
             Message::Setup { .. } | Message::Task { .. } | Message::Drain => {}
+        }
+        Ok(())
+    }
+
+    /// Connection `cid` ended, or sent something that is not a message: if
+    /// it is a worker's, that worker is dead.
+    fn connection_lost(
+        &mut self,
+        cid: u64,
+        err: &ProtocolError,
+        st: &mut StageState,
+    ) -> Result<(), JobError> {
+        if let Some(conn) = self.session.pending_conns.remove(&cid) {
+            conn.shutdown();
+        }
+        match self.session.slot_of_conn.get(&cid) {
+            Some(&idx) => self.on_worker_death(idx, st, &format!("connection lost: {err}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Wait up to `wait` for an event, then handle it and everything queued
+    /// behind it. Deadlines are only judged between two pumps, so never
+    /// against a heartbeat that has arrived but not been looked at — however
+    /// long the driver was away (between two jobs of a session, say).
+    fn pump(&mut self, st: &mut StageState, wait: Duration) -> Result<(), JobError> {
+        // The session holds a sender itself, so the channel only ever
+        // reports "nothing (yet)".
+        let mut next = self.session.events.recv_timeout(wait).ok();
+        while let Some(event) = next {
+            match event {
+                Event::Conn(stream) => self.session.adopt(stream),
+                Event::Frame { cid, payload, at } => {
+                    let wire = HEADER_LEN + payload.len();
+                    match Message::from_payload(&payload) {
+                        Ok(msg) => {
+                            drop(payload);
+                            self.handle_msg(cid, msg, wire, at, st)?;
+                        }
+                        // Its reader goes on reading; hanging up ends it.
+                        Err(err) => self.connection_lost(cid, &err, st)?,
+                    }
+                }
+                Event::Gone(cid, err) => self.connection_lost(cid, &err, st)?,
+            }
+            next = self.session.events.try_recv().ok();
         }
         Ok(())
     }
@@ -924,270 +1284,155 @@ impl<'a> Pool<'a> {
             done: 0,
         };
         let result = self.drive_stage(&mut st, stage_span);
+        if result.is_err() {
+            // Leases still out belong to a stage nobody waits for: close
+            // their spans (late results are told apart by job and stage).
+            for worker in &mut self.workers {
+                if let Some(lease) = worker.lease.take() {
+                    if let (Some(t), Some(span)) = (self.tracer.as_ref(), lease.span) {
+                        t.end(span);
+                    }
+                }
+            }
+        }
         if let (Some(t), Some(span)) = (self.tracer.as_ref(), stage_span) {
             t.end(span);
         }
-        let outs = result?;
-        Ok(outs)
+        result?;
+        Ok(st
+            .tasks
+            .into_iter()
+            .map(|t| t.result.expect("stage finished with every task done"))
+            .collect())
     }
 
     fn drive_stage(
         &mut self,
         st: &mut StageState,
         stage_span: Option<ngs_observe::SpanId>,
-    ) -> Result<Vec<DoneOut>, JobError> {
+    ) -> Result<(), JobError> {
         while st.done < st.tasks.len() {
             self.try_assign(st, stage_span)?;
-            match self.events.recv_timeout(Duration::from_millis(5)) {
-                Ok(Event::Conn(stream)) => {
-                    let cid = self.next_conn_id;
-                    self.next_conn_id += 1;
-                    let writer = FrameConn::from_stream(stream);
-                    match writer.try_clone() {
-                        Ok(mut reader) => {
-                            self.pending_conns.insert(cid, writer);
-                            let tx = self.tx.clone();
-                            std::thread::spawn(move || loop {
-                                match reader.recv() {
-                                    Ok(msg) => {
-                                        if tx.send(Event::Msg(cid, msg)).is_err() {
-                                            break;
-                                        }
-                                    }
-                                    Err(e) => {
-                                        let _ = tx.send(Event::Gone(cid, e));
-                                        break;
-                                    }
-                                }
-                            });
-                        }
-                        Err(_) => writer.shutdown(),
-                    }
-                }
-                Ok(Event::Msg(cid, msg)) => self.handle_msg(cid, msg, st)?,
-                Ok(Event::Gone(cid, err)) => {
-                    self.pending_conns.remove(&cid);
-                    if let Some(&idx) = self.slot_of_conn.get(&cid) {
-                        self.on_worker_death(idx, st, &format!("connection lost: {err}"))?;
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(JobError {
-                        stage: st.stage,
-                        task: 0,
-                        attempts: 0,
-                        last_error: "pool event channel closed".into(),
-                    });
-                }
-            }
+            self.pump(st, Duration::from_millis(5))?;
             self.sweep_deadlines(st)?;
         }
-        Ok(st
-            .tasks
-            .drain(..)
-            .map(|t| t.result.expect("stage finished with every task done"))
-            .collect())
+        Ok(())
     }
 
-    /// Graceful drain: tell every live worker the job is over, kill those
-    /// that never got as far as being live, collect the final trace
-    /// flushes, reap processes (kill stragglers), stop the accept thread.
-    fn teardown(&mut self) {
-        for slot in &mut self.slots {
-            if let Some(conn) = slot.conn.as_mut() {
-                let _ = conn.send(&Message::Drain);
+    /// Map, shuffle and reduce `map_inputs` (one inner-framed buffer per
+    /// map task) into the job's output and the counters of its data flow.
+    fn run_stages<S: MapReduceSpec>(
+        &mut self,
+        input_len: usize,
+        map_inputs: Vec<Vec<u8>>,
+    ) -> Result<(Vec<S::O>, JobStats), JobError> {
+        let parts = self.parts;
+        let mut stats = JobStats { map_input_records: input_len as u64, ..Default::default() };
+
+        // ---- Map ---------------------------------------------------------
+        let t0 = Instant::now();
+        let map_tasks = map_inputs.len();
+        let mut map_done = self.run_stage(Stage::Map, map_inputs, "mapreduce.stage.map")?;
+        stats.map_time = t0.elapsed();
+        for out in &map_done {
+            stats.map_output_records += out.emitted;
+            stats.combine_output_records += out.combined;
+        }
+
+        // ---- Shuffle -----------------------------------------------------
+        // Distributed here (unlike the inline in-process sort): one task
+        // per partition, each sorting the concatenation — in map-task order
+        // — of that partition's buffers. Inner frame sequences concatenate
+        // cleanly.
+        let t1 = Instant::now();
+        let mut shuffle_inputs: Vec<Vec<u8>> = Vec::with_capacity(parts);
+        for p in 0..parts {
+            let mut buf = Vec::with_capacity(map_done.iter().map(|out| out.output[p].len()).sum());
+            for out in &mut map_done {
+                // Each map buffer is let go as soon as it is copied.
+                buf.extend_from_slice(&std::mem::take(&mut out.output[p]));
+            }
+            if map_tasks == 0 {
+                buf = encode_frames::<(S::K, S::V)>(&[]);
+            }
+            stats.shuffle_bytes += buf.len() as u64;
+            shuffle_inputs.push(buf);
+        }
+        drop(map_done);
+        let shuffle_done =
+            self.run_stage(Stage::Shuffle, shuffle_inputs, "mapreduce.stage.shuffle")?;
+        stats.shuffle_time = t1.elapsed();
+
+        // ---- Reduce ------------------------------------------------------
+        let t2 = Instant::now();
+        let reduce_inputs: Vec<Vec<u8>> =
+            shuffle_done.into_iter().map(|mut d| d.output.swap_remove(0)).collect();
+        let reduce_done = self.run_stage(Stage::Reduce, reduce_inputs, "mapreduce.stage.reduce")?;
+        let mut result: Vec<S::O> = Vec::new();
+        for (pi, d) in reduce_done.into_iter().enumerate() {
+            stats.reduce_input_groups += d.groups;
+            let records = decode_frames::<S::O>(&d.output[0]).map_err(|e| JobError {
+                stage: Stage::Reduce,
+                task: pi,
+                attempts: 0,
+                last_error: format!("reduce output: {e}"),
+            })?;
+            result.extend(records);
+        }
+        stats.reduce_output_records = result.len() as u64;
+        stats.reduce_time = t2.elapsed();
+        Ok((result, stats))
+    }
+
+    /// Tear the session down while this job's spans are still open: each
+    /// worker's final trace flush is stitched under its worker span.
+    fn end_session(&mut self) {
+        for (idx, chunk) in self.session.teardown() {
+            if let Some(span) = self.workers[idx].span {
+                self.ingest_chunk(idx, &chunk, span, self.workers[idx].span_begin_ns);
             }
         }
-        // A worker that had not finished `Hello`/`Setup` when the job ended
-        // gets no `Drain`: it blocks waiting for a `Setup` nobody will send,
-        // and the reap loop below would sit out its whole deadline on it.
-        // Hang up on the half-made connections and kill such workers now.
-        for (_, conn) in self.pending_conns.drain() {
-            conn.shutdown();
-        }
-        for slot in &mut self.slots {
-            if slot.conn.is_none() {
-                if let Some(mut child) = slot.child.take() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-            }
-        }
-        // Traced or CPU-profiled runs: each live worker answers `Drain`
-        // with a final `TraceFlush` before closing its socket. Pump the
-        // event channel until every such worker has flushed or
-        // disconnected, so trace chunks land under the worker spans
-        // *before* the spans end below and the last profile samples make
-        // it into the merged flamegraph.
-        if self.tracer.is_some() || ngs_observe::profile::active_hz().is_some() {
-            let mut waiting: std::collections::HashSet<u64> =
-                self.slots.iter().filter_map(|s| s.conn.as_ref().and(s.conn_id)).collect();
-            let deadline = Instant::now() + Duration::from_millis(500);
-            while !waiting.is_empty() {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match self.events.recv_timeout(deadline - now) {
-                    Ok(Event::Msg(cid, Message::TraceFlush { worker_id, trace, profile })) => {
-                        let idx = worker_id as usize;
-                        if self.slots.get(idx).is_some_and(|s| s.conn_id == Some(cid)) {
-                            ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
-                            if let Some(span) = self.slots[idx].span {
-                                let lo = self.slots[idx].span_begin_ns;
-                                self.ingest_chunk(idx, &trace, span, lo);
-                            }
-                            waiting.remove(&cid);
-                        }
-                    }
-                    Ok(Event::Gone(cid, _)) => {
-                        waiting.remove(&cid);
-                    }
-                    Ok(_) => {}
-                    Err(_) => break,
-                }
-            }
-        }
-        for idx in 0..self.slots.len() {
-            if let Some(mut child) = self.slots[idx].child.take() {
-                let deadline = Instant::now() + Duration::from_secs(2);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(5))
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(conn) = self.slots[idx].conn.take() {
-                conn.shutdown();
-            }
-            if let (Some(t), Some(span)) = (self.tracer.as_ref(), self.slots[idx].span.take()) {
+    }
+
+    /// Close the job's worker spans and its job span; the workers stay up.
+    fn finish(&mut self) {
+        let Some(t) = self.tracer.as_ref() else { return };
+        for worker in &mut self.workers {
+            if let Some(span) = worker.span.take() {
                 t.end(span);
             }
         }
-        self.accept_stop.store(true, Ordering::Relaxed);
-        // Wake the accept loop so it observes the stop flag.
-        let _ = FrameConn::connect(&self.socket_path);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        if let (Some(t), Some(span)) = (self.tracer.as_ref(), self.job_span.take()) {
+        if let Some(span) = self.job_span.take() {
             t.end(span);
         }
-        let _ = std::fs::remove_file(&self.socket_path);
+    }
+
+    /// The job's fault, pool and wire tallies, into its [`JobStats`].
+    fn fold_into(&mut self, stats: &mut JobStats) {
+        stats.task_failures = self.task_failures;
+        stats.retried_tasks = self.retried.len() as u64;
+        stats.corrupt_frames = self.corrupt_frames;
+        stats.worker_deaths = self.worker_deaths;
+        stats.workers_respawned = self.workers_respawned;
+        stats.tasks_reassigned = self.tasks_reassigned;
+        stats.wire_bytes_sent = self.wire_bytes_sent;
+        stats.wire_bytes_received = self.wire_bytes_received;
+        stats.pool_spawns = std::mem::take(&mut self.session.unreported_spawns);
+        stats.pool_sessions = std::mem::take(&mut self.session.unreported_sessions);
     }
 }
 
-/// Run `spec` over `input` on a pool of worker processes. Output is
-/// byte-identical to [`run_local`] with the same `cfg`: identical
-/// chunking, partitioning, sort order, and task-order result assembly.
+/// Run `spec` over `input` on a pool of worker processes: a
+/// [`PoolSession`] of one job. Output is byte-identical to [`run_local`]
+/// with the same `cfg`: identical chunking, partitioning, sort order, and
+/// task-order result assembly.
 pub fn run_pooled<S: MapReduceSpec>(
     spec: &S,
     input: &[S::I],
     cfg: &JobConfig,
     pool: &PoolConfig,
 ) -> Result<(Vec<S::O>, JobStats), JobError> {
-    let parts = cfg.reduce_partitions.max(1);
-    let chunk_size = input.len().div_ceil(cfg.workers.max(1)).max(1);
-    let map_inputs: Vec<Vec<u8>> = input.chunks(chunk_size).map(encode_frames).collect();
-    let setup = Message::Setup {
-        spec: S::NAME.to_string(),
-        spec_bytes: spec.to_bytes(),
-        parts: parts as u64,
-        fault_plan: cfg.fault_plan.to_bytes(),
-        heartbeat_ms: pool.heartbeat_interval.as_millis().max(1) as u64,
-        // Patched per worker at `Hello`: traced mirrors the driver tracer,
-        // clock_offset_ns is that worker's estimate.
-        traced: false,
-        profile_mem: ngs_observe::alloc::is_enabled(),
-        // Mirror the driver's ambient CPU-profiler rate so worker lanes
-        // sample at the same cadence and the merged flamegraph's counts
-        // are comparable across processes.
-        profile_hz: ngs_observe::profile::active_hz().unwrap_or(0) as u64,
-        clock_offset_ns: 0,
-    };
-    let mut registry = JobRegistry::new();
-    registry.register::<S>();
-    let mut driver = Pool::start(cfg, pool, setup, Arc::new(registry))?;
-    let result = run_pooled_inner::<S>(&mut driver, input.len(), map_inputs, parts);
-    driver.teardown();
-    result
-}
-
-fn run_pooled_inner<S: MapReduceSpec>(
-    driver: &mut Pool<'_>,
-    input_len: usize,
-    map_inputs: Vec<Vec<u8>>,
-    parts: usize,
-) -> Result<(Vec<S::O>, JobStats), JobError> {
-    let mut stats = JobStats { map_input_records: input_len as u64, ..Default::default() };
-
-    // ---- Map -------------------------------------------------------------
-    let t0 = Instant::now();
-    let map_tasks = map_inputs.len();
-    let map_done = driver.run_stage(Stage::Map, map_inputs, "mapreduce.stage.map")?;
-    stats.map_time = t0.elapsed();
-    for out in &map_done {
-        stats.map_output_records += out.emitted;
-        stats.combine_output_records += out.combined;
-    }
-
-    // ---- Shuffle ---------------------------------------------------------
-    // Distributed here (unlike the inline in-process sort): one task per
-    // partition, each sorting the concatenation — in map-task order — of
-    // that partition's buffers. Inner frame sequences concatenate cleanly.
-    let t1 = Instant::now();
-    let mut shuffle_inputs: Vec<Vec<u8>> = Vec::with_capacity(parts);
-    for p in 0..parts {
-        let mut buf = Vec::new();
-        for out in &map_done {
-            buf.extend_from_slice(&out.output[p]);
-        }
-        if map_tasks == 0 {
-            buf = encode_frames::<(S::K, S::V)>(&[]);
-        }
-        stats.shuffle_bytes += buf.len() as u64;
-        shuffle_inputs.push(buf);
-    }
-    drop(map_done);
-    let shuffle_done =
-        driver.run_stage(Stage::Shuffle, shuffle_inputs, "mapreduce.stage.shuffle")?;
-    stats.shuffle_time = t1.elapsed();
-
-    // ---- Reduce ----------------------------------------------------------
-    let t2 = Instant::now();
-    let reduce_inputs: Vec<Vec<u8>> =
-        shuffle_done.into_iter().map(|mut d| d.output.swap_remove(0)).collect();
-    let reduce_done = driver.run_stage(Stage::Reduce, reduce_inputs, "mapreduce.stage.reduce")?;
-    let mut result: Vec<S::O> = Vec::new();
-    for (pi, d) in reduce_done.into_iter().enumerate() {
-        stats.reduce_input_groups += d.groups;
-        let records = decode_frames::<S::O>(&d.output[0]).map_err(|e| JobError {
-            stage: Stage::Reduce,
-            task: pi,
-            attempts: 0,
-            last_error: format!("reduce output: {e}"),
-        })?;
-        result.extend(records);
-    }
-    stats.reduce_output_records = result.len() as u64;
-    stats.reduce_time = t2.elapsed();
-
-    stats.task_failures = driver.task_failures;
-    stats.retried_tasks = driver.retried.len() as u64;
-    stats.corrupt_frames = driver.corrupt_frames;
-    stats.worker_deaths = driver.worker_deaths;
-    stats.workers_respawned = driver.workers_respawned;
-    stats.tasks_reassigned = driver.tasks_reassigned;
-    Ok((result, stats))
+    PoolSession::start(pool)?.run_job(spec, input, cfg, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -1205,7 +1450,7 @@ pub fn worker_main(registry: &JobRegistry, args: &[String]) -> i32 {
         return 2;
     };
     match FrameConn::connect(std::path::Path::new(path)) {
-        Ok(conn) => worker_loop(conn, registry, id, true),
+        Ok(conn) => worker_loop(conn, &Mutex::new(registry.clone()), id, true),
         Err(e) => {
             eprintln!("mr-worker {id}: {e}");
             2
@@ -1213,14 +1458,52 @@ pub fn worker_main(registry: &JobRegistry, args: &[String]) -> i32 {
     }
 }
 
-/// The worker protocol loop. `process_mode` selects how `KillWorker`
-/// injection dies: a real self-SIGKILL for a process, or torn-frame +
-/// disconnect for a thread-mode worker (a thread cannot be SIGKILLed
-/// without taking the test process with it; the driver observes the same
-/// torn frame either way).
+/// Stop signal of the heartbeat thread: it sleeps on the condvar, so a
+/// stop wakes it at once instead of after the rest of its interval.
+#[derive(Default)]
+struct Beacon {
+    stopped: Mutex<bool>,
+    wake: std::sync::Condvar,
+}
+
+impl Beacon {
+    fn stop(&self) {
+        *self.stopped.lock().expect("beacon lock") = true;
+        self.wake.notify_all();
+    }
+
+    /// Wait out one interval; `false` as soon as the beacon is stopped.
+    fn tick(&self, interval: Duration) -> bool {
+        let stopped = self.stopped.lock().expect("beacon lock");
+        let (stopped, _) = self
+            .wake
+            .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+            .expect("beacon lock");
+        !*stopped
+    }
+}
+
+/// The job a worker is set up for: what its latest `Setup` said.
+struct WorkerJob {
+    id: u64,
+    runner: Box<dyn SpecRunner>,
+    plan: FaultPlan,
+    parts: usize,
+    traced: bool,
+}
+
+/// The worker protocol loop: `Hello`, then any number of jobs — a `Setup`
+/// followed by that job's `Task`s — until `Drain` or the driver hangs up.
+/// `registry` rebuilds a job's spec from its `Setup` (behind a mutex: the
+/// thread-mode workers of a session share the one its jobs register their
+/// specs in). `process_mode` selects
+/// how `KillWorker` injection dies: a real self-SIGKILL for a process, or
+/// torn-frame + disconnect for a thread-mode worker (a thread cannot be
+/// SIGKILLed without taking the test process with it; the driver observes
+/// the same torn frame either way).
 fn worker_loop(
     mut reader: FrameConn,
-    registry: &JobRegistry,
+    registry: &Mutex<JobRegistry>,
     worker_id: u64,
     process_mode: bool,
 ) -> i32 {
@@ -1229,96 +1512,89 @@ fn worker_loop(
     };
     let writer = Arc::new(Mutex::new(writer));
     let pid = std::process::id() as u64;
-    // One session tracer for the whole worker lifetime: a single epoch, so
-    // the driver's one clock-offset estimate (from the `now_ns` below)
-    // covers every chunk this worker ever ships.
-    let session_tracer = ngs_observe::Tracer::new();
-    let hello = Message::Hello { worker_id, pid, now_ns: session_tracer.now_ns() };
+    // One tracer for the whole worker lifetime: a single epoch, so the
+    // driver's clock-offset estimates (all from the `now_ns` below) cover
+    // every chunk this worker ever ships.
+    let tracer = ngs_observe::Tracer::new();
+    tracer.set_role(&format!("worker{worker_id}"));
+    let hello = Message::Hello { worker_id, pid, now_ns: tracer.now_ns() };
     if writer.lock().expect("writer lock").send(&hello).is_err() {
         return 2;
     }
-    let setup = match reader.recv() {
-        Ok(msg @ Message::Setup { .. }) => msg,
-        _ => return 2,
-    };
-    let Message::Setup {
-        spec,
-        spec_bytes,
-        parts,
-        fault_plan,
-        heartbeat_ms,
-        traced,
-        profile_mem,
-        profile_hz,
-        clock_offset_ns: _,
-    } = setup
-    else {
-        unreachable!("matched above");
-    };
-    let Some(runner) = registry.make(&spec, &spec_bytes) else {
-        eprintln!("mr-worker {worker_id}: unknown or undecodable spec {spec:?}");
-        return 2;
-    };
-    let Some(plan) = FaultPlan::from_bytes(&fault_plan) else {
-        eprintln!("mr-worker {worker_id}: bad fault plan");
-        return 2;
-    };
-    let parts = parts as usize;
-    if profile_mem {
-        // The worker binary carries the same tracking allocator as the
-        // driver; enabling is a no-op when it is not installed.
-        ngs_observe::alloc::enable();
-    }
-    // CPU profiler for the worker's own span stacks: folded stacks ship
-    // back with every `Done` and the final `Drain` reply, so the driver
-    // merges one lane per worker process. Held for the worker lifetime;
-    // drop stops the sampler thread.
-    let _profiler = (profile_hz > 0)
-        .then(|| ngs_observe::profile::start(profile_hz.min(u32::MAX as u64) as u32))
-        .flatten();
-    let tracer = if traced {
-        session_tracer.set_role(&format!("worker{worker_id}"));
-        Some(session_tracer)
-    } else {
-        None
-    };
 
-    // Heartbeats from a dedicated thread, so a worker busy in a long task
-    // still proves liveness. StallHeartbeat injection raises `stalled`,
-    // silencing the beacon while the worker plays dead.
-    let running = Arc::new(AtomicBool::new(true));
-    let stalled = Arc::new(AtomicBool::new(false));
-    let beat_handle = {
-        let writer = writer.clone();
-        let running = running.clone();
-        let stalled = stalled.clone();
-        std::thread::spawn(move || {
-            while running.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(heartbeat_ms));
-                if stalled.load(Ordering::Relaxed) {
-                    break;
-                }
-                let rss_bytes = ngs_observe::read_memory().rss_bytes.unwrap_or(0);
-                let (peak_alloc_bytes, alloc_count) = ngs_observe::alloc::snapshot()
-                    .map_or((0, 0), |s| (s.peak_live_bytes, s.alloc_count));
-                let beat =
-                    Message::Heartbeat { worker_id, rss_bytes, peak_alloc_bytes, alloc_count };
-                if writer.lock().expect("writer lock").send(&beat).is_err() {
-                    break;
-                }
-            }
-        })
-    };
+    // Started by the first `Setup`, for the worker's lifetime: the
+    // heartbeat thread (so a worker busy in a long task still proves
+    // liveness; `StallHeartbeat` injection stops it while the worker plays
+    // dead) and the CPU profiler for the worker's own span stacks, whose
+    // folded stacks ship back with every `Done` and the final `Drain`
+    // reply so the driver merges one lane per worker process.
+    let beacon = Arc::new(Beacon::default());
+    let mut beat_handle = None;
+    let mut profiler = None;
+    let mut job: Option<WorkerJob> = None;
 
     let code = loop {
         match reader.recv() {
-            Ok(Message::Task { stage, task, attempt, trace_span, input }) => {
-                let Some(stage) = Stage::from_code(stage) else {
+            Ok(Message::Setup {
+                job: id,
+                spec,
+                spec_bytes,
+                parts,
+                fault_plan,
+                heartbeat_ms,
+                traced,
+                profile_mem,
+                profile_hz,
+                clock_offset_ns: _,
+            }) => {
+                let runner = registry.lock().expect("registry lock").make(&spec, &spec_bytes);
+                let Some(runner) = runner else {
+                    eprintln!("mr-worker {worker_id}: unknown or undecodable spec {spec:?}");
                     break 2;
                 };
-                let fault = plan.fault_for(stage, task as usize, attempt);
+                let Some(plan) = FaultPlan::from_bytes(&fault_plan) else {
+                    eprintln!("mr-worker {worker_id}: bad fault plan");
+                    break 2;
+                };
+                job = Some(WorkerJob { id, runner, plan, parts: parts as usize, traced });
+                if profile_mem {
+                    // The worker binary carries the same tracking allocator
+                    // as the driver; enabling is a no-op when it is not
+                    // installed.
+                    ngs_observe::alloc::enable();
+                }
+                if profiler.is_none() && profile_hz > 0 {
+                    profiler = ngs_observe::profile::start(profile_hz.min(u32::MAX as u64) as u32);
+                }
+                if beat_handle.is_none() {
+                    let (writer, beacon) = (writer.clone(), beacon.clone());
+                    let interval = Duration::from_millis(heartbeat_ms);
+                    beat_handle = Some(std::thread::spawn(move || {
+                        while beacon.tick(interval) {
+                            let rss_bytes = ngs_observe::read_memory().rss_bytes.unwrap_or(0);
+                            let (peak_alloc_bytes, alloc_count) = ngs_observe::alloc::snapshot()
+                                .map_or((0, 0), |s| (s.peak_live_bytes, s.alloc_count));
+                            let beat = Message::Heartbeat {
+                                worker_id,
+                                rss_bytes,
+                                peak_alloc_bytes,
+                                alloc_count,
+                            };
+                            if writer.lock().expect("writer lock").send(&beat).is_err() {
+                                break;
+                            }
+                        }
+                    }));
+                }
+            }
+            Ok(Message::Task { stage, task, attempt, trace_span, input }) => {
+                let (Some(job), Some(stage)) = (job.as_ref(), Stage::from_code(stage)) else {
+                    break 2;
+                };
+                let tracer = job.traced.then_some(&tracer);
+                let fault = job.plan.fault_for(stage, task as usize, attempt);
                 if fault == Some(FaultKind::StallHeartbeat) {
-                    stalled.store(true, Ordering::Relaxed);
+                    beacon.stop();
                     // Play dead: no heartbeats, no result, no exit. The
                     // driver's deadline sweep must kill and replace us.
                     loop {
@@ -1330,7 +1606,7 @@ fn worker_loop(
                 // result holds exactly this attempt's events, and its root
                 // re-parents under the driver-side lease span (whose id
                 // rides along in the detail for post-hoc correlation).
-                let task_span = tracer.as_ref().map(|t| {
+                let task_span = tracer.map(|t| {
                     t.begin_under_detail(
                         "worker.task",
                         ngs_observe::SpanId::ROOT,
@@ -1343,17 +1619,34 @@ fn worker_loop(
                 // or a profiled-but-untraced worker samples nothing.
                 ngs_observe::profile::on_span_enter("worker.task");
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let _exec = tracer.as_ref().map(|t| t.span("worker.exec"));
-                    run_worker_task(&*runner, stage, task as usize, attempt, &fault, &input, parts)
+                    let _exec = tracer.map(|t| t.span("worker.exec"));
+                    run_worker_task(
+                        &*job.runner,
+                        stage,
+                        task as usize,
+                        attempt,
+                        &fault,
+                        &input,
+                        job.parts,
+                    )
                 }));
                 ngs_observe::profile::on_span_exit();
-                if let (Some(t), Some(s)) = (tracer.as_ref(), task_span) {
+                if let (Some(t), Some(s)) = (tracer, task_span) {
                     t.end(s);
                 }
-                let trace = tracer.as_ref().map_or_else(Vec::new, |t| t.take_events());
+                let trace = tracer.map_or_else(Vec::new, |t| t.take_events());
                 let busy_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                let failed = |error: String, trace| Message::Failed {
+                    job: job.id,
+                    stage: stage.code(),
+                    task,
+                    attempt,
+                    error,
+                    trace,
+                };
                 let msg = match outcome {
                     Ok(Ok((output, emitted, combined, groups))) => Message::Done {
+                        job: job.id,
                         stage: stage.code(),
                         task,
                         attempt,
@@ -1365,22 +1658,14 @@ fn worker_loop(
                         trace,
                         profile: ngs_observe::profile::drain_folded(),
                     },
-                    Ok(Err(error)) => {
-                        Message::Failed { stage: stage.code(), task, attempt, error, trace }
-                    }
+                    Ok(Err(error)) => failed(error, trace),
                     Err(payload) => {
                         let error = payload
                             .downcast_ref::<String>()
                             .cloned()
                             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                             .unwrap_or_else(|| "panic".into());
-                        Message::Failed {
-                            stage: stage.code(),
-                            task,
-                            attempt,
-                            error: format!("panic: {error}"),
-                            trace,
-                        }
+                        failed(format!("panic: {error}"), trace)
                     }
                 };
                 if fault == Some(FaultKind::KillWorker) {
@@ -1410,25 +1695,33 @@ fn worker_loop(
                 // the last profile samples — before the socket closes, so
                 // the driver's stitched trace and merged flamegraph are
                 // complete even for idle workers.
-                if let Some(t) = tracer.as_ref() {
-                    t.instant_under("worker.drain", ngs_observe::SpanId::ROOT, "");
+                let traced = job.as_ref().is_some_and(|job| job.traced);
+                if traced {
+                    tracer.instant_under("worker.drain", ngs_observe::SpanId::ROOT, "");
                 }
-                let trace = tracer.as_ref().map_or_else(Vec::new, |t| t.take_events());
+                let trace = if traced { tracer.take_events() } else { Vec::new() };
                 let profile = ngs_observe::profile::drain_folded();
-                if tracer.is_some() || !profile.is_empty() {
+                if traced || !profile.is_empty() {
                     let flush = Message::TraceFlush { worker_id, trace, profile };
                     let _ = writer.lock().expect("writer lock").send(&flush);
                 }
                 break 0;
             }
             Ok(_) => break 2,
-            // Driver gone (job done and socket closed, or driver crash):
-            // nothing left to flush — exit cleanly.
+            // Driver gone (session over and socket closed, or driver
+            // crash): nothing left to flush — exit cleanly.
             Err(_) => break 0,
         }
     };
-    running.store(false, Ordering::Relaxed);
-    let _ = beat_handle.join();
+    // Leave at once: the stop wakes the heartbeat thread out of its wait,
+    // the profiler's sampler stops with it, and only then — by dropping
+    // `reader`, the last handle — does the socket close, which is what the
+    // driver's teardown takes as "exiting".
+    beacon.stop();
+    if let Some(handle) = beat_handle {
+        let _ = handle.join();
+    }
+    drop(profiler);
     code
 }
 
@@ -1704,6 +1997,185 @@ mod tests {
         for d in drains {
             assert!(spans[&d.parent].name.starts_with("mapreduce.worker."));
         }
+    }
+
+    /// A second spec for the session tests: words grouped by their length
+    /// (no combiner; values keep map order, so the output is ordered).
+    struct ByLengthSpec;
+
+    impl MapReduceSpec for ByLengthSpec {
+        type I = String;
+        type K = u64;
+        type V = String;
+        type O = (u64, Vec<String>);
+
+        const NAME: &'static str = "test.by_length";
+
+        fn to_bytes(&self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn from_bytes(bytes: &[u8]) -> Option<ByLengthSpec> {
+            bytes.is_empty().then_some(ByLengthSpec)
+        }
+
+        fn map(&self, record: &String, emit: &mut dyn FnMut(u64, String)) {
+            for w in record.split_whitespace() {
+                emit(w.len() as u64, w.to_string());
+            }
+        }
+
+        fn reduce(&self, len: &u64, words: Vec<String>, emit: &mut dyn FnMut((u64, Vec<String>))) {
+            emit((*len, words));
+        }
+    }
+
+    /// Job `n` of a session test: the two specs alternate. Returns whether
+    /// the pooled output equals `run_local`'s, and the pooled stats.
+    fn alternating_job(session: &mut PoolSession, n: usize, job: &JobConfig) -> (bool, JobStats) {
+        let input = docs();
+        if n.is_multiple_of(2) {
+            let (local, local_stats) = run_local(&WordCountSpec, &input, &cfg()).expect("local");
+            let (pooled, stats) = session.run(&WordCountSpec, &input, job).expect("pooled");
+            assert_eq!(stats.reduce_input_groups, local_stats.reduce_input_groups);
+            (pooled == local, stats)
+        } else {
+            let (local, local_stats) = run_local(&ByLengthSpec, &input, &cfg()).expect("local");
+            let (pooled, stats) = session.run(&ByLengthSpec, &input, job).expect("pooled");
+            assert_eq!(stats.map_output_records, local_stats.map_output_records);
+            (pooled == local, stats)
+        }
+    }
+
+    #[test]
+    fn six_alternating_jobs_on_one_session_match_run_local() {
+        let mut session = PoolSession::start(&pool()).expect("session");
+        let mut total = JobStats::default();
+        for n in 0..6 {
+            let (equal, stats) = alternating_job(&mut session, n, &cfg());
+            assert!(equal, "job {n} diverged from run_local");
+            // The pool is paid for once, on the first job.
+            assert_eq!(
+                (stats.pool_sessions, stats.pool_spawns),
+                (u64::from(n == 0), 2 * u64::from(n == 0))
+            );
+            assert!(stats.wire_bytes_sent > 0 && stats.wire_bytes_received > 0);
+            total.merge(&stats);
+        }
+        assert_eq!((total.pool_sessions, total.pool_spawns), (1, 2));
+        assert_eq!((total.worker_deaths, total.task_failures), (0, 0));
+    }
+
+    #[test]
+    fn a_kill_in_job_three_is_recovered_and_the_respawned_worker_serves_the_rest() {
+        let mut session = PoolSession::start(&pool()).expect("session");
+        let mut total = JobStats::default();
+        for n in 0..6 {
+            let mut job = cfg();
+            if n == 2 {
+                job.fault_plan =
+                    FaultPlan::none().with_fault(Stage::Reduce, 1, 0, FaultKind::KillWorker);
+            }
+            let (equal, stats) = alternating_job(&mut session, n, &job);
+            assert!(equal, "job {n} diverged from run_local");
+            assert_eq!(stats.worker_deaths, u64::from(n == 2), "job {n}");
+            total.merge(&stats);
+        }
+        assert_eq!(total.workers_respawned, 1);
+        assert_eq!(total.tasks_reassigned, 1);
+        assert_eq!((total.pool_sessions, total.pool_spawns), (1, 3));
+    }
+
+    #[test]
+    fn a_driver_pause_longer_than_the_heartbeat_timeout_kills_nobody() {
+        let mut pcfg = pool();
+        pcfg.heartbeat_interval = Duration::from_millis(20);
+        pcfg.heartbeat_timeout = Duration::from_millis(500);
+        let mut session = PoolSession::start(&pcfg).expect("session");
+        let mut total = JobStats::default();
+        for n in 0..3 {
+            // The driver is away for more than two timeouts; the heartbeats
+            // of that time are in the queue, stamped with their arrival, and
+            // are read before anybody is judged.
+            std::thread::sleep(pcfg.heartbeat_timeout * 5 / 2);
+            let (equal, stats) = alternating_job(&mut session, n, &cfg());
+            assert!(equal, "job {n} diverged from run_local");
+            total.merge(&stats);
+        }
+        assert_eq!((total.worker_deaths, total.pool_spawns), (0, 2));
+    }
+
+    #[test]
+    fn a_hello_that_waited_out_a_pause_is_not_held_against_its_worker() {
+        let mut pcfg = pool();
+        pcfg.heartbeat_timeout = Duration::from_millis(300);
+        let mut session = PoolSession::start(&pcfg).expect("session");
+        // Take both connections the way a job's first pump would, so their
+        // `Hello`s are read — and stamped — now, but let nobody look at them
+        // for two timeouts: the shape of a worker that was slow to connect
+        // and missed a short first job. It was never set up, so it owed no
+        // heartbeat in that time.
+        let mut early = Vec::new();
+        let mut adopted = 0;
+        while adopted < 2 {
+            match session.events.recv().expect("the session holds a sender") {
+                Event::Conn(stream) => {
+                    session.adopt(stream);
+                    adopted += 1;
+                }
+                other => early.push(other),
+            }
+        }
+        for event in early {
+            session.tx.send(event).expect("the session holds the receiver");
+        }
+        std::thread::sleep(pcfg.heartbeat_timeout * 2);
+        let (equal, stats) = alternating_job(&mut session, 0, &cfg());
+        assert!(equal);
+        assert_eq!((stats.worker_deaths, stats.pool_spawns), (0, 2));
+    }
+
+    #[test]
+    fn a_worker_lost_between_jobs_is_respawned_for_the_next_job() {
+        LEASE_AFTER_FULL_HANDSHAKE.set(true);
+        let mut session = PoolSession::start(&pool()).expect("session");
+        let (equal, _) = alternating_job(&mut session, 0, &cfg());
+        assert!(equal);
+        // Hang up on worker 0 while no job runs: its death is noticed, and
+        // its replacement set up, by the job that comes next.
+        session.slots[0].conn.as_ref().expect("worker 0 is connected").shutdown();
+        let (equal, stats) = alternating_job(&mut session, 1, &cfg());
+        assert!(equal);
+        assert_eq!((stats.worker_deaths, stats.workers_respawned, stats.pool_spawns), (1, 1, 1));
+        assert_eq!(stats.task_failures, 0, "no lease was lost with it");
+        assert_eq!(session.slots[0].respawns_left, pool().max_respawns - 1);
+    }
+
+    #[test]
+    fn respawn_budget_exhaustion_mid_session_fails_that_job_and_the_session_still_tears_down() {
+        let mut pcfg = pool();
+        pcfg.max_respawns = 1;
+        let mut session = PoolSession::start(&pcfg).expect("session");
+        let (equal, _) = alternating_job(&mut session, 0, &cfg());
+        assert!(equal);
+        let mut faulty = cfg();
+        faulty.max_attempts = 64;
+        for attempt in 0..64 {
+            faulty.fault_plan =
+                faulty.fault_plan.with_fault(Stage::Map, 0, attempt, FaultKind::KillWorker);
+        }
+        let err = session.run(&WordCountSpec, &docs(), &faulty).expect_err("must fail");
+        assert_eq!(err.stage, Stage::Map);
+        assert!(err.last_error.contains("exhausted"), "{}", err.last_error);
+        // Nobody is left to run anything; the session says so at once.
+        let err = session.run(&ByLengthSpec, &docs(), &cfg()).expect_err("no workers left");
+        assert!(err.last_error.contains("exhausted"), "{}", err.last_error);
+        // With every slot dead there is nobody to drain and nothing to wait
+        // for: teardown joins its threads and removes the socket.
+        let flushes = session.teardown();
+        assert!(flushes.is_empty());
+        assert!(session.accept_handle.is_none() && session.readers.is_empty());
+        assert!(!session.socket_path.exists());
     }
 
     #[test]

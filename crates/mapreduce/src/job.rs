@@ -1027,6 +1027,30 @@ mod tests {
     }
 
     #[test]
+    fn map_checkpoint_with_the_old_checksum_is_recomputed() {
+        let dir = std::env::temp_dir().join(format!("mrlite_ckpt_fnv_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = JobConfig::with_workers(3);
+        cfg.map_checkpoint_dir = Some(dir.clone());
+        let docs = ["a b a", "b c", "a"];
+        word_count_stats(&cfg, &docs).expect("cold run");
+        // What a build from before the word-wise checksum left behind: the
+        // same layout, the file sealed with FNV-1a. It is not trusted.
+        let path = dir.join("map_t0.ckpt");
+        let mut bytes = std::fs::read(&path).expect("checkpoint written");
+        let body = bytes.len() - 8;
+        let old = crate::codec::tests::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&old.to_le_bytes());
+        assert!(decode_map_checkpoint::<String, u64>(&bytes, 1, cfg.reduce_partitions).is_none());
+        std::fs::write(&path, &bytes).expect("old checkpoint");
+        let (mut warm, stats) = word_count_stats(&cfg, &docs).expect("warm run");
+        assert_eq!(stats.map_tasks_resumed, 2, "the old checkpoint recomputes, the rest reload");
+        warm.sort();
+        assert_eq!(warm, word_count(&JobConfig::with_workers(3), &docs));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn map_checkpoints_survive_a_failed_job_and_resume_it() {
         let dir = std::env::temp_dir().join(format!("mrlite_ckpt_fail_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -28,7 +28,8 @@
 //!   heartbeat) and the job still completes byte-identically: the driver
 //!   detects torn frames and missed heartbeat/lease deadlines, reassigns
 //!   the lease, and respawns dead workers within a bounded, jittered
-//!   backoff budget. [`run_pooled`] is the entry point; jobs are named
+//!   backoff budget. A [`PoolSession`] keeps the workers warm across
+//!   jobs ([`run_pooled`] is a session of one); jobs are named
 //!   [`MapReduceSpec`]s resolved through a [`JobRegistry`] on the worker
 //!   side, because closures cannot cross a process boundary.
 //!
@@ -58,7 +59,8 @@ pub use codec::Codec;
 pub use counters::{record_job_stats, JobStats};
 pub use dfs::{BlockStore, DfsConfig};
 pub use executor::{
-    run_local, run_pooled, worker_main, JobRegistry, MapReduceSpec, PoolConfig, WordCountSpec,
+    run_local, run_pooled, worker_main, JobRegistry, MapReduceSpec, PoolConfig, PoolSession,
+    WordCountSpec,
 };
 pub use fault::{FaultKind, FaultPlan, Stage};
 pub use job::{map_reduce, map_reduce_simple, JobConfig, JobError};

@@ -3,10 +3,11 @@
 //! Everything on the socket is an *outer frame*:
 //!
 //! ```text
-//! [magic "MRW1" 4B][payload_len u64 LE][fnv1a(payload) u64 LE][payload]
+//! [magic "MRW1" 4B][payload_len u64 LE][checksum(payload) u64 LE][payload]
 //! ```
 //!
-//! and every payload is one [`Message`], tag byte + [`Codec`]-encoded
+//! (the checksum is [`crate::codec::checksum`], word-wise and four lanes
+//! wide) and every payload is one [`Message`], tag byte + [`Codec`]-encoded
 //! fields. The outer checksum makes torn writes from a SIGKILLed worker
 //! detectable at the transport (the driver sees [`ProtocolError::Torn`]
 //! or [`ProtocolError::ChecksumMismatch`], never half a message), while
@@ -15,10 +16,21 @@
 //! so corruption introduced after the outer frame was built — or by a
 //! fault plan — is still caught before any record is trusted.
 //!
+//! A connection carries one worker's whole life in a
+//! [`crate::PoolSession`]: `Hello`, then for every job of the session a
+//! `Setup` followed by that job's `Task`s — each answered by a `Done` or
+//! `Failed` stamped with the job's number —, then `Drain` (answered by a
+//! `TraceFlush` when there is something to flush); `Heartbeat`s run
+//! alongside from the first `Setup` on:
+//!
+//! ```text
+//! Hello → (Setup → Task*)* → Drain
+//! ```
+//!
 //! Decoding is total: any byte sequence yields either a message or a
 //! typed [`ProtocolError`]; no input panics or silently short-reads.
 
-use crate::codec::{checksum, Codec};
+use crate::codec::{checksum, sealed, Codec, SEAL_LEN};
 use ngs_observe::trace::{SpanId, TraceEvent, TraceEventKind};
 use std::io::{Read, Write};
 
@@ -27,7 +39,7 @@ use std::io::{Read, Write};
 pub const PROTO_MAGIC: [u8; 4] = *b"MRW1";
 
 /// Outer-frame header length: magic + payload length + checksum.
-pub const HEADER_LEN: usize = 4 + 8 + 8;
+pub const HEADER_LEN: usize = 4 + SEAL_LEN;
 
 /// Upper bound on one frame's payload (1 GiB). A length field above this
 /// is treated as corruption, not as a huge allocation request.
@@ -68,20 +80,48 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// Build a complete outer frame around the payload `body` appends.
+fn build_frame(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = PROTO_MAGIC.to_vec();
+    sealed(&mut out, body);
+    out
+}
+
 /// Encode one payload as a complete outer frame (header + payload).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&PROTO_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    build_frame(|out| out.extend_from_slice(payload))
+}
+
+/// The complete outer frame of a [`Message::Task`], from a borrowed input:
+/// the driver keeps each task's input for retries and frames it straight
+/// from there, lease after lease.
+pub fn task_frame(stage: u8, task: u64, attempt: u32, trace_span: u64, input: &[u8]) -> Vec<u8> {
+    build_frame(|out| encode_task(stage, task, attempt, trace_span, input, out))
+}
+
+fn encode_task(
+    stage: u8,
+    task: u64,
+    attempt: u32,
+    trace_span: u64,
+    input: &[u8],
+    out: &mut Vec<u8>,
+) {
+    out.push(TAG_TASK);
+    (stage, task, attempt).encode(out);
+    trace_span.encode(out);
+    (input.len() as u32).encode(out);
+    out.extend_from_slice(input);
 }
 
 /// Write one frame as a single `write_all` (one buffer, so a live writer
 /// never interleaves with itself; only death can tear a frame).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
-    w.write_all(&encode_frame(payload)).map_err(|e| ProtocolError::Io(e.to_string()))
+    w.write_all(&encode_frame(payload)).map_err(io_error)
+}
+
+fn io_error(e: std::io::Error) -> ProtocolError {
+    ProtocolError::Io(e.to_string())
 }
 
 /// Read until `buf` is full or EOF; returns the bytes actually read.
@@ -143,8 +183,14 @@ pub enum Message {
         /// estimate the clock offset between the two trace timelines.
         now_ns: u64,
     },
-    /// Driver → worker: job parameters, sent once after `Hello`.
+    /// Driver → worker: the parameters of one job. Sent after `Hello` and
+    /// again, between tasks, whenever the session starts its next job; it
+    /// replaces the spec, partition count and fault plan the worker holds.
     Setup {
+        /// Sequence number of the job within its session. The worker
+        /// stamps every `Done`/`Failed` with it, so a result that outlived
+        /// its (failed) job cannot be mistaken for one of the next job's.
+        job: u64,
         /// Registry name of the [`crate::executor::MapReduceSpec`] to run.
         spec: String,
         /// Opaque spec payload (the spec's own serialized parameters).
@@ -153,7 +199,8 @@ pub enum Message {
         parts: u64,
         /// Serialized [`crate::FaultPlan`] ([`crate::FaultPlan::to_bytes`]).
         fault_plan: Vec<u8>,
-        /// Interval at which the worker must heartbeat, in milliseconds.
+        /// Interval at which the worker must heartbeat, in milliseconds
+        /// (fixed by the first `Setup`: the beacon outlives the job).
         heartbeat_ms: u64,
         /// Whether the driver is tracing: workers record and ship trace
         /// chunks only when set, so un-traced runs pay nothing.
@@ -186,6 +233,8 @@ pub enum Message {
     },
     /// Worker → driver: a task attempt finished.
     Done {
+        /// The job the attempt belonged to (see [`Message::Setup`]).
+        job: u64,
         stage: u8,
         task: u64,
         attempt: u32,
@@ -211,6 +260,7 @@ pub enum Message {
     },
     /// Worker → driver: a task attempt failed but the worker is healthy.
     Failed {
+        job: u64,
         stage: u8,
         task: u64,
         attempt: u32,
@@ -229,7 +279,8 @@ pub enum Message {
         /// Total allocation count per the tracking allocator (0 when off).
         alloc_count: u64,
     },
-    /// Driver → worker: no more tasks; finish up and exit 0.
+    /// Driver → worker: the session is over; flush, wake the heartbeat
+    /// thread and exit 0.
     Drain,
     /// Worker → driver, in response to `Drain`: any trace events still
     /// buffered outside a task attempt (e.g. the worker's drain marker)
@@ -324,12 +375,23 @@ impl Message {
     /// Encode into an outer-frame payload.
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encode as one complete outer frame, the payload written once.
+    pub fn to_frame(&self) -> Vec<u8> {
+        build_frame(|out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { worker_id, pid, now_ns } => {
                 out.push(TAG_HELLO);
-                (*worker_id, *pid, *now_ns).encode(&mut out);
+                (*worker_id, *pid, *now_ns).encode(out);
             }
             Message::Setup {
+                job,
                 spec,
                 spec_bytes,
                 parts,
@@ -341,20 +403,19 @@ impl Message {
                 clock_offset_ns,
             } => {
                 out.push(TAG_SETUP);
-                spec.encode(&mut out);
-                spec_bytes.encode(&mut out);
-                (*parts, *heartbeat_ms).encode(&mut out);
-                fault_plan.encode(&mut out);
-                (*traced, *profile_mem, *clock_offset_ns).encode(&mut out);
-                profile_hz.encode(&mut out);
+                job.encode(out);
+                spec.encode(out);
+                spec_bytes.encode(out);
+                (*parts, *heartbeat_ms).encode(out);
+                fault_plan.encode(out);
+                (*traced, *profile_mem, *clock_offset_ns).encode(out);
+                profile_hz.encode(out);
             }
             Message::Task { stage, task, attempt, trace_span, input } => {
-                out.push(TAG_TASK);
-                (*stage, *task, *attempt).encode(&mut out);
-                trace_span.encode(&mut out);
-                input.encode(&mut out);
+                encode_task(*stage, *task, *attempt, *trace_span, input, out);
             }
             Message::Done {
+                job,
                 stage,
                 task,
                 attempt,
@@ -367,33 +428,34 @@ impl Message {
                 profile,
             } => {
                 out.push(TAG_DONE);
-                (*stage, *task, *attempt).encode(&mut out);
-                (*emitted, *combined, *groups).encode(&mut out);
-                busy_ns.encode(&mut out);
-                output.encode(&mut out);
-                encode_trace(trace, &mut out);
-                encode_profile(profile, &mut out);
+                job.encode(out);
+                (*stage, *task, *attempt).encode(out);
+                (*emitted, *combined, *groups).encode(out);
+                busy_ns.encode(out);
+                output.encode(out);
+                encode_trace(trace, out);
+                encode_profile(profile, out);
             }
-            Message::Failed { stage, task, attempt, error, trace } => {
+            Message::Failed { job, stage, task, attempt, error, trace } => {
                 out.push(TAG_FAILED);
-                (*stage, *task, *attempt).encode(&mut out);
-                error.encode(&mut out);
-                encode_trace(trace, &mut out);
+                job.encode(out);
+                (*stage, *task, *attempt).encode(out);
+                error.encode(out);
+                encode_trace(trace, out);
             }
             Message::Heartbeat { worker_id, rss_bytes, peak_alloc_bytes, alloc_count } => {
                 out.push(TAG_HEARTBEAT);
-                (*worker_id, *rss_bytes).encode(&mut out);
-                (*peak_alloc_bytes, *alloc_count).encode(&mut out);
+                (*worker_id, *rss_bytes).encode(out);
+                (*peak_alloc_bytes, *alloc_count).encode(out);
             }
             Message::Drain => out.push(TAG_DRAIN),
             Message::TraceFlush { worker_id, trace, profile } => {
                 out.push(TAG_TRACE_FLUSH);
-                worker_id.encode(&mut out);
-                encode_trace(trace, &mut out);
-                encode_profile(profile, &mut out);
+                worker_id.encode(out);
+                encode_trace(trace, out);
+                encode_profile(profile, out);
             }
         }
-        out
     }
 
     /// Decode an outer-frame payload. The whole payload must be consumed;
@@ -408,6 +470,7 @@ impl Message {
                 Message::Hello { worker_id, pid, now_ns }
             }
             TAG_SETUP => {
+                let job = u64::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let spec = String::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let spec_bytes = Vec::<u8>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let (parts, heartbeat_ms) =
@@ -417,6 +480,7 @@ impl Message {
                     <(bool, bool, i64)>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let profile_hz = u64::decode(inp).ok_or(ProtocolError::Malformed)?;
                 Message::Setup {
+                    job,
                     spec,
                     spec_bytes,
                     parts,
@@ -436,6 +500,7 @@ impl Message {
                 Message::Task { stage, task, attempt, trace_span, input }
             }
             TAG_DONE => {
+                let job = u64::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let (stage, task, attempt) =
                     <(u8, u64, u32)>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let (emitted, combined, groups) =
@@ -445,6 +510,7 @@ impl Message {
                 let trace = decode_trace(inp).ok_or(ProtocolError::Malformed)?;
                 let profile = decode_profile(inp).ok_or(ProtocolError::Malformed)?;
                 Message::Done {
+                    job,
                     stage,
                     task,
                     attempt,
@@ -458,11 +524,12 @@ impl Message {
                 }
             }
             TAG_FAILED => {
+                let job = u64::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let (stage, task, attempt) =
                     <(u8, u64, u32)>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let error = String::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let trace = decode_trace(inp).ok_or(ProtocolError::Malformed)?;
-                Message::Failed { stage, task, attempt, error, trace }
+                Message::Failed { job, stage, task, attempt, error, trace }
             }
             TAG_HEARTBEAT => {
                 let (worker_id, rss_bytes) =
@@ -494,7 +561,7 @@ pub fn read_message(r: &mut impl Read) -> Result<Message, ProtocolError> {
 
 /// Encode and write one message as a single frame.
 pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), ProtocolError> {
-    write_frame(w, &msg.to_payload())
+    w.write_all(&msg.to_frame()).map_err(io_error)
 }
 
 #[cfg(test)]
@@ -575,6 +642,7 @@ mod tests {
         vec![
             Message::Hello { worker_id: 3, pid: 4242, now_ns: 123_456_789 },
             Message::Setup {
+                job: 3,
                 spec: "wordcount".into(),
                 spec_bytes: vec![1, 2, 3],
                 parts: 8,
@@ -593,6 +661,7 @@ mod tests {
                 input: crate::codec::encode_frames(&[(1u64, 2u32), (3, 4)]),
             },
             Message::Done {
+                job: 3,
                 stage: 2,
                 task: 1,
                 attempt: 0,
@@ -605,6 +674,7 @@ mod tests {
                 profile: sample_profile(),
             },
             Message::Failed {
+                job: 3,
                 stage: 1,
                 task: 0,
                 attempt: 2,
@@ -672,6 +742,7 @@ mod tests {
         let good =
             Message::Heartbeat { worker_id: 0, rss_bytes: 1, peak_alloc_bytes: 0, alloc_count: 0 };
         let torn = Message::Done {
+            job: 0,
             stage: 0,
             task: 0,
             attempt: 0,

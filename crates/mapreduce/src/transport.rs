@@ -8,7 +8,7 @@
 //! [`FrameConn::send_torn`] deliberately writes half a frame and is the
 //! hook behind [`crate::FaultKind::KillWorker`] injection.
 
-use crate::protocol::{encode_frame, read_frame, Message, ProtocolError};
+use crate::protocol::{read_frame, Message, ProtocolError};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -44,23 +44,32 @@ impl FrameConn {
 
     /// Send one message as one atomic frame.
     pub fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
-        self.stream
-            .write_all(&encode_frame(&msg.to_payload()))
-            .map_err(|e| ProtocolError::Io(e.to_string()))
+        self.send_frame(&msg.to_frame())
+    }
+
+    /// Write one already encoded outer frame ([`Message::to_frame`],
+    /// [`crate::protocol::task_frame`]) with a single `write_all`.
+    pub fn send_frame(&mut self, frame: &[u8]) -> Result<(), ProtocolError> {
+        self.stream.write_all(frame).map_err(|e| ProtocolError::Io(e.to_string()))
     }
 
     /// Receive one message, blocking until a full frame arrives.
     pub fn recv(&mut self) -> Result<Message, ProtocolError> {
-        Message::from_payload(&read_frame(&mut self.stream)?)
+        Message::from_payload(&self.recv_payload()?)
+    }
+
+    /// Receive one frame and return its verified payload, undecoded; the
+    /// frame took [`crate::protocol::HEADER_LEN`] more bytes on the wire.
+    pub fn recv_payload(&mut self) -> Result<Vec<u8>, ProtocolError> {
+        read_frame(&mut self.stream)
     }
 
     /// Write only the first half of the frame, then shut the write side —
     /// the wire image of a worker SIGKILLed mid-result. Fault injection
     /// only; the peer must observe [`ProtocolError::Torn`].
     pub fn send_torn(&mut self, msg: &Message) -> Result<(), ProtocolError> {
-        let frame = encode_frame(&msg.to_payload());
-        let half = &frame[..frame.len() / 2];
-        self.stream.write_all(half).map_err(|e| ProtocolError::Io(e.to_string()))?;
+        let frame = msg.to_frame();
+        self.send_frame(&frame[..frame.len() / 2])?;
         let _ = self.stream.shutdown(std::net::Shutdown::Write);
         Ok(())
     }
@@ -95,6 +104,7 @@ pub fn scratch_socket_path(dir: Option<&Path>, tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::encode_frame;
 
     #[test]
     fn messages_cross_a_socket_both_ways() {
@@ -128,6 +138,7 @@ mod tests {
         });
         let mut conn = FrameConn::connect(&path).expect("connect");
         conn.send_torn(&Message::Failed {
+            job: 0,
             stage: 0,
             task: 0,
             attempt: 0,
@@ -155,8 +166,14 @@ mod tests {
             let mut conn = FrameConn::from_stream(stream);
             (conn.recv(), conn.recv())
         });
-        let first =
-            Message::Failed { stage: 1, task: 2, attempt: 3, error: "boom".into(), trace: vec![] };
+        let first = Message::Failed {
+            job: 0,
+            stage: 1,
+            task: 2,
+            attempt: 3,
+            error: "boom".into(),
+            trace: vec![],
+        };
         let second = Message::Heartbeat {
             worker_id: 7,
             rss_bytes: 1 << 20,
@@ -181,8 +198,14 @@ mod tests {
     /// header, at the payload boundary, and one byte short of complete.
     #[test]
     fn disconnect_at_every_interesting_offset_is_torn_never_garbage() {
-        let msg =
-            Message::Failed { stage: 0, task: 9, attempt: 1, error: "x".repeat(64), trace: vec![] };
+        let msg = Message::Failed {
+            job: 0,
+            stage: 0,
+            task: 9,
+            attempt: 1,
+            error: "x".repeat(64),
+            trace: vec![],
+        };
         let wire = encode_frame(&msg.to_payload());
         let header_len = 20; // magic + payload_len + checksum
         let cuts = [0usize, 1, 3, header_len - 1, header_len, header_len + 1, wire.len() - 1];
@@ -213,7 +236,14 @@ mod tests {
         let msgs = vec![
             Message::Hello { worker_id: 1, pid: 100, now_ns: 0 },
             Message::Heartbeat { worker_id: 1, rss_bytes: 42, peak_alloc_bytes: 0, alloc_count: 0 },
-            Message::Failed { stage: 2, task: 4, attempt: 0, error: "late".into(), trace: vec![] },
+            Message::Failed {
+                job: 0,
+                stage: 2,
+                task: 4,
+                attempt: 0,
+                error: "late".into(),
+                trace: vec![],
+            },
             Message::Drain,
         ];
         let expect = msgs.clone();

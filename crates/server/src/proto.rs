@@ -1,7 +1,7 @@
 //! Wire protocol between `ngs-serve` and its clients.
 //!
 //! Every message travels as one `MRW1` outer frame — the same
-//! length-prefixed, FNV-1a-checksummed framing the MapReduce worker pool
+//! length-prefixed, checksummed framing the MapReduce worker pool
 //! speaks ([`mapreduce_lite::protocol`]), so torn writes from a killed
 //! peer surface as [`ProtocolError::Torn`] and bit flips as
 //! [`ProtocolError::ChecksumMismatch`], never as half a message. The

@@ -700,8 +700,21 @@ mod tests {
         ServeMessage::Correct { request_id: 1, deadline_ms: 0, reads: reads.clone() }
             .write_to(&mut inflight)
             .expect("write");
-        std::thread::sleep(Duration::from_millis(20));
-        // Drain while request 1 is being corrected; it must still finish.
+        // Raise the drain flag only once request 1 is past admission —
+        // queued, being corrected, or already answered (a first latency
+        // sample) — however long the handler takes to get there.
+        loop {
+            match roundtrip(&ep, &ServeMessage::Stats { request_id: 9 }) {
+                ServeMessage::StatsReply { queue_depth, in_flight, latency_p50_us, .. } => {
+                    if queue_depth + in_flight >= 1 || latency_p50_us > 0 {
+                        break;
+                    }
+                }
+                other => panic!("expected StatsReply, got {other:?}"),
+            }
+            std::thread::yield_now();
+        }
+        // Drain with request 1 admitted; it must still finish.
         handle.drain_flag().store(true, Ordering::Release);
         let reply = ServeMessage::read_from(&mut inflight).expect("in-flight reply");
         assert!(matches!(reply, ServeMessage::Corrected { request_id: 1, .. }), "{reply:?}");

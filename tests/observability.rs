@@ -18,7 +18,7 @@ use std::time::Duration;
 const NAMES: &[&str] = &["a", "b.c", "b.d", "e.f.g", "h"];
 
 fn arb_job_stats() -> impl Strategy<Value = JobStats> {
-    vec(0u64..1_000_000, 18).prop_map(|v| JobStats {
+    vec(0u64..1_000_000, 22).prop_map(|v| JobStats {
         map_input_records: v[0],
         map_output_records: v[1],
         combine_output_records: v[2],
@@ -37,6 +37,10 @@ fn arb_job_stats() -> impl Strategy<Value = JobStats> {
         worker_deaths: v[15],
         workers_respawned: v[16],
         tasks_reassigned: v[17],
+        pool_spawns: v[18],
+        pool_sessions: v[19],
+        wire_bytes_sent: v[20],
+        wire_bytes_received: v[21],
     })
 }
 
@@ -188,6 +192,11 @@ proptest! {
         prop_assert_eq!(report.counter("job.corrupt_frames"), stats.corrupt_frames);
         prop_assert_eq!(report.counter("job.map_input_records"), stats.map_input_records);
         prop_assert_eq!(report.counter("job.shuffle_bytes"), stats.shuffle_bytes);
+        // What the pool cost keeps its own names, whatever the prefix.
+        prop_assert_eq!(report.counter("mapreduce.pool.spawns"), stats.pool_spawns);
+        prop_assert_eq!(report.counter("mapreduce.pool.sessions"), stats.pool_sessions);
+        prop_assert_eq!(report.counter("mapreduce.wire_bytes_sent"), stats.wire_bytes_sent);
+        prop_assert_eq!(report.counter("mapreduce.wire_bytes_received"), stats.wire_bytes_received);
     }
 }
 
