@@ -34,7 +34,7 @@ const REQUIRED: &[(&str, &[&str])] = &[
     (
         "reptile",
         &[
-            "reptile.build.spectrum",
+            "reptile.build.anchors",
             "reptile.build.tiles",
             "reptile.build.neighbor_index",
             "reptile.correct",
@@ -248,8 +248,14 @@ fn run_reptile() -> Collector {
     let spec = datasets::Ch2Spec { genome_len: 6_000, ..datasets::ch2_specs()[1].clone() };
     let (_, sim) = datasets::make_ch2(&spec);
     let collector = Collector::new();
-    let params = reptile::ReptileParams::from_data(&sim.reads, spec.genome_len);
-    let corrector = reptile::Reptile::build_observed(&sim.reads, params, &collector);
+    // Phase 1 once, as the CLI runs it: the table the thresholds are read
+    // off is the table the index keeps.
+    let (params, tiles) = {
+        let _s = collector.span("reptile.build.tiles");
+        reptile::ReptileParams::from_data_with_tiles(&sim.reads, spec.genome_len, None)
+    };
+    let corrector =
+        reptile::Reptile::build_with_observed(&sim.reads, params, Some(tiles), &collector);
     let _ = corrector.correct_observed(&sim.reads, &collector);
     collector
 }

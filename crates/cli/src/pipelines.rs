@@ -20,6 +20,7 @@ use crate::{
 };
 use ngs_core::{NgsError, Read, Result};
 use ngs_durable::{ByteWriter, CheckpointStore, Fingerprint};
+use ngs_kmer::TileTable;
 use ngs_observe::sampler::{ProgressMeter, ResourceSampler};
 use ngs_observe::Collector;
 use ngs_seqio::MalformedPolicy;
@@ -308,28 +309,60 @@ pub(crate) fn reptile_params_key(p: &reptile::ReptileParams) -> u64 {
     })
 }
 
-/// Reptile parameters from the data, with the shared `--k`/`--d`
-/// overrides applied. One function so `reptile-correct` and `ngs-serve`
-/// derive *identical* parameters (and thus an identical checkpoint key)
-/// from identical flags — that is what lets a batch run warm-start the
-/// server and vice versa.
-pub(crate) fn reptile_params_from_args(
+/// What both Reptile drivers do between loading the reads and having an
+/// index: parameters from the data with the shared `--k`/`--d` overrides
+/// applied — `--k` before the thresholds are taken, so they are thresholds
+/// of the tiles that run — and ambiguity preprocessing in place. One
+/// function so `reptile-correct` and `ngs-serve` derive *identical*
+/// parameters (and thus an identical checkpoint key) from identical flags —
+/// that is what lets a batch run warm-start the server and vice versa.
+///
+/// Returns the parameters and, when preprocessing changed no read, the tile
+/// table the thresholds were read off: the table of `reads` as they now
+/// are, for `Reptile::build_with_observed` to keep instead of building it
+/// again. The two passes go under the caller's span names, `[parameters and
+/// table, preprocessing]`: to the batch run the first is Phase-1 work done
+/// early, to a warm-starting server it is what is left of start-up.
+pub(crate) fn reptile_prepare(
     args: &Args,
-    reads: &[Read],
+    reads: &mut [Read],
     genome_len: usize,
-) -> Result<reptile::ReptileParams> {
-    let mut params = reptile::ReptileParams::from_data(reads, genome_len);
-    if let Some(k) = args.value_of("k")? {
-        params.k =
-            k.parse().map_err(|_| NgsError::InvalidParameter(format!("--k: bad value {k:?}")))?;
-    }
+    collector: &Collector,
+    [tiles_span, preprocess_span]: [&str; 2],
+) -> Result<(reptile::ReptileParams, Option<TileTable>)> {
+    let k = args
+        .value_of("k")?
+        .map(|raw| match raw.parse() {
+            Ok(k) if (1..=16).contains(&k) => Ok(k),
+            _ => Err(NgsError::InvalidParameter(format!("--k: need 1..=16, got {raw:?}"))),
+        })
+        .transpose()?;
+    let (mut params, tiles) = {
+        let mut s = collector.span_with_threads(tiles_span, rayon::current_num_threads());
+        let derived = reptile::ReptileParams::from_data_with_tiles(reads, genome_len, k);
+        s.set_threads(rayon::last_threads_used());
+        derived
+    };
     params.d = args.get_parsed("d", params.d)?;
-    Ok(params)
+    eprintln!(
+        "parameters: k={} d={} |t|={} Cg={} Cm={} Qc={}",
+        params.k,
+        params.d,
+        params.tile_len(),
+        params.cg,
+        params.cm,
+        params.qc
+    );
+    let changed = {
+        let _s = collector.span(preprocess_span);
+        reptile::ambig::preprocess_in_place(reads, &params)
+    };
+    Ok((params, (changed == 0).then_some(tiles)))
 }
 
 /// `reptile-correct` driver: build (or resume) the Phase-1 index, then
-/// correct. Checkpointed stage: `index` (spectrum + tile table + neighbour
-/// index, the dominant build cost).
+/// correct the reads where they were loaded. Checkpointed stage: `index`
+/// (parameters + tile table; anchors and neighbour index are derived).
 pub fn reptile_correct(args: &Args) -> Result<()> {
     let input = args.require("input")?;
     let output = args.require("output")?;
@@ -344,25 +377,12 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
     // trace (ambient parenting on this thread). Dropped before the
     // metrics/trace emit so it is recorded in both.
     let run_span = collector.span("reptile.run");
-    let reads = load_reads(input, &opts, &collector)?;
+    let mut reads = load_reads(input, &opts, &collector)?;
 
-    let params = reptile_params_from_args(args, &reads, genome_len)?;
-    eprintln!(
-        "parameters: k={} d={} |t|={} Cg={} Cm={} Qc={}",
-        params.k,
-        params.d,
-        params.tile_len(),
-        params.cg,
-        params.cm,
-        params.qc
-    );
-
-    // Mirror Reptile::run_observed: ambiguity preprocessing happens before
-    // the index is built, so a resumed index sees the same read set.
-    let pre = {
-        let _s = collector.span("reptile.preprocess");
-        reptile::ambig::preprocess_ambiguous(&reads, &params)
-    };
+    // Ambiguity preprocessing happens before the index is built, so a
+    // resumed index sees the same read set.
+    let spans = ["reptile.build.tiles", "reptile.preprocess"];
+    let (params, tiles) = reptile_prepare(args, &mut reads, genome_len, &collector, spans)?;
 
     let mut store = opts.store("reptile", input, &collector)?;
     let params_key = reptile_params_key(&params);
@@ -381,7 +401,7 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
             r
         }
         None => {
-            let r = reptile::Reptile::build_observed(&pre, params, &collector);
+            let r = reptile::Reptile::build_with_observed(&reads, params, tiles, &collector);
             if let Some(s) = store.as_mut() {
                 s.save("index", params_key, &r.snapshot_bytes())?;
             }
@@ -389,7 +409,7 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
             r
         }
     };
-    let (corrected, stats) = rpt.correct_observed(&pre, &collector);
+    let stats = rpt.correct_in_place_observed(&mut reads, &collector);
     eprintln!(
         "corrected in {:.2?}: {} bases changed in {} reads \
          ({} tiles validated, {} corrected, {} unresolved)",
@@ -410,18 +430,14 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
         cost.tile_entries_scanned,
         cost.mutants_found
     );
-    write_sequences(output, &corrected)?;
+    write_sequences(output, &reads)?;
     eprintln!("wrote {output}");
 
-    // A resumed run never executes the build spans; gate only on what this
-    // process actually did.
-    let mut required = vec!["reptile.run", "reptile.correct"];
+    // A resumed run derives anchors and neighbour index inside the snapshot
+    // load, outside any span; gate only on what this process recorded.
+    let mut required = vec!["reptile.run", "reptile.build.tiles", "reptile.correct"];
     if !resumed_index {
-        required.extend([
-            "reptile.build.spectrum",
-            "reptile.build.tiles",
-            "reptile.build.neighbor_index",
-        ]);
+        required.extend(["reptile.build.anchors", "reptile.build.neighbor_index"]);
     }
     drop(run_span);
     // The profiler stops in finish(), which folds CPU figures into the

@@ -6,11 +6,13 @@
 //! — pipeline `reptile`, stage `index`, the same parameter key — so a
 //! prior batch run warm-starts the server (and a server run warms later
 //! batch runs). A warm start is visible in the trace: a `serve.index.load`
-//! span instead of the three `reptile.build.*` spans.
+//! span instead of the `reptile.build.*` spans. Either start derives the
+//! parameters, tile table included, under `serve.params`; a cold one keeps
+//! that table for the index.
 
 use crate::pipelines::{
-    apply_threads_flag, load_reads, parse_thread_count, reptile_params_from_args,
-    reptile_params_key, DurabilityOpts, ObserveOpts, ObserveSession,
+    apply_threads_flag, load_reads, parse_thread_count, reptile_params_key, reptile_prepare,
+    DurabilityOpts, ObserveOpts, ObserveSession,
 };
 use crate::{emit_metrics, emit_trace, metrics_collector, write_sequences, Args};
 use ngs_core::{NgsError, Result};
@@ -65,25 +67,12 @@ fn load_or_build_index(
     collector: &Arc<Collector>,
 ) -> Result<(Arc<Reptile>, bool)> {
     let genome_len: usize = args.get_parsed("genome-len", 1_000_000)?;
-    let reads = load_reads(input, opts, collector)?;
-    let params = reptile_params_from_args(args, &reads, genome_len)?;
-    eprintln!(
-        "parameters: k={} d={} |t|={} Cg={} Cm={} Qc={}",
-        params.k,
-        params.d,
-        params.tile_len(),
-        params.cg,
-        params.cm,
-        params.qc
-    );
-
-    // Same preprocessing as the batch pipeline: the index must be built
-    // over the identical read set for served corrections to be
-    // byte-identical to `reptile-correct` output.
-    let pre = {
-        let _s = collector.span("serve.preprocess");
-        reptile::ambig::preprocess_ambiguous(&reads, &params)
-    };
+    let mut reads = load_reads(input, opts, collector)?;
+    // Same parameters and preprocessing as the batch pipeline: the index
+    // must be built over the identical read set for served corrections to
+    // be byte-identical to `reptile-correct` output.
+    let spans = ["serve.params", "serve.preprocess"];
+    let (params, tiles) = reptile_prepare(args, &mut reads, genome_len, collector, spans)?;
 
     let mut store = opts.store("reptile", input, collector)?;
     let params_key = reptile_params_key(&params);
@@ -104,7 +93,7 @@ fn load_or_build_index(
             r
         }
         None => {
-            let r = Reptile::build_observed(&pre, params, collector);
+            let r = Reptile::build_with_observed(&reads, params, tiles, collector);
             if let Some(s) = store.as_mut() {
                 s.save("index", params_key, &r.snapshot_bytes())?;
                 eprintln!("saved Phase-1 index snapshot to {}", s.dir().display());
@@ -210,11 +199,11 @@ pub fn serve_main(args: &Args) -> Result<()> {
         workers
     );
 
-    let mut required = vec!["serve.run"];
+    let mut required = vec!["serve.run", "serve.params"];
     if warmed {
         required.push("serve.index.load");
     } else {
-        required.extend(["reptile.build.spectrum", "reptile.build.tiles"]);
+        required.extend(["reptile.build.anchors", "reptile.build.neighbor_index"]);
     }
     session.finish(&collector)?;
     emit_metrics(args, &collector, "serve", &required)?;
@@ -232,7 +221,7 @@ pub fn client_main(args: &Args) -> Result<()> {
 
     if args.has_flag("ping") {
         let (k, distinct) = client.ping().map_err(client_failure)?;
-        println!("pong: k={k} distinct_kmers={distinct}");
+        println!("pong: k={k} anchors={distinct}");
         return Ok(());
     }
 

@@ -12,18 +12,29 @@ pub const ALPHABET: [u8; 4] = [b'A', b'C', b'G', b'T'];
 /// The ambiguous base character.
 pub const N_BASE: u8 = b'N';
 
+/// The [`CODE_OF`] entry of a byte that is no unambiguous base.
+const AMBIGUOUS: u8 = 4;
+
+/// Code of every byte: `0..=3` for `ACGT` in either case, [`AMBIGUOUS`] for
+/// anything else, so encoding a base is one load and no branch per letter.
+const CODE_OF: [u8; 256] = {
+    let mut table = [AMBIGUOUS; 256];
+    let mut code = 0;
+    while code < 4 {
+        table[ALPHABET[code] as usize] = code as u8;
+        table[ALPHABET[code].to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
+    }
+    table
+};
+
 /// Encode an ASCII base (case-insensitive) to its 2-bit code.
 ///
 /// Returns `None` for `N` and any other non-ACGT byte.
 #[inline]
 pub fn encode_base(b: u8) -> Option<u8> {
-    match b {
-        b'A' | b'a' => Some(0),
-        b'C' | b'c' => Some(1),
-        b'G' | b'g' => Some(2),
-        b'T' | b't' => Some(3),
-        _ => None,
-    }
+    let code = CODE_OF[b as usize];
+    (code != AMBIGUOUS).then_some(code)
 }
 
 /// Decode a 2-bit code back to its uppercase ASCII base.
@@ -43,13 +54,7 @@ pub fn complement_code(code: u8) -> u8 {
 /// Complement of an ASCII base. `N` (and anything unrecognised) maps to `N`.
 #[inline]
 pub fn complement_base(b: u8) -> u8 {
-    match b {
-        b'A' | b'a' => b'T',
-        b'C' | b'c' => b'G',
-        b'G' | b'g' => b'C',
-        b'T' | b't' => b'A',
-        _ => N_BASE,
-    }
+    encode_base(b).map_or(N_BASE, |code| decode_base(complement_code(code)))
 }
 
 /// Reverse complement of an ASCII sequence, allocating the result.
@@ -80,6 +85,29 @@ pub fn count_ambiguous(seq: &[u8]) -> usize {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The `match` the table replaced.
+    fn reference_encode_base(b: u8) -> Option<u8> {
+        match b {
+            b'A' | b'a' => Some(0),
+            b'C' | b'c' => Some(1),
+            b'G' | b'g' => Some(2),
+            b'T' | b't' => Some(3),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn table_matches_the_match_on_every_byte() {
+        for b in 0..=u8::MAX {
+            let want = reference_encode_base(b);
+            assert_eq!(encode_base(b), want, "byte {b:#x}");
+            let complement = want.map_or(N_BASE, |code| ALPHABET[3 - code as usize]);
+            assert_eq!(complement_base(b), complement, "byte {b:#x}");
+            assert_eq!(is_acgt(&[b]), want.is_some(), "byte {b:#x}");
+            assert_eq!(count_ambiguous(&[b, b'A', b]), 2 * usize::from(want.is_none()));
+        }
+    }
 
     #[test]
     fn codes_round_trip() {

@@ -356,6 +356,14 @@ impl<'s> NeighborIndex<'s> {
         self.hits_into(query, max_d, out, |_, v| v);
     }
 
+    /// The neighbours as `(k-mer, count)` pairs, ascending by k-mer, into a
+    /// caller-owned buffer: what a caller needs that decides from a
+    /// neighbour's count whether the neighbour is worth a visit.
+    pub fn neighbor_counts_into(&self, query: Kmer, max_d: usize, out: &mut Vec<(Kmer, u32)>) {
+        let counts = self.spectrum.counts();
+        self.hits_into(query, max_d, out, |i, v| (v, counts[i]));
+    }
+
     /// Replace `out` with `pick(spectrum index, k-mer)` of every neighbour,
     /// ascending and deduplicated.
     fn hits_into<T: Ord>(
@@ -448,7 +456,7 @@ pub fn check_against_brute_force(
         queries.iter().map(|&q| (1..=d).map(|dist| brute.neighbors(q, dist)).collect()).collect();
     for chunks in d + 1..=k {
         let masked = NeighborIndex::build(spectrum, d, NeighborStrategy::MaskedReplicas { chunks });
-        let mut kmers = Vec::new();
+        let (mut kmers, mut counted) = (Vec::new(), Vec::new());
         for (&q, want) in queries.iter().zip(&expected) {
             for (dist, want) in (1..=d).zip(want) {
                 let got = masked.neighbors(q, dist);
@@ -463,6 +471,17 @@ pub fn check_against_brute_force(
                     return Err(format!(
                         "k={k} d={d} chunks={chunks} query={q:#x} dist={dist}: neighbour \
                          k-mers {kmers:x?} do not match indices {want:?}"
+                    ));
+                }
+                masked.neighbor_counts_into(q, dist, &mut counted);
+                if !counted
+                    .iter()
+                    .copied()
+                    .eq(want.iter().map(|&i| (spectrum.kmers()[i], spectrum.counts()[i])))
+                {
+                    return Err(format!(
+                        "k={k} d={d} chunks={chunks} query={q:#x} dist={dist}: neighbour \
+                         counts {counted:x?} do not match indices {want:?}"
                     ));
                 }
             }
@@ -658,6 +677,10 @@ mod tests {
         let mut kmers = vec![0; 5];
         idx.neighbor_kmers_into(q, 1, &mut kmers);
         assert_eq!(kmers, indices.iter().map(|&i| sp.kmers()[i]).collect::<Vec<_>>());
+        let mut counted = vec![(7, 7)];
+        idx.neighbor_counts_into(q, 1, &mut counted);
+        let want: Vec<_> = indices.iter().map(|&i| (sp.kmers()[i], sp.counts()[i])).collect();
+        assert_eq!(counted, want);
         idx.neighbors_into(encode_kmer(b"GGGGG").unwrap(), 1, &mut indices);
         assert!(indices.is_empty());
     }
@@ -731,7 +754,8 @@ mod tests {
             }
             queries.push(next(&mut rng) & kmer_bits(k));
         }
-        let map: FxHashMap<Kmer, u32> = drawn.into_iter().map(|v| (v, 1)).collect();
+        let map: FxHashMap<Kmer, u32> =
+            drawn.into_iter().map(|v| (v, 1 + (v % 7) as u32)).collect();
         (KSpectrum::from_map(map, k), queries)
     }
 

@@ -19,7 +19,7 @@
 //!             "cpu_self_frac": 0.6667}},
 //!   "counters": {"reptile.bases_changed": 42},
 //!   "gauges": {"redeem.threshold.value": 7.25},
-//!   "histograms": {"reptile.kmer_multiplicity": {"count": 10, "sum": 55,
+//!   "histograms": {"reptile.tile_og": {"count": 10, "sum": 55,
 //!                  "min": 1, "max": 16, "mean": 5.5,
 //!                  "p50": 4, "p90": 15, "p99": 16,
 //!                  "buckets": [{"lo": 1, "hi": 1, "count": 3}]}}

@@ -46,24 +46,24 @@ pub fn correctable_ambiguous(seq: &[u8], w: usize, max_n: usize) -> Vec<bool> {
 
 /// Replace correctable ambiguous bases with the configured default base
 /// (validated/corrected downstream); leave dense clusters of ambiguity
-/// untouched. Returns preprocessed copies.
+/// untouched. Returns the number of reads it changed.
+pub fn preprocess_in_place(reads: &mut [Read], params: &ReptileParams) -> usize {
+    let mut changed = 0;
+    for read in reads.iter_mut().filter(|r| !r.is_acgt()) {
+        let ok = correctable_ambiguous(&read.seq, params.k, params.max_n_per_window);
+        for (base, _) in read.seq.iter_mut().zip(&ok).filter(|&(_, &flag)| flag) {
+            *base = params.default_n_base;
+        }
+        changed += usize::from(ok.contains(&true));
+    }
+    changed
+}
+
+/// [`preprocess_in_place`] on copies of `reads`.
 pub fn preprocess_ambiguous(reads: &[Read], params: &ReptileParams) -> Vec<Read> {
+    let mut reads = reads.to_vec();
+    preprocess_in_place(&mut reads, params);
     reads
-        .iter()
-        .map(|r| {
-            if r.is_acgt() {
-                return r.clone();
-            }
-            let ok = correctable_ambiguous(&r.seq, params.k, params.max_n_per_window);
-            let mut read = r.clone();
-            for (i, flag) in ok.iter().enumerate() {
-                if *flag {
-                    read.seq[i] = params.default_n_base;
-                }
-            }
-            read
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -114,6 +114,23 @@ mod tests {
         let reads = vec![Read::new("r", b"ACGTACGT")];
         let out = preprocess_ambiguous(&reads, &params());
         assert_eq!(out, reads);
+    }
+
+    /// The count is of reads changed: a read whose every `N` sits in a dense
+    /// cluster stays as it is and is not counted.
+    #[test]
+    fn in_place_counts_the_reads_it_changed() {
+        let mut reads = vec![
+            Read::new("clean", b"ACGTACGT"),
+            Read::new("one", b"ACGTNACGTANNAC"),
+            Read::new("dense", b"ACNGNACG"),
+            Read::new("two", b"ACNGTACGTACGNTA"),
+        ];
+        let want = preprocess_ambiguous(&reads, &params());
+        assert_eq!(preprocess_in_place(&mut reads, &params()), 2);
+        assert_eq!(reads, want);
+        assert_eq!(reads[2].seq, b"ACNGNACG");
+        assert_eq!(preprocess_in_place(&mut reads[..1], &params()), 0);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! `reptile` — Representative Tiling for Error Correction (Chapter 2).
 //!
 //! Reptile corrects substitution errors in short reads by working with the
-//! k-spectrum of the input instead of the reads themselves:
+//! tiles — pairs of k-mers — the input holds instead of the reads themselves:
 //!
-//! 1. **Information extraction** (§2.3 Phase 1): the k-spectrum `R^k` over
-//!    both strands, the Hamming-graph neighbour index (masked replicas), and
-//!    the tile table with plain/high-quality occurrence counts;
+//! 1. **Information extraction** (§2.3 Phase 1): one tile table over both
+//!    strands with plain/high-quality occurrence counts, and derived from it
+//!    the *anchors* — the first k-mers that start a tile with `O_g ≥ C_m` —
+//!    behind the Hamming-graph neighbour index (masked replicas). No
+//!    k-spectrum is counted: a tile of the table is observed, which is all
+//!    Definition 2.2 asks of a d-mutant tile, and no decision reads a
+//!    mutant with `O_g < C_m`;
 //! 2. **Per-read correction** (§2.3 Phase 2): place a tile (an
 //!    `l`-concatenation of two k-mers) on the read, compare it against its
 //!    d-mutant tiles (Algorithm 1), and advance the placement according to
@@ -31,80 +35,133 @@ pub use tile_correct::{EnumStats, TileDecision};
 
 use ngs_core::Read;
 use ngs_kmer::neighbor::{NeighborStrategy, NeighborTables};
+use ngs_kmer::tile::split_tile;
 use ngs_kmer::{KSpectrum, TileTable};
 use ngs_observe::{Collector, LogHistogram};
 use rayon::prelude::*;
+use read_correct::{correct_read_with, ReadScratch};
 
 /// The Reptile corrector: immutable index data shared across reads.
 ///
-/// All Phase-1 products — the k-spectrum, the tile table, *and* the
-/// Hamming-graph neighbour tables — are built exactly once in
-/// [`Reptile::build`] and reused by every [`Reptile::correct`] call, so
-/// repeated or chunked correction passes pay the Phase-1 cost only once.
+/// Phase 1 is one structure, the tile table; the anchors and the
+/// neighbour tables over them are functions of it and of `(C_m, k, d)`,
+/// derived once in [`Reptile::build_with`] (or on loading a snapshot) and
+/// reused by every correction call.
 pub struct Reptile {
     params: ReptileParams,
-    spectrum: KSpectrum,
     tiles: TileTable,
-    /// Masked-replica neighbour tables over `spectrum`, built once;
-    /// `correct` takes O(1) views of them per call.
+    /// What `neighbor_tables` indexes, derived from `tiles` by [`anchors`].
+    anchors: KSpectrum,
+    /// Masked-replica neighbour tables over `anchors`; correction takes
+    /// O(1) views of them per call.
     neighbor_tables: NeighborTables,
 }
 
-/// The neighbour tables every corrector uses: a pure function of the
-/// spectrum and `(k, d)`, so a snapshot re-derives instead of storing them.
-fn build_neighbor_tables(spectrum: &KSpectrum, params: &ReptileParams) -> NeighborTables {
-    NeighborTables::build(
-        spectrum,
-        params.d,
-        NeighborStrategy::MaskedReplicas { chunks: params.neighbor_chunks() },
-    )
+/// The first k-mers a d-mutant search can be led to: every first k-mer of
+/// `tiles` that starts a tile with `O_g ≥ cm`, ascending, with the largest
+/// `O_g` of its run in the count slot. A mutant tile below `C_m` changes no
+/// decision (`tile_correct::evidence_floor`), so a first k-mer that starts
+/// none at or above it is never worth a visit.
+pub(crate) fn anchors(tiles: &TileTable, cm: u32) -> KSpectrum {
+    let (k, l) = (tiles.k(), tiles.overlap());
+    // One `(first k-mer, largest O_g)` per run; tiles ascend, so a run's
+    // tiles are adjacent and the first k-mers come out ascending.
+    let mut runs: Vec<(u64, u32)> = Vec::new();
+    for (tile, counts) in tiles.iter() {
+        let first = split_tile(tile, k, l).0;
+        match runs.last_mut() {
+            Some((kmer, max_og)) if *kmer == first => *max_og = (*max_og).max(counts.og),
+            _ => runs.push((first, counts.og)),
+        }
+    }
+    let (kmers, best) = runs.into_iter().filter(|&(_, max_og)| max_og >= cm).unzip();
+    KSpectrum::from_sorted(k, kmers, best).expect("the first k-mers of ascending tiles ascend")
 }
 
 impl Reptile {
-    /// Build the Phase-1 indexes from the (already ambiguity-preprocessed)
-    /// read set.
-    pub fn build(reads: &[Read], params: ReptileParams) -> Reptile {
-        Self::build_observed(reads, params, &Collector::disabled())
-    }
-
-    /// [`Reptile::build`] with observability: spans
-    /// `reptile.build.{spectrum,tiles,neighbor_index}`, the
-    /// `reptile.index_builds` counter, and the `reptile.kmer_multiplicity`
-    /// histogram land in `collector`.
-    pub fn build_observed(reads: &[Read], params: ReptileParams, collector: &Collector) -> Reptile {
-        params.validate();
+    /// The corrector over `tiles`: anchors and neighbour tables derived,
+    /// under the spans `reptile.build.{anchors,neighbor_index}`. The caller
+    /// has checked `params` and that `tiles` have their `k` and `l`.
+    pub(crate) fn from_tiles(
+        params: ReptileParams,
+        tiles: TileTable,
+        collector: &Collector,
+    ) -> Reptile {
+        debug_assert_eq!((tiles.k(), tiles.overlap()), (params.k, params.tile_overlap));
         // Spans open with the pool size and close with the thread count
         // the parallel work actually used, so sequential fallbacks (small
         // inputs, NGS_THREADS=1) stop reporting full fan-out.
         let threads = rayon::current_num_threads();
-        let spectrum = {
-            let mut s = collector.span_with_threads("reptile.build.spectrum", threads);
-            let spectrum = KSpectrum::from_reads_both_strands(reads, params.k);
-            s.set_threads(rayon::last_threads_used());
-            spectrum
-        };
-        let tiles = {
-            let mut s = collector.span_with_threads("reptile.build.tiles", threads);
-            let tiles = TileTable::build(reads, params.k, params.tile_overlap, params.qc);
-            s.set_threads(rayon::last_threads_used());
-            tiles
+        let anchors = {
+            let _s = collector.span_with_threads("reptile.build.anchors", 1);
+            anchors(&tiles, params.cm)
         };
         let neighbor_tables = {
             let mut s = collector.span_with_threads("reptile.build.neighbor_index", threads);
             collector.incr("reptile.index_builds");
-            let tables = build_neighbor_tables(&spectrum, &params);
+            let strategy = NeighborStrategy::MaskedReplicas { chunks: params.neighbor_chunks() };
+            let tables = NeighborTables::build(&anchors, params.d, strategy);
             s.set_threads(rayon::last_threads_used());
             tables
         };
         if collector.is_enabled() {
             let mut hist = LogHistogram::new();
-            for &c in spectrum.counts() {
-                hist.record(c as u64);
+            for (_, counts) in tiles.iter() {
+                hist.record(u64::from(counts.og));
             }
-            collector.merge_histogram("reptile.kmer_multiplicity", &hist);
-            collector.add("reptile.distinct_kmers", spectrum.len() as u64);
+            collector.merge_histogram("reptile.tile_og", &hist);
+            collector.add("reptile.anchors", anchors.len() as u64);
         }
-        Reptile { params, spectrum, tiles, neighbor_tables }
+        Reptile { params, tiles, anchors, neighbor_tables }
+    }
+
+    /// Build the Phase-1 indexes from the (already ambiguity-preprocessed)
+    /// read set.
+    pub fn build(reads: &[Read], params: ReptileParams) -> Reptile {
+        Self::build_with(reads, params, None)
+    }
+
+    /// [`Reptile::build`] around a tile table the caller already has:
+    /// `tiles`, when given, must be `TileTable::build(reads, k, l, Q_c)` for
+    /// these reads and parameters — what
+    /// [`ReptileParams::from_data_with_tiles`] returned, as long as no read
+    /// was changed since and `k`, `l` and `Q_c` still are what it chose. A
+    /// table of another `k` or `l` is built again; debug builds check the
+    /// rest of the condition.
+    pub fn build_with(reads: &[Read], params: ReptileParams, tiles: Option<TileTable>) -> Reptile {
+        Self::build_with_observed(reads, params, tiles, &Collector::disabled())
+    }
+
+    /// [`Reptile::build_with`] with observability: spans
+    /// `reptile.build.{tiles,anchors,neighbor_index}` (no `tiles` span when
+    /// the given table is taken), the `reptile.index_builds` and
+    /// `reptile.anchors` counters, and the `reptile.tile_og` histogram land
+    /// in `collector`.
+    pub fn build_with_observed(
+        reads: &[Read],
+        params: ReptileParams,
+        tiles: Option<TileTable>,
+        collector: &Collector,
+    ) -> Reptile {
+        params.validate();
+        let (k, l, qc) = (params.k, params.tile_overlap, params.qc);
+        let tiles = match tiles.filter(|t| (t.k(), t.overlap()) == (k, l)) {
+            Some(tiles) => {
+                debug_assert!(
+                    tiles.iter().eq(TileTable::build(reads, k, l, qc).iter()),
+                    "the given tile table is not the table of these reads at Qc = {qc}"
+                );
+                tiles
+            }
+            None => {
+                let mut s = collector
+                    .span_with_threads("reptile.build.tiles", rayon::current_num_threads());
+                let tiles = TileTable::build(reads, k, l, qc);
+                s.set_threads(rayon::last_threads_used());
+                tiles
+            }
+        };
+        Self::from_tiles(params, tiles, collector)
     }
 
     /// The parameters in use.
@@ -112,9 +169,12 @@ impl Reptile {
         &self.params
     }
 
-    /// The k-spectrum (exposed for diagnostics and tests).
+    /// The anchors — exactly what [`Reptile::neighbor_tables`] indexes, so
+    /// `neighbor_tables().view(spectrum())` is the index correction uses:
+    /// first k-mers of the tile table that start a tile with `O_g ≥ C_m`,
+    /// the count slot holding the largest such `O_g`.
     pub fn spectrum(&self) -> &KSpectrum {
-        &self.spectrum
+        &self.anchors
     }
 
     /// The tile table (exposed for diagnostics and tests).
@@ -122,7 +182,7 @@ impl Reptile {
         &self.tiles
     }
 
-    /// The neighbour tables built in [`Reptile::build`] (exposed for
+    /// The neighbour tables over [`Reptile::spectrum`] (exposed for
     /// diagnostics and tests).
     pub fn neighbor_tables(&self) -> &NeighborTables {
         &self.neighbor_tables
@@ -133,36 +193,66 @@ impl Reptile {
         self.correct_observed(reads, &Collector::disabled())
     }
 
-    /// [`Reptile::correct`] with observability: the `reptile.correct` span,
-    /// the D1/D2/D3 decision counters, and the `reptile.tile_decision`
-    /// histogram land in `collector`.
+    /// [`Reptile::correct`] with observability (see
+    /// [`Reptile::correct_in_place_observed`]).
     pub fn correct_observed(
         &self,
         reads: &[Read],
         collector: &Collector,
     ) -> (Vec<Read>, ReptileStats) {
+        let mut reads = reads.to_vec();
+        let stats = self.correct_in_place_observed(&mut reads, collector);
+        (reads, stats)
+    }
+
+    /// Correct every read where it lies (sequences only; ids and qualities
+    /// are not touched).
+    pub fn correct_in_place(&self, reads: &mut [Read]) -> ReptileStats {
+        self.correct_in_place_observed(reads, &Collector::disabled())
+    }
+
+    /// [`Reptile::correct_in_place`] with observability: the
+    /// `reptile.correct` span, the D1/D2/D3 decision counters, and the
+    /// `reptile.tile_decision` histogram land in `collector`.
+    pub fn correct_in_place_observed(
+        &self,
+        reads: &mut [Read],
+        collector: &Collector,
+    ) -> ReptileStats {
         let mut span = collector.span_with_threads("reptile.correct", rayon::current_num_threads());
-        let index = self.neighbor_tables.view(&self.spectrum);
-        let results: Vec<(Read, ReptileStats)> = reads
-            .par_iter()
-            .map(|r| {
-                let mut read = r.clone();
-                let stats =
-                    read_correct::correct_read(&mut read, &self.params, &self.tiles, &index);
-                (read, stats)
+        let index = self.neighbor_tables.view(&self.anchors);
+        // A few batches per thread, each with one set of buffers for all
+        // its reads. The counters are sums, so neither the batch size nor
+        // the thread count shows in them.
+        let batch = (reads.len() / (rayon::current_num_threads() * 4)).max(256);
+        let per_batch: Vec<ReptileStats> = reads
+            .chunks_mut(batch)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|batch| {
+                let mut scratch = ReadScratch::default();
+                let mut stats = ReptileStats::default();
+                for read in batch {
+                    stats.merge(&correct_read_with(
+                        read,
+                        &self.params,
+                        &self.tiles,
+                        &index,
+                        &mut scratch,
+                    ));
+                }
+                stats
             })
             .collect();
         span.set_threads(rayon::last_threads_used());
         let mut all = ReptileStats::default();
-        let mut out = Vec::with_capacity(results.len());
-        for (read, stats) in results {
-            all.merge(&stats);
-            out.push(read);
+        for stats in &per_batch {
+            all.merge(stats);
         }
         drop(span);
         all.record_into(collector);
         collector.add("reptile.reads_corrected", reads.len() as u64);
-        (out, all)
+        all
     }
 
     /// Full pipeline: preprocess ambiguous bases, build indexes, correct.
@@ -171,19 +261,21 @@ impl Reptile {
         Self::run_observed(reads, params, &Collector::disabled())
     }
 
-    /// [`Reptile::run`] with observability (see [`Reptile::build_observed`]
-    /// and [`Reptile::correct_observed`] for the spans and counters).
+    /// [`Reptile::run`] with observability (see
+    /// [`Reptile::build_with_observed`] and
+    /// [`Reptile::correct_in_place_observed`] for the spans and counters).
     pub fn run_observed(
         reads: &[Read],
         params: ReptileParams,
         collector: &Collector,
     ) -> (Vec<Read>, ReptileStats) {
-        let preprocessed = {
+        let mut reads = {
             let _s = collector.span("reptile.preprocess");
             ambig::preprocess_ambiguous(reads, &params)
         };
-        let reptile = Reptile::build_observed(&preprocessed, params, collector);
-        reptile.correct_observed(&preprocessed, collector)
+        let reptile = Reptile::build_with_observed(&reads, params, None, collector);
+        let stats = reptile.correct_in_place_observed(&mut reads, collector);
+        (reads, stats)
     }
 }
 
@@ -282,7 +374,7 @@ mod tests {
         let params = ReptileParams::from_data(&sim.reads, g.len());
         let preprocessed = ambig::preprocess_ambiguous(&sim.reads, &params);
         let collector = Collector::new();
-        let reptile = Reptile::build_observed(&preprocessed, params, &collector);
+        let reptile = Reptile::build_with_observed(&preprocessed, params, None, &collector);
         let (out1, stats1) = reptile.correct_observed(&preprocessed, &collector);
         let (out2, stats2) = reptile.correct_observed(&preprocessed, &collector);
         assert_eq!(stats1, stats2);
@@ -304,7 +396,9 @@ mod tests {
         assert_eq!(report.counter("reptile.bases_changed"), stats1.bases_changed * 2);
         // So do the enumeration costs, which are counts and not timings:
         // every corrected or unresolved placement went through an
-        // enumeration, and an enumeration probes at most once.
+        // enumeration, an enumeration probes at most once and scans the
+        // tile's own run before any neighbour's, and every correction went
+        // to a mutant found at or above the evidence floor.
         let cost = stats1.enumeration;
         let enum_counter = |name: &str| report.counter(&format!("reptile.enum.{name}"));
         assert_eq!(enum_counter("enumerations"), cost.enumerations * 2);
@@ -315,6 +409,63 @@ mod tests {
         assert!(cost.enumerations >= stats1.tiles_corrected + stats1.tiles_unresolved);
         assert!(cost.neighbor_probes > 0 && cost.neighbor_probes < cost.enumerations, "{cost:?}");
         assert!(cost.tile_runs_scanned > cost.enumerations, "{cost:?}");
+        assert!(cost.mutants_found >= stats1.tiles_corrected, "{cost:?}");
+        assert!(cost.mutants_found < cost.enumerations, "{cost:?}");
+    }
+
+    /// Phase 1 once: the table `from_data_with_tiles` read the thresholds
+    /// off is the table `build` builds, so handing it to `build_with` gives
+    /// the same index; a table of another shape is built again; and
+    /// correcting in place is `correct` without the copy.
+    #[test]
+    fn the_once_path_builds_what_the_wrappers_build() {
+        let (g, sim) = simulate(8_000, 0.02, 30.0, 11);
+        let (params, tiles) = ReptileParams::from_data_with_tiles(&sim.reads, g.len(), None);
+        assert_eq!(params, ReptileParams::from_data(&sim.reads, g.len()));
+        let mut reads = sim.reads.clone();
+        assert_eq!(ambig::preprocess_in_place(&mut reads, &params), 0, "no N in this input");
+
+        let stale = TileTable::build(&reads[..50], params.k + 1, 0, params.qc);
+        let built = Reptile::build(&reads, params.clone());
+        for given in [tiles, stale] {
+            let collector = Collector::new();
+            let same_shape = given.k() == params.k;
+            let with =
+                Reptile::build_with_observed(&reads, params.clone(), Some(given), &collector);
+            assert_eq!(with.snapshot_bytes(), built.snapshot_bytes());
+            assert_eq!(with.spectrum().kmers(), built.spectrum().kmers());
+            assert_eq!(with.spectrum().counts(), built.spectrum().counts());
+            let report = collector.report("reptile");
+            assert_eq!(report.span("reptile.build.tiles").is_none(), same_shape);
+            assert_eq!(report.counter("reptile.anchors"), built.spectrum().len() as u64);
+        }
+
+        let (corrected, stats) = built.correct(&reads);
+        assert_eq!(built.correct_in_place(&mut reads), stats);
+        assert_eq!(reads, corrected);
+        assert!(stats.bases_changed > 0);
+    }
+
+    /// The anchors are the first k-mers that start a tile at or above
+    /// `C_m`, each with the best `O_g` of its run — and they are what the
+    /// neighbour tables index, so the two views handed out agree.
+    #[test]
+    fn anchors_are_the_strong_first_kmers_of_the_table() {
+        let (g, sim) = simulate(8_000, 0.02, 30.0, 5);
+        let params = ReptileParams::from_data(&sim.reads, g.len());
+        let reptile = Reptile::build(&sim.reads, params.clone());
+        let mut best: std::collections::BTreeMap<u64, u32> = Default::default();
+        for (tile, counts) in reptile.tiles().iter() {
+            let first = split_tile(tile, params.k, params.tile_overlap).0;
+            let slot = best.entry(first).or_default();
+            *slot = (*slot).max(counts.og);
+        }
+        let strong = best.len();
+        best.retain(|_, og| *og >= params.cm);
+        assert!(best.len() < strong / 2, "most first k-mers start erroneous tiles only");
+        assert!(reptile.spectrum().iter().eq(best.into_iter()));
+        // `view` panics on a spectrum other than the one indexed.
+        reptile.neighbor_tables().view(reptile.spectrum());
     }
 
     #[test]

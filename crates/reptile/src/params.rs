@@ -67,7 +67,26 @@ impl ReptileParams {
 
     /// Select thresholds from the data's own histograms, per §2.3.
     pub fn from_data(reads: &[Read], genome_len: usize) -> ReptileParams {
+        Self::from_data_with_tiles(reads, genome_len, None).0
+    }
+
+    /// [`ReptileParams::from_data`], handing back the tile table whose `O_g`
+    /// histogram set `C_g` and `C_m`: `TileTable::build(reads, k, l, Q_c)`
+    /// at the returned parameters, which is the table
+    /// [`Reptile::build_with`](crate::Reptile::build_with) indexes — Phase 1
+    /// need not build it a second time. `k_override` replaces the
+    /// genome-length rule for `k` *before* the histogram is taken, so the
+    /// thresholds belong to the tiles that will be corrected.
+    ///
+    /// # Panics
+    /// Panics when `k_override` is outside `1..=16`.
+    pub fn from_data_with_tiles(
+        reads: &[Read],
+        genome_len: usize,
+        k_override: Option<usize>,
+    ) -> (ReptileParams, TileTable) {
         let mut p = ReptileParams::defaults(genome_len);
+        p.k = k_override.unwrap_or(p.k);
 
         // Qc: ~18% of bases below the cutoff.
         let mut qhist = Histogram::new();
@@ -109,7 +128,7 @@ impl ReptileParams {
                 p.cm = (p.cg / 2).max(2);
             }
         }
-        p
+        (p, table)
     }
 
     /// Number of positional chunks for the masked-replica neighbour index:
@@ -123,16 +142,34 @@ impl ReptileParams {
         2 * self.k - self.tile_overlap
     }
 
+    /// The parameter domains, as an error naming the first one violated.
+    /// `d < k` because the masked-replica index needs more chunks than
+    /// masked chunks; `C_r ≥ 1` (which a NaN fails) because Algorithm 1's
+    /// evidence floor rests on it.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(1..=16).contains(&self.k) {
+            return Err("k must be in 1..=16");
+        }
+        if self.d == 0 || self.d >= self.k {
+            return Err("d must be in 1..k");
+        }
+        if self.tile_overlap >= self.k {
+            return Err("tile overlap must be < k");
+        }
+        if self.cr.is_nan() || self.cr < 1.0 {
+            return Err("Cr must be >= 1");
+        }
+        if !matches!(self.default_n_base, b'A' | b'C' | b'G' | b'T') {
+            return Err("default N base must be one of ACGT");
+        }
+        Ok(())
+    }
+
     /// Panic on out-of-domain parameters (called by `Reptile::build`).
     pub fn validate(&self) {
-        assert!((1..=16).contains(&self.k), "k must be in 1..=16");
-        assert!(self.d >= 1 && self.d <= self.k, "d must be in 1..=k");
-        assert!(self.tile_overlap < self.k, "tile overlap must be < k");
-        assert!(self.cr >= 1.0, "Cr must be >= 1");
-        assert!(
-            matches!(self.default_n_base, b'A' | b'C' | b'G' | b'T'),
-            "default N base must be one of ACGT"
-        );
+        if let Err(violated) = self.check() {
+            panic!("{violated}");
+        }
     }
 }
 
@@ -197,6 +234,28 @@ mod tests {
             seed: 4,
         };
         assert_eq!(thresholds(29, 10_000, &with_ns), (12, 3, 21, 24));
+    }
+
+    /// Regression: `--k` used to replace `k` after `C_g`/`C_m` had been read
+    /// off the tile histogram at the genome-length `k`, so 24-mers were
+    /// corrected with the thresholds of 20-mers. On the first `lib.rs` input
+    /// (pinned above at `k = 10`: `C_g` 17, `C_m` 4) a 24-mer is covered
+    /// by fewer reads than a 20-mer and the thresholds come out lower; the
+    /// table handed back is the one they were read off.
+    #[test]
+    fn k_override_takes_thresholds_and_table_at_that_k() {
+        let g = GenomeSpec::uniform(20_000).generate(23).seq;
+        let cfg =
+            ReadSimConfig::with_coverage(g.len(), 36, 60.0, ErrorModel::illumina_like(36, 0.01), 1);
+        let reads = simulate_reads(&g, &cfg).reads;
+        let (p, tiles) = ReptileParams::from_data_with_tiles(&reads, g.len(), Some(12));
+        assert_eq!((p.k, p.cg, p.cm, p.qc, p.qm), (12, 10, 2, 21, 24));
+        assert!(tiles.iter().eq(TileTable::build(&reads, 12, p.tile_overlap, p.qc).iter()));
+        p.validate();
+
+        let (default_k, tiles) = ReptileParams::from_data_with_tiles(&reads, g.len(), None);
+        assert_eq!(default_k, ReptileParams::from_data(&reads, g.len()));
+        assert_eq!((default_k.k, tiles.k()), (10, 10));
     }
 
     #[test]

@@ -151,6 +151,16 @@ fn pass(
     }
 }
 
+/// What correcting a read needs beside the read, kept by a worker from one
+/// read to the next so that no read allocates: Algorithm 1's buffers, the
+/// sequence both passes work on, and the qualities in 3′→5′ order.
+#[derive(Default)]
+pub(crate) struct ReadScratch {
+    tile: TileScratch,
+    seq: Vec<u8>,
+    rev_quals: Vec<u8>,
+}
+
 /// Correct one read in place (sequence only; id and qualities preserved).
 /// Runs the 5′→3′ pass, then the 3′→5′ pass via the reverse complement.
 pub fn correct_read(
@@ -159,26 +169,42 @@ pub fn correct_read(
     tiles: &TileTable,
     index: &NeighborIndex<'_>,
 ) -> ReptileStats {
+    correct_read_with(read, params, tiles, index, &mut ReadScratch::default())
+}
+
+/// [`correct_read`] on buffers the caller keeps.
+pub(crate) fn correct_read_with(
+    read: &mut Read,
+    params: &ReptileParams,
+    tiles: &TileTable,
+    index: &NeighborIndex<'_>,
+    scratch: &mut ReadScratch,
+) -> ReptileStats {
     let mut stats = ReptileStats::default();
-    let mut scratch = TileScratch::default();
+    let ReadScratch { tile, seq, rev_quals } = scratch;
     // Both passes work on one copy, so the read itself stays the "before"
     // to compare against.
-    let mut seq = read.seq.clone();
+    seq.clear();
+    seq.extend_from_slice(&read.seq);
 
     // Forward pass.
-    pass(&mut seq, read.qual.as_deref(), params, tiles, index, &mut scratch, &mut stats);
+    pass(seq, read.qual.as_deref(), params, tiles, index, tile, &mut stats);
 
     // Backward pass on the reverse complement (strand-symmetric tables).
-    alphabet::reverse_complement_in_place(&mut seq);
-    let rev_quals: Option<Vec<u8>> = read.qual.as_ref().map(|q| q.iter().rev().copied().collect());
-    pass(&mut seq, rev_quals.as_deref(), params, tiles, index, &mut scratch, &mut stats);
-    alphabet::reverse_complement_in_place(&mut seq);
+    alphabet::reverse_complement_in_place(seq);
+    let rev_quals = read.qual.as_ref().map(|q| {
+        rev_quals.clear();
+        rev_quals.extend(q.iter().rev());
+        rev_quals.as_slice()
+    });
+    pass(seq, rev_quals, params, tiles, index, tile, &mut stats);
+    alphabet::reverse_complement_in_place(seq);
 
-    if seq != read.seq {
-        read.seq = seq;
+    if *seq != read.seq {
+        read.seq.copy_from_slice(seq);
         stats.reads_changed = 1;
     }
-    stats.enumeration = scratch.stats;
+    stats.enumeration = std::mem::take(&mut tile.stats);
     stats
 }
 
@@ -186,7 +212,6 @@ pub fn correct_read(
 mod tests {
     use super::*;
     use ngs_kmer::neighbor::NeighborStrategy;
-    use ngs_kmer::KSpectrum;
 
     /// A corpus of identical reads covering one "genome" string, plus one
     /// read with planted errors.
@@ -210,10 +235,10 @@ mod tests {
     }
 
     fn run_one(reads: &[Read], params: &ReptileParams, victim: Read) -> (Read, ReptileStats) {
-        let spectrum = KSpectrum::from_reads_both_strands(reads, params.k);
         let tiles = TileTable::build(reads, params.k, params.tile_overlap, params.qc);
+        let anchors = crate::anchors(&tiles, params.cm);
         let index = NeighborIndex::build(
-            &spectrum,
+            &anchors,
             params.d,
             NeighborStrategy::MaskedReplicas { chunks: params.neighbor_chunks() },
         );
@@ -287,7 +312,9 @@ mod tests {
         let cost = stats.enumeration;
         assert_eq!(cost.enumerations, 6);
         assert_eq!(cost.neighbor_probes, 2);
-        // One run per enumeration plus one per neighbour the two probes found.
+        // One run per enumeration — the tile's own, which holds the tile —
+        // plus one per neighbour the two probes found that starts a tile at
+        // or above the floor; only such tiles count as mutants found.
         assert!(cost.tile_runs_scanned >= 6, "{cost:?}");
         assert!(cost.tile_entries_scanned >= cost.mutants_found + 6, "{cost:?}");
 

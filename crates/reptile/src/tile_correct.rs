@@ -5,7 +5,10 @@
 //! (Definition 2.2), located through the Hamming-graph neighbourhoods of its
 //! constituent k-mers: `{t' = α₁' ||_l α₂' | (α₁', α₂') ∈ N^{d₁}×N^{d₂}}`.
 //! "As a rule of thumb, there must be compelling evidence before a
-//! correction is made."
+//! correction is made." — and how compelling is known before the search:
+//! [`decide_from`] reads nothing off the mutant list but the mutants whose
+//! `O_g` reaches a floor fixed by `O_g(t)` alone ([`evidence_floor`]), so
+//! the search keeps only those and visits only first k-mers that start one.
 
 use crate::params::ReptileParams;
 use ngs_kmer::neighbor::NeighborIndex;
@@ -35,11 +38,12 @@ pub struct EnumStats {
     pub enumerations: u64,
     /// Neighbour-index probes: one per enumeration entered with `d₁ > 0`.
     pub neighbor_probes: u64,
-    /// First-k-mer runs of the tile table scanned.
+    /// First-k-mer runs of the tile table scanned: the tile's own and those
+    /// of the neighbours holding a tile at or above the evidence floor.
     pub tile_runs_scanned: u64,
     /// Tile-table entries those runs held.
     pub tile_entries_scanned: u64,
-    /// Observed d-mutant tiles found.
+    /// Observed d-mutant tiles at or above the evidence floor.
     pub mutants_found: u64,
 }
 
@@ -58,28 +62,49 @@ impl EnumStats {
 /// nothing per tile, and the counters they add up.
 #[derive(Default)]
 pub struct TileScratch {
-    /// Observed Hamming neighbours of the tile's first k-mer.
-    side1: Vec<Kmer>,
-    /// The tile's observed d-mutant tiles with their high-quality counts.
+    /// Anchor neighbours of the tile's first k-mer, each with the largest
+    /// `O_g` among the tiles it starts.
+    side1: Vec<(Kmer, u32)>,
+    /// The tile's observed d-mutant tiles at or above the evidence floor,
+    /// with their high-quality counts.
     mutants: Vec<(Tile, u32)>,
     /// Enumeration cost so far.
     pub stats: EnumStats,
 }
 
+/// The least `O_g` at which a d-mutant tile bears on the decision about a
+/// tile with high-quality count `og < C_g` — the comparison [`decide_from`]
+/// makes, as the `f64` it makes it in: `O_g(t)·C_r` for a moderately
+/// supported tile, `C_m` for a weak one. With no mutant at or above it
+/// either branch returns what it returns on an empty list, so mutants below
+/// it need not be found. Never below `C_m`, since `C_r ≥ 1`.
+fn evidence_floor(og: u32, params: &ReptileParams) -> f64 {
+    if og >= params.cm {
+        og as f64 * params.cr
+    } else {
+        params.cm as f64
+    }
+}
+
 /// Enumerate the observed d-mutant tiles of `(a1, a2)` (excluding the tile
-/// itself), with their high-quality counts, ascending, into
-/// `scratch.mutants`.
+/// itself) whose `O_g` is at least `need`, with their high-quality counts,
+/// ascending, into `scratch.mutants`.
 ///
 /// Definition 2.2 asks for the *observed* tiles `α₁' ||_l α₂'` with
 /// `α₁' ∈ {α₁} ∪ N^{d₁}(α₁)` and `α₂' ∈ {α₂} ∪ N^{d₂}(α₂)`. The observed
 /// tiles starting with one `α₁'` are one run of the sorted tile table, so
 /// only side 1 is probed (not at all when `d₁ = 0`) and each run is filtered
-/// by its second k-mer: within `d₂` of `α₂` and, unless it is `α₂` itself,
-/// in the spectrum — the membership a neighbour probe of `α₂` would imply.
+/// by its second k-mer being within `d₂` of `α₂`. `index` holds the anchors
+/// of `tiles` ([`crate::anchors`]): the first k-mers that start a tile with
+/// `O_g ≥ C_m`, which `need` is never below, each with the largest `O_g` of
+/// its run — so a neighbour whose best tile is below `need` is passed over
+/// without a look at the table. `α₁`'s own run is scanned whatever it holds.
+#[allow(clippy::too_many_arguments)] // Algorithm 1's inputs plus the floor
 fn mutant_tiles(
     a1: Kmer,
     a2: Kmer,
     (d1, d2): (usize, usize),
+    need: f64,
     params: &ReptileParams,
     tiles: &TileTable,
     index: &NeighborIndex<'_>,
@@ -94,20 +119,20 @@ fn mutant_tiles(
     mutants.clear();
     side1.clear();
     if d1 > 0 {
-        index.neighbor_kmers_into(a1, d1, side1);
+        index.neighbor_counts_into(a1, d1, side1);
         stats.neighbor_probes += 1;
     }
-    let spectrum = index.spectrum();
-    for m1 in std::iter::once(a1).chain(side1.iter().copied()) {
+    let strong_neighbors =
+        side1.iter().filter(|&&(_, max_og)| max_og as f64 >= need).map(|&(m1, _)| m1);
+    for m1 in std::iter::once(a1).chain(strong_neighbors) {
         let run = tiles.first_kmer_run(m1);
         stats.tile_runs_scanned += 1;
         stats.tile_entries_scanned += run.len() as u64;
         for e in run {
-            let m2 = e.tile & second_kmer;
-            if e.tile != original
+            if e.counts.og as f64 >= need
+                && e.tile != original
                 && e.counts.oc > 0
-                && hamming_distance(m2, a2) as usize <= d2
-                && (m2 == a2 || spectrum.contains(m2))
+                && hamming_distance(e.tile & second_kmer, a2) as usize <= d2
             {
                 mutants.push((e.tile, e.counts.og));
             }
@@ -119,9 +144,9 @@ fn mutant_tiles(
     stats.mutants_found += mutants.len() as u64;
 }
 
-/// The enumeration `mutant_tiles` replaced, kept verbatim as the oracle:
-/// probe the neighbour index on both sides and look every pair of the
-/// product up in the tile table.
+/// The first enumeration, kept verbatim as an oracle: probe a neighbour
+/// index over the reads' k-spectrum on both sides and look every pair of the
+/// product up in the tile table. It knows no evidence floor.
 #[cfg(test)]
 fn reference_mutant_tiles(
     a1: Kmer,
@@ -165,6 +190,32 @@ fn reference_mutant_tiles(
     mutants
 }
 
+/// Definition 2.2 read off the table, the oracle for [`mutant_tiles`]: every
+/// observed tile other than `(a1, a2)` whose first k-mer is within `d₁` of
+/// `α₁` and whose second is within `d₂` of `α₂`, whatever its `O_g`.
+#[cfg(test)]
+fn definitional_mutant_tiles(
+    a1: Kmer,
+    a2: Kmer,
+    (d1, d2): (usize, usize),
+    params: &ReptileParams,
+    tiles: &TileTable,
+) -> Vec<(Tile, u32)> {
+    let (k, l) = (params.k, params.tile_overlap);
+    let original = compose_tile(a1, a2, k, l).expect("read-derived tile must be consistent");
+    tiles
+        .iter()
+        .filter(|&(t, counts)| {
+            let (first, second) = ngs_kmer::tile::split_tile(t, k, l);
+            counts.oc > 0
+                && t != original
+                && hamming_distance(first, a1) as usize <= d1
+                && hamming_distance(second, a2) as usize <= d2
+        })
+        .map(|(t, counts)| (t, counts.og))
+        .collect()
+}
+
 /// Positions (within the tile) where `a` and `b` differ, ascending.
 pub fn differing_positions(a: Tile, b: Tile, m: usize) -> impl Iterator<Item = usize> {
     (0..m).filter(move |&i| packed_base(a, m, i) != packed_base(b, m, i))
@@ -194,7 +245,8 @@ pub fn correct_tile(
         return TileDecision::Valid;
     }
 
-    mutant_tiles(a1, a2, (d1, d2), params, tiles, index, scratch);
+    let need = evidence_floor(og, params);
+    mutant_tiles(a1, a2, (d1, d2), need, params, tiles, index, scratch);
     decide_from(t, og, &scratch.mutants, tile_quals, params)
 }
 
@@ -252,6 +304,7 @@ pub fn tile_string(t: Tile, m: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::anchors;
     use ngs_core::Read;
     use ngs_kmer::neighbor::NeighborStrategy;
     use ngs_kmer::packed::{encode_kmer, mutate_base};
@@ -264,7 +317,7 @@ mod tests {
     /// occurs once, then return everything a tile decision needs.
     struct Fixture {
         params: ReptileParams,
-        spectrum: KSpectrum,
+        anchors: KSpectrum,
         tiles: TileTable,
     }
 
@@ -276,14 +329,13 @@ mod tests {
         params.cm = 2;
         params.cr = 2.0;
         params.qm = u8::MAX; // no quality gating in these tests
-        let spectrum = KSpectrum::from_reads_both_strands(&reads, k);
         let tiles = TileTable::build(&reads, k, 0, 0);
-        Fixture { params, spectrum, tiles }
+        Fixture { anchors: anchors(&tiles, params.cm), params, tiles }
     }
 
     fn decide(f: &Fixture, a1: &[u8], a2: &[u8], d: usize) -> TileDecision {
         let index = NeighborIndex::build(
-            &f.spectrum,
+            &f.anchors,
             d,
             NeighborStrategy::MaskedReplicas { chunks: f.params.neighbor_chunks() },
         );
@@ -396,7 +448,7 @@ mod tests {
         let mut f = fixture(reads, 5);
         f.params.qm = 10; // corrections must touch a base with q < 10
         let index =
-            NeighborIndex::build(&f.spectrum, 1, NeighborStrategy::MaskedReplicas { chunks: 5 });
+            NeighborIndex::build(&f.anchors, 1, NeighborStrategy::MaskedReplicas { chunks: 5 });
         let quals = vec![30u8; 10]; // all bases high quality
         let dec = correct_tile(
             encode_kmer(b"ACGTA").unwrap(),
@@ -417,16 +469,24 @@ mod tests {
         NeighborIndex::build(spectrum, params.d, strategy)
     }
 
-    /// For every placement of every query read, with `d₁ = 0` and `d₁ = d`:
-    /// the run-scan enumeration lists exactly what the product enumeration
-    /// lists, counts what it did, and leads to the same decision.
+    /// For every placement of every query read, with `d₁ = 0` and `d₁ = d`,
+    /// against Definition 2.2 read off `tiles`: (i) the run scan at the
+    /// placement's evidence floor lists exactly the definitional mutants at
+    /// or above it, and counts what it did; (ii) Algorithm 1 decides from
+    /// those as it decides from all of them — the exactness of the floor —
+    /// and `correct_tile` returns that decision; (iii) when `reads_spectrum`
+    /// is given (the both-strand k-spectrum of the reads `tiles` was built
+    /// from), the product enumeration over it lists all of them, so asking
+    /// for observed second k-mers beside observed tiles added nothing.
     fn assert_matches_reference(
         params: &ReptileParams,
-        spectrum: &KSpectrum,
         tiles: &TileTable,
         queries: &[Read],
+        reads_spectrum: Option<&KSpectrum>,
     ) {
-        let index = masked_index(spectrum, params);
+        let anchors = anchors(tiles, params.cm);
+        let index = masked_index(&anchors, params);
+        let product_index = reads_spectrum.map(|spectrum| masked_index(spectrum, params));
         let (k, m, d) = (params.k, params.tile_len(), params.d);
         let mut scratch = TileScratch::default();
         for r in queries {
@@ -437,11 +497,17 @@ mod tests {
                     continue;
                 };
                 let quals = r.qual.as_deref().map(|v| &v[q..q + m]);
+                let t = compose_tile(a1, a2, k, params.tile_overlap).unwrap();
+                let og = tiles.og(t);
+                let need = evidence_floor(og, params);
+                assert!(need >= params.cm as f64);
                 for d1 in [0, d] {
                     let ctx = format!("read {} at {q}, d1={d1}", r.id);
+                    let all = definitional_mutant_tiles(a1, a2, (d1, d), params, tiles);
+                    let want: Vec<_> =
+                        all.iter().copied().filter(|&(_, mog)| mog as f64 >= need).collect();
                     let before = scratch.stats;
-                    mutant_tiles(a1, a2, (d1, d), params, tiles, &index, &mut scratch);
-                    let want = reference_mutant_tiles(a1, a2, (d1, d), params, tiles, &index);
+                    mutant_tiles(a1, a2, (d1, d), need, params, tiles, &index, &mut scratch);
                     assert_eq!(scratch.mutants, want, "{ctx}");
                     let cost = scratch.stats;
                     assert_eq!(cost.enumerations, before.enumerations + 1, "{ctx}");
@@ -456,16 +522,18 @@ mod tests {
                         assert_eq!(cost.tile_runs_scanned, before.tile_runs_scanned + 1, "{ctx}");
                     }
 
-                    let t = compose_tile(a1, a2, k, params.tile_overlap).unwrap();
-                    let og = tiles.og(t);
-                    let expect = if og >= params.cg {
-                        TileDecision::Valid
-                    } else {
-                        decide_from(t, og, &want, quals, params)
-                    };
+                    let decision = decide_from(t, og, &all, quals, params);
+                    assert_eq!(decide_from(t, og, &want, quals, params), decision, "{ctx}");
+                    let expect = if og >= params.cg { TileDecision::Valid } else { decision };
                     let got =
                         correct_tile(a1, a2, d1, d, quals, params, tiles, &index, &mut scratch);
                     assert_eq!(got, expect, "{ctx}");
+
+                    if let Some(product_index) = &product_index {
+                        let product =
+                            reference_mutant_tiles(a1, a2, (d1, d), params, tiles, product_index);
+                        assert_eq!(product, all, "{ctx}");
+                    }
                 }
             }
         }
@@ -485,7 +553,7 @@ mod tests {
     }
 
     /// Reads off `genome` with one base in twelve substituted, so observed
-    /// neighbours and mutant tiles are plentiful.
+    /// neighbours and mutant tiles are plentiful, and one in sixty an `N`.
     fn noisy_reads(
         genome: &[u8],
         n: usize,
@@ -501,6 +569,9 @@ mod tests {
                     if next(rng).is_multiple_of(12) {
                         *b = b"ACGT"[(next(rng) % 4) as usize];
                     }
+                    if next(rng).is_multiple_of(60) {
+                        *b = b'N';
+                    }
                 }
                 if with_quals {
                     let qual = (0..read_len).map(|_| 10 + (next(rng) % 30) as u8).collect();
@@ -512,9 +583,9 @@ mod tests {
             .collect()
     }
 
-    /// `tiles` as a checkpoint that disagrees with its spectrum might hold
-    /// it: some entries with `O_c = 0`, and extra tiles whose second k-mer
-    /// was mutated and so need not be in the spectrum.
+    /// `tiles` as no read set would leave it: some entries with `O_c = 0`,
+    /// and extra tiles whose second k-mer was mutated and so need not occur
+    /// in any read.
     fn tampered(tiles: &TileTable, rng: &mut u64) -> TileTable {
         let (k, l) = (tiles.k(), tiles.overlap());
         let mut entries: BTreeMap<Tile, TileCounts> = tiles.iter().collect();
@@ -541,13 +612,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// ROADMAP 4(a): run-scan enumeration against the product
-        /// enumeration it replaced — reads of the index, reads near it and
-        /// reads the index never saw, over the built table and over one
-        /// that disagrees with the spectrum.
+        /// ROADMAP 4(a): the floor-bounded run scan against Definition 2.2
+        /// and, where a k-spectrum of the reads exists, the product
+        /// enumeration against the same — reads of the index, reads near it
+        /// and reads the index never saw, over the built table and over one
+        /// no read set would leave.
         #[test]
         fn run_scan_enumeration_matches_product_enumeration(
-            k in 4usize..=6,
+            k in 3usize..=8,
             l in 0usize..=2,
             d in 1usize..=2,
             with_quals in any::<bool>(),
@@ -562,6 +634,7 @@ mod tests {
             params.cm = 2;
             params.qc = if with_quals { 20 } else { 0 };
             params.qm = if with_quals { 25 } else { u8::MAX };
+            params.validate();
             let read_len = params.tile_len() + 6;
             let genome = random_genome(5 * read_len, &mut rng);
             let reads = noisy_reads(&genome, 90, read_len, with_quals, &mut rng);
@@ -576,19 +649,22 @@ mod tests {
             // Absent from it: another genome (the `ngs-serve` case).
             let elsewhere = random_genome(2 * read_len, &mut rng);
             queries.extend(noisy_reads(&elsewhere, 10, read_len, with_quals, &mut rng));
-            assert_matches_reference(&params, &spectrum, &tiles, &queries);
-            assert_matches_reference(&params, &spectrum, &tampered(&tiles, &mut rng), &queries);
+            assert_matches_reference(&params, &tiles, &queries, Some(&spectrum));
+            assert_matches_reference(&params, &tampered(&tiles, &mut rng), &queries, None);
         }
     }
 
-    /// The two filters of the run scan that the product enumeration had for
-    /// free, each on a table assembled entry by entry.
+    /// What the run scan keeps of a table assembled entry by entry. A tile
+    /// whose second k-mer no read holds is a tile of the table all the same:
+    /// the scan and the definitional oracle agree that it is a mutant (the
+    /// product enumeration over the reads' k-spectrum never proposed it, and
+    /// no built table holds one). An entry with no occurrences is none.
     #[test]
     fn run_scan_keeps_the_spectrum_and_zero_count_rules() {
         let mut reads = repeat_reads(b"ACGTATTGCA", 9);
         reads.push(Read::new("err", b"ACGTATTGGA"));
         let f = fixture(reads.clone(), 5);
-        let index = masked_index(&f.spectrum, &f.params);
+        let spectrum = KSpectrum::from_reads_both_strands(&reads, 5);
         let tile = |s: &[u8]| encode_kmer(s).unwrap();
         let (a1, a2) = (tile(b"ACGTA"), tile(b"TTGGA"));
         let good = tile(b"ACGTATTGCA");
@@ -598,24 +674,32 @@ mod tests {
             let entries = entries.into_iter().map(|(tile, counts)| TileEntry { tile, counts });
             TileTable::from_sorted(5, 0, entries.collect()).unwrap()
         };
+        let need = f.params.cm as f64;
         let enumerate = |tiles: &TileTable| {
+            let anchors = anchors(tiles, f.params.cm);
+            let index = masked_index(&anchors, &f.params);
             let mut scratch = TileScratch::default();
-            mutant_tiles(a1, a2, (1, 1), &f.params, tiles, &index, &mut scratch);
-            let want = reference_mutant_tiles(a1, a2, (1, 1), &f.params, tiles, &index);
+            mutant_tiles(a1, a2, (1, 1), need, &f.params, tiles, &index, &mut scratch);
+            let mut want = definitional_mutant_tiles(a1, a2, (1, 1), &f.params, tiles);
+            want.retain(|&(_, og)| og as f64 >= need);
             assert_eq!(scratch.mutants, want);
             want
         };
         assert_eq!(enumerate(&f.tiles), vec![(good, 9)]);
 
         // A strong tile one base from the query whose second k-mer no read
-        // holds: a probe of the spectrum's neighbours never proposed it.
+        // holds: a probe of the spectrum's neighbours never proposes it.
         let unseen = tile(b"ACGTATTGGC");
-        assert!(!f.spectrum.contains(tile(b"TTGGC")));
+        assert!(!spectrum.contains(tile(b"TTGGC")));
         let with_unseen = assemble(&|e| {
             e.insert(unseen, TileCounts { oc: 9, og: 9 });
         });
-        assert!(with_unseen.first_kmer_run(a1).iter().any(|e| e.tile == unseen));
-        assert_eq!(enumerate(&with_unseen), vec![(good, 9)]);
+        assert_eq!(enumerate(&with_unseen), vec![(good, 9), (unseen, 9)]);
+        let product_index = masked_index(&spectrum, &f.params);
+        assert_eq!(
+            reference_mutant_tiles(a1, a2, (1, 1), &f.params, &with_unseen, &product_index),
+            vec![(good, 9)]
+        );
 
         // An entry with no occurrences is no observed tile.
         let zeroed = assemble(&|e| {

@@ -32,6 +32,7 @@ use ngs_core::Read;
 use ngs_observe::{Collector, SpanId};
 use reptile::read_correct::correct_read;
 use reptile::{Reptile, ReptileStats};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -309,6 +310,8 @@ fn handle_message(shared: &Shared, reader: &mut FrameReader, msg: ServeMessage) 
             let pong = ServeMessage::Pong {
                 request_id,
                 k: shared.reptile.params().k as u64,
+                // The wire slot keeps its name; what the index holds of
+                // k-mers are its anchors.
                 distinct_kmers: shared.reptile.spectrum().len() as u64,
             };
             pong.write_to(reader.conn_mut()).is_ok()
@@ -377,7 +380,8 @@ fn handle_correct(
                 // The handler is the connection's only writer, so the
                 // worker's reply is relayed here, never interleaved.
                 Ok(reply) => reply.write_to(reader.conn_mut()).is_ok(),
-                // Worker died (panicked); treat as a server-side error.
+                // The worker dropped the request unanswered; treat as a
+                // server-side error.
                 Err(_) => {
                     let reply = ServeMessage::RequestError {
                         request_id,
@@ -431,12 +435,42 @@ fn stats_snapshot(shared: &Shared, request_id: u64) -> ServeMessage {
     }
 }
 
+/// Raises `in_flight` for as long as it lives, also through an unwind.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(counter: &'a AtomicU64) -> InFlight<'a> {
+        counter.fetch_add(1, Ordering::Relaxed);
+        InFlight(counter)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Worker loop: pop admitted requests until the queue closes and drains.
+/// A panic while serving costs that request, never the worker: with the
+/// thread gone the server would go on admitting work nobody pops.
 fn worker_loop(shared: &Shared) {
     while let Some(item) = shared.queue.pop() {
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        serve_one(shared, item);
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let (request_id, reply) = (item.request_id, item.reply.clone());
+        // The index is read-only and the request dies with its unwind, so
+        // nothing half-updated outlives it.
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| serve_one(shared, item))) {
+            let cause = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("panic with a non-string payload");
+            eprintln!("serve: request {request_id} panicked: {cause}");
+            shared.counters.request_errors.fetch_add(1, Ordering::Relaxed);
+            shared.collector.incr("serve.worker_panics");
+            let message = format!("internal: {cause}");
+            let _ = reply.send(ServeMessage::RequestError { request_id, message });
+        }
         let served = shared.served_total.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(max) = shared.config.max_requests {
             if served >= max {
@@ -447,11 +481,15 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn serve_one(shared: &Shared, item: Admitted) {
-    let wait_us = item.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let Admitted { request_id, reads, deadline, enqueued, reply: to_handler } = item;
+    let in_flight = InFlight::enter(&shared.in_flight);
+    let wait_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
     shared.collector.record("serve.queue_wait_us", wait_us);
-    let detail = format!("request={} reads={}", item.request_id, item.reads.len());
+    let detail = format!("request={request_id} reads={}", reads.len());
     let span = shared.collector.span_traced("serve.request", shared.root, &detail, 1);
-    let reply = correct_batch(shared, &item);
+    #[cfg(test)]
+    assert_ne!(request_id, tests::POISONED_REQUEST, "injected fault");
+    let reply = correct_batch(shared, request_id, deadline, reads);
     match &reply {
         ServeMessage::Corrected { .. } => {
             shared.counters.corrected.fetch_add(1, Ordering::Relaxed);
@@ -464,39 +502,44 @@ fn serve_one(shared: &Shared, item: Admitted) {
         _ => {}
     }
     drop(span);
-    let latency_us = item.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let latency_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
     shared.collector.record("serve.latency_us", latency_us);
+    // Lowered before the reply leaves: whoever holds an answer sees the
+    // request no longer in flight.
+    drop(in_flight);
     // A dead handler (connection gone) makes this a no-op; the client
     // retries idempotently against whoever is alive.
-    let _ = item.reply.send(reply);
+    let _ = to_handler.send(reply);
 }
 
-/// Run the correction, cancelling between reads once the deadline passes.
-fn correct_batch(shared: &Shared, item: &Admitted) -> ServeMessage {
-    if Instant::now() >= item.deadline {
+/// Run the correction on the request's own reads, cancelling between reads
+/// once the deadline passes.
+fn correct_batch(
+    shared: &Shared,
+    request_id: u64,
+    deadline: Instant,
+    mut reads: Vec<Read>,
+) -> ServeMessage {
+    if Instant::now() >= deadline {
         // Expired while queued: cancel before doing any work.
-        return ServeMessage::DeadlineExceeded { request_id: item.request_id };
+        return ServeMessage::DeadlineExceeded { request_id };
     }
     let rpt = &shared.reptile;
     // Identical preprocessing to batch `reptile-correct` (per-read
     // independent, so serving a batch in pieces stays byte-identical).
-    let pre = reptile::ambig::preprocess_ambiguous(&item.reads, rpt.params());
+    reptile::ambig::preprocess_in_place(&mut reads, rpt.params());
     let index = rpt.neighbor_tables().view(rpt.spectrum());
     let mut stats = ReptileStats::default();
-    let mut out = Vec::with_capacity(pre.len());
-    for read in pre {
-        if Instant::now() >= item.deadline {
-            return ServeMessage::DeadlineExceeded { request_id: item.request_id };
+    for read in &mut reads {
+        if Instant::now() >= deadline {
+            return ServeMessage::DeadlineExceeded { request_id };
         }
-        let mut read = read;
-        let s = correct_read(&mut read, rpt.params(), rpt.tiles(), &index);
-        stats.merge(&s);
-        out.push(read);
+        stats.merge(&correct_read(read, rpt.params(), rpt.tiles(), &index));
     }
     shared.collector.add("serve.bases_changed", stats.bases_changed);
     ServeMessage::Corrected {
-        request_id: item.request_id,
-        reads: out,
+        request_id,
+        reads,
         bases_changed: stats.bases_changed,
         reads_changed: stats.reads_changed,
     }
@@ -508,6 +551,10 @@ mod tests {
     use crate::conn::{scratch_endpoint, Endpoint};
     use ngs_simulate::{simulate_reads, ErrorModel, GenomeSpec, ReadSimConfig};
     use reptile::ReptileParams;
+
+    /// The request id `serve_one` panics on, standing in for any bug in the
+    /// correction path.
+    pub(super) const POISONED_REQUEST: u64 = 0xDEAD_0000_0BAD;
 
     fn small_reptile() -> (Vec<Read>, Arc<Reptile>) {
         let g = GenomeSpec::uniform(4_000).generate(7).seq;
@@ -568,6 +615,43 @@ mod tests {
         assert_eq!(report.histograms["serve.latency_us"].count(), 1);
     }
 
+    /// Regression: a panic in `serve_one` used to end the worker thread for
+    /// good — "worker lost" for that request, `in_flight` left raised, and
+    /// after `workers` of them a server that admits what nobody pops.
+    #[test]
+    fn a_panicking_request_costs_neither_worker_nor_in_flight() {
+        let (reads, rpt) = small_reptile();
+        let workers = 2;
+        let config = ServerConfig { workers, ..ServerConfig::default() };
+        let (ep, handle, collector) = start(rpt, config);
+        let request = |request_id| ServeMessage::Correct {
+            request_id,
+            deadline_ms: 0,
+            reads: reads[..4].to_vec(),
+        };
+        for _ in 0..workers + 1 {
+            match roundtrip(&ep, &request(POISONED_REQUEST)) {
+                ServeMessage::RequestError { request_id, message } => {
+                    assert_eq!(request_id, POISONED_REQUEST);
+                    assert!(message.starts_with("internal: "), "{message}");
+                    assert!(message.contains("injected fault"), "{message}");
+                }
+                other => panic!("expected RequestError, got {other:?}"),
+            }
+        }
+        let reply = roundtrip(&ep, &request(7));
+        assert!(matches!(reply, ServeMessage::Corrected { request_id: 7, .. }), "{reply:?}");
+        match roundtrip(&ep, &ServeMessage::Stats { request_id: 8 }) {
+            ServeMessage::StatsReply { in_flight, .. } => assert_eq!(in_flight, 0),
+            other => panic!("expected StatsReply, got {other:?}"),
+        }
+        let summary = handle.shutdown();
+        assert_eq!(summary.corrected, 1);
+        assert_eq!(summary.request_errors, workers as u64 + 1);
+        assert_eq!(summary.connection_errors, 0);
+        assert_eq!(collector.report("serve").counter("serve.worker_panics"), workers as u64 + 1);
+    }
+
     #[test]
     fn ping_reports_the_warm_index() {
         let (_, rpt) = small_reptile();
@@ -600,26 +684,46 @@ mod tests {
     #[test]
     fn expired_deadline_is_refused_not_half_served() {
         let (reads, rpt) = small_reptile();
-        // One worker busy on a slow request starves the queued one past
-        // its 1 ms deadline.
+        // One worker and two slow requests: while the second still waits
+        // for the worker, a third arrives with a 1 ms deadline. It is
+        // popped only after the whole of the second has been served — far
+        // past its deadline, however fast a single read is corrected.
         let config = ServerConfig { workers: 1, queue_capacity: 4, ..ServerConfig::default() };
         let (ep, handle, _) = start(rpt, config);
-        let mut busy = ep.connect().expect("connect");
-        ServeMessage::Correct { request_id: 1, deadline_ms: 0, reads: reads.clone() }
-            .write_to(&mut busy)
-            .expect("write");
-        // Give the worker a beat to pick the big request up.
-        std::thread::sleep(Duration::from_millis(30));
+        let slow: Vec<Read> = reads.iter().cycle().take(8 * reads.len()).cloned().collect();
+        let mut busy: Vec<_> = (1..=2)
+            .map(|request_id| {
+                let mut conn = ep.connect().expect("connect");
+                ServeMessage::Correct { request_id, deadline_ms: 0, reads: slow.clone() }
+                    .write_to(&mut conn)
+                    .expect("write");
+                conn
+            })
+            .collect();
+        loop {
+            match roundtrip(&ep, &ServeMessage::Stats { request_id: 9 }) {
+                ServeMessage::StatsReply { queue_depth, in_flight, latency_p50_us, .. } => {
+                    if queue_depth >= 1 && in_flight >= 1 {
+                        break;
+                    }
+                    assert_eq!(latency_p50_us, 0, "a slow request was answered unobserved");
+                }
+                other => panic!("expected StatsReply, got {other:?}"),
+            }
+            std::thread::yield_now();
+        }
         let reply = roundtrip(
             &ep,
-            &ServeMessage::Correct { request_id: 2, deadline_ms: 1, reads: reads[..10].to_vec() },
+            &ServeMessage::Correct { request_id: 3, deadline_ms: 1, reads: reads[..10].to_vec() },
         );
-        assert_eq!(reply, ServeMessage::DeadlineExceeded { request_id: 2 });
-        let first = ServeMessage::read_from(&mut busy).expect("busy reply");
-        assert!(matches!(first, ServeMessage::Corrected { request_id: 1, .. }), "{first:?}");
+        assert_eq!(reply, ServeMessage::DeadlineExceeded { request_id: 3 });
+        for conn in &mut busy {
+            let served = ServeMessage::read_from(conn).expect("busy reply");
+            assert!(matches!(served, ServeMessage::Corrected { .. }), "{served:?}");
+        }
         let summary = handle.shutdown();
         assert_eq!(summary.deadline_exceeded, 1);
-        assert_eq!(summary.corrected, 1);
+        assert_eq!(summary.corrected, 2);
     }
 
     #[test]
