@@ -468,7 +468,7 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
     let collector = Arc::new(metrics_collector(args)?);
     let session = ObserveSession::begin(&obs, &collector, input, "redeem");
     let run_span = collector.span("redeem.run");
-    let reads = load_reads(input, &opts, &collector)?;
+    let mut reads = load_reads(input, &opts, &collector)?;
 
     let mut store = opts.store("redeem", input, &collector)?;
     let model_key = key_of(|w| {
@@ -491,7 +491,7 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
         }
         None => {
             eprintln!("building misread graph (k={k}, dmax={dmax})");
-            let r = redeem::Redeem::new(&reads, k, &model, dmax);
+            let r = redeem::Redeem::new_observed(&reads, k, &model, dmax, &collector);
             if let Some(s) = store.as_mut() {
                 s.save("model", model_key, &r.snapshot_bytes())?;
             }
@@ -504,6 +504,8 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
         rd.spectrum().len(),
         rd.average_degree()
     );
+    collector.add("redeem.kmers", rd.spectrum().len() as u64);
+    collector.add("redeem.graph_edges", rd.edge_count() as u64);
 
     let cfg = redeem::EmConfig { dmax, max_iters, tol: 1e-7 };
     let em_key = key_of(|w| {
@@ -586,8 +588,18 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
 
     if let Some(corrected_path) = args.value_of("correct")? {
         let cov = fit.as_ref().map(|f| f.coverage_constant).unwrap_or(20.0);
-        let corrected = redeem::correct_reads(&rd, &model, &result.t, &reads, cov * 0.5, threshold);
-        write_sequences(corrected_path, &corrected)?;
+        {
+            let _span = collector.span("redeem.correct");
+            redeem::correct_reads_in_place(
+                &rd,
+                &model,
+                &result.t,
+                &mut reads,
+                cov * 0.5,
+                threshold,
+            );
+        }
+        write_sequences(corrected_path, &reads)?;
         eprintln!("wrote corrected reads to {corrected_path}");
     }
 

@@ -100,6 +100,57 @@ impl BucketDirectory {
     }
 }
 
+/// A word's top bits that pick its partition of a sorted-pass build (the tile
+/// table's and the spectrum's): enough partitions to keep every thread busy,
+/// each small enough to sort in cache.
+pub(crate) const PARTITION_BITS: u32 = 8;
+
+/// One chunk's words of a sorted-pass build, grouped by partition. A build
+/// collects one of these per chunk of reads, then gathers partition `p` of
+/// every chunk, sorts and counts it; partitions ascend, so the result is
+/// the concatenation of the partitions' results and depends on neither the
+/// chunk size nor the thread count.
+pub(crate) struct Partitioned {
+    words: Vec<u64>,
+    partitions: BucketDirectory,
+}
+
+impl Partitioned {
+    /// Group `words` (each `key_bits` wide) by their top
+    /// [`PARTITION_BITS`] bits, keeping arrival order within a partition.
+    pub(crate) fn group(words: Vec<u64>, key_bits: u32) -> Partitioned {
+        let partitions = BucketDirectory::with_bits(
+            key_bits,
+            PARTITION_BITS.min(key_bits),
+            words.iter().copied(),
+        );
+        let mut grouped = vec![0; words.len()];
+        partitions.scatter(words.iter().copied(), |slot, _, word| grouped[slot] = word);
+        Partitioned { words: grouped, partitions }
+    }
+
+    /// Number of partitions of `key_bits`-wide words.
+    pub(crate) fn count(key_bits: u32) -> usize {
+        1 << PARTITION_BITS.min(key_bits)
+    }
+
+    /// Partition `p` of every chunk in `chunks`, concatenated and sorted.
+    pub(crate) fn gather_sorted<'a>(
+        chunks: impl Iterator<Item = &'a Partitioned>,
+        p: usize,
+    ) -> Vec<u64> {
+        let parts: Vec<&[u64]> = chunks.map(|c| c.partition(p)).collect();
+        let mut words = parts.concat();
+        words.sort_unstable();
+        words
+    }
+
+    fn partition(&self, p: usize) -> &[u64] {
+        let starts = self.partitions.starts();
+        &self.words[starts[p] as usize..starts[p + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

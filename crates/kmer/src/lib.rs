@@ -12,12 +12,14 @@
 //!   bits that the spectrum, the neighbour replicas and the tile table all
 //!   look keys up through;
 //! * [`spectrum`] — the k-spectrum `R^k` with occurrence counts `Y_l`,
-//!   built in parallel and stored sorted behind a directory;
+//!   built by sorted passes in parallel and stored sorted behind a
+//!   directory;
 //! * [`neighbor`] — retrieval of the d-neighbourhood `N^d_i` of a k-mer,
 //!   either by brute-force mutant enumeration or by the paper's
 //!   masked-replica index (§2.3 Phase 1): `C(c,d)` copies of the spectrum,
 //!   each stored as bit-permuted keys behind a bucket directory, one
-//!   contiguous run streamed per replica;
+//!   contiguous run streamed per replica — and the whole Hamming graph
+//!   ([`HammingGraph`]) by one self-join over the same replicas;
 //! * [`tile`] — tiles `t = α₁ ||_l α₂` (Definition 2.1) with plain and
 //!   high-quality occurrence counts `O_c` / `O_g`, sorted behind a directory
 //!   so the tiles of one first k-mer are one run.
@@ -30,7 +32,7 @@ pub mod spectrum;
 pub mod tile;
 
 pub use extract::{for_each_kmer, kmers_of};
-pub use neighbor::{NeighborIndex, NeighborTables};
+pub use neighbor::{HammingGraph, NeighborIndex, NeighborTables};
 pub use packed::{
     canonical, decode_kmer, encode_kmer, hamming_distance, mutate_base, packed_base,
     reverse_complement_packed, set_base, Kmer,

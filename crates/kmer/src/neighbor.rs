@@ -401,10 +401,11 @@ impl<'s> NeighborIndex<'s> {
         }
     }
 
-    /// Precompute the full adjacency (neighbour lists for every spectrum
-    /// index) in parallel. Used by REDEEM, whose EM iterates over all edges
-    /// of the Hamming graph many times.
-    pub fn full_adjacency(&self, max_d: usize) -> Vec<Vec<u32>> {
+    /// The full adjacency by probing every spectrum k-mer: each undirected
+    /// edge is found from both ends. The oracle of [`HammingGraph::build`],
+    /// which finds each edge once.
+    #[cfg(test)]
+    fn full_adjacency(&self, max_d: usize) -> Vec<Vec<u32>> {
         self.spectrum
             .kmers()
             .par_iter()
@@ -412,6 +413,145 @@ impl<'s> NeighborIndex<'s> {
                 let mut out = Vec::new();
                 self.hits_into(v, max_d, &mut out, |i, _| i as u32);
                 out
+            })
+            .collect()
+    }
+}
+
+/// The Hamming graph `G_H` of a spectrum at distance `d`, in compressed
+/// sparse rows over spectrum indices: row `l` is `l` itself, then every
+/// other k-mer of the spectrum within distance `d` of it, ascending — the
+/// neighbourhood `N^d_l` REDEEM's misread matrix is defined over (§3.2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HammingGraph {
+    /// Row `l` is `nbr[offsets[l]..offsets[l + 1]]`.
+    offsets: Vec<u32>,
+    nbr: Vec<u32>,
+}
+
+impl HammingGraph {
+    /// Find every edge of the graph once, by a self-join over the masked
+    /// replicas (§2.3 Phase 1) with `chunks` chunks. Two k-mers within
+    /// distance `d` differ in at most `d` chunks, so they share the kept
+    /// chunks of every replica that masks those chunks: one run of that
+    /// replica's sorted keys holds both. Each replica is sorted once and
+    /// every pair within each run compared; a pair is kept only in its
+    /// canonical replica — the one masking the chunks it differs in, filled
+    /// up with the lowest other chunks — so no edge is found twice. The
+    /// rows are then written by a count pass and a fill pass.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ d < chunks ≤ k`, and when the spectrum or the
+    /// graph's directed edges outnumber `u32::MAX`.
+    pub fn build(spectrum: &KSpectrum, d: usize, chunks: usize) -> HammingGraph {
+        let k = spectrum.k();
+        assert!(d >= 1 && chunks > d && chunks <= k, "need 1 <= d < chunks <= k");
+        let n = u32::try_from(spectrum.len()).expect("spectrum too large for the index");
+        let pairs: Vec<Vec<(u32, u32)>> = subsets(chunks, d)
+            .iter()
+            .flat_map(|masked| {
+                let replica = Replica::build(spectrum.kmers(), k, chunks, masked);
+                replica.canonical_pairs(k, chunks, masked, d)
+            })
+            .collect();
+
+        // Count pass: a row holds its node and one entry per incident edge.
+        let mut cursor = vec![1u32; n as usize];
+        for &(i, j) in pairs.iter().flatten() {
+            cursor[i as usize] += 1;
+            cursor[j as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n as usize + 1);
+        offsets.push(0u32);
+        let mut total = 0u32;
+        for c in cursor.iter_mut() {
+            let start = total;
+            total = total.checked_add(*c).expect("too many edges for a u32 CSR");
+            offsets.push(total);
+            *c = start + 1;
+        }
+        // Fill pass, then each row's neighbours in ascending order.
+        let mut nbr = vec![0u32; total as usize];
+        for l in 0..n {
+            nbr[offsets[l as usize] as usize] = l;
+        }
+        for &(i, j) in pairs.iter().flatten() {
+            for (from, to) in [(i, j), (j, i)] {
+                let slot = &mut cursor[from as usize];
+                nbr[*slot as usize] = to;
+                *slot += 1;
+            }
+        }
+        drop(pairs);
+        for w in offsets.windows(2) {
+            nbr[w[0] as usize + 1..w[1] as usize].sort_unstable();
+        }
+        HammingGraph { offsets, nbr }
+    }
+
+    /// The CSR arrays `(offsets, nbr)`.
+    pub fn into_parts(self) -> (Vec<u32>, Vec<u32>) {
+        (self.offsets, self.nbr)
+    }
+}
+
+impl Replica {
+    /// The pairs `(i, j)`, `i < j` spectrum indices, that lie in one run of
+    /// this replica's keys, are within distance `d` and have this replica
+    /// (masking the chunks `masked` of `chunks` over `k` positions) as their
+    /// canonical replica. Runs are joined in parallel, a few blocks of
+    /// buckets per thread; a kept prefix never spans buckets.
+    fn canonical_pairs(
+        &self,
+        k: usize,
+        chunks: usize,
+        masked: &[usize],
+        d: usize,
+    ) -> Vec<Vec<(u32, u32)>> {
+        let this = masked.iter().fold(0u64, |set, &ci| set | 1 << ci);
+        // Where each masked chunk's bases sit in a permuted key.
+        let chunk_bits: Vec<(usize, u64)> =
+            masked.iter().map(|&ci| (ci, self.perm.apply(chunk_mask(k, chunks, ci)))).collect();
+        // The canonical replica of a pair: the chunks it differs in, plus
+        // the lowest other chunks up to `d`.
+        let is_canonical = |diff: u64| {
+            let differ = chunk_bits
+                .iter()
+                .filter(|&&(_, bits)| diff & bits != 0)
+                .fold(0u64, |set, &(ci, _)| set | 1 << ci);
+            let fill = (0..chunks)
+                .filter(|ci| differ & 1 << ci == 0)
+                .take(d - differ.count_ones() as usize);
+            fill.fold(differ, |set, ci| set | 1 << ci) == this
+        };
+        let masked_bits = self.perm.masked_bits;
+        let starts = self.dir.starts();
+        let buckets = starts.len() - 1;
+        let blocks = (rayon::current_num_threads() * 4).min(buckets);
+        (0..blocks)
+            .into_par_iter()
+            .map(|b| {
+                let lo = starts[b * buckets / blocks] as usize;
+                let hi = starts[(b + 1) * buckets / blocks] as usize;
+                let (keys, order) = (&self.keys[lo..hi], &self.order[lo..hi]);
+                let mut pairs = Vec::new();
+                let mut s = 0;
+                while s < keys.len() {
+                    let prefix = keys[s] >> masked_bits;
+                    let run = keys[s..].iter().take_while(|&&key| key >> masked_bits == prefix);
+                    let e = s + run.count();
+                    for a in s..e {
+                        for b in a + 1..e {
+                            let (ka, kb) = (keys[a], keys[b]);
+                            if hamming_distance(ka, kb) as usize <= d && is_canonical(ka ^ kb) {
+                                let (i, j) = (order[a], order[b]);
+                                pairs.push((i.min(j), i.max(j)));
+                            }
+                        }
+                    }
+                    s = e;
+                }
+                pairs
             })
             .collect()
     }
@@ -723,6 +863,56 @@ mod tests {
         }
         let brute = NeighborIndex::build(&sp, 1, NeighborStrategy::BruteForce);
         assert_eq!(adj, brute.full_adjacency(1));
+    }
+
+    /// The graph's rows as the probe-every-k-mer adjacency would list them:
+    /// node first, then the neighbours, ascending.
+    fn rows_of(adjacency: &[Vec<u32>]) -> HammingGraph {
+        let (mut offsets, mut nbr) = (vec![0u32], Vec::new());
+        for (l, row) in adjacency.iter().enumerate() {
+            nbr.push(l as u32);
+            nbr.extend_from_slice(row);
+            offsets.push(nbr.len() as u32);
+        }
+        HammingGraph { offsets, nbr }
+    }
+
+    #[test]
+    fn hamming_graph_on_fixed_set() {
+        let sp = spectrum_of(&[b"ACGTA", b"ACGTT", b"ACGGA", b"GCGGA", b"TTTTT"]);
+        let graph = HammingGraph::build(&sp, 1, 3);
+        let idx = NeighborIndex::build(&sp, 1, NeighborStrategy::MaskedReplicas { chunks: 3 });
+        assert_eq!(graph, rows_of(&idx.full_adjacency(1)));
+        // TTTTT has no neighbour: its row is itself.
+        let lone = sp.index_of(encode_kmer(b"TTTTT").unwrap()).unwrap();
+        assert_eq!(graph.offsets[lone + 1] - graph.offsets[lone], 1);
+        let empty = KSpectrum::from_sorted(5, Vec::new(), Vec::new()).unwrap();
+        assert_eq!(HammingGraph::build(&empty, 2, 4).into_parts(), (vec![0], vec![]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The self-join finds each edge once and exactly the edges that
+        /// probing every k-mer finds, for every legal chunk count, against
+        /// both the masked-replica and the brute-force probe.
+        #[test]
+        fn hamming_graph_equals_full_adjacency(
+            k in 2usize..=14,
+            d in 1usize..=2,
+            n in prop_oneof![Just(0usize), Just(1), Just(2), 3usize..64, 64usize..3000],
+            seed in any::<u64>(),
+        ) {
+            let d = d.min(k - 1);
+            let (sp, _) = random_spectrum(k, n, seed);
+            let brute = NeighborIndex::build(&sp, d, NeighborStrategy::BruteForce);
+            let want = brute.full_adjacency(d);
+            for chunks in d + 1..=k.min(6) {
+                prop_assert_eq!(HammingGraph::build(&sp, d, chunks), rows_of(&want));
+                let masked = NeighborIndex::build(&sp, d, NeighborStrategy::MaskedReplicas { chunks });
+                prop_assert_eq!(&masked.full_adjacency(d), &want);
+            }
+        }
     }
 
     /// A random spectrum of about `n` k-mers in which neighbours exist also

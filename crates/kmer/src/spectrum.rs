@@ -5,9 +5,11 @@
 //! §2.3). It is stored as a sorted array of `(kmer, count)` behind a
 //! [`BucketDirectory`], so membership and count queries scan one short
 //! bucket, and the neighbour index (§2.3 Phase 1) can keep masked-sorted
-//! permutations of the same array.
+//! permutations of the same array. It is built by sorted passes like the
+//! tile table: k-mer instances grouped by top bits, each group sorted and
+//! counted — no hash map.
 
-use crate::directory::BucketDirectory;
+use crate::directory::{BucketDirectory, Partitioned};
 use crate::extract::for_each_kmer;
 use crate::packed::{reverse_complement_packed, Kmer};
 use ngs_core::hash::FxHashMap;
@@ -36,42 +38,47 @@ impl KSpectrum {
     }
 
     fn build(reads: &[Read], k: usize, both_strands: bool) -> KSpectrum {
-        // Parallel fold into per-chunk hash maps, then merge. Chunks are
-        // large enough that the merge step is cheap relative to counting.
         let chunk = (reads.len() / (rayon::current_num_threads() * 4)).max(256);
-        let map = reads
+        Self::build_chunked(reads, k, both_strands, chunk)
+    }
+
+    /// [`KSpectrum::build`] over chunks of `chunk` reads, in the tile table's
+    /// shape: every chunk collects its k-mer instances grouped by the
+    /// k-mer's top bits, then every partition gathers its instances from
+    /// all chunks, sorts them and counts each k-mer. Partitions ascend, so
+    /// the spectrum is their concatenation and depends on neither the chunk
+    /// size nor the thread count.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ k ≤ 32`.
+    fn build_chunked(reads: &[Read], k: usize, both_strands: bool, chunk: usize) -> KSpectrum {
+        assert!((1..=32).contains(&k), "a k-spectrum needs k in 1..=32, got {k}");
+        let key_bits = 2 * k as u32;
+        let strands = 1 + usize::from(both_strands);
+        let chunks: Vec<Partitioned> = reads
             .par_chunks(chunk)
             .map(|chunk| {
-                let mut m: FxHashMap<Kmer, u32> = FxHashMap::default();
+                let most: usize = chunk.iter().map(|r| (r.len() + 1).saturating_sub(k)).sum();
+                let mut instances = Vec::with_capacity(most * strands);
                 for r in chunk {
                     for_each_kmer(&r.seq, k, |_, v| {
-                        *m.entry(v).or_insert(0) += 1;
+                        instances.push(v);
                         if both_strands {
-                            *m.entry(reverse_complement_packed(v, k)).or_insert(0) += 1;
+                            instances.push(reverse_complement_packed(v, k));
                         }
                     });
                 }
-                m
+                Partitioned::group(instances, key_bits)
             })
-            .reduce(FxHashMap::default, |a, b| {
-                // Merge the smaller map into the larger one.
-                if a.len() >= b.len() {
-                    Self::merge_into(a, b)
-                } else {
-                    Self::merge_into(b, a)
-                }
-            });
-        Self::from_map(map, k)
-    }
-
-    fn merge_into(
-        mut big: FxHashMap<Kmer, u32>,
-        small: FxHashMap<Kmer, u32>,
-    ) -> FxHashMap<Kmer, u32> {
-        for (kmer, c) in small {
-            *big.entry(kmer).or_insert(0) += c;
-        }
-        big
+            .collect();
+        let runs: Vec<(Vec<Kmer>, Vec<u32>)> = (0..Partitioned::count(key_bits))
+            .into_par_iter()
+            .map(|p| count_runs(&Partitioned::gather_sorted(chunks.iter(), p)))
+            .collect();
+        drop(chunks);
+        let kmers = runs.iter().flat_map(|(kmers, _)| kmers).copied().collect();
+        let counts = runs.iter().flat_map(|(_, counts)| counts).copied().collect();
+        Self::from_ascending(k, kmers, counts)
     }
 
     /// Build from an explicit `(kmer -> count)` map.
@@ -129,9 +136,15 @@ impl KSpectrum {
                 2 * k
             )));
         }
+        Ok(Self::from_ascending(k, kmers, counts))
+    }
+
+    /// The spectrum over `kmers`, which the caller guarantees are strictly
+    /// ascending `k`-mers with `1 ≤ k ≤ 32`, and their `counts`.
+    fn from_ascending(k: usize, kmers: Vec<Kmer>, counts: Vec<u32>) -> KSpectrum {
         let key_bits = 2 * k as u32;
         let dir = BucketDirectory::build(key_bits, key_bits, kmers.iter().copied());
-        Ok(KSpectrum { k, kmers, counts, dir })
+        KSpectrum { k, kmers, counts, dir }
     }
 
     /// The k this spectrum was built with.
@@ -189,6 +202,19 @@ impl KSpectrum {
     pub fn iter(&self) -> impl Iterator<Item = (Kmer, u32)> + '_ {
         self.kmers.iter().copied().zip(self.counts.iter().copied())
     }
+}
+
+/// The distinct k-mers of an ascending instance list and how often each
+/// occurs.
+fn count_runs(mut instances: &[Kmer]) -> (Vec<Kmer>, Vec<u32>) {
+    let (mut kmers, mut counts) = (Vec::new(), Vec::new());
+    while let Some(&kmer) = instances.first() {
+        let run = instances.iter().take_while(|&&v| v == kmer).count();
+        kmers.push(kmer);
+        counts.push(run as u32);
+        instances = &instances[run..];
+    }
+    (kmers, counts)
 }
 
 #[cfg(test)]
@@ -275,7 +301,80 @@ mod tests {
         assert!(sp.kmers().windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// The hash-map build the sorted passes replaced, kept as their oracle:
+    /// count every instance (and its reverse complement) into a map, then
+    /// sort the map.
+    fn hash_map_build(reads: &[Read], k: usize, both_strands: bool) -> KSpectrum {
+        let mut m: FxHashMap<Kmer, u32> = FxHashMap::default();
+        for r in reads {
+            for_each_kmer(&r.seq, k, |_, v| {
+                *m.entry(v).or_insert(0) += 1;
+                if both_strands {
+                    *m.entry(reverse_complement_packed(v, k)).or_insert(0) += 1;
+                }
+            });
+        }
+        KSpectrum::from_map(m, k)
+    }
+
+    /// Reads over a short random genome (so k-mers repeat), with
+    /// substitutions and the odd `N`.
+    fn random_reads(n: usize, read_len: usize, seed: u64) -> Vec<Read> {
+        let mut rng = seed;
+        let mut next = move || crate::splitmix64(&mut rng);
+        let genome: Vec<u8> = (0..3 * read_len).map(|_| b"ACGT"[(next() % 4) as usize]).collect();
+        (0..n)
+            .map(|i| {
+                let at = (next() % (genome.len() - read_len + 1) as u64) as usize;
+                let mut seq = genome[at..at + read_len].to_vec();
+                for b in seq.iter_mut() {
+                    match next() % 40 {
+                        0 => *b = b'N',
+                        1..=4 => *b = b"ACGT"[(next() % 4) as usize],
+                        _ => {}
+                    }
+                }
+                Read::new(format!("r{i}"), seq)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_does_not_depend_on_chunking() {
+        let reads = random_reads(700, 36, 5);
+        for both_strands in [false, true] {
+            let want = hash_map_build(&reads, 7, both_strands);
+            for chunk in [1, 7, 256, 700] {
+                let got = KSpectrum::build_chunked(&reads, 7, both_strands, chunk);
+                assert_eq!(got.kmers(), want.kmers(), "chunk {chunk}");
+                assert_eq!(got.counts(), want.counts(), "chunk {chunk}");
+            }
+        }
+    }
+
     proptest! {
+        /// The sorted-pass build against the hash-map build it replaced, on
+        /// both strands and one, with `N`s, at every k — k = 1 (fewer key
+        /// bits than partition bits) and k = 32 (a k-mer fills the word)
+        /// included.
+        #[test]
+        fn sorted_build_matches_hash_map_build(
+            k in prop_oneof![Just(1usize), Just(2), 3usize..=31, Just(32)],
+            n in prop_oneof![Just(0usize), Just(1), 2usize..40, 40usize..400],
+            both_strands in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let reads = random_reads(n, k + 12, seed);
+            let got = if both_strands {
+                KSpectrum::from_reads_both_strands(&reads, k)
+            } else {
+                KSpectrum::from_reads(&reads, k)
+            };
+            let want = hash_map_build(&reads, k, both_strands);
+            prop_assert_eq!(got.kmers(), want.kmers());
+            prop_assert_eq!(got.counts(), want.counts());
+        }
+
         /// The directory lookup against a binary search of the same array,
         /// for present k-mers, near misses, random words and words with
         /// bits above 2k — k = 1 and k = 32 (a k-mer fills the word) too.

@@ -12,7 +12,7 @@
 //! ([`TileTable::first_kmer_run`]) — what Algorithm 1's d-mutant enumeration
 //! scans instead of probing every candidate pair.
 
-use crate::directory::BucketDirectory;
+use crate::directory::{BucketDirectory, Partitioned};
 use crate::extract::for_each_kmer;
 use crate::packed::{reverse_complement_packed, Kmer};
 use ngs_core::{NgsError, Read};
@@ -212,18 +212,13 @@ impl TileTable {
         assert!((1..=16).contains(&k), "tile table requires k in 1..=16");
         assert!(l < k, "overlap l must be < k");
         let m = 2 * k - l;
-        let chunks: Vec<[Instances; 2]> =
+        let chunks: Vec<[Partitioned; 2]> =
             reads.par_chunks(chunk).map(|chunk| chunk_instances(chunk, m, q_c)).collect();
-        let partitions = 1usize << PARTITION_BITS.min(2 * m as u32);
-        let runs: Vec<Vec<TileEntry>> = (0..partitions)
+        let runs: Vec<Vec<TileEntry>> = (0..Partitioned::count(2 * m as u32))
             .into_par_iter()
             .map(|p| {
                 let [high, low] = [HIGH, LOW].map(|quality| {
-                    let parts: Vec<&[Tile]> =
-                        chunks.iter().map(|c| c[quality].partition(p)).collect();
-                    let mut tiles = parts.concat();
-                    tiles.sort_unstable();
-                    tiles
+                    Partitioned::gather_sorted(chunks.iter().map(|c| &c[quality]), p)
                 });
                 count_tiles(&high, &low)
             })
@@ -232,43 +227,15 @@ impl TileTable {
     }
 }
 
-/// A tile's top bits that pick its partition of the build: enough partitions
-/// to keep every thread busy, each small enough to sort in cache.
-const PARTITION_BITS: u32 = 8;
-
-/// Index into a chunk's [`Instances`] pair: instances whose bases are all
-/// above `Q_c`, and the others. They are collected apart, so no instance
+/// Index into a chunk's pair of instance lists: instances whose bases are
+/// all above `Q_c`, and the others. They are collected apart, so no instance
 /// needs a flag bit beside a tile that may fill the word.
 const HIGH: usize = 0;
 const LOW: usize = 1;
 
-/// Tile instances of one quality class, grouped by build partition.
-struct Instances {
-    tiles: Vec<Tile>,
-    partitions: BucketDirectory,
-}
-
-impl Instances {
-    fn group(tiles: Vec<Tile>, tile_bits: u32) -> Instances {
-        let partitions = BucketDirectory::with_bits(
-            tile_bits,
-            PARTITION_BITS.min(tile_bits),
-            tiles.iter().copied(),
-        );
-        let mut grouped = vec![0; tiles.len()];
-        partitions.scatter(tiles.iter().copied(), |slot, _, tile| grouped[slot] = tile);
-        Instances { tiles: grouped, partitions }
-    }
-
-    fn partition(&self, p: usize) -> &[Tile] {
-        let starts = self.partitions.starts();
-        &self.tiles[starts[p] as usize..starts[p + 1] as usize]
-    }
-}
-
 /// The tile instances of `reads` and of their reverse complements, by
 /// quality class ([`HIGH`], [`LOW`]).
-fn chunk_instances(reads: &[Read], m: usize, q_c: u8) -> [Instances; 2] {
+fn chunk_instances(reads: &[Read], m: usize, q_c: u8) -> [Partitioned; 2] {
     let most: usize = reads.iter().map(|r| 2 * (r.len() + 1).saturating_sub(m)).sum();
     let mut instances = [Vec::with_capacity(most), Vec::new()];
     let mut lowq_prefix: Vec<u32> = Vec::new();
@@ -294,7 +261,7 @@ fn chunk_instances(reads: &[Read], m: usize, q_c: u8) -> [Instances; 2] {
             instances[quality].push(reverse_complement_packed(tile, m));
         });
     }
-    instances.map(|tiles| Instances::group(tiles, 2 * m as u32))
+    instances.map(|tiles| Partitioned::group(tiles, 2 * m as u32))
 }
 
 /// Count each distinct tile of two ascending instance lists: `O_c` over

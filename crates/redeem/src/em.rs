@@ -15,9 +15,10 @@
 
 use crate::error_model::KmerErrorModel;
 use ngs_core::Read;
-use ngs_kmer::neighbor::{default_chunks, NeighborIndex, NeighborStrategy};
+use ngs_kmer::neighbor::{default_chunks, HammingGraph};
 use ngs_kmer::KSpectrum;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// EM configuration.
 #[derive(Debug, Clone)]
@@ -92,92 +93,90 @@ impl EmState {
 /// The REDEEM model: spectrum, misread graph and edge weights.
 pub struct Redeem {
     spectrum: KSpectrum,
-    /// CSR offsets into `nbr` / weight arrays; node `l`'s edges are
-    /// `edges[offsets[l]..offsets[l+1]]`. The self-loop is always first.
+    /// CSR offsets into `nbr` / `w_out` / `rev`; node `l`'s edges are
+    /// `offsets[l]..offsets[l+1]`. The self-loop is always first, the
+    /// neighbours follow in ascending order.
     offsets: Vec<u32>,
     /// Neighbour node ids (self first).
     nbr: Vec<u32>,
     /// Row-normalised `pe(l → nbr)` — probability node `l` is misread as the
     /// neighbour ("outgoing").
     w_out: Vec<f64>,
-    /// Row-normalised `pe(nbr → l)` — probability the neighbour is misread
-    /// as node `l` ("incoming").
-    w_in: Vec<f64>,
+    /// The reverse of every edge: edge `e = (l → m)` in row `l` has its
+    /// twin `(m → l)` at `rev[e]` in row `m` (a self-loop is its own). The
+    /// graph is symmetric, so the "incoming" weight `pe(m → l)` normalised
+    /// over row `m` is `w_out[rev[e]]` — the same expression over the same
+    /// operands, stored once.
+    rev: Vec<u32>,
     y: Vec<f64>,
 }
 
 impl Redeem {
-    /// Build the model from reads: spectrum, Hamming neighbourhoods (via the
-    /// masked-replica index) and normalised misread weights.
+    /// Build the model from reads: spectrum, Hamming neighbourhoods (a
+    /// self-join over the masked replicas) and normalised misread weights.
     pub fn new(reads: &[Read], k: usize, model: &KmerErrorModel, dmax: usize) -> Redeem {
+        Self::new_observed(reads, k, model, dmax, &ngs_observe::Collector::disabled())
+    }
+
+    /// [`Redeem::new`] with observability: the spectrum count is timed under
+    /// the `redeem.build.spectrum` span, the graph and its weights under
+    /// `redeem.build.graph`.
+    pub fn new_observed(
+        reads: &[Read],
+        k: usize,
+        model: &KmerErrorModel,
+        dmax: usize,
+        collector: &ngs_observe::Collector,
+    ) -> Redeem {
         assert_eq!(model.k(), k, "error model k must match spectrum k");
-        let spectrum = KSpectrum::from_reads(reads, k);
+        let spectrum = {
+            let _span = collector.span("redeem.build.spectrum");
+            KSpectrum::from_reads(reads, k)
+        };
+        let _span = collector.span("redeem.build.graph");
         Self::from_spectrum(spectrum, model, dmax)
     }
 
-    /// Build from a precomputed spectrum.
+    /// Build from a precomputed spectrum: the Hamming graph, found edge by
+    /// edge once, then one `pe` per directed edge.
     pub fn from_spectrum(spectrum: KSpectrum, model: &KmerErrorModel, dmax: usize) -> Redeem {
-        let n = spectrum.len();
         let chunks = default_chunks(spectrum.k(), dmax);
-        let index =
-            NeighborIndex::build(&spectrum, dmax, NeighborStrategy::MaskedReplicas { chunks });
-        let adjacency = index.full_adjacency(dmax);
+        let (offsets, nbr) = HammingGraph::build(&spectrum, dmax, chunks).into_parts();
+        let rev = reverse_edges(&offsets, &nbr).expect("a Hamming graph is symmetric");
 
-        // Raw (un-normalised) weights, then row sums, then two normalised
-        // directed weight arrays.
+        // Row l: w[e] = pe(l → nbr[e]), then the row is normalised by its
+        // own sum, in row order. A few blocks of rows per thread.
         let kmers = spectrum.kmers();
-        let diags: Vec<f64> = kmers.par_iter().map(|&v| model.diag(v)).collect();
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for a in &adjacency {
-            total += 1 + a.len() as u32; // self + neighbours
-            offsets.push(total);
+        let mut w_out = vec![0.0f64; nbr.len()];
+        let mut blocks: Vec<(Range<usize>, &mut [f64])> = Vec::new();
+        let mut rest = w_out.as_mut_slice();
+        let n = spectrum.len();
+        let per_block = n.div_ceil(rayon::current_num_threads() * 4).max(1);
+        for first in (0..n).step_by(per_block) {
+            let rows = first..(first + per_block).min(n);
+            let edges = (offsets[rows.end] - offsets[rows.start]) as usize;
+            let (block, tail) = rest.split_at_mut(edges);
+            blocks.push((rows, block));
+            rest = tail;
         }
-        let mut nbr = Vec::with_capacity(total as usize);
-        for (l, a) in adjacency.iter().enumerate() {
-            nbr.push(l as u32); // self-loop first
-            nbr.extend_from_slice(a);
-        }
-
-        // Row sums for normalisation: rowsum_l = Σ_{m ∈ row l} pe(l → m).
-        let rowsums: Vec<f64> = (0..n)
-            .into_par_iter()
-            .map(|l| {
+        blocks.into_par_iter().for_each(|(rows, block)| {
+            let base = offsets[rows.start] as usize;
+            for l in rows {
                 let (s, e) = (offsets[l] as usize, offsets[l + 1] as usize);
-                nbr[s..e]
-                    .iter()
-                    .map(|&m| model.pe_with_diag(kmers[l], kmers[m as usize], diags[l]))
-                    .sum()
-            })
-            .collect();
-
-        let mut w_out = vec![0.0f64; total as usize];
-        let mut w_in = vec![0.0f64; total as usize];
-        let rows: Vec<(usize, usize)> =
-            (0..n).map(|l| (offsets[l] as usize, offsets[l + 1] as usize)).collect();
-        let results: Vec<(usize, Vec<f64>, Vec<f64>)> = rows
-            .par_iter()
-            .enumerate()
-            .map(|(l, &(s, e))| {
-                let mut out_row = Vec::with_capacity(e - s);
-                let mut in_row = Vec::with_capacity(e - s);
-                for &m in &nbr[s..e] {
-                    let m = m as usize;
-                    out_row.push(model.pe_with_diag(kmers[l], kmers[m], diags[l]) / rowsums[l]);
-                    in_row.push(model.pe_with_diag(kmers[m], kmers[l], diags[m]) / rowsums[m]);
+                let w = &mut block[s - base..e - base];
+                let diag = model.diag(kmers[l]);
+                for (w, &m) in w.iter_mut().zip(&nbr[s..e]) {
+                    *w = model.pe_with_diag(kmers[l], kmers[m as usize], diag);
                 }
-                (s, out_row, in_row)
-            })
-            .collect();
-        for (s, out_row, in_row) in results {
-            w_out[s..s + out_row.len()].copy_from_slice(&out_row);
-            w_in[s..s + in_row.len()].copy_from_slice(&in_row);
-        }
+                let rowsum: f64 = w.iter().sum();
+                for w in w.iter_mut() {
+                    *w /= rowsum;
+                }
+            }
+        });
 
         let y: Vec<f64> = spectrum.counts().iter().map(|&c| c as f64).collect();
-        Redeem { spectrum, offsets, nbr, w_out, w_in, y }
+        Redeem { spectrum, offsets, nbr, w_out, rev, y }
     }
 
     /// The spectrum the model was built over.
@@ -185,23 +184,23 @@ impl Redeem {
         &self.spectrum
     }
 
-    /// The raw CSR arrays `(offsets, nbr, w_out, w_in)` for checkpoint
+    /// The raw CSR arrays `(offsets, nbr, w_out)` for checkpoint
     /// serialization — inverse of [`Redeem::from_csr_parts`].
-    pub fn csr_parts(&self) -> (&[u32], &[u32], &[f64], &[f64]) {
-        (&self.offsets, &self.nbr, &self.w_out, &self.w_in)
+    pub fn csr_parts(&self) -> (&[u32], &[u32], &[f64]) {
+        (&self.offsets, &self.nbr, &self.w_out)
     }
 
     /// Reassemble a model from checkpointed CSR parts, re-validating the
     /// structural invariants (offset monotonicity, in-range neighbour ids,
-    /// self-loop-first rows, parallel weight arrays) so a corrupt
-    /// checkpoint errors instead of producing a model that panics or
-    /// silently computes garbage mid-EM.
+    /// self-loop-first rows with ascending neighbours, a symmetric graph,
+    /// parallel weight array) so a corrupt checkpoint errors instead of
+    /// producing a model that panics or silently computes garbage mid-EM.
+    /// The reverse edges are re-derived, not read.
     pub fn from_csr_parts(
         spectrum: KSpectrum,
         offsets: Vec<u32>,
         nbr: Vec<u32>,
         w_out: Vec<f64>,
-        w_in: Vec<f64>,
     ) -> ngs_core::Result<Redeem> {
         use ngs_core::NgsError;
         let n = spectrum.len();
@@ -212,29 +211,32 @@ impl Redeem {
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return bad("offsets not monotone".into());
         }
-        if *offsets.last().unwrap() as usize != nbr.len()
-            || w_out.len() != nbr.len()
-            || w_in.len() != nbr.len()
-        {
+        if *offsets.last().unwrap() as usize != nbr.len() || w_out.len() != nbr.len() {
             return bad(format!(
-                "edge arrays disagree: last offset {}, |nbr|={}, |w_out|={}, |w_in|={}",
+                "edge arrays disagree: last offset {}, |nbr|={}, |w_out|={}",
                 offsets.last().unwrap(),
                 nbr.len(),
                 w_out.len(),
-                w_in.len()
             ));
         }
         if nbr.iter().any(|&m| m as usize >= n) {
             return bad("neighbour id out of range".into());
         }
         for l in 0..n {
-            let s = offsets[l] as usize;
-            if s == offsets[l + 1] as usize || nbr[s] != l as u32 {
+            let row = &nbr[offsets[l] as usize..offsets[l + 1] as usize];
+            if row.first() != Some(&(l as u32)) {
                 return bad(format!("row {l} does not start with its self-loop"));
             }
+            if row[1..].windows(2).any(|w| w[0] >= w[1]) || row[1..].contains(&(l as u32)) {
+                return bad(format!("row {l}: neighbours not strictly ascending"));
+            }
         }
+        let rev = match reverse_edges(&offsets, &nbr) {
+            Ok(rev) => rev,
+            Err(msg) => return bad(msg),
+        };
         let y: Vec<f64> = spectrum.counts().iter().map(|&c| c as f64).collect();
-        Ok(Redeem { spectrum, offsets, nbr, w_out, w_in, y })
+        Ok(Redeem { spectrum, offsets, nbr, w_out, rev, y })
     }
 
     /// Observed counts `Y` as floats (parallel to the spectrum).
@@ -250,6 +252,12 @@ impl Redeem {
     /// The raw CSR neighbour array (self-loop first within each row).
     pub fn neighbors_raw(&self) -> &[u32] {
         &self.nbr
+    }
+
+    /// Number of edges of the misread graph: pairs of distinct k-mers
+    /// within `d_max`, each counted once.
+    pub fn edge_count(&self) -> usize {
+        (self.nbr.len() - self.spectrum.len()) / 2
     }
 
     /// Average neighbourhood size (including self) — a diagnostic.
@@ -293,47 +301,46 @@ impl Redeem {
         let n = self.spectrum.len();
         let mut state = resume.unwrap_or_else(|| EmState::initial(&self.y));
         let start_iterations = state.iterations;
+        // Per-node buffers every iteration refills.
+        let (mut denom, mut terms, mut t_next) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         while !state.converged && state.iterations < cfg.max_iters {
             state.iterations += 1;
             let mut iter_span =
                 collector.span_with_threads("redeem.em.iteration", rayon::current_num_threads());
             // Denominators: denom_m = Σ_{l ∈ row m} T_l · pe(l → m), which
-            // in CSR terms is a gather over row m with incoming weights.
+            // in CSR terms is a gather over row m with the incoming weights,
+            // read through the reverse edges.
             let t = &state.t;
-            let denom: Vec<f64> = (0..n)
-                .into_par_iter()
-                .map(|m| {
-                    let (s, e) = (self.offsets[m] as usize, self.offsets[m + 1] as usize);
-                    self.nbr[s..e]
-                        .iter()
-                        .zip(&self.w_in[s..e])
-                        .map(|(&l, &w)| t[l as usize] * w)
-                        .sum::<f64>()
-                        .max(1e-300)
-                })
-                .collect();
+            fill_rows(&mut denom, |m| {
+                let (s, e) = (self.offsets[m] as usize, self.offsets[m + 1] as usize);
+                self.nbr[s..e]
+                    .iter()
+                    .zip(&self.rev[s..e])
+                    .map(|(&l, &r)| t[l as usize] * self.w_out[r as usize])
+                    .sum::<f64>()
+                    .max(1e-300)
+            });
 
-            // Log-likelihood (up to constant): Σ_m Y_m ln denom_m.
-            let ll: f64 = (0..n).into_par_iter().map(|m| self.y[m] * denom[m].ln()).sum();
+            // Log-likelihood (up to constant): Σ_m Y_m ln denom_m, summed
+            // in node order.
+            fill_rows(&mut terms, |m| self.y[m] * denom[m].ln());
+            let ll: f64 = terms.iter().sum();
             state.loglik_trace.push(ll);
 
             // M-step: T_l = Σ_{m ∈ row l} Y_m · T_l · pe(l→m) / denom_m.
-            let t_new: Vec<f64> = (0..n)
-                .into_par_iter()
-                .map(|l| {
-                    let (s, e) = (self.offsets[l] as usize, self.offsets[l + 1] as usize);
-                    let tl = t[l];
-                    self.nbr[s..e]
-                        .iter()
-                        .zip(&self.w_out[s..e])
-                        .map(|(&m, &w)| {
-                            let m = m as usize;
-                            self.y[m] * tl * w / denom[m]
-                        })
-                        .sum()
-                })
-                .collect();
-            state.t = t_new;
+            fill_rows(&mut t_next, |l| {
+                let (s, e) = (self.offsets[l] as usize, self.offsets[l + 1] as usize);
+                let tl = t[l];
+                self.nbr[s..e]
+                    .iter()
+                    .zip(&self.w_out[s..e])
+                    .map(|(&m, &w)| {
+                        let m = m as usize;
+                        self.y[m] * tl * w / denom[m]
+                    })
+                    .sum()
+            });
+            std::mem::swap(&mut state.t, &mut t_next);
             // Report the parallelism the E/M gathers actually got, not
             // the pool size (they may have run sequentially).
             iter_span.set_threads(rayon::last_threads_used());
@@ -364,6 +371,52 @@ impl Redeem {
             collector.gauge("redeem.em.final_loglik", ll);
         }
         state.into_result()
+    }
+}
+
+/// `out[l] = f(l)` for every node `l`, in parallel over a few blocks of
+/// nodes per thread. Each value is its own expression, so the result does
+/// not depend on the blocking.
+fn fill_rows(out: &mut [f64], f: impl Fn(usize) -> f64 + Sync) {
+    let per_block = out.len().div_ceil(rayon::current_num_threads() * 4).max(1);
+    out.chunks_mut(per_block).enumerate().collect::<Vec<_>>().into_par_iter().for_each(
+        |(b, block)| {
+            for (i, v) in block.iter_mut().enumerate() {
+                *v = f(b * per_block + i);
+            }
+        },
+    );
+}
+
+/// The reverse of every edge of a CSR graph whose rows are their node, then
+/// its neighbours ascending (see [`Redeem`]'s `rev`), by one pass over the
+/// rows in node order: row `m`'s neighbours below `m` lead the row in
+/// ascending order, so when row `l` reaches its edge to some `m > l`, the
+/// next unmatched entry of row `m` must be `l`. Errors when the graph is
+/// not symmetric.
+fn reverse_edges(offsets: &[u32], nbr: &[u32]) -> Result<Vec<u32>, String> {
+    let n = offsets.len() - 1;
+    let mut rev = vec![u32::MAX; nbr.len()];
+    let mut next: Vec<u32> = offsets[..n].iter().map(|&s| s + 1).collect();
+    for l in 0..n {
+        let s = offsets[l] as usize;
+        rev[s] = s as u32;
+        for e in s + 1..offsets[l + 1] as usize {
+            let m = nbr[e] as usize;
+            if m < l {
+                continue;
+            }
+            let f = next[m] as usize;
+            if f >= offsets[m + 1] as usize || nbr[f] as usize != l {
+                return Err(format!("edge {l} -> {m} has no reverse"));
+            }
+            (rev[e], rev[f]) = (f as u32, e as u32);
+            next[m] += 1;
+        }
+    }
+    match rev.iter().position(|&r| r == u32::MAX) {
+        Some(e) => Err(format!("edge {e} has no reverse")),
+        None => Ok(rev),
     }
 }
 
@@ -469,6 +522,94 @@ mod tests {
             set.insert(ngs_kmer::packed::reverse_complement_packed(v, k));
         });
         spectrum.kmers().iter().map(|v| set.contains(v)).collect()
+    }
+
+    /// The model build the sorted passes replaced, kept as their oracle:
+    /// probe every k-mer for its neighbours, then compute `pe` separately
+    /// for the row sums, the outgoing and the incoming weights. Returns
+    /// `(offsets, nbr, w_out, w_in)`.
+    fn reference_csr(
+        spectrum: &KSpectrum,
+        model: &KmerErrorModel,
+        dmax: usize,
+    ) -> (Vec<u32>, Vec<u32>, Vec<f64>, Vec<f64>) {
+        use ngs_kmer::neighbor::{NeighborIndex, NeighborStrategy};
+        let chunks = default_chunks(spectrum.k(), dmax);
+        let index =
+            NeighborIndex::build(spectrum, dmax, NeighborStrategy::MaskedReplicas { chunks });
+        let kmers = spectrum.kmers();
+        let (mut offsets, mut nbr) = (vec![0u32], Vec::new());
+        for (l, &v) in kmers.iter().enumerate() {
+            nbr.push(l as u32);
+            nbr.extend(index.neighbors(v, dmax).into_iter().map(|m| m as u32));
+            offsets.push(nbr.len() as u32);
+        }
+        let diags: Vec<f64> = kmers.iter().map(|&v| model.diag(v)).collect();
+        let row = |l: usize| offsets[l] as usize..offsets[l + 1] as usize;
+        let rowsums: Vec<f64> = (0..kmers.len())
+            .map(|l| {
+                nbr[row(l)]
+                    .iter()
+                    .map(|&m| model.pe_with_diag(kmers[l], kmers[m as usize], diags[l]))
+                    .sum()
+            })
+            .collect();
+        let (mut w_out, mut w_in) = (Vec::new(), Vec::new());
+        for l in 0..kmers.len() {
+            for &m in &nbr[row(l)] {
+                let m = m as usize;
+                w_out.push(model.pe_with_diag(kmers[l], kmers[m], diags[l]) / rowsums[l]);
+                w_in.push(model.pe_with_diag(kmers[m], kmers[l], diags[m]) / rowsums[m]);
+            }
+        }
+        (offsets, nbr, w_out, w_in)
+    }
+
+    /// The self-join and the single weight pass give the reference's graph
+    /// and weights to the bit, and the incoming weight read through the
+    /// reverse edge is the reference's `w_in` to the bit — so the EM's sums
+    /// see the same operands in the same order.
+    #[test]
+    fn model_matches_the_reference_build_bit_for_bit() {
+        let repeats = vec![RepeatClass { length: 150, multiplicity: 6 }];
+        for (k, dmax, seed) in [(9, 1, 11), (7, 2, 12), (11, 1, 13), (8, 2, 14)] {
+            let g = GenomeSpec::with_repeats(1_500, repeats.clone()).generate(seed).seq;
+            let cfg = ReadSimConfig {
+                read_len: 36,
+                n_reads: 1_500 * 30 / 36,
+                error_model: ErrorModel::uniform(36, 0.02),
+                both_strands: true,
+                with_quals: false,
+                n_rate: 0.01,
+                seed,
+            };
+            let reads = simulate_reads(&g, &cfg).reads;
+            let km = KmerErrorModel::uniform(k, 0.02);
+            let redeem = Redeem::new(&reads, k, &km, dmax);
+            let (offsets, nbr, w_out, w_in) = reference_csr(redeem.spectrum(), &km, dmax);
+            let ctx = format!("k={k} dmax={dmax}");
+            assert!(redeem.average_degree() > 1.5, "{ctx}: too few edges to test anything");
+            assert_eq!(redeem.offsets, offsets, "{ctx}");
+            assert_eq!(redeem.nbr, nbr, "{ctx}");
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&redeem.w_out), bits(&w_out), "{ctx}");
+            let incoming: Vec<f64> = redeem.rev.iter().map(|&r| redeem.w_out[r as usize]).collect();
+            assert_eq!(bits(&incoming), bits(&w_in), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn reverse_edges_pair_every_edge_with_its_twin() {
+        let (_, redeem, _, _) = build(2_000, vec![], 0.02, 9);
+        for l in 0..redeem.spectrum.len() {
+            for e in redeem.offset_of(l)..redeem.offset_of(l + 1) {
+                let f = redeem.rev[e] as usize;
+                assert_eq!(redeem.rev[f] as usize, e);
+                assert_eq!(redeem.nbr[f] as usize, l);
+                let m = redeem.nbr[e] as usize;
+                assert!((redeem.offset_of(m)..redeem.offset_of(m + 1)).contains(&f));
+            }
+        }
     }
 
     #[test]

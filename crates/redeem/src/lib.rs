@@ -14,12 +14,16 @@
 //!   `q_i(α,β)` in k-mer coordinates, with the four presets of §3.4.2
 //!   (tIED / wIED / tUED / wUED);
 //! * [`em`] — the sparse EM over observed k-mers within Hamming distance
-//!   `d_max`, with row-normalised misread matrix `P_e`;
+//!   `d_max`, with row-normalised misread matrix `P_e`: the graph found
+//!   edge by edge once by a self-join over the masked replicas, one weight
+//!   per directed edge, and the incoming weights read through a
+//!   reverse-edge index;
 //! * [`threshold`] — §3.7's mixture model (Gamma + G Normals + Uniform) fit
 //!   by a second EM with BIC model selection, yielding a data-driven
 //!   detection threshold;
 //! * [`correct`] — §3.3's per-base posterior correction, averaging
-//!   `π_t(b)` across the k-mers covering each read position.
+//!   `π_t(b)` across the k-mers covering each read position, on the reads
+//!   in place.
 
 pub mod correct;
 pub mod em;
@@ -27,7 +31,7 @@ pub mod error_model;
 pub mod snapshot;
 pub mod threshold;
 
-pub use correct::correct_reads;
+pub use correct::{correct_reads, correct_reads_in_place};
 pub use em::{EmConfig, EmResult, EmState, Redeem};
 pub use error_model::KmerErrorModel;
 pub use threshold::{
