@@ -572,13 +572,11 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
             line.extend((0..k).map(|pos| {
                 ngs_core::alphabet::decode_base(ngs_kmer::packed::packed_base(kmer, k, pos))
             }));
-            writeln!(
-                line,
-                "\t{}\t{:.3}\t{}",
-                rd.y()[i] as u64,
-                result.t[i],
-                u8::from(result.t[i] < threshold),
-            )?;
+            line.push(b'\t');
+            push_u64(&mut line, rd.y()[i] as u64);
+            line.push(b'\t');
+            push_fixed3(&mut line, result.t[i]);
+            line.extend_from_slice(if result.t[i] < threshold { b"\t1\n" } else { b"\t0\n" });
             out.write_all(&line)?;
         }
         out.flush()?;
@@ -614,6 +612,57 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
     emit_metrics(args, &collector, "redeem", &required)?;
     emit_trace(args, &collector)?;
     Ok(())
+}
+
+/// Appends the decimal digits of `v`.
+fn push_u64(line: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    line.extend_from_slice(&digits[at..]);
+}
+
+/// Appends exactly what `format!("{x:.3}")` gives, without `fmt`, for
+/// `+0.0 ≤ x < 2^43`: `x = m·2^−s` exactly, so `x·1000 = m·1000 / 2^s`
+/// (`m·1000 < 2^63`) is rounded to an integer ties-to-even, as `{:.3}`
+/// rounds the exact decimal expansion. Negative values (`−0.0` too),
+/// non-finite ones and `x ≥ 2^43` go through `fmt`.
+fn push_fixed3(line: &mut Vec<u8>, x: f64) {
+    const LIMIT: u64 = ((1u64 << 43) as f64).to_bits();
+    let bits = x.to_bits();
+    // Non-negative values order like their bit patterns; a set sign bit,
+    // +inf and NaN all land at or above the limit's.
+    if bits >= LIMIT {
+        write!(line, "{x:.3}").expect("writing to a Vec cannot fail");
+        return;
+    }
+    let biased = (bits >> 52) as u32;
+    let fraction = bits & ((1 << 52) - 1);
+    // Below 2^43 every value has a negative exponent: shift ≥ 10.
+    let (m, shift) =
+        if biased == 0 { (fraction, 1074) } else { (fraction | 1 << 52, 1075 - biased) };
+    let scaled = m * 1000;
+    let milli = if shift >= 64 {
+        0 // scaled < 2^63, so below one half
+    } else {
+        let (q, rem, half) = (scaled >> shift, scaled & ((1 << shift) - 1), 1u64 << (shift - 1));
+        q + u64::from(rem > half || (rem == half && q & 1 == 1))
+    };
+    push_u64(line, milli / 1000);
+    let frac = milli % 1000;
+    line.extend_from_slice(&[
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ]);
 }
 
 // ----------------------------------------------------------------- closet
@@ -782,6 +831,64 @@ pub fn closet_cluster(args: &Args) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `push_fixed3` against `{:.3}` on bit patterns drawn from the whole
+    /// `f64` range and from the `T` range, exact ties `n + ½` at every
+    /// scale, subnormals, zeros, non-finite values and the `2^43` edge.
+    #[test]
+    fn fixed3_matches_fmt() {
+        let check = |x: f64| {
+            let mut line = Vec::new();
+            push_fixed3(&mut line, x);
+            assert_eq!(
+                String::from_utf8(line).unwrap(),
+                format!("{x:.3}"),
+                "bits {:#x}",
+                x.to_bits()
+            );
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let two43 = (1u64 << 43) as f64;
+        for _ in 0..50_000 {
+            let r = next();
+            check(f64::from_bits(r));
+            check(f64::from_bits(r >> 1)); // non-negative
+            check((r >> 11) as f64 / (1u64 << 53) as f64 * 1000.0);
+            check((r >> 11) as f64 / (1u64 << 53) as f64 * two43);
+            // An exact tie: x·1000 = n + ½ exactly only for x = odd / 16.
+            check(((r >> (20 + r % 44)) | 1) as f64 / 16.0);
+        }
+        for x in [0.0625, 0.1875, 0.3125, 1.0625, 4095.9375, 0.0005, 0.9995, 999.9995] {
+            check(x);
+        }
+        for x in [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            check(x);
+        }
+        for bits in [1u64, 2, 3, 0x000f_ffff_ffff_ffff, 0x0010_0000_0000_0000] {
+            check(f64::from_bits(bits)); // smallest subnormals, largest, smallest normal
+        }
+        let below = f64::from_bits(two43.to_bits() - 1);
+        for x in [below, two43, two43 + 0.5, 2.0 * two43, f64::MAX, -1.5, -0.0005] {
+            check(x);
+        }
+    }
+
+    #[test]
+    fn push_u64_matches_fmt() {
+        for v in [0u64, 7, 10, 99, 100, 12_345, u64::MAX / 3, u64::MAX] {
+            let mut line = Vec::new();
+            push_u64(&mut line, v);
+            assert_eq!(String::from_utf8(line).unwrap(), v.to_string());
+        }
+    }
 
     #[test]
     fn thread_counts_parse_strictly() {

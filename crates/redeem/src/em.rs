@@ -73,14 +73,15 @@ pub struct EmState {
 }
 
 impl EmState {
-    /// The EM starting point: `T = Y`.
+    /// The EM starting point: `T = Y`. An empty spectrum has nothing to
+    /// estimate and starts converged, so the EM runs no iteration.
     pub fn initial(y: &[f64]) -> EmState {
         EmState {
             t: y.to_vec(),
             prev_ll: f64::NEG_INFINITY,
             loglik_trace: Vec::new(),
             iterations: 0,
-            converged: false,
+            converged: y.is_empty(),
         }
     }
 
@@ -431,6 +432,16 @@ mod tests {
         pe: f64,
         seed: u64,
     ) -> (Vec<u8>, Redeem, KmerErrorModel, ngs_simulate::SimulatedReads) {
+        build_at(genome_len, repeats, pe, seed, 1)
+    }
+
+    fn build_at(
+        genome_len: usize,
+        repeats: Vec<RepeatClass>,
+        pe: f64,
+        seed: u64,
+        dmax: usize,
+    ) -> (Vec<u8>, Redeem, KmerErrorModel, ngs_simulate::SimulatedReads) {
         let g = GenomeSpec::with_repeats(genome_len, repeats).generate(31).seq;
         let cfg = ReadSimConfig {
             read_len: 36,
@@ -444,7 +455,7 @@ mod tests {
         let sim = simulate_reads(&g, &cfg);
         let k = 9;
         let km = KmerErrorModel::uniform(k, pe);
-        let redeem = Redeem::new(&sim.reads, k, &km, 1);
+        let redeem = Redeem::new(&sim.reads, k, &km, dmax);
         (g, redeem, km, sim)
     }
 
@@ -454,6 +465,28 @@ mod tests {
         let res = redeem.run(&EmConfig { dmax: 1, max_iters: 20, tol: 0.0 });
         for w in res.loglik_trace.windows(2) {
             assert!(w[1] >= w[0] - 1e-6, "loglik decreased: {} -> {}", w[0], w[1]);
+        }
+    }
+
+    /// EM never lowers the likelihood it climbs: on a genome half made of
+    /// a 10-copy repeat, at `d_max` 1 and 2, no step of the trace drops by
+    /// more than rounding (`1e-12·|ll|`) up to the shipped tolerance.
+    #[test]
+    fn loglik_never_decreases_on_repeats() {
+        for dmax in [1, 2] {
+            let repeats = vec![RepeatClass { length: 300, multiplicity: 10 }];
+            let (_, redeem, _, _) = build_at(6_000, repeats, 0.01, 12, dmax);
+            let res = redeem.run(&EmConfig { dmax, ..EmConfig::default() });
+            assert!(res.loglik_trace.len() >= 3, "dmax={dmax}: {:?}", res.loglik_trace);
+            for (i, w) in res.loglik_trace.windows(2).enumerate() {
+                assert!(
+                    w[1] >= w[0] - 1e-12 * w[0].abs(),
+                    "dmax={dmax} iteration {}: loglik {} -> {}",
+                    i + 2,
+                    w[0],
+                    w[1]
+                );
+            }
         }
     }
 

@@ -82,8 +82,8 @@ fn solve_gamma_shape(c: f64) -> f64 {
 /// function of its input at every pool size.
 const BLOCK: usize = 4096;
 
-/// Largest `G` a sweep fits: the E step keeps one point's log-densities
-/// (Gamma + `G` Normals + Uniform) in a stack buffer of this many + 2.
+/// Largest `G` a sweep fits: the E step is compiled once for each
+/// component count `N = G + 2` (Gamma + `G` Normals + Uniform) up to this.
 const MAX_G: usize = 14;
 const MAX_COMPONENTS: usize = MAX_G + 2;
 
@@ -174,52 +174,63 @@ impl EStepConsts {
     }
 }
 
-/// Sufficient statistics of one E step (or one block of it).
-struct SuffStats {
+/// Sufficient statistics of one E step (or one block of it) over `N`
+/// components.
+struct SuffStats<const N: usize> {
     ll: f64,
     /// `E[N_c]`.
-    counts: [f64; MAX_COMPONENTS],
+    counts: [f64; N],
     /// `Σ r_c·x`.
-    sum_t: [f64; MAX_COMPONENTS],
+    sum_t: [f64; N],
     /// `Σ r_c·x²`.
-    sum_t2: [f64; MAX_COMPONENTS],
+    sum_t2: [f64; N],
     /// `Σ r_0·ln x`.
     sum_lnt_0: f64,
 }
 
-impl SuffStats {
-    const ZERO: SuffStats = SuffStats {
-        ll: 0.0,
-        counts: [0.0; MAX_COMPONENTS],
-        sum_t: [0.0; MAX_COMPONENTS],
-        sum_t2: [0.0; MAX_COMPONENTS],
-        sum_lnt_0: 0.0,
-    };
+impl<const N: usize> SuffStats<N> {
+    const ZERO: SuffStats<N> =
+        SuffStats { ll: 0.0, counts: [0.0; N], sum_t: [0.0; N], sum_t2: [0.0; N], sum_lnt_0: 0.0 };
 
-    fn add(&mut self, other: &SuffStats) {
+    fn add(&mut self, other: &SuffStats<N>) {
         self.ll += other.ll;
         self.sum_lnt_0 += other.sum_lnt_0;
-        for c in 0..MAX_COMPONENTS {
+        for c in 0..N {
             self.counts[c] += other.counts[c];
             self.sum_t[c] += other.sum_t[c];
             self.sum_t2[c] += other.sum_t2[c];
         }
     }
+
+    /// The same statistics padded with zeros to [`MAX_COMPONENTS`] slots,
+    /// the shape the M step indexes.
+    fn widen(&self) -> SuffStats<MAX_COMPONENTS> {
+        let mut wide = SuffStats::ZERO;
+        wide.ll = self.ll;
+        wide.sum_lnt_0 = self.sum_lnt_0;
+        wide.counts[..N].copy_from_slice(&self.counts);
+        wide.sum_t[..N].copy_from_slice(&self.sum_t);
+        wide.sum_t2[..N].copy_from_slice(&self.sum_t2);
+        wide
+    }
 }
 
-fn e_step_block(c: &EStepConsts, t: &[f64], ln_t: &[f64]) -> SuffStats {
-    let g = c.g;
+/// One block of the E step for `N = G + 2` components. With `N` a
+/// constant the log-densities and the statistics are fixed-size arrays the
+/// compiler unrolls; every per-point expression, and the order of the sums
+/// over components, is the dynamic-length loop's, so the fit is unchanged
+/// to the bit.
+fn e_step_block<const N: usize>(c: &EStepConsts, t: &[f64], ln_t: &[f64]) -> SuffStats<N> {
     let mut s = SuffStats::ZERO;
-    let mut logp = [0.0f64; MAX_COMPONENTS];
+    let mut logp = [0.0f64; N];
     for (&x, &ln_x) in t.iter().zip(ln_t) {
         logp[0] = c.ln_w_gamma
             + (c.alpha_ln_beta + c.alpha_m1 * ln_x - c.beta * x.max(1e-6) - c.ln_gamma_alpha);
-        for (lp, normal) in logp[1..=g].iter_mut().zip(&c.normals) {
+        for (lp, normal) in logp[1..N - 1].iter_mut().zip(&c.normals) {
             let d = x - normal.mean;
             *lp = normal.ln_w + -0.5 * (d * d / normal.var + normal.ln_var + c.ln_2pi);
         }
-        logp[g + 1] = c.log_uniform;
-        let logp = &mut logp[..g + 2];
+        logp[N - 1] = c.log_uniform;
         let m = logp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut z = 0.0;
         for lp in logp.iter_mut() {
@@ -240,9 +251,9 @@ fn e_step_block(c: &EStepConsts, t: &[f64], ln_t: &[f64]) -> SuffStats {
 
 /// One E step: blocks of [`BLOCK`] points on the pool, their statistics
 /// folded sequentially in block order.
-fn e_step(c: &EStepConsts, input: &FitInput) -> SuffStats {
+fn e_step_n<const N: usize>(c: &EStepConsts, input: &FitInput) -> SuffStats<MAX_COMPONENTS> {
     let n = input.t.len();
-    let blocks: Vec<SuffStats> = (0..n.div_ceil(BLOCK))
+    let blocks: Vec<SuffStats<N>> = (0..n.div_ceil(BLOCK))
         .into_par_iter()
         .map(|b| {
             let span = b * BLOCK..((b + 1) * BLOCK).min(n);
@@ -253,7 +264,28 @@ fn e_step(c: &EStepConsts, input: &FitInput) -> SuffStats {
     for block in &blocks {
         total.add(block);
     }
-    total
+    total.widen()
+}
+
+/// [`e_step_n`] at `N = G + 2` for the consts' `G`.
+fn e_step(c: &EStepConsts, input: &FitInput) -> SuffStats<MAX_COMPONENTS> {
+    match c.g {
+        1 => e_step_n::<3>(c, input),
+        2 => e_step_n::<4>(c, input),
+        3 => e_step_n::<5>(c, input),
+        4 => e_step_n::<6>(c, input),
+        5 => e_step_n::<7>(c, input),
+        6 => e_step_n::<8>(c, input),
+        7 => e_step_n::<9>(c, input),
+        8 => e_step_n::<10>(c, input),
+        9 => e_step_n::<11>(c, input),
+        10 => e_step_n::<12>(c, input),
+        11 => e_step_n::<13>(c, input),
+        12 => e_step_n::<14>(c, input),
+        13 => e_step_n::<15>(c, input),
+        14 => e_step_n::<16>(c, input),
+        g => unreachable!("G = {g} is outside 1..=MAX_G"),
+    }
 }
 
 /// Fit the mixture for a fixed `G`; returns the fit and the number of E
@@ -828,6 +860,75 @@ mod tests {
             (new.g, new.threshold.to_bits(), new.loglik.to_bits(), new.bic.to_bits()),
             (old.g, old.threshold.to_bits(), old.loglik.to_bits(), old.bic.to_bits())
         );
+    }
+
+    /// The reference fit's E step at fixed parameters — per-point `Vec`,
+    /// the textbook densities, one running sum — as the bits of `ll`, `N_c`,
+    /// `Σ r·x`, `Σ r·x²` and `Σ r₀·ln x`.
+    fn reference_e_step_bits(t: &[f64], f: &MixtureFit) -> Vec<u64> {
+        let (g, n_comp) = (f.g, f.g + 2);
+        let t_max = t.iter().cloned().fold(0.0f64, f64::max).max(1.0);
+        let coverage = f.mu * f.p / (1.0 - f.p);
+        let (mut ll, mut sum_lnt_0) = (0.0f64, 0.0f64);
+        let mut sums = vec![vec![0.0f64; n_comp]; 3];
+        for &x in t {
+            let mut logp = vec![0.0f64; n_comp];
+            logp[0] = f.weights[0].max(1e-300).ln() + gamma_logpdf(x.max(1e-6), f.alpha, f.beta);
+            for (comp, lp) in logp.iter_mut().enumerate().skip(1).take(g) {
+                let mean = comp as f64 * coverage;
+                let var = comp as f64 * f.mu * f.p / ((1.0 - f.p) * (1.0 - f.p));
+                *lp = f.weights[comp].max(1e-300).ln() + normal_logpdf(x, mean, var);
+            }
+            logp[g + 1] = f.weights[g + 1].max(1e-300).ln() + -(t_max.ln());
+            let m = logp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let mut z = 0.0;
+            for lp in &mut logp {
+                *lp = (*lp - m).exp();
+                z += *lp;
+            }
+            ll += m + z.ln();
+            for (comp, &pz) in logp.iter().enumerate() {
+                let r = pz / z;
+                sums[0][comp] += r;
+                sums[1][comp] += r * x;
+                sums[2][comp] += r * x * x;
+            }
+            sum_lnt_0 += logp[0] / z * x.max(1e-6).ln();
+        }
+        let all = [ll, sum_lnt_0].into_iter().chain(sums.into_iter().flatten());
+        all.map(f64::to_bits).collect()
+    }
+
+    /// The E step is compiled once per component count. For every `G` it
+    /// reproduces the reference's sufficient statistics at the fitted
+    /// parameters, and the reference fit, to the bit (one block, so the
+    /// fold adds a single partial sum to zero).
+    #[test]
+    fn every_g_fit_is_bit_identical_to_reference() {
+        let t = synthetic_t(57.0, 500, 450, 77, 13);
+        assert!(t.len() <= BLOCK);
+        let input = FitInput::new(&t).expect("fit input");
+        for g in 1..=MAX_G {
+            let (new, _) = fit_fixed_g(&input, g, 200).expect("fit");
+            let old = reference_fit_fixed_g(&t, g, 200).expect("reference fit");
+            let bits = |f: &MixtureFit| {
+                let scalars =
+                    [f.alpha, f.beta, f.mu, f.p, f.loglik, f.bic, f.threshold, f.coverage_constant];
+                let all = f.weights.iter().chain(&scalars);
+                (f.g, all.map(|x| x.to_bits()).collect::<Vec<u64>>())
+            };
+            assert_eq!(bits(&new), bits(&old), "g={g}");
+
+            let consts =
+                EStepConsts::new(&new.weights, new.alpha, new.beta, new.mu, new.p, input.t_max);
+            let s = e_step(&consts, &input);
+            let n_comp = g + 2;
+            let stats = [s.ll, s.sum_lnt_0].into_iter().chain(
+                [&s.counts, &s.sum_t, &s.sum_t2].into_iter().flat_map(|v| v[..n_comp].to_vec()),
+            );
+            let stats: Vec<u64> = stats.map(f64::to_bits).collect();
+            assert_eq!(stats, reference_e_step_bits(&t, &new), "g={g}");
+        }
     }
 
     /// Pins the multi-block fit to the bit. CI runs this at `NGS_THREADS=1`
