@@ -1,13 +1,11 @@
-//! Trace and benchmark tooling over the `ngs-observe` artifacts:
+//! Trace and profile tooling over the `ngs-observe` artifacts:
 //!
 //! * `chrome` — convert a `--trace-jsonl` trace to Chrome `chrome://tracing`
 //!   JSON (also loads in Perfetto);
 //! * `summary` — validate a trace and print the top-N spans by *self* time
 //!   (duration minus direct children — the critical-path view);
-//! * `diff` — compare two `BENCH_*.json` reports with per-span tolerance
-//!   thresholds; exits 1 on regressions (the CI `perf-gate` contract), and
-//!   `--update-baseline` re-blesses the baseline instead for intentional
-//!   performance changes.
+//! * `merge` — stitch per-process traces into one timeline;
+//! * `flamegraph` — render `--profile-cpu` folded profiles as an SVG.
 //!
 //! Subcommands take positional file arguments, so this binary parses its
 //! command line by hand instead of through `ngs_cli::Args` (which is
@@ -15,14 +13,13 @@
 
 use std::process::ExitCode;
 
-const USAGE: &str = "ngs-trace — trace viewer and benchmark diff tool
+const USAGE: &str = "ngs-trace — trace and profile viewer
 
 USAGE:
   ngs-trace chrome TRACE.jsonl [--out FILE.json]
   ngs-trace summary TRACE.jsonl [--top N]
   ngs-trace merge PROC1.jsonl PROC2.jsonl ... --out MERGED.jsonl [--chrome FILE.json]
   ngs-trace flamegraph IN.folded [MORE.folded ...] [--out FILE.svg] [--collapsed FILE.folded]
-  ngs-trace diff BASELINE.json CURRENT.json [options]
 
 FLAMEGRAPH:
   Render one or more collapsed-stack profiles (the `PROFILE_*.folded`
@@ -40,21 +37,8 @@ MERGE:
   order. --chrome additionally writes a Chrome/Perfetto export with one
   lane per process.
 
-DIFF OPTIONS:
-  --tolerance FRAC        allowed fractional growth per span [default: 0.15]
-  --min-total-ms MS       ignore spans below this total time [default: 1.0]
-  --span-tolerance N=F    per-span tolerance override (repeatable),
-                          e.g. --span-tolerance closet.validate=0.5
-  --mem-tolerance FRAC    allowed fractional peak-memory growth per span
-                          [default: 0.20] (spans without alloc figures on
-                          either side skip the memory comparison)
-  --min-alloc-mb MB       ignore spans whose peaks are below this [default: 1.0]
-  --update-baseline       overwrite BASELINE with CURRENT (bless an
-                          intentional perf or memory change) instead of diffing
-
 EXIT CODES:
-  0  success / no regressions
-  1  regressions found (diff only)
+  0  success
   2  usage, I/O or parse error";
 
 fn fail(msg: &str) -> ExitCode {
@@ -77,31 +61,24 @@ fn main() -> ExitCode {
         "summary" => cmd_summary(&argv[1..]),
         "merge" => cmd_merge(&argv[1..]),
         "flamegraph" => cmd_flamegraph(&argv[1..]),
-        "diff" => cmd_diff(&argv[1..]),
         other => fail(&format!("unknown subcommand {other:?} (try --help)")),
     }
 }
 
-/// `--key [value]` options in command-line order.
-type Opts<'a> = Vec<(&'a str, Option<&'a str>)>;
+/// `--key value` options in command-line order.
+type Opts<'a> = Vec<(&'a str, &'a str)>;
 
-/// Split `rest` into positional operands and `--key [value]` options.
+/// Split `rest` into positional operands and `--key value` options.
 fn split_opts(rest: &[String]) -> Result<(Vec<&str>, Opts<'_>), String> {
     let mut positional = Vec::new();
     let mut opts = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         if let Some(key) = rest[i].strip_prefix("--") {
-            let takes_value = !matches!(key, "update-baseline");
-            if takes_value {
-                let value =
-                    rest.get(i + 1).map(String::as_str).ok_or(format!("--{key} needs a value"))?;
-                opts.push((key, Some(value)));
-                i += 2;
-            } else {
-                opts.push((key, None));
-                i += 1;
-            }
+            let value =
+                rest.get(i + 1).map(String::as_str).ok_or(format!("--{key} needs a value"))?;
+            opts.push((key, value));
+            i += 2;
         } else {
             positional.push(rest[i].as_str());
             i += 1;
@@ -125,7 +102,7 @@ fn cmd_chrome(rest: &[String]) -> ExitCode {
     let mut out_path: Option<&str> = None;
     for (key, value) in opts {
         match key {
-            "out" => out_path = value,
+            "out" => out_path = Some(value),
             _ => return fail(&format!("unknown option --{key}")),
         }
     }
@@ -160,7 +137,7 @@ fn cmd_summary(rest: &[String]) -> ExitCode {
     let mut top = 20usize;
     for (key, value) in opts {
         match key {
-            "top" => match value.and_then(|v| v.parse().ok()) {
+            "top" => match value.parse().ok() {
                 Some(n) => top = n,
                 None => return fail("--top: not a number"),
             },
@@ -199,8 +176,8 @@ fn cmd_merge(rest: &[String]) -> ExitCode {
     let mut chrome_path: Option<&str> = None;
     for (key, value) in opts {
         match key {
-            "out" => out_path = value,
-            "chrome" => chrome_path = value,
+            "out" => out_path = Some(value),
+            "chrome" => chrome_path = Some(value),
             _ => return fail(&format!("unknown option --{key}")),
         }
     }
@@ -265,8 +242,8 @@ fn cmd_flamegraph(rest: &[String]) -> ExitCode {
     let mut collapsed_path: Option<&str> = None;
     for (key, value) in opts {
         match key {
-            "out" => out_path = value,
-            "collapsed" => collapsed_path = value,
+            "out" => out_path = Some(value),
+            "collapsed" => collapsed_path = Some(value),
             _ => return fail(&format!("unknown option --{key}")),
         }
     }
@@ -305,89 +282,4 @@ fn cmd_flamegraph(rest: &[String]) -> ExitCode {
         None => print!("{svg}"),
     }
     ExitCode::SUCCESS
-}
-
-fn cmd_diff(rest: &[String]) -> ExitCode {
-    let (positional, opts) = match split_opts(rest) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let [baseline_path, current_path] = positional[..] else {
-        return fail("usage: ngs-trace diff BASELINE.json CURRENT.json [options]");
-    };
-    let mut cfg = ngs_observe::diff::DiffConfig::default();
-    let mut update_baseline = false;
-    for (key, value) in opts {
-        match key {
-            "tolerance" => match value.and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => cfg.tolerance = t,
-                _ => return fail("--tolerance: not a non-negative number"),
-            },
-            "min-total-ms" => match value.and_then(|v| v.parse::<f64>().ok()) {
-                Some(ms) if ms >= 0.0 => cfg.min_total_ns = (ms * 1e6) as u64,
-                _ => return fail("--min-total-ms: not a non-negative number"),
-            },
-            "mem-tolerance" => match value.and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => cfg.mem_tolerance = t,
-                _ => return fail("--mem-tolerance: not a non-negative number"),
-            },
-            "min-alloc-mb" => match value.and_then(|v| v.parse::<f64>().ok()) {
-                Some(mb) if mb >= 0.0 => cfg.min_alloc_bytes = (mb * 1024.0 * 1024.0) as u64,
-                _ => return fail("--min-alloc-mb: not a non-negative number"),
-            },
-            "span-tolerance" => {
-                let Some((name, frac)) = value.and_then(|v| v.split_once('=')) else {
-                    return fail("--span-tolerance: expected NAME=FRACTION");
-                };
-                match frac.parse::<f64>() {
-                    Ok(f) if f >= 0.0 => {
-                        cfg.per_span.insert(name.to_string(), f);
-                    }
-                    _ => return fail("--span-tolerance: bad fraction"),
-                }
-            }
-            "update-baseline" => update_baseline = true,
-            _ => return fail(&format!("unknown option --{key}")),
-        }
-    }
-
-    let current = match read(current_path) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    if update_baseline {
-        // Validate before blessing: a broken report must not become the
-        // baseline future runs are held to.
-        if let Err(e) = ngs_observe::diff::parse_bench_spans(&current) {
-            return fail(&format!("{current_path}: {e}"));
-        }
-        // …and spans that violate the count/total/min/max invariants
-        // (hand-edited envelope figures) never become a baseline.
-        if let Err(violations) = ngs_observe::diff::validate_bench_invariants(&current) {
-            return fail(&format!(
-                "{current_path}: span invariant violations:\n  {}",
-                violations.join("\n  ")
-            ));
-        }
-        if let Err(e) = ngs_durable::write_atomic(baseline_path, current.as_bytes()) {
-            return fail(&format!("write {baseline_path}: {e}"));
-        }
-        eprintln!("updated baseline {baseline_path} from {current_path}");
-        return ExitCode::SUCCESS;
-    }
-    let baseline = match read(baseline_path) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    match ngs_observe::diff::diff_bench_json(&baseline, &current, &cfg) {
-        Err(e) => fail(&e),
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.has_regressions() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-    }
 }

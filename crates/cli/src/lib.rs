@@ -11,8 +11,8 @@
 //! * `simulate-reads` — generate a synthetic dataset with ground truth;
 //! * `ngs-serve` — long-lived correction server over a unix/TCP socket;
 //! * `ngs-client` — batch client for `ngs-serve` with retry/backoff;
-//! * `ngs-loadgen` — closed-loop load generator + latency bench for
-//!   `ngs-serve`.
+//! * `ngs-trace` — trace and CPU-profile viewer (chrome export, summary,
+//!   merge, flamegraph).
 //!
 //! This module hosts the shared argument parser and I/O helpers so the
 //! binaries stay thin and the logic is unit-testable.
@@ -239,9 +239,10 @@ pub fn metrics_collector(args: &Args) -> Result<ngs_observe::Collector> {
 }
 
 /// When `--metrics-json PATH` was given: snapshot `collector` into a report
-/// for `pipeline`, fail if any `required` span is absent (the smoke-bench
-/// gate), print the human table to stderr and write the machine JSON
-/// (`BENCH_<pipeline>.json` schema) to PATH.
+/// for `pipeline`, fail if any `required` span is absent (so a refactor
+/// that drops an instrumentation point fails the run), print the human
+/// table to stderr and write the machine JSON (`BENCH_<pipeline>.json`
+/// schema) to PATH.
 pub fn emit_metrics(
     args: &Args,
     collector: &ngs_observe::Collector,

@@ -91,11 +91,15 @@ impl DurabilityOpts {
     }
 }
 
-/// Load the input reads under the run's [`MalformedPolicy`], folding the
-/// skip count into the collector (`seqio.records_skipped`) and ticking the
-/// `seqio.bytes_read` / `seqio.records_read` counters while reading.
+/// Load the input reads under the run's [`MalformedPolicy`] and the
+/// `seqio.read` span, folding the skip count into the collector
+/// (`seqio.records_skipped`) and ticking the `seqio.bytes_read` /
+/// `seqio.records_read` counters while reading.
 pub fn load_reads(input: &str, opts: &DurabilityOpts, collector: &Collector) -> Result<Vec<Read>> {
-    let (reads, skipped) = read_sequences_observed(input, opts.policy, collector)?;
+    let (reads, skipped) = {
+        let _s = collector.span("seqio.read");
+        read_sequences_observed(input, opts.policy, collector)?
+    };
     collector.add("seqio.records_skipped", skipped as u64);
     if skipped > 0 {
         eprintln!("skipped {skipped} malformed record(s) in {input}");
@@ -430,7 +434,10 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
         cost.tile_entries_scanned,
         cost.mutants_found
     );
-    write_sequences(output, &reads)?;
+    {
+        let _s = collector.span("seqio.write");
+        write_sequences(output, &reads)?;
+    }
     eprintln!("wrote {output}");
 
     // A resumed run derives anchors and neighbour index inside the snapshot
@@ -597,7 +604,10 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
                 threshold,
             );
         }
-        write_sequences(corrected_path, &reads)?;
+        {
+            let _s = collector.span("seqio.write");
+            write_sequences(corrected_path, &reads)?;
+        }
         eprintln!("wrote corrected reads to {corrected_path}");
     }
 

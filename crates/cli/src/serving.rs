@@ -1,6 +1,5 @@
 //! Drivers for the serving binaries: `ngs-serve` (long-lived correction
-//! server), `ngs-client` (batch client with retry/backoff) and
-//! `ngs-loadgen` (closed-loop latency bench).
+//! server) and `ngs-client` (batch client with retry/backoff).
 //!
 //! `ngs-serve` shares the Reptile checkpoint layout with `reptile-correct`
 //! — pipeline `reptile`, stage `index`, the same parameter key — so a
@@ -304,122 +303,5 @@ pub fn client_main(args: &Args) -> Result<()> {
         client.retries
     );
     eprintln!("wrote {output}");
-    Ok(())
-}
-
-// ----------------------------------------------------------- ngs-loadgen
-
-/// `ngs-loadgen` driver: run a closed-loop client swarm and bless the
-/// latency quantiles into the `BENCH_serve.json` schema.
-///
-/// With `--connect` the swarm targets a running server; without it an
-/// in-process server is built from `--input` on a scratch unix socket
-/// (sharing this process's collector, so server-side spans land in the
-/// same report).
-pub fn loadgen_main(args: &Args) -> Result<()> {
-    let input = args.require("input")?;
-    let opts = DurabilityOpts::from_args(args)?;
-    let obs = ObserveOpts::from_args(args)?;
-    apply_threads_flag(args)?;
-
-    let collector = Arc::new(metrics_collector(args)?);
-    let session = ObserveSession::begin(&obs, &collector, input, "serve");
-    let reads = load_reads(input, &opts, &collector)?;
-    if reads.is_empty() {
-        return Err(NgsError::InvalidParameter(format!("{input}: no reads to load with")));
-    }
-
-    let cfg = ngs_server::loadgen::LoadGenConfig {
-        clients: positive(args, "clients", 2)?,
-        requests_per_client: positive(args, "requests-per-client", 20)?,
-        batch_size: positive(args, "batch-size", 32)?,
-        deadline_ms: args.get_parsed("deadline-ms", 0)?,
-        client: client_config(args)?,
-    };
-
-    // External server, or an in-process one on a scratch socket.
-    let (endpoint, server) = match args.value_of("connect")? {
-        Some(raw) => {
-            let ep = Endpoint::parse(raw)
-                .map_err(|e| NgsError::InvalidParameter(format!("--connect: {e}")))?;
-            (ep, None)
-        }
-        None => {
-            let (reptile, _) = load_or_build_index(args, input, &opts, &collector)?;
-            let endpoint = ngs_server::conn::scratch_endpoint("loadgen");
-            let listener = Listener::bind(&endpoint)
-                .map_err(|e| NgsError::Io(format!("bind {endpoint}: {e}")))?;
-            let endpoint = listener.local_endpoint();
-            let handle =
-                Server::new(reptile, server_config(args)?, collector.clone()).spawn(listener);
-            (endpoint, Some(handle))
-        }
-    };
-
-    let run_span = collector.span_with_threads("serve.loadgen", cfg.clients);
-    let report = ngs_server::loadgen::run(&endpoint, &reads, &cfg);
-    drop(run_span);
-    if let Some(handle) = server {
-        handle.shutdown();
-    }
-
-    if report.corrected == 0 {
-        return Err(NgsError::Io(format!(
-            "load run produced no successful requests ({} failed)",
-            report.failed
-        )));
-    }
-    eprintln!(
-        "loadgen: {} ok, {} failed, {} retries, {:.1} req/s over {:.2?}",
-        report.corrected,
-        report.failed,
-        report.retries,
-        report.qps(),
-        report.elapsed
-    );
-
-    // Bless the user-visible latency quantiles as count-1 spans — the
-    // shape `ngs-trace diff` gates on (and `validate_bench_invariants`
-    // accepts: count == 1 with total == min == max).
-    // Client-observed latency (includes retries and reconnects) under its
-    // own name: the in-process server already records server-side
-    // `serve.latency_us` into this same collector.
-    collector.merge_histogram("serve.latency_client_us", &report.latency_us);
-    for (name, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-        let us = report.quantile_us(q).expect("corrected > 0 implies non-empty histogram");
-        let ns = us.saturating_mul(1000).max(1);
-        collector.record_span_ns(&format!("serve.latency.{name}"), ns, 1);
-        eprintln!("  {name}: {us} us");
-    }
-
-    let mut required =
-        vec!["serve.loadgen", "serve.latency.p50", "serve.latency.p90", "serve.latency.p99"];
-
-    // Server-side queue-wait percentiles, blessed next to the client view
-    // so the perf gate sees both sides of an admission regression. The
-    // in-process server records into this same collector; with --connect
-    // the histogram lives in the remote process, so it is skipped here
-    // (probe it live with `ngs-client --stats` instead).
-    let queue_wait = collector.report("serve").histograms.get("serve.queue_wait_us").cloned();
-    match queue_wait {
-        Some(h) => {
-            for (name, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-                let us = h.quantile(q).unwrap_or(0);
-                let ns = us.saturating_mul(1000).max(1);
-                collector.record_span_ns(&format!("serve.queue_wait.{name}"), ns, 1);
-                eprintln!("  queue-wait {name}: {us} us");
-            }
-            required.extend([
-                "serve.queue_wait.p50",
-                "serve.queue_wait.p90",
-                "serve.queue_wait.p99",
-            ]);
-        }
-        None => eprintln!("  queue-wait: n/a (remote server; probe with ngs-client --stats)"),
-    }
-
-    session.finish(&collector)?;
-    emit_metrics(args, &collector, "serve", &required)?;
-    emit_trace(args, &collector)?;
     Ok(())
 }

@@ -1,10 +1,11 @@
-//! End-to-end tests for `--trace-jsonl` on the three pipeline CLIs and the
-//! `ngs-trace` tool: every pipeline writes a well-formed trace whose
-//! MapReduce-free span set covers the required metrics spans, `ngs-trace
-//! chrome` converts it, and `ngs-trace diff` catches a deliberate
-//! regression (and blesses one with `--update-baseline`).
+//! End-to-end tests for `--trace-jsonl` and `--metrics-json` on the three
+//! pipeline CLIs and the `ngs-trace` tool: every pipeline writes a
+//! well-formed trace whose MapReduce-free span set covers the required
+//! metrics spans, a schema-3 report that passes the span invariants, and
+//! `ngs-trace chrome` / `summary` accept the trace.
 
 use ngs_core::Read;
+use ngs_observe::json::Json;
 use ngs_observe::traceview;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -73,12 +74,12 @@ const NGS_TRACE: &str = env!("CARGO_BIN_EXE_ngs-trace");
 /// because both views hang off the same collector. (The report also holds
 /// synthetic `*.job.*` phase spans derived from `JobStats`, which have no
 /// trace counterpart by design — the real per-attempt spans do.)
-fn pipeline_trace_roundtrip(
-    bin: &str,
-    dir: &Path,
-    extra: &[&str],
-    required: &[&str],
-) -> (PathBuf, PathBuf) {
+///
+/// The report itself must be schema 3, pass the span invariants, and carry
+/// `cpu: null` (no `--profile-cpu`); with `--profile-mem` in `extra` its
+/// top-level `alloc` section and per-span `alloc_peak_bytes` must be
+/// populated.
+fn pipeline_trace_roundtrip(bin: &str, dir: &Path, extra: &[&str], required: &[&str]) -> PathBuf {
     let input = write_input(dir, 300, 60, 0x7ace_0001);
     let output = dir.join("out.fastq");
     let trace = dir.join("trace.jsonl");
@@ -102,8 +103,7 @@ fn pipeline_trace_roundtrip(
     assert!(!spans.is_empty(), "trace must contain spans");
 
     let bench = std::fs::read_to_string(&metrics).expect("metrics written");
-    let (_, bench_spans) =
-        ngs_observe::diff::parse_bench_spans(&bench).expect("metrics report parses");
+    let (_, bench_spans) = ngs_observe::parse_bench_report(&bench).expect("metrics report parses");
     let trace_names = traceview::span_names(&parsed);
     for name in required {
         assert!(bench_spans.contains_key(*name), "required span {name:?} missing from report");
@@ -112,7 +112,29 @@ fn pipeline_trace_roundtrip(
             "required span {name:?} missing from trace (trace has {trace_names:?})"
         );
     }
-    (trace, metrics)
+
+    let doc = ngs_observe::json::parse(&bench).expect("metrics report is JSON");
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(3));
+    if let Err(violations) = ngs_observe::validate_bench_invariants(&bench) {
+        panic!("span invariants violated: {violations:?}");
+    }
+    assert_eq!(doc.get("cpu"), Some(&Json::Null), "an unprofiled run reports cpu: null");
+    if extra.contains(&"--profile-mem") {
+        let alloc = doc.get("alloc").expect("report has an alloc section");
+        for field in ["allocated_bytes", "peak_live_bytes", "alloc_count"] {
+            let value = alloc.get(field).and_then(Json::as_u64);
+            assert!(value.is_some_and(|v| v > 0), "alloc.{field} not populated: {value:?}");
+        }
+        assert!(
+            required.iter().all(|name| bench_spans[*name].alloc_peak_bytes.is_some()),
+            "every required span carries alloc_peak_bytes"
+        );
+        assert!(
+            bench_spans.values().any(|s| s.alloc_peak_bytes.is_some_and(|b| b > 0)),
+            "some span saw a nonzero allocation peak"
+        );
+    }
+    trace
 }
 
 /// `ngs-trace chrome` + `summary` must both accept a pipeline's trace.
@@ -134,10 +156,10 @@ fn trace_tools_accept(trace: &Path, dir: &Path) {
 #[test]
 fn reptile_trace_converts_and_covers_required_spans() {
     let dir = test_dir("reptile");
-    let (trace, _) = pipeline_trace_roundtrip(
+    let trace = pipeline_trace_roundtrip(
         env!("CARGO_BIN_EXE_reptile-correct"),
         &dir,
-        &["--genome-len", "1200"],
+        &["--genome-len", "1200", "--profile-mem"],
         &["reptile.run", "reptile.correct"],
     );
     trace_tools_accept(&trace, &dir);
@@ -147,7 +169,7 @@ fn reptile_trace_converts_and_covers_required_spans() {
 #[test]
 fn redeem_trace_converts_and_covers_required_spans() {
     let dir = test_dir("redeem");
-    let (trace, _) = pipeline_trace_roundtrip(
+    let trace = pipeline_trace_roundtrip(
         env!("CARGO_BIN_EXE_redeem-detect"),
         &dir,
         &["--k", "9", "--max-iters", "8"],
@@ -160,7 +182,7 @@ fn redeem_trace_converts_and_covers_required_spans() {
 #[test]
 fn closet_trace_converts_and_covers_required_spans() {
     let dir = test_dir("closet");
-    let (trace, _) = pipeline_trace_roundtrip(
+    let trace = pipeline_trace_roundtrip(
         env!("CARGO_BIN_EXE_closet-cluster"),
         &dir,
         &["--workers", "2", "--thresholds", "0.7,0.5"],
@@ -170,162 +192,14 @@ fn closet_trace_converts_and_covers_required_spans() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Re-serialise a parsed span map as a minimal BENCH report, scaling every
-/// total by `factor` — the "same input, deliberately slower" scenario.
-fn bench_with_scaled_spans(
-    pipeline: &str,
-    spans: &std::collections::BTreeMap<String, u64>,
-    factor: u64,
-) -> String {
-    let mut out = format!("{{\"pipeline\": \"{pipeline}\", \"spans\": {{");
-    for (i, (name, total)) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{name}\": {{\"total_ns\": {}}}", total * factor));
-    }
-    out.push_str("}}");
-    out
-}
-
-#[test]
-fn diff_flags_deliberate_regression_and_update_baseline_blesses_it() {
-    let dir = test_dir("diff");
-    let (_, metrics) = pipeline_trace_roundtrip(
-        env!("CARGO_BIN_EXE_reptile-correct"),
-        &dir,
-        &["--genome-len", "1200"],
-        &["reptile.run", "reptile.correct"],
-    );
-    let bench = std::fs::read_to_string(&metrics).unwrap();
-    let (pipeline, spans) = ngs_observe::diff::parse_bench_spans(&bench).unwrap();
-
-    // Identical reports never regress.
-    let out = run(NGS_TRACE, &["diff", metrics.to_str().unwrap(), metrics.to_str().unwrap()]);
-    assert_ok(&out, "self-diff");
-
-    // Inflate every span 1000x: with the noise floor lowered this must exit
-    // nonzero and name at least one REGRESSED span.
-    let slow = dir.join("BENCH_slow.json");
-    std::fs::write(&slow, bench_with_scaled_spans(&pipeline, &spans, 1000)).unwrap();
-    let out = run(
-        NGS_TRACE,
-        &["diff", metrics.to_str().unwrap(), slow.to_str().unwrap(), "--min-total-ms", "0"],
-    );
-    assert_eq!(out.status.code(), Some(1), "inflated run must fail the gate");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSED"), "diff output must flag the regression: {stdout}");
-
-    // A generous per-span tolerance on every span lets the same diff pass.
-    let mut relaxed = vec![
-        "diff".to_string(),
-        metrics.to_str().unwrap().to_string(),
-        slow.to_str().unwrap().to_string(),
-        "--min-total-ms".to_string(),
-        "0".to_string(),
-    ];
-    for name in spans.keys() {
-        relaxed.push("--span-tolerance".to_string());
-        relaxed.push(format!("{name}=2000"));
-    }
-    let relaxed_args: Vec<&str> = relaxed.iter().map(String::as_str).collect();
-    assert_ok(&run(NGS_TRACE, &relaxed_args), "per-span tolerance overrides");
-
-    // --update-baseline blesses the slow run: afterwards the diff passes
-    // because baseline bytes equal the current report.
-    let baseline = dir.join("BENCH_baseline.json");
-    std::fs::copy(&metrics, &baseline).unwrap();
-    let out = run(
-        NGS_TRACE,
-        &["diff", baseline.to_str().unwrap(), slow.to_str().unwrap(), "--update-baseline"],
-    );
-    assert_ok(&out, "--update-baseline");
-    assert_eq!(
-        std::fs::read(&baseline).unwrap(),
-        std::fs::read(&slow).unwrap(),
-        "blessing must copy the current report over the baseline"
-    );
-    let out = run(NGS_TRACE, &["diff", baseline.to_str().unwrap(), slow.to_str().unwrap()]);
-    assert_ok(&out, "diff after blessing");
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// A minimal v2-style BENCH report: fixed wall times, per-span peak bytes.
-fn bench_with_alloc(pipeline: &str, spans: &[(&str, u64, u64)]) -> String {
-    let mut out = format!("{{\"pipeline\": \"{pipeline}\", \"schema_version\": 2, \"spans\": {{");
-    for (i, (name, total_ns, peak)) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "\"{name}\": {{\"total_ns\": {total_ns}, \"alloc_peak_bytes\": {peak}}}"
-        ));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// The memory axis is independent of wall time: a report whose spans keep
-/// their exact wall times but double their peak allocation must fail the
-/// gate, name the memory regression, and pass again under a generous
-/// `--mem-tolerance`.
-#[test]
-fn diff_fails_on_memory_axis_while_wall_time_is_identical() {
-    let dir = test_dir("memdiff");
-    const MB: u64 = 1 << 20;
-    let baseline = dir.join("BENCH_base.json");
-    let blown = dir.join("BENCH_blown.json");
-    std::fs::write(
-        &baseline,
-        bench_with_alloc(
-            "demo",
-            &[("demo.build", 40_000_000, 32 * MB), ("demo.run", 60_000_000, 64 * MB)],
-        ),
-    )
-    .unwrap();
-    std::fs::write(
-        &blown,
-        bench_with_alloc(
-            "demo",
-            &[("demo.build", 40_000_000, 32 * MB), ("demo.run", 60_000_000, 128 * MB)],
-        ),
-    )
-    .unwrap();
-
-    let out = run(NGS_TRACE, &["diff", baseline.to_str().unwrap(), blown.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "doubled peak must fail the gate");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("MEM REGRESSED"), "must flag the memory axis: {stdout}");
-    assert!(stdout.contains("0 span(s) regressed on wall time"), "wall axis stays green: {stdout}");
-
-    // A tolerance that admits a 2x peak lets the same diff pass.
-    let out = run(
-        NGS_TRACE,
-        &["diff", baseline.to_str().unwrap(), blown.to_str().unwrap(), "--mem-tolerance", "1.5"],
-    );
-    assert_ok(&out, "generous --mem-tolerance");
-
-    // A v1 baseline (no alloc fields) skips the memory axis entirely.
-    let v1 = dir.join("BENCH_v1.json");
-    std::fs::write(
-        &v1,
-        "{\"pipeline\": \"demo\", \"spans\": {\
-          \"demo.build\": {\"total_ns\": 40000000}, \
-          \"demo.run\": {\"total_ns\": 60000000}}}",
-    )
-    .unwrap();
-    let out = run(NGS_TRACE, &["diff", v1.to_str().unwrap(), blown.to_str().unwrap()]);
-    assert_ok(&out, "v1 baseline skips the memory comparison");
-    let _ = std::fs::remove_dir_all(dir);
-}
-
 #[test]
 fn malformed_trace_is_rejected_with_exit_2() {
     let dir = test_dir("malformed");
     let bad = dir.join("bad.jsonl");
     std::fs::write(
         &bad,
-        "{\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}\n\
+        "{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\", \"pid\": 1, \
+          \"role\": \"main\", \"clock_offset_ns\": 0}\n\
          {\"ev\": \"B\", \"seq\": 0, \"id\": 1, \"parent\": 0, \"name\": \"dangling\", \
           \"detail\": \"\", \"tid\": 0, \"ts_ns\": 5}\n",
     )

@@ -184,30 +184,23 @@ pub struct EdgePhase {
 /// exhausts its task attempts (only possible under injected faults or a
 /// persistently failing environment; transient failures are retried by
 /// the substrate).
-pub fn run(reads: &[Read], params: &ClosetParams) -> Result<ClosetOutput, JobError> {
-    run_observed(reads, params, &ngs_observe::Collector::disabled())
-}
-
-/// [`run`] with observability: the three pipeline stages run under the
-/// `closet.sketch` / `closet.validate` / `closet.cluster` spans (one
-/// `closet.cluster` occurrence per threshold level), final cluster sizes
-/// feed the `closet.clique_size` histogram, and the merged MapReduce
-/// counters — fault-tolerance counters included — are folded in under the
+///
+/// Composes [`build_edges_observed`] and [`cluster_edges_observed`]. Call
+/// them directly to checkpoint (or resume from) the Phase-I boundary, or
+/// with an enabled collector to observe the run: the three stages run
+/// under the `closet.sketch` / `closet.validate` / `closet.cluster` spans
+/// (one `closet.cluster` occurrence per threshold level), final cluster
+/// sizes feed the `closet.clique_size` histogram, and the merged MapReduce
+/// counters — fault-tolerance counters included — land under the
 /// `closet.job.*` prefix via [`mapreduce_lite::record_job_stats`]. For
 /// per-task-attempt spans, additionally set [`JobConfig::collector`] on
 /// `params.job`.
-///
-/// Composes [`build_edges_observed`] and [`cluster_edges_observed`]; call
-/// them separately to checkpoint (or resume from) the Phase-I boundary.
-pub fn run_observed(
-    reads: &[Read],
-    params: &ClosetParams,
-    collector: &ngs_observe::Collector,
-) -> Result<ClosetOutput, JobError> {
+pub fn run(reads: &[Read], params: &ClosetParams) -> Result<ClosetOutput, JobError> {
     // Reject a bad threshold series before paying for Phase I.
     assert_thresholds(&params.thresholds);
-    let edges = build_edges_observed(reads, params, collector)?;
-    cluster_edges_observed(&edges, params, collector)
+    let collector = ngs_observe::Collector::disabled();
+    let edges = build_edges_observed(reads, params, &collector)?;
+    cluster_edges_observed(&edges, params, &collector)
 }
 
 fn assert_thresholds(thresholds: &[f64]) {
@@ -270,8 +263,8 @@ pub fn build_edges_observed(
 
 /// Phase II (Tasks 6–8): incremental quasi-clique enumeration over a
 /// finished [`EdgePhase`] — freshly built or restored from a checkpoint.
-/// The returned [`ClosetOutput`] is identical to what [`run_observed`]
-/// would have produced in one shot.
+/// The returned [`ClosetOutput`] is identical to what [`run`] would have
+/// produced in one shot.
 ///
 /// # Errors
 /// Propagates [`JobError`] as [`run`] does.
@@ -647,7 +640,8 @@ mod tests {
         let mut params = ClosetParams::standard(300, vec![0.8, 0.6], 2);
         let collector = std::sync::Arc::new(ngs_observe::Collector::new());
         params.job.collector = Some(collector.clone());
-        let out = run_observed(&c.reads, &params, &collector).expect("pipeline");
+        let edges = build_edges_observed(&c.reads, &params, &collector).expect("phase I");
+        let out = cluster_edges_observed(&edges, &params, &collector).expect("phase II");
         let report = collector.report("closet");
         assert!(report
             .missing_spans(&["closet.sketch", "closet.validate", "closet.cluster"])

@@ -27,8 +27,8 @@
 //!   for span-scoped attribution in [`Collector`](crate::Collector) spans.
 //!
 //! The counters are process-wide: [`reset_peak`] rebases the watermark to
-//! the current live bytes so sequential phases (e.g. the three `smoke_bench`
-//! pipelines) can each measure their own peak.
+//! the current live bytes so sequential phases of one process can each
+//! measure their own peak.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

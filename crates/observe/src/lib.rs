@@ -49,7 +49,6 @@
 //!   DESIGN.md §Continuous profiling).
 
 pub mod alloc;
-pub mod diff;
 mod histogram;
 pub mod json;
 mod memory;
@@ -61,7 +60,10 @@ pub mod traceview;
 
 pub use histogram::LogHistogram;
 pub use memory::{read_memory, MemoryProbe};
-pub use report::{CpuTotals, GaugeMerge, Report, SpanStat};
+pub use report::{
+    parse_bench_report, validate_bench_invariants, BenchSpan, CpuTotals, GaugeMerge, Report,
+    SpanStat,
+};
 pub use trace::{SpanId, TraceContext, TraceEvent, TraceEventKind, TraceSpan, Tracer};
 
 use std::collections::BTreeMap;

@@ -378,8 +378,13 @@ pub fn start(hz: u32) -> Option<Profiler> {
                 while !stop.load(Ordering::Relaxed) {
                     let now = Instant::now();
                     if now < next {
-                        std::thread::sleep(next - now);
-                    } else {
+                        // Parked, not slept: `stop` unparks this thread, so
+                        // ending a run never waits out a sampling period.
+                        // An early wake-up just goes round again.
+                        std::thread::park_timeout(next - now);
+                        continue;
+                    }
+                    if now - next >= period {
                         // Fell behind (long stat reads, scheduling): skip
                         // the missed ticks instead of bursting.
                         next = now;
@@ -402,13 +407,7 @@ impl Profiler {
     /// Stop the sampler and fold everything — local samples plus entries
     /// ingested from workers — into a [`ProfileData`].
     pub fn stop(mut self) -> ProfileData {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        ACTIVE_HZ.store(0, Ordering::SeqCst);
-        ENABLED.store(false, Ordering::SeqCst);
-        *lock_unpoisoned(current()) = None;
+        self.halt();
         let accum = std::mem::take(&mut *lock_unpoisoned(&self.accum));
         let mut folded: BTreeMap<String, u64> = BTreeMap::new();
         for ((frames, on), count) in &accum.folded {
@@ -435,15 +434,24 @@ impl Profiler {
     }
 }
 
-impl Drop for Profiler {
-    fn drop(&mut self) {
+impl Profiler {
+    /// Wake and join the sampler thread, then release the singleton.
+    /// Idempotent: [`Profiler::stop`] runs it, and so does `Drop`.
+    fn halt(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
         ACTIVE_HZ.store(0, Ordering::SeqCst);
         ENABLED.store(false, Ordering::SeqCst);
         *lock_unpoisoned(current()) = None;
+    }
+}
+
+impl Drop for Profiler {
+    fn drop(&mut self) {
+        self.halt();
     }
 }
 

@@ -1,4 +1,6 @@
-//! The [`Report`] snapshot: human table, `BENCH_*.json` JSON, and merging.
+//! The [`Report`] snapshot: human table, `BENCH_*.json` JSON, and merging;
+//! plus the readers of that JSON ([`parse_bench_report`],
+//! [`validate_bench_invariants`]).
 //!
 //! JSON schema (`schema_version` 3) — all keys always present:
 //!
@@ -34,8 +36,8 @@
 //! continuous profiler (`--profile-cpu`, DESIGN.md §Continuous
 //! profiling). Each version is a strict superset of the previous one:
 //! readers of older documents keep working, and an unprofiled run writes
-//! `cpu: null` with `null` per-span CPU figures so diff tooling treats
-//! the CPU axis as skipped, exactly like the v1→v2 alloc axis.
+//! `cpu: null` with `null` per-span CPU figures, so a reader can tell a
+//! skipped CPU axis from one measured at zero.
 //!
 //! Memory fields are `null` when `/proc/self/status` is unavailable (the
 //! probe distinguishes "no reading" from "zero bytes"); `alloc` is `null`
@@ -46,6 +48,7 @@
 
 use crate::alloc::AllocStats;
 use crate::histogram::LogHistogram;
+use crate::json::{parse, Json};
 use crate::memory::MemoryProbe;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -95,8 +98,7 @@ pub struct SpanStat {
 
 /// Report-level totals from one continuous-profiling session (the
 /// `cpu` section of BENCH schema v3). `None` on the report means the
-/// profiler never ran — serialised as `null`, and diff tooling skips the
-/// CPU axis.
+/// profiler never ran — serialised as `null`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CpuTotals {
     /// Configured sampling rate, Hz.
@@ -167,8 +169,8 @@ impl SpanStat {
     /// `total_ns`/`min_ns`/`max_ns` (its fields are by definition the
     /// fold identity, and a hand-built stat carrying nonzero figures at
     /// count 0 must not skew totals without moving the extrema — that
-    /// is exactly how `total_ns > max_ns` crept into count-1 spans of
-    /// blessed baselines). Symmetrically, when `self` has never counted
+    /// is exactly how `total_ns > max_ns` once crept into count-1 spans).
+    /// Symmetrically, when `self` has never counted
     /// an occurrence its wall fields are replaced, not folded, which
     /// keeps the operation commutative. The invariant
     /// `count == 1 ⇒ total_ns == min_ns == max_ns` therefore survives
@@ -223,7 +225,7 @@ pub struct Report {
     /// the tracking allocator installed and enabled).
     pub alloc: Option<AllocStats>,
     /// Continuous-profiler totals (`None` when `--profile-cpu` never ran
-    /// for this report — the CPU axis is then skipped by diff tooling).
+    /// for this report).
     pub cpu: Option<CpuTotals>,
 }
 
@@ -289,8 +291,8 @@ impl Report {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The span paths in `required` that this report is missing — the CI
-    /// smoke-bench gate fails when this is non-empty.
+    /// The span paths in `required` that this report is missing — the
+    /// CLIs' `--metrics-json` runs fail when this is non-empty.
     pub fn missing_spans(&self, required: &[&str]) -> Vec<String> {
         required.iter().filter(|&&p| !self.spans.contains_key(p)).map(|&p| p.to_string()).collect()
     }
@@ -577,6 +579,115 @@ fn json_opt_u64(out: &mut String, v: Option<u64>) {
     }
 }
 
+/// One span's figures read back from a `BENCH_*.json` report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BenchSpan {
+    /// Total wall time, nanoseconds.
+    pub total_ns: u64,
+    /// Peak live bytes while the span was open (`None` on runs without the
+    /// tracking allocator).
+    pub alloc_peak_bytes: Option<u64>,
+    /// On-CPU samples attributed to this span as the stack leaf (`None`
+    /// on runs without `--profile-cpu`).
+    pub cpu_self_samples: Option<u64>,
+    /// On-CPU samples with this span anywhere on the stack.
+    pub cpu_total_samples: Option<u64>,
+}
+
+/// Extract `pipeline` and the span → [`BenchSpan`] map from a
+/// `BENCH_*.json` document. Only `total_ns` is required per span, so
+/// hand-written wall-only fixtures parse too.
+pub fn parse_bench_report(text: &str) -> Result<(String, BTreeMap<String, BenchSpan>), String> {
+    let doc = parse(text)?;
+    let pipeline = doc
+        .get("pipeline")
+        .and_then(Json::as_str)
+        .ok_or("report has no \"pipeline\" field")?
+        .to_string();
+    let spans_obj = doc.get("spans").and_then(Json::as_obj).ok_or("report has no \"spans\"")?;
+    let mut spans = BTreeMap::new();
+    for (name, stat) in spans_obj {
+        let total = stat
+            .get("total_ns")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("span {name:?} has no integer \"total_ns\""))?;
+        let alloc_peak_bytes = stat.get("alloc_peak_bytes").and_then(Json::as_u64);
+        // `null` (unprofiled run) and absent both read as None: the CPU
+        // axis was skipped, not measured at zero.
+        let cpu_self_samples = stat.get("cpu_self_samples").and_then(Json::as_u64);
+        let cpu_total_samples = stat.get("cpu_total_samples").and_then(Json::as_u64);
+        spans.insert(
+            name.clone(),
+            BenchSpan { total_ns: total, alloc_peak_bytes, cpu_self_samples, cpu_total_samples },
+        );
+    }
+    Ok((pipeline, spans))
+}
+
+/// Check every span of a `BENCH_*.json` document against the span-stat
+/// invariants, returning one message per violation:
+///
+/// * `count == 0` ⇒ `total_ns == 0`;
+/// * `count == 1` ⇒ `total_ns == min_ns == max_ns` (a single occurrence
+///   *is* the minimum, maximum, and total);
+/// * `count >= 1` ⇒ `min_ns <= max_ns <= total_ns`;
+/// * `cpu_self_samples <= cpu_total_samples` where both are numbers.
+///
+/// Spans missing any of the four wall fields are skipped — this validator
+/// hardens full reports, not hand-written wall-only fixtures.
+pub fn validate_bench_invariants(text: &str) -> Result<(), Vec<String>> {
+    let doc = match parse(text) {
+        Ok(doc) => doc,
+        Err(e) => return Err(vec![format!("unparseable report: {e}")]),
+    };
+    let Some(spans) = doc.get("spans").and_then(Json::as_obj) else {
+        return Ok(());
+    };
+    let mut violations = Vec::new();
+    for (name, stat) in spans {
+        let field = |k: &str| stat.get(k).and_then(Json::as_u64);
+        let (Some(count), Some(total), Some(min), Some(max)) =
+            (field("count"), field("total_ns"), field("min_ns"), field("max_ns"))
+        else {
+            continue;
+        };
+        if count == 0 {
+            if total != 0 {
+                violations.push(format!("span {name:?}: count 0 but total_ns {total}"));
+            }
+            continue;
+        }
+        if count == 1 && !(total == min && total == max) {
+            violations.push(format!(
+                "span {name:?}: count 1 requires total_ns == min_ns == max_ns, \
+                 got total_ns {total}, min_ns {min}, max_ns {max}"
+            ));
+        } else if min > max || max > total {
+            violations.push(format!(
+                "span {name:?}: requires min_ns <= max_ns <= total_ns, \
+                 got total_ns {total}, min_ns {min}, max_ns {max}"
+            ));
+        }
+        // A leaf sample is also a stack sample, so self can never exceed
+        // total. Null figures (unprofiled runs) are skipped.
+        if let (Some(cpu_self), Some(cpu_total)) =
+            (field("cpu_self_samples"), field("cpu_total_samples"))
+        {
+            if cpu_self > cpu_total {
+                violations.push(format!(
+                    "span {name:?}: requires cpu_self_samples <= cpu_total_samples, \
+                     got self {cpu_self}, total {cpu_total}"
+                ));
+            }
+        }
+    }
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(violations)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,7 +733,7 @@ mod tests {
         // not a zeroed object.
         assert!(j.contains("\"alloc\": null"), "missing alloc null in:\n{j}");
         // Without the CPU profiler the cpu section and per-span CPU figures
-        // are explicit nulls — diff tooling treats the axis as skipped.
+        // are explicit nulls, not zeros.
         assert!(j.contains("\"cpu\": null"), "missing cpu null in:\n{j}");
         assert!(
             j.contains(
@@ -810,5 +921,91 @@ mod tests {
         let mut a = ca.report("p");
         a.merge(&cb.report("p"));
         assert_eq!(a.gauges["p.phase"], 2.0, "last mode: right-hand report wins");
+    }
+    #[test]
+    fn parse_bench_report_reads_alloc_fields() {
+        let c = crate::Collector::new();
+        c.record_span_alloc("p.build", 100_000_000, 4, 2048, 4096);
+        let json = c.report("p").to_json();
+        let (pipeline, spans) = parse_bench_report(&json).unwrap();
+        assert_eq!(pipeline, "p");
+        assert_eq!(
+            spans["p.build"],
+            BenchSpan { total_ns: 100_000_000, alloc_peak_bytes: Some(4096), ..Default::default() }
+        );
+    }
+
+    #[test]
+    fn parse_bench_report_reads_cpu_fields_and_skips_nulls() {
+        // Unprofiled report: per-span CPU figures are explicit nulls.
+        let c = crate::Collector::new();
+        c.record_span_ns("p.build", 100_000_000, 4);
+        let (_, spans) = parse_bench_report(&c.report("p").to_json()).unwrap();
+        assert_eq!(spans["p.build"].cpu_self_samples, None);
+        assert_eq!(spans["p.build"].cpu_total_samples, None);
+        // Profiled report: numbers come through.
+        let json = r#"{"pipeline": "p", "spans": {
+            "p.build": {"total_ns": 5, "cpu_self_samples": 7, "cpu_total_samples": 11}}}"#;
+        let (_, spans) = parse_bench_report(json).unwrap();
+        assert_eq!(spans["p.build"].cpu_self_samples, Some(7));
+        assert_eq!(spans["p.build"].cpu_total_samples, Some(11));
+    }
+
+    #[test]
+    fn validator_rejects_cpu_self_above_total() {
+        let json = r#"{"pipeline": "p", "spans": {
+            "a": {"count": 1, "total_ns": 5, "min_ns": 5, "max_ns": 5,
+                  "cpu_self_samples": 9, "cpu_total_samples": 3},
+            "skipped": {"count": 1, "total_ns": 5, "min_ns": 5, "max_ns": 5,
+                        "cpu_self_samples": null, "cpu_total_samples": null}}}"#;
+        let violations = validate_bench_invariants(json).unwrap_err();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("cpu_self_samples"), "{violations:?}");
+    }
+
+    #[test]
+    fn validator_accepts_profiled_collector_reports() {
+        let c = crate::Collector::new();
+        c.record_span_ns("p.run", 5_000_000, 1);
+        let mut r = c.report("p");
+        r.cpu = Some(CpuTotals {
+            sample_hz: 97,
+            oncpu_samples: 10,
+            offcpu_samples: 2,
+            torn_samples: 0,
+        });
+        r.spans.get_mut("p.run").unwrap().cpu_self_samples = 4;
+        r.spans.get_mut("p.run").unwrap().cpu_total_samples = 10;
+        validate_bench_invariants(&r.to_json()).expect("profiled report validates");
+    }
+
+    #[test]
+    fn validator_accepts_collector_reports() {
+        let c = crate::Collector::new();
+        c.record_span_ns("p.once", 5_000, 1);
+        c.record_span_ns("p.twice", 1_000, 2);
+        c.record_span_ns("p.twice", 3_000, 2);
+        validate_bench_invariants(&c.report("p").to_json()).expect("honest report validates");
+    }
+
+    #[test]
+    fn validator_rejects_count_one_envelope_totals() {
+        // A count-1 span whose total_ns was inflated past min/max.
+        let json = r#"{"pipeline": "p", "spans": {
+            "reptile.build.tiles": {"count": 1, "total_ns": 18008569,
+                                    "min_ns": 17324288, "max_ns": 17324288}}}"#;
+        let violations = validate_bench_invariants(json).unwrap_err();
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("count 1"), "{violations:?}");
+    }
+
+    #[test]
+    fn validator_rejects_inverted_extrema_and_zero_count_totals() {
+        let json = r#"{"pipeline": "p", "spans": {
+            "a": {"count": 2, "total_ns": 10, "min_ns": 9, "max_ns": 12},
+            "b": {"count": 0, "total_ns": 7, "min_ns": 0, "max_ns": 0},
+            "wall_only": {"total_ns": 5}}}"#;
+        let violations = validate_bench_invariants(json).unwrap_err();
+        assert_eq!(violations.len(), 2, "{violations:?}");
     }
 }

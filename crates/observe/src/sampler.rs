@@ -9,8 +9,7 @@
 //! added `ticks_per_sec` (USER_HZ from the aux vector) and
 //! `page_size_bytes` to the header so downstream tooling can convert ticks
 //! to CPU% and resident pages to bytes without guessing platform constants;
-//! v1 files (no such fields) remain readable via
-//! [`validate_resources_header`].
+//! [`validate_resources_header`] reads it back.
 //!
 //! [`ProgressMeter`] is the human-facing companion: a thread that polls two
 //! collector counters (records and bytes read) once a second and prints a
@@ -252,19 +251,18 @@ pub fn to_jsonl(samples: &[ResourceSample]) -> String {
 /// Metadata read back from a resource-timeline header line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceHeader {
-    /// Schema version of the file (1 or 2).
+    /// Schema version of the file.
     pub schema_version: u32,
-    /// USER_HZ the tick fields are counted in (v2; v1 files default to 100).
+    /// USER_HZ the tick fields are counted in.
     pub ticks_per_sec: u64,
-    /// Page size RSS was converted with (v2; v1 files default to 4096).
+    /// Page size RSS was converted with.
     pub page_size_bytes: u64,
 }
 
-/// Parse and validate a resources JSONL header line, mirroring trace v2's
-/// handling: versions `1..=RESOURCE_SCHEMA_VERSION` are accepted (v1 files
-/// predate the metadata fields and get the historical defaults), anything
-/// else is a typed error naming the found version, as is a non-resources
-/// header.
+/// Parse and validate a resources JSONL header line, mirroring the trace
+/// reader: only [`RESOURCE_SCHEMA_VERSION`] is accepted, anything else is a
+/// typed error naming the found version, as is a non-resources header or
+/// one without its metadata fields.
 pub fn validate_resources_header(line: &str) -> Result<ResourceHeader, String> {
     let obj = crate::json::parse(line).map_err(|e| format!("header: {e}"))?;
     let kind = obj.get("kind").and_then(crate::json::Json::as_str).unwrap_or("");
@@ -275,18 +273,20 @@ pub fn validate_resources_header(line: &str) -> Result<ResourceHeader, String> {
         .get("schema_version")
         .and_then(crate::json::Json::as_u64)
         .ok_or("header has no \"schema_version\"")?;
-    if v == 0 || v > RESOURCE_SCHEMA_VERSION as u64 {
+    if v != RESOURCE_SCHEMA_VERSION as u64 {
         return Err(format!(
-            "unsupported schema_version {v} (this tool reads 1..={RESOURCE_SCHEMA_VERSION})"
+            "unsupported schema_version {v} (this tool reads version {RESOURCE_SCHEMA_VERSION})"
         ));
     }
+    let field = |key: &str| {
+        obj.get(key)
+            .and_then(crate::json::Json::as_u64)
+            .ok_or_else(|| format!("header has no integer \"{key}\""))
+    };
     Ok(ResourceHeader {
         schema_version: v as u32,
-        ticks_per_sec: obj.get("ticks_per_sec").and_then(crate::json::Json::as_u64).unwrap_or(100),
-        page_size_bytes: obj
-            .get("page_size_bytes")
-            .and_then(crate::json::Json::as_u64)
-            .unwrap_or(4096),
+        ticks_per_sec: field("ticks_per_sec")?,
+        page_size_bytes: field("page_size_bytes")?,
     })
 }
 
@@ -512,16 +512,19 @@ mod tests {
 
     #[test]
     fn resources_header_versions_are_validated() {
-        // v1 files predate the metadata fields: readable, defaults applied.
-        let v1 = validate_resources_header(
+        // v1 files predate the metadata fields: rejected like any other
+        // version this tool does not write.
+        let err = validate_resources_header(
             "{\"schema_version\": 1, \"kind\": \"ngs-resources\", \"unit\": \"ms\"}",
         )
-        .unwrap();
-        assert_eq!(
-            v1,
-            ResourceHeader { schema_version: 1, ticks_per_sec: 100, page_size_bytes: 4096 }
-        );
-        // v2 carries its own metadata.
+        .unwrap_err();
+        assert!(err.contains("unsupported schema_version 1"), "{err}");
+        // v2 carries its own metadata, and must.
+        let err = validate_resources_header(
+            "{\"schema_version\": 2, \"kind\": \"ngs-resources\", \"unit\": \"ms\"}",
+        )
+        .unwrap_err();
+        assert!(err.contains("ticks_per_sec"), "{err}");
         let v2 = validate_resources_header(
             "{\"schema_version\": 2, \"kind\": \"ngs-resources\", \"unit\": \"ms\", \
              \"ticks_per_sec\": 250, \"page_size_bytes\": 16384}",

@@ -4,10 +4,10 @@
 //! Aggregates answer *how much*; traces answer *where and when*. A
 //! [`Tracer`] records begin/end/instant events with hierarchical span IDs
 //! (parent/child), per-thread tags and nanosecond timestamps into a
-//! lock-sharded buffer, and serialises them as JSONL (`schema_version 1`,
+//! lock-sharded buffer, and serialises them as JSONL (`schema_version 2`,
 //! see [`Tracer::to_jsonl`]). The `ngs-trace` binary converts a trace to
 //! Chrome `chrome://tracing` JSON, prints a critical-path summary, and
-//! diffs two `BENCH_*.json` reports (see `ngs_observe::{traceview, diff}`).
+//! stitches per-process traces (see [`crate::traceview`]).
 //!
 //! Parenting works two ways:
 //!

@@ -13,8 +13,7 @@ use std::fmt::Write as _;
 pub struct ParsedTrace {
     /// `schema_version` from the header line.
     pub schema_version: u64,
-    /// Process metadata from the header. Schema-v1 files (no metadata)
-    /// default to pid 1, role `main`, offset 0.
+    /// Process metadata from the header.
     pub meta: ProcessMeta,
     /// Events sorted by `seq`.
     pub events: Vec<TraceEvent>,
@@ -31,10 +30,11 @@ fn field_str<'a>(obj: &'a Json, key: &str, line_no: usize) -> Result<&'a str, St
 }
 
 /// Parse a JSONL trace produced by [`Tracer::to_jsonl`](crate::Tracer::to_jsonl).
-/// Both schema versions 1 and 2 are read; a missing or unknown
-/// `schema_version` is an error naming the found version, and malformed
-/// events are errors, not skips — a trace a tool cannot fully read is a
-/// trace it cannot be trusted to analyse.
+/// Only the current schema version is read; a missing or other
+/// `schema_version` is an error naming the found version, and a header
+/// without its process metadata or a malformed event is an error, not a
+/// skip — a trace a tool cannot fully read is a trace it cannot be trusted
+/// to analyse.
 pub fn parse_jsonl(text: &str) -> Result<ParsedTrace, String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty trace: no header line")?;
@@ -43,16 +43,20 @@ pub fn parse_jsonl(text: &str) -> Result<ParsedTrace, String> {
         .get("schema_version")
         .and_then(Json::as_u64)
         .ok_or("header has no \"schema_version\" (not an ngs-trace file?)")?;
-    if schema_version == 0 || schema_version > TRACE_SCHEMA_VERSION as u64 {
+    if schema_version != TRACE_SCHEMA_VERSION as u64 {
         return Err(format!(
-            "unsupported schema_version {schema_version} (this tool reads 1..={TRACE_SCHEMA_VERSION})"
+            "unsupported schema_version {schema_version} (this tool reads version {TRACE_SCHEMA_VERSION})"
         ));
     }
-    let header_pid = header.get("pid").and_then(Json::as_u64).unwrap_or(1) as u32;
+    let header_pid = field_u64(&header, "pid", 1)? as u32;
     let meta = ProcessMeta {
         pid: header_pid,
-        role: header.get("role").and_then(Json::as_str).unwrap_or("main").to_string(),
-        clock_offset_ns: header.get("clock_offset_ns").and_then(Json::as_f64).unwrap_or(0.0) as i64,
+        role: field_str(&header, "role", 1)?.to_string(),
+        clock_offset_ns: header
+            .get("clock_offset_ns")
+            .and_then(Json::as_f64)
+            .ok_or("line 1: missing or non-numeric \"clock_offset_ns\"")?
+            as i64,
     };
     let mut events = Vec::new();
     for (idx, line) in lines {
@@ -492,20 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn reads_v1_files_with_default_meta() {
+    fn rejects_v1_files_like_unknown_versions() {
         let v1 = "\
 {\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}
 {\"ev\": \"B\", \"seq\": 1, \"id\": 1, \"parent\": 0, \"name\": \"p\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 10}
 {\"ev\": \"E\", \"seq\": 2, \"id\": 1, \"parent\": 0, \"name\": \"\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 30}
 ";
-        let trace = parse_jsonl(v1).expect("v1 stays readable");
-        assert_eq!(trace.schema_version, 1);
-        assert_eq!(
-            trace.meta,
-            ProcessMeta { pid: 1, role: "main".to_string(), clock_offset_ns: 0 }
-        );
-        assert!(trace.events.iter().all(|e| e.pid == 1), "events inherit the header pid");
-        check_well_formed(&trace).expect("well-formed");
+        let err = parse_jsonl(v1).unwrap_err();
+        assert!(err.contains("unsupported schema_version 1"), "{err}");
+        // A current header must carry its process metadata.
+        let err = parse_jsonl("{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}")
+            .unwrap_err();
+        assert!(err.contains("pid"), "{err}");
     }
 
     #[test]
@@ -518,7 +520,7 @@ mod tests {
 
         // Hand-built: child interval escapes its parent.
         let bad = "\
-{\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}
+{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\", \"pid\": 1, \"role\": \"main\", \"clock_offset_ns\": 0}
 {\"ev\": \"B\", \"seq\": 1, \"id\": 1, \"parent\": 0, \"name\": \"p\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 10}
 {\"ev\": \"B\", \"seq\": 2, \"id\": 2, \"parent\": 1, \"name\": \"c\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 20}
 {\"ev\": \"E\", \"seq\": 3, \"id\": 1, \"parent\": 0, \"name\": \"\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 30}
@@ -534,11 +536,11 @@ mod tests {
         assert!(parse_jsonl("").is_err());
         let err = parse_jsonl("{\"schema_version\": 99}").unwrap_err();
         assert!(err.contains("unsupported schema_version 99"), "{err}");
-        assert!(err.contains("1..="), "error names the readable range: {err}");
+        assert!(err.contains("reads version 2"), "error names the readable version: {err}");
         let err = parse_jsonl("{\"kind\": \"ngs-trace\"}").unwrap_err();
         assert!(err.contains("schema_version"), "missing version named: {err}");
         let trace_with_garbage =
-            "{\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}\nnot json\n";
+            "{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\", \"pid\": 1, \"role\": \"main\", \"clock_offset_ns\": 0}\nnot json\n";
         assert!(parse_jsonl(trace_with_garbage).is_err());
     }
 
@@ -614,7 +616,7 @@ mod tests {
     #[test]
     fn self_time_subtracts_children() {
         let bad = "\
-{\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}
+{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\", \"pid\": 1, \"role\": \"main\", \"clock_offset_ns\": 0}
 {\"ev\": \"B\", \"seq\": 1, \"id\": 1, \"parent\": 0, \"name\": \"p\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 0}
 {\"ev\": \"B\", \"seq\": 2, \"id\": 2, \"parent\": 1, \"name\": \"c\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 100}
 {\"ev\": \"E\", \"seq\": 3, \"id\": 2, \"parent\": 0, \"name\": \"\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 700}
@@ -636,7 +638,7 @@ mod tests {
         // p [0,1000] ⊃ p [100,700] ⊃ c [200,500]: the recursive name "p"
         // occupies 1000ns of wall clock, not 1000+600.
         let trace = "\
-{\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}
+{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\", \"pid\": 1, \"role\": \"main\", \"clock_offset_ns\": 0}
 {\"ev\": \"B\", \"seq\": 1, \"id\": 1, \"parent\": 0, \"name\": \"p\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 0}
 {\"ev\": \"B\", \"seq\": 2, \"id\": 2, \"parent\": 1, \"name\": \"p\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 100}
 {\"ev\": \"B\", \"seq\": 3, \"id\": 3, \"parent\": 2, \"name\": \"c\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 200}
@@ -665,7 +667,7 @@ mod tests {
         // deterministic (by name), so `ngs-trace summary --top N` shows the
         // same rows run after run.
         let trace = "\
-{\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}
+{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\", \"pid\": 1, \"role\": \"main\", \"clock_offset_ns\": 0}
 {\"ev\": \"B\", \"seq\": 1, \"id\": 1, \"parent\": 0, \"name\": \"zeta\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 0}
 {\"ev\": \"E\", \"seq\": 2, \"id\": 1, \"parent\": 0, \"name\": \"\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 500}
 {\"ev\": \"B\", \"seq\": 3, \"id\": 2, \"parent\": 0, \"name\": \"alpha\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 600}
@@ -681,7 +683,7 @@ mod tests {
     #[test]
     fn render_summary_clamps_top_n_to_row_count() {
         let trace = "\
-{\"schema_version\": 1, \"kind\": \"ngs-trace\", \"unit\": \"ns\"}
+{\"schema_version\": 2, \"kind\": \"ngs-trace\", \"unit\": \"ns\", \"pid\": 1, \"role\": \"main\", \"clock_offset_ns\": 0}
 {\"ev\": \"B\", \"seq\": 1, \"id\": 1, \"parent\": 0, \"name\": \"only\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 0}
 {\"ev\": \"E\", \"seq\": 2, \"id\": 1, \"parent\": 0, \"name\": \"\", \"detail\": \"\", \"tid\": 1, \"ts_ns\": 100}
 ";

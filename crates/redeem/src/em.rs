@@ -271,26 +271,21 @@ impl Redeem {
 
     /// Run the EM, returning `T` estimates.
     pub fn run(&self, cfg: &EmConfig) -> EmResult {
-        self.run_observed(cfg, &ngs_observe::Collector::disabled())
+        self.run_resumable(cfg, None, 0, &mut |_| true, &ngs_observe::Collector::disabled())
     }
 
-    /// [`Redeem::run`] with observability: each EM iteration is timed under
-    /// the `redeem.em.iteration` span, per-iteration log-likelihood
-    /// improvements feed the `redeem.em.loglik_delta` histogram (log₂
-    /// buckets of ⌈ΔLL⌉), and the final log-likelihood lands in the
-    /// `redeem.em.final_loglik` gauge.
-    pub fn run_observed(&self, cfg: &EmConfig, collector: &ngs_observe::Collector) -> EmResult {
-        self.run_resumable(cfg, None, 0, &mut |_| true, collector)
-    }
-
-    /// [`Redeem::run_observed`] with checkpoint hooks: start from `resume`
-    /// (or the `T = Y` initial state), and every `checkpoint_every`
-    /// completed iterations hand the current [`EmState`] to
-    /// `on_checkpoint`. The hook returning `false` aborts the run at that
-    /// boundary and returns the state so far — the crash-injection tests
-    /// use this to kill the EM at an exact iteration; real callers persist
-    /// the state and return `true`. `checkpoint_every == 0` disables the
-    /// hook entirely.
+    /// [`Redeem::run`] with observability and checkpoint hooks. Each EM
+    /// iteration is timed under the `redeem.em.iteration` span,
+    /// per-iteration log-likelihood improvements feed the
+    /// `redeem.em.loglik_delta` histogram (log₂ buckets of ⌈ΔLL⌉), and the
+    /// final log-likelihood lands in the `redeem.em.final_loglik` gauge.
+    /// The run starts from `resume` (or the `T = Y` initial state), and
+    /// every `checkpoint_every` completed iterations hand the current
+    /// [`EmState`] to `on_checkpoint`. The hook returning `false` aborts
+    /// the run at that boundary and returns the state so far — the
+    /// crash-injection tests use this to kill the EM at an exact iteration;
+    /// real callers persist the state and return `true`.
+    /// `checkpoint_every == 0` disables the hook entirely.
     pub fn run_resumable(
         &self,
         cfg: &EmConfig,
@@ -726,15 +721,18 @@ mod tests {
     fn observed_run_reports_iteration_spans() {
         let (_, redeem, _, _) = build(2_000, vec![], 0.01, 6);
         let collector = ngs_observe::Collector::new();
-        let res = redeem.run_observed(&EmConfig { dmax: 1, max_iters: 8, tol: 0.0 }, &collector);
+        let cfg = EmConfig { dmax: 1, max_iters: 8, tol: 0.0 };
+        let res = redeem.run_resumable(&cfg, None, 0, &mut |_| true, &collector);
         let report = collector.report("redeem");
         let span = report.span("redeem.em.iteration").expect("iteration span");
         assert_eq!(span.count, res.iterations as u64);
         assert_eq!(report.counter("redeem.em.iterations"), res.iterations as u64);
         assert!(report.gauges.contains_key("redeem.em.final_loglik"));
-        // The plain entry point must not record anything.
+        // A disabled collector records nothing, and the plain entry point
+        // runs the same EM.
         let silent = ngs_observe::Collector::disabled();
-        redeem.run_observed(&EmConfig::default(), &silent);
+        let quiet = redeem.run_resumable(&cfg, None, 0, &mut |_| true, &silent);
         assert!(silent.report("redeem").spans.is_empty());
+        assert_eq!(redeem.run(&cfg).t, quiet.t);
     }
 }

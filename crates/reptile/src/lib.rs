@@ -190,18 +190,8 @@ impl Reptile {
 
     /// Correct every read, returning corrected copies and statistics.
     pub fn correct(&self, reads: &[Read]) -> (Vec<Read>, ReptileStats) {
-        self.correct_observed(reads, &Collector::disabled())
-    }
-
-    /// [`Reptile::correct`] with observability (see
-    /// [`Reptile::correct_in_place_observed`]).
-    pub fn correct_observed(
-        &self,
-        reads: &[Read],
-        collector: &Collector,
-    ) -> (Vec<Read>, ReptileStats) {
         let mut reads = reads.to_vec();
-        let stats = self.correct_in_place_observed(&mut reads, collector);
+        let stats = self.correct_in_place(&mut reads);
         (reads, stats)
     }
 
@@ -258,23 +248,8 @@ impl Reptile {
     /// Full pipeline: preprocess ambiguous bases, build indexes, correct.
     /// This is the entry point matching the released Reptile tool.
     pub fn run(reads: &[Read], params: ReptileParams) -> (Vec<Read>, ReptileStats) {
-        Self::run_observed(reads, params, &Collector::disabled())
-    }
-
-    /// [`Reptile::run`] with observability (see
-    /// [`Reptile::build_with_observed`] and
-    /// [`Reptile::correct_in_place_observed`] for the spans and counters).
-    pub fn run_observed(
-        reads: &[Read],
-        params: ReptileParams,
-        collector: &Collector,
-    ) -> (Vec<Read>, ReptileStats) {
-        let mut reads = {
-            let _s = collector.span("reptile.preprocess");
-            ambig::preprocess_ambiguous(reads, &params)
-        };
-        let reptile = Reptile::build_with_observed(&reads, params, None, collector);
-        let stats = reptile.correct_in_place_observed(&mut reads, collector);
+        let mut reads = ambig::preprocess_ambiguous(reads, &params);
+        let stats = Reptile::build(&reads, params).correct_in_place(&mut reads);
         (reads, stats)
     }
 }
@@ -375,8 +350,9 @@ mod tests {
         let preprocessed = ambig::preprocess_ambiguous(&sim.reads, &params);
         let collector = Collector::new();
         let reptile = Reptile::build_with_observed(&preprocessed, params, None, &collector);
-        let (out1, stats1) = reptile.correct_observed(&preprocessed, &collector);
-        let (out2, stats2) = reptile.correct_observed(&preprocessed, &collector);
+        let (mut out1, mut out2) = (preprocessed.clone(), preprocessed.clone());
+        let stats1 = reptile.correct_in_place_observed(&mut out1, &collector);
+        let stats2 = reptile.correct_in_place_observed(&mut out2, &collector);
         assert_eq!(stats1, stats2);
         for (a, b) in out1.iter().zip(&out2) {
             assert_eq!(a.seq, b.seq);

@@ -353,7 +353,8 @@ impl FrameReader {
 
 /// A scratch Unix socket path unique to this process and call site (kept
 /// short: `sun_path` is ~107 bytes).
-pub fn scratch_endpoint(tag: &str) -> Endpoint {
+#[cfg(test)]
+pub(crate) fn scratch_endpoint(tag: &str) -> Endpoint {
     use std::sync::atomic::AtomicU64;
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);

@@ -27,14 +27,12 @@
 //! * **Retrying client** ([`client::Client`]) — full-jitter exponential
 //!   backoff; `Overloaded`/`Draining`/torn connections are retryable,
 //!   `DeadlineExceeded`/`RequestError` are terminal.
-//! * **Measured** ([`loadgen`]) — every request is a `serve.request`
-//!   trace span; the closed-loop load generator folds user-visible
-//!   latency into the `LogHistogram` behind the blessed p50/p90/p99
-//!   baselines.
+//! * **Measured** ([`server`]) — every request is a `serve.request`
+//!   trace span, and request latency and queue wait feed the
+//!   `LogHistogram`s behind `ngs-client --stats`.
 
 pub mod client;
 pub mod conn;
-pub mod loadgen;
 pub mod proto;
 pub mod queue;
 pub mod server;

@@ -158,7 +158,8 @@ fn closet_trace_has_one_span_per_task_attempt() {
     // throughout the multi-job pipeline.
     params.job.fault_plan = FaultPlan::none().with_fault(Stage::Map, 0, 0, FaultKind::Panic);
 
-    let out = closet::run_observed(&community.reads, &params, &collector)
+    let out = closet::build_edges_observed(&community.reads, &params, &collector)
+        .and_then(|edges| closet::cluster_edges_observed(&edges, &params, &collector))
         .expect("closet must recover from injected faults");
     assert!(out.job_stats.task_failures > 0, "fault plan must have fired");
 
