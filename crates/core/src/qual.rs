@@ -103,16 +103,25 @@ pub fn decode_quals(ascii: &[u8]) -> Vec<u8> {
 /// # Errors
 /// [`InvalidQual`] naming the first offending byte and its offset.
 pub fn decode_quals_checked(ascii: &[u8]) -> Result<Vec<u8>, InvalidQual> {
-    ascii
-        .iter()
-        .enumerate()
-        .map(|(pos, &c)| Phred::try_from_ascii(c).map(|p| p.0).ok_or(InvalidQual { pos, byte: c }))
-        .collect()
+    // Validate first, then decode through a sized iterator: one exactly
+    // sized allocation, where collecting through `Result` regrows the `Vec`.
+    if let Some(pos) = ascii.iter().position(|&c| Phred::try_from_ascii(c).is_none()) {
+        return Err(InvalidQual { pos, byte: ascii[pos] });
+    }
+    Ok(ascii.iter().map(|&c| c - FASTQ_OFFSET).collect())
 }
 
 /// Encode raw scores into a FASTQ quality string.
 pub fn encode_quals(quals: &[u8]) -> Vec<u8> {
-    quals.iter().map(|&q| Phred(q.min(93)).to_ascii()).collect()
+    let mut ascii = Vec::with_capacity(quals.len());
+    encode_quals_into(quals, &mut ascii);
+    ascii
+}
+
+/// Append the FASTQ quality string of raw scores to `out`; scores above 93
+/// are written as 93.
+pub fn encode_quals_into(quals: &[u8], out: &mut Vec<u8>) {
+    out.extend(quals.iter().map(|&q| Phred(q.min(93)).to_ascii()));
 }
 
 #[cfg(test)]
@@ -177,7 +186,9 @@ mod tests {
 
     #[test]
     fn decode_quals_checked_names_offset_and_byte() {
-        assert_eq!(decode_quals_checked(b"II!~"), Ok(vec![40, 40, 0, 93]));
+        let quals = decode_quals_checked(b"II!~").unwrap();
+        assert_eq!(quals, vec![40, 40, 0, 93]);
+        assert_eq!(quals.capacity(), quals.len(), "one exactly sized allocation");
         let err = decode_quals_checked(b"II II").unwrap_err();
         assert_eq!(err, InvalidQual { pos: 2, byte: b' ' });
         assert!(err.to_string().contains("offset 2"), "{err}");

@@ -45,6 +45,10 @@ pub const HEADER_LEN: usize = 4 + SEAL_LEN;
 /// is treated as corruption, not as a huge allocation request.
 pub const MAX_FRAME_LEN: u64 = 1 << 30;
 
+/// [`read_frame`] reserves at most this much before payload bytes arrive;
+/// past it the payload grows as they do.
+const PAYLOAD_PREALLOC: usize = 64 * 1024;
+
 /// Why a frame could not be read or a message could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
@@ -158,8 +162,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    if read_full(r, &mut payload)? < payload.len() {
+    // The payload grows only by the bytes that arrive: a header claiming a
+    // large frame must not make the reader reserve it up front.
+    let mut payload = Vec::with_capacity((len as usize).min(PAYLOAD_PREALLOC));
+    r.take(len).read_to_end(&mut payload).map_err(io_error)?;
+    if (payload.len() as u64) < len {
         return Err(ProtocolError::Torn);
     }
     if checksum(&payload) != expected {

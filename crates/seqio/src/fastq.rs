@@ -1,21 +1,156 @@
 //! FASTQ parsing and serialization (Sanger quality encoding).
+//!
+//! The reader takes each line as bytes, in place in its `BufReader` when
+//! the line lies whole there, and accepts, trims and rejects exactly what
+//! `BufRead::read_line` + `str::trim_end` do: a line must be UTF-8, and
+//! trailing Unicode whitespace is dropped. A record then costs three
+//! allocations — the id, the uppercased sequence and the decoded
+//! qualities, each sized exactly. The writer appends whole records to one
+//! reused buffer and hands it to the sink in large blocks.
 
 use crate::MalformedPolicy;
-use ngs_core::qual::{decode_quals_checked, encode_quals};
+use ngs_core::qual::{decode_quals_checked, encode_quals_into, Phred};
 use ngs_core::{NgsError, Read, Result};
 use std::io::{BufRead, BufReader, Write};
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
+/// Read-ahead of the reader's `BufReader`.
+const READ_BUF_BYTES: usize = 128 * 1024;
+
+/// The writer hands its buffer to the sink once it holds this many bytes.
+const WRITE_BLOCK_BYTES: usize = 128 * 1024;
+
+/// Quality score given to reads written without qualities.
+const DEFAULT_QUAL: Phred = Phred(40);
+
+/// The line source of a [`FastqReader`]. A line that lies whole in the
+/// `BufReader`'s buffer is read in place and consumed on the next call; one
+/// that straddles a refill is gathered into a reused buffer.
+struct Lines<R: std::io::Read> {
+    inner: BufReader<R>,
+    /// The current line when it straddled a refill.
+    line: Vec<u8>,
+    /// Whether the current line is the front of the `BufReader`'s buffer,
+    /// still to be consumed, rather than in `line`.
+    in_place: bool,
+    /// Bytes of the current line, newline included.
+    raw_len: usize,
+    /// Bytes of the current line, trailing whitespace trimmed.
+    len: usize,
+    bytes_read: u64,
+}
+
+impl<R: std::io::Read> Lines<R> {
+    fn new(source: R) -> Lines<R> {
+        Lines {
+            inner: BufReader::with_capacity(READ_BUF_BYTES, source),
+            line: Vec::new(),
+            in_place: false,
+            raw_len: 0,
+            len: 0,
+            bytes_read: 0,
+        }
+    }
+
+    /// The next line, UTF-8 with trailing whitespace trimmed, or `None` at
+    /// EOF. A line that is not UTF-8 is consumed and is an I/O error, and
+    /// its bytes are not counted, as under `BufRead::read_line`.
+    fn next(&mut self) -> Result<Option<&[u8]>> {
+        if std::mem::take(&mut self.in_place) {
+            self.inner.consume(self.raw_len);
+        }
+        let (newline, ascii) = scan_line(self.inner.fill_buf()?);
+        let raw = match newline {
+            Some(end) => {
+                self.in_place = true;
+                &self.inner.buffer()[..=end]
+            }
+            None => {
+                self.line.clear();
+                if self.inner.read_until(b'\n', &mut self.line)? == 0 {
+                    return Ok(None);
+                }
+                &self.line[..]
+            }
+        };
+        self.raw_len = raw.len();
+        self.len = if ascii && newline.is_some() {
+            raw.iter().rposition(|&b| !is_ascii_white_space(b)).map_or(0, |i| i + 1)
+        } else {
+            std::str::from_utf8(raw)
+                .map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8",
+                    )
+                })?
+                .trim_end()
+                .len()
+        };
+        self.bytes_read += self.raw_len as u64;
+        Ok(Some(&raw[..self.len]))
+    }
+
+    /// The line last returned by [`Lines::next`].
+    fn current(&self) -> &[u8] {
+        let raw = if self.in_place { self.inner.buffer() } else { &self.line[..] };
+        &raw[..self.len]
+    }
+}
+
+/// The offset of the first `'\n'` in `buf`, and whether every byte before
+/// it (or in `buf`, when there is none) is ASCII. Scans eight bytes at a
+/// time: a line is a few dozen bytes, so the bytewise loop would dominate.
+fn scan_line(buf: &[u8]) -> (Option<usize>, bool) {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut high = 0u64;
+    let mut words = buf.chunks_exact(8);
+    for (w, word) in words.by_ref().enumerate() {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        // The lowest set high bit marks the first zero byte of
+        // `word ^ NEWLINES` exactly (only bits above it can be spurious).
+        let x = word ^ NEWLINES;
+        let found = x.wrapping_sub(ONES) & !x & HIGH;
+        if found != 0 {
+            let at = found.trailing_zeros() as usize / 8;
+            let before = word & ((1u64 << (8 * at)) - 1);
+            return (Some(8 * w + at), (high | before) & HIGH == 0);
+        }
+        high |= word;
+    }
+    let tail = words.remainder();
+    let start = buf.len() - tail.len();
+    let newline = tail.iter().position(|&b| b == b'\n');
+    let rest = &tail[..newline.unwrap_or(tail.len())];
+    (newline.map(|i| start + i), high & HIGH == 0 && rest.is_ascii())
+}
+
+/// `char::is_whitespace` on an ASCII byte: tab, line feed, vertical tab,
+/// form feed, carriage return and space.
+fn is_ascii_white_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// A line [`Lines::next`] returned, as text.
+fn text(line: &[u8]) -> &str {
+    std::str::from_utf8(line).expect("Lines::next returns only UTF-8 lines")
+}
+
 /// Streaming FASTQ reader yielding one [`Read`] per 4-line record.
 pub struct FastqReader<R: std::io::Read> {
-    inner: BufReader<R>,
-    line: String,
+    lines: Lines<R>,
     record_no: usize,
     policy: MalformedPolicy,
     skipped: usize,
-    /// Header line found while resynchronizing after a malformed record,
-    /// already consumed from the stream.
-    pending_header: Option<String>,
-    bytes_read: u64,
+    /// Set while resynchronization has left a header line, already consumed
+    /// from the stream, in `lines` for the next parse attempt.
+    pending_header: bool,
 }
 
 impl<R: std::io::Read> FastqReader<R> {
@@ -29,13 +164,11 @@ impl<R: std::io::Read> FastqReader<R> {
     /// policy.
     pub fn with_policy(source: R, policy: MalformedPolicy) -> FastqReader<R> {
         FastqReader {
-            inner: BufReader::new(source),
-            line: String::new(),
+            lines: Lines::new(source),
             record_no: 0,
             policy,
             skipped: 0,
-            pending_header: None,
-            bytes_read: 0,
+            pending_header: false,
         }
     }
 
@@ -48,34 +181,22 @@ impl<R: std::io::Read> FastqReader<R> {
     /// Raw bytes consumed from the source so far (newlines included) — the
     /// denominator for throughput/ETA math against the input file size.
     pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    fn read_line(&mut self) -> Result<Option<&str>> {
-        self.line.clear();
-        if self.inner.read_line(&mut self.line)? == 0 {
-            return Ok(None);
-        }
-        self.bytes_read += self.line.len() as u64;
-        Ok(Some(self.line.trim_end()))
+        self.lines.bytes_read
     }
 
     /// Scan forward to the next line starting with `'@'` (the next plausible
-    /// record header) and stash it for the next parse attempt. Quality lines
+    /// record header) and keep it for the next parse attempt. Quality lines
     /// may legitimately start with `'@'`, so this is a heuristic: a wrong
     /// pick parses as another malformed record and consumes another unit of
     /// the skip budget, so a systematically broken file still errors out.
     fn resync(&mut self) -> Result<()> {
-        loop {
-            match self.read_line()? {
-                None => return Ok(()),
-                Some(l) if l.starts_with('@') => {
-                    self.pending_header = Some(l.to_string());
-                    return Ok(());
-                }
-                Some(_) => continue,
+        while let Some(l) = self.lines.next()? {
+            if l.starts_with(b"@") {
+                self.pending_header = true;
+                return Ok(());
             }
         }
+        Ok(())
     }
 
     fn next_record(&mut self) -> Result<Option<Read>> {
@@ -99,44 +220,49 @@ impl<R: std::io::Read> FastqReader<R> {
     }
 
     fn parse_one(&mut self) -> Result<Option<Read>> {
-        // Header: one stashed by resync, or the next non-blank line.
-        let header = match self.pending_header.take() {
-            Some(h) => h,
-            None => loop {
-                match self.read_line()? {
+        // Header: one kept by resync, or the next non-blank line.
+        let header = if std::mem::take(&mut self.pending_header) {
+            self.lines.current()
+        } else {
+            loop {
+                match self.lines.next()? {
                     None => return Ok(None),
-                    Some("") => continue,
-                    Some(l) => break l.to_string(),
+                    Some([]) => continue,
+                    Some(l) => break l,
                 }
-            },
+            }
         };
         let n = self.record_no;
         self.record_no += 1;
-        let id = header
-            .strip_prefix('@')
-            .ok_or_else(|| {
-                NgsError::MalformedRecord(format!("record {n}: expected '@', got {header:?}"))
-            })?
-            .to_string();
-        let seq: Vec<u8> = self
-            .read_line()?
+        let id = match header.strip_prefix(b"@") {
+            Some(id) => text(id).to_string(),
+            None => {
+                let header = text(header);
+                return Err(NgsError::MalformedRecord(format!(
+                    "record {n}: expected '@', got {header:?}"
+                )));
+            }
+        };
+        let mut seq = self
+            .lines
+            .next()?
             .ok_or_else(|| NgsError::MalformedRecord(format!("record {n}: missing sequence")))?
-            .bytes()
-            .map(|b| b.to_ascii_uppercase())
-            .collect();
+            .to_vec();
+        seq.make_ascii_uppercase();
         let plus = self
-            .read_line()?
+            .lines
+            .next()?
             .ok_or_else(|| NgsError::MalformedRecord(format!("record {n}: missing '+' line")))?;
-        if !plus.starts_with('+') {
+        if !plus.starts_with(b"+") {
+            let plus = text(plus);
             return Err(NgsError::MalformedRecord(format!(
                 "record {n}: expected '+', got {plus:?}"
             )));
         }
         let qual_ascii = self
-            .read_line()?
-            .ok_or_else(|| NgsError::MalformedRecord(format!("record {n}: missing qualities")))?
-            .as_bytes()
-            .to_vec();
+            .lines
+            .next()?
+            .ok_or_else(|| NgsError::MalformedRecord(format!("record {n}: missing qualities")))?;
         if qual_ascii.len() != seq.len() {
             return Err(NgsError::MalformedRecord(format!(
                 "record {n}: sequence length {} != quality length {}",
@@ -147,7 +273,7 @@ impl<R: std::io::Read> FastqReader<R> {
         // Out-of-range quality characters are corruption (truncated or
         // garbage lines), not ultra-low-quality bases — reject rather than
         // clamp, naming the record like the other malformed-input errors.
-        let qual = decode_quals_checked(&qual_ascii)
+        let qual = decode_quals_checked(qual_ascii)
             .map_err(|e| NgsError::MalformedRecord(format!("record {n}: {e}")))?;
         Ok(Some(Read { id, seq, qual: Some(qual) }))
     }
@@ -209,41 +335,66 @@ pub fn read_fastq_observed<R: std::io::Read>(
     Ok((reads, reader.skipped_records()))
 }
 
-/// Buffered FASTQ writer.
+/// Buffered FASTQ writer: records are appended to one reused buffer, which
+/// goes to the sink in blocks of about 128 KiB. [`FastqWriter::flush`]
+/// writes the rest; dropping the writer writes it too, ignoring errors, as
+/// `BufWriter` does.
 pub struct FastqWriter<W: Write> {
     inner: W,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> FastqWriter<W> {
     /// Create a FASTQ writer.
     pub fn new(inner: W) -> FastqWriter<W> {
-        FastqWriter { inner }
+        FastqWriter { inner, buf: Vec::with_capacity(WRITE_BLOCK_BYTES) }
     }
 
     /// Write one record. Reads without qualities get a uniform Q40 string so
     /// the output stays structurally valid.
     pub fn write_record(&mut self, read: &Read) -> Result<()> {
-        writeln!(self.inner, "@{}", read.id)?;
-        self.inner.write_all(&read.seq)?;
-        writeln!(self.inner, "\n+")?;
+        let buf = &mut self.buf;
+        buf.push(b'@');
+        buf.extend_from_slice(read.id.as_bytes());
+        buf.push(b'\n');
+        buf.extend_from_slice(&read.seq);
+        buf.extend_from_slice(b"\n+\n");
         match &read.qual {
-            Some(q) => self.inner.write_all(&encode_quals(q))?,
-            None => self.inner.write_all(&encode_quals(&vec![40u8; read.seq.len()]))?,
+            Some(q) => encode_quals_into(q, buf),
+            None => buf.resize(buf.len() + read.seq.len(), DEFAULT_QUAL.to_ascii()),
         }
-        writeln!(self.inner)?;
+        buf.push(b'\n');
+        if buf.len() >= WRITE_BLOCK_BYTES {
+            self.write_buf()?;
+        }
         Ok(())
     }
 
-    /// Flush the underlying writer.
+    /// Write the buffered records and flush the underlying writer.
     pub fn flush(&mut self) -> Result<()> {
+        self.write_buf()?;
         self.inner.flush()?;
         Ok(())
+    }
+
+    /// Hand the buffer to the sink and empty it, also when the write fails,
+    /// so a failed block is never written twice.
+    fn write_buf(&mut self) -> std::io::Result<()> {
+        let written = self.inner.write_all(&self.buf);
+        self.buf.clear();
+        written
+    }
+}
+
+impl<W: Write> Drop for FastqWriter<W> {
+    fn drop(&mut self) {
+        let _ = self.write_buf();
     }
 }
 
 /// Write all records to a FASTQ sink.
 pub fn write_fastq<W: Write>(sink: W, reads: &[Read]) -> Result<()> {
-    let mut w = FastqWriter::new(std::io::BufWriter::new(sink));
+    let mut w = FastqWriter::new(sink);
     for r in reads {
         w.write_record(r)?;
     }
@@ -263,6 +414,35 @@ mod tests {
         assert_eq!(reads[0].seq, b"ACGT");
         assert_eq!(reads[0].qual, Some(vec![40, 40, 40, 40]));
         assert_eq!(reads[1].qual, Some(vec![0, 93]));
+    }
+
+    #[test]
+    fn ascii_white_space_is_char_white_space() {
+        for b in 0u8..128 {
+            assert_eq!(is_ascii_white_space(b), char::from(b).is_whitespace(), "byte {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn scan_line_matches_bytewise_scan() {
+        // Every newline position and every non-ASCII position around the
+        // eight-byte word boundaries, and buffers without a newline.
+        for len in 0..20 {
+            for nl in (0..len).map(Some).chain([None]) {
+                for hi in (0..len).map(Some).chain([None]) {
+                    let mut buf = vec![b'A'; len];
+                    if let Some(i) = hi {
+                        buf[i] = 0xc3;
+                    }
+                    if let Some(i) = nl {
+                        buf[i] = b'\n';
+                    }
+                    let newline = buf.iter().position(|&b| b == b'\n');
+                    let ascii = buf[..newline.unwrap_or(len)].is_ascii();
+                    assert_eq!(scan_line(&buf), (newline, ascii), "{buf:?}");
+                }
+            }
+        }
     }
 
     #[test]

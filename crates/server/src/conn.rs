@@ -241,14 +241,24 @@ pub enum ReadOutcome {
 pub struct FrameReader {
     conn: Conn,
     buf: Vec<u8>,
+    /// Landing area of each socket read, reused for every message.
+    chunk: Box<[u8]>,
     poll: Duration,
 }
+
+/// Size of [`FrameReader`]'s socket read buffer.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
 
 impl FrameReader {
     /// Wrap `conn`, polling in `poll`-sized slices.
     pub fn new(conn: Conn, poll: Duration) -> std::io::Result<FrameReader> {
         conn.set_read_timeout(Some(poll))?;
-        Ok(FrameReader { conn, buf: Vec::new(), poll })
+        Ok(FrameReader {
+            conn,
+            buf: Vec::new(),
+            chunk: vec![0u8; READ_CHUNK_BYTES].into_boxed_slice(),
+            poll,
+        })
     }
 
     /// The wrapped connection (for writing replies; the handler is the
@@ -298,7 +308,6 @@ impl FrameReader {
         idle_timeout: Duration,
     ) -> Result<ReadOutcome, ConnError> {
         let mut last_progress = Instant::now();
-        let mut chunk = [0u8; 64 * 1024];
         loop {
             match self.take_frame() {
                 Ok(Some(payload)) => {
@@ -313,7 +322,7 @@ impl FrameReader {
             // peer deserve one read attempt, so a frame that raced the
             // drain flag is still served. The WouldBlock arm below declares
             // `Drained` once a poll tick passes with nothing buffered.
-            match self.conn.read(&mut chunk) {
+            match self.conn.read(&mut self.chunk) {
                 Ok(0) => {
                     return if self.buf.is_empty() {
                         Ok(ReadOutcome::Closed)
@@ -322,7 +331,7 @@ impl FrameReader {
                     };
                 }
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.buf.extend_from_slice(&self.chunk[..n]);
                     last_progress = Instant::now();
                 }
                 Err(e)
