@@ -189,3 +189,91 @@ fn closet_output_is_thread_count_invariant() {
     );
     let _ = std::fs::remove_dir_all(dir);
 }
+
+// ---- read order ----------------------------------------------------------
+//
+// Reptile and REDEEM build order-free tables (tile counts, k-spectrum,
+// misread graph, threshold fit) and then correct each read on its own, so
+// shuffling the input records must shuffle the corrected records the same
+// way and change nothing else.
+
+/// Simulated reads with ambiguous bases, written as FASTQ with and without
+/// a seeded shuffle of the records; returns the permutation (`shuffled[i] =
+/// reads[perm[i]]`) and both paths.
+fn shuffled_input(
+    dir: &Path,
+    genome_len: usize,
+    repeats: Vec<ngs_simulate::RepeatClass>,
+) -> (Vec<usize>, PathBuf, PathBuf) {
+    use ngs_simulate::{simulate_reads, ErrorModel, GenomeSpec, ReadSimConfig};
+    let genome = GenomeSpec::with_repeats(genome_len, repeats).generate(5);
+    let mut cfg = ReadSimConfig::with_coverage(
+        genome.len(),
+        36,
+        40.0,
+        ErrorModel::illumina_like(36, 0.01),
+        6,
+    );
+    cfg.n_rate = 0.001;
+    let reads = simulate_reads(&genome.seq, &cfg).reads;
+    let mut perm: Vec<usize> = (0..reads.len()).collect();
+    let mut seed = 0x5eed_0bad;
+    for i in (1..perm.len()).rev() {
+        perm.swap(i, (xorshift(&mut seed) % (i as u64 + 1)) as usize);
+    }
+    let shuffled: Vec<Read> = perm.iter().map(|&i| reads[i].clone()).collect();
+    let (original, permuted) = (dir.join("reads.fastq"), dir.join("shuffled.fastq"));
+    ngs_seqio::write_fastq(std::fs::File::create(&original).unwrap(), &reads).unwrap();
+    ngs_seqio::write_fastq(std::fs::File::create(&permuted).unwrap(), &shuffled).unwrap();
+    (perm, original, permuted)
+}
+
+fn run_pipeline(bin: &str, args: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("spawn pipeline binary");
+    assert!(out.status.success(), "{bin} failed:\n{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// The corrected FASTQ at `original`, reordered by `perm`, must be byte for
+/// byte the corrected FASTQ at `permuted`, and must differ from `input`.
+fn assert_permuted_output(perm: &[usize], input: &Path, original: &Path, permuted: &Path) {
+    assert!(std::fs::read(input).unwrap() != std::fs::read(original).unwrap(), "nothing corrected");
+    let reads = ngs_seqio::read_fastq(std::fs::File::open(original).unwrap()).unwrap();
+    assert_eq!(reads.len(), perm.len());
+    let reordered: Vec<Read> = perm.iter().map(|&i| reads[i].clone()).collect();
+    let mut expected = Vec::new();
+    ngs_seqio::write_fastq(&mut expected, &reordered).unwrap();
+    assert!(expected == std::fs::read(permuted).unwrap(), "shuffled input corrected differently");
+}
+
+#[test]
+fn reptile_output_is_read_order_invariant() {
+    let dir = test_dir("reptile_order");
+    let (perm, original, permuted) = shuffled_input(&dir, 3000, Vec::new());
+    let bin = env!("CARGO_BIN_EXE_reptile-correct");
+    let (out_a, out_b) = (dir.join("a.fastq"), dir.join("b.fastq"));
+    for (input, out) in [(&original, &out_a), (&permuted, &out_b)] {
+        let (input, out) = (input.to_str().unwrap(), out.to_str().unwrap());
+        run_pipeline(bin, &["--input", input, "--output", out, "--genome-len", "3000"]);
+    }
+    assert_permuted_output(&perm, &original, &out_a, &out_b);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn redeem_output_is_read_order_invariant() {
+    let dir = test_dir("redeem_order");
+    let repeats = vec![ngs_simulate::RepeatClass { length: 200, multiplicity: 5 }];
+    let (perm, original, permuted) = shuffled_input(&dir, 3000, repeats);
+    let bin = env!("CARGO_BIN_EXE_redeem-detect");
+    let run = |input: &Path, tag: &str| {
+        let (kmers, fastq) = (dir.join(format!("{tag}.tsv")), dir.join(format!("{tag}.fastq")));
+        let (i, k, f) = (input.to_str().unwrap(), kmers.to_str().unwrap(), fastq.to_str().unwrap());
+        run_pipeline(bin, &["--input", i, "--output", k, "--k", "11", "--correct", f]);
+        (std::fs::read(kmers).unwrap(), fastq)
+    };
+    let (kmers_a, fastq_a) = run(&original, "a");
+    let (kmers_b, fastq_b) = run(&permuted, "b");
+    assert!(kmers_a == kmers_b, "kmers.tsv depends on read order");
+    assert_permuted_output(&perm, &original, &fastq_a, &fastq_b);
+    let _ = std::fs::remove_dir_all(dir);
+}

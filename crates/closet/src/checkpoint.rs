@@ -18,7 +18,7 @@ use std::time::Duration;
 
 /// Format magic + version; bump on any layout change so older snapshots
 /// miss cleanly instead of decoding as garbage.
-const MAGIC: &str = "CLSEDGE2"; // v2: worker-pool counters joined JobStats
+const MAGIC: &str = "CLSEDGE3"; // v3: JobStats lost its block-store counter
 
 fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
@@ -38,7 +38,6 @@ fn put_job_stats(w: &mut ByteWriter, s: &JobStats) {
     w.put_u64(s.task_failures);
     w.put_u64(s.retried_tasks);
     w.put_u64(s.corrupt_frames);
-    w.put_u64(s.re_replicated_blocks);
     w.put_u64(s.map_tasks_resumed);
     w.put_u64(s.worker_deaths);
     w.put_u64(s.workers_respawned);
@@ -60,7 +59,6 @@ fn get_job_stats(r: &mut ByteReader) -> Result<JobStats> {
         task_failures: r.get_u64()?,
         retried_tasks: r.get_u64()?,
         corrupt_frames: r.get_u64()?,
-        re_replicated_blocks: r.get_u64()?,
         map_tasks_resumed: r.get_u64()?,
         worker_deaths: r.get_u64()?,
         workers_respawned: r.get_u64()?,

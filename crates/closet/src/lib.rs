@@ -2,7 +2,7 @@
 //!
 //! CLOSET clusters metagenomic reads without a reference database. The
 //! pipeline is the paper's two phases, expressed as its eight MapReduce
-//! tasks over [`mapreduce_lite`](mapreduce_lite):
+//! tasks over [`mapreduce_lite`]:
 //!
 //! * **Phase I — edge construction and validation** (§4.3.1, Tasks 1–5):
 //!   each read is converted to 64-bit k-mer hashes; per round `l`, the

@@ -15,7 +15,7 @@
 //! pruned as non-maximal.
 //!
 //! What travels through the job is a *handle*, not a cluster: bodies live
-//! in one [`ClusterStore`] that the reducers read as side data, the mapper
+//! in one `ClusterStore` that the reducers read as side data, the mapper
 //! emits `(vertex, handle)`, and a reducer answers `Keep(handle)` or
 //! `Merged(body)`. A round reduces only the vertex groups that hold a
 //! *dirty* cluster — one whose body did not exist in the previous round's
@@ -244,7 +244,7 @@ pub struct EnumerationResult {
 /// Grow γ-quasi-cliques from `carried`-over clusters plus fresh 2-cliques
 /// for `new_edges`, iterating Task 7/Task 8 rounds until stable. Nothing is
 /// known about where `carried` came from, so every group is reduced in the
-/// first round; a threshold series should keep one [`ClusterStore`].
+/// first round; a threshold series should keep one `ClusterStore`.
 ///
 /// # Errors
 /// Propagates [`JobError`] when a round's MapReduce job exhausts its task

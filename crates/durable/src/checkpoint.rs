@@ -14,6 +14,9 @@
 //!    version, fingerprint, body checksum, per-stage length or checksum,
 //!    stage parameter key — degrades to "recompute that stage", never to
 //!    loading stale state.
+//! 4. A stage's file name is a function of its stage name. A manifest line
+//!    naming any other file (`../x`, an absolute path) invalidates the
+//!    manifest, so a load never reads outside the directory.
 //!
 //! Stages are keyed by `(name, params_key)`: the params key is a checksum of
 //! every parameter that influences the stage's output, so re-running with
@@ -76,7 +79,6 @@ impl Fingerprint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct StageEntry {
     params_key: u64,
-    file: String,
     len: u64,
     checksum: u64,
 }
@@ -161,7 +163,7 @@ impl<'c> CheckpointStore<'c> {
         if entry.params_key != params_key {
             return None;
         }
-        let bytes = std::fs::read(self.dir.join(&entry.file)).ok()?;
+        let bytes = std::fs::read(self.dir.join(stage_file_name(stage))).ok()?;
         if bytes.len() as u64 != entry.len || checksum_bytes(&bytes) != entry.checksum {
             return None;
         }
@@ -179,16 +181,10 @@ impl<'c> CheckpointStore<'c> {
             )));
         }
         let _span = self.collector.span("durable.checkpoint.save");
-        let file = stage_file_name(stage);
-        write_atomic(self.dir.join(&file), bytes).map_err(NgsError::from)?;
+        write_atomic(self.dir.join(stage_file_name(stage)), bytes).map_err(NgsError::from)?;
         self.stages.insert(
             stage.to_string(),
-            StageEntry {
-                params_key,
-                file,
-                len: bytes.len() as u64,
-                checksum: checksum_bytes(bytes),
-            },
+            StageEntry { params_key, len: bytes.len() as u64, checksum: checksum_bytes(bytes) },
         );
         self.write_manifest()?;
         self.collector.incr("durable.checkpoint.saves");
@@ -207,7 +203,10 @@ impl<'c> CheckpointStore<'c> {
             let _ = writeln!(
                 s,
                 "stage {name} {:016x} {} {} {:016x}",
-                e.params_key, e.file, e.len, e.checksum
+                e.params_key,
+                stage_file_name(name),
+                e.len,
+                e.checksum
             );
         }
         s
@@ -251,9 +250,13 @@ impl<'c> CheckpointStore<'c> {
         for line in lines {
             let mut parts = line.strip_prefix("stage ")?.split(' ');
             let name = parts.next()?.to_string();
+            let params_key = u64::from_str_radix(parts.next()?, 16).ok()?;
+            // `save` writes nothing but the stage's own file name.
+            if parts.next()? != stage_file_name(&name) {
+                return None;
+            }
             let entry = StageEntry {
-                params_key: u64::from_str_radix(parts.next()?, 16).ok()?,
-                file: parts.next()?.to_string(),
+                params_key,
                 len: parts.next()?.parse().ok()?,
                 checksum: u64::from_str_radix(parts.next()?, 16).ok()?,
             };
@@ -383,6 +386,45 @@ mod tests {
         assert_eq!(s2.load("a", 1).unwrap(), b"committed");
         assert!(s2.load("b", 1).is_none(), "unmanifested stage file must not load");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn manifest_naming_a_file_outside_the_directory_opens_empty() {
+        let dir = scratch("escape");
+        let c = Collector::new();
+        let mut s = CheckpointStore::open(&dir, "p", fp(), &c).unwrap();
+        s.save("index", 7, b"inside").unwrap();
+        drop(s);
+        let outside = dir.with_extension("outside.bin");
+        std::fs::write(&outside, b"outside bytes").unwrap();
+        // A manifest that passes every checksum, naming `file` for the stage.
+        let manifest = |file: &str| {
+            let body = format!(
+                "{MANIFEST_MAGIC} v{MANIFEST_VERSION}\npipeline p\ninput {} {} {:016x}\n\
+                 stage index {:016x} {file} 13 {:016x}\n",
+                fp().size,
+                fp().mtime_ns,
+                fp().content_hash,
+                7,
+                checksum_bytes(b"outside bytes"),
+            );
+            format!("{body}checksum {:016x}\n", checksum_bytes(body.as_bytes()))
+        };
+        std::fs::write(dir.join(MANIFEST_NAME), manifest(&stage_file_name("index"))).unwrap();
+        let honest = CheckpointStore::open(&dir, "p", fp(), &c).unwrap();
+        assert_eq!(honest.stage_names(), vec!["index"], "the template must parse");
+        let escapes = [
+            format!("../{}", outside.file_name().unwrap().to_str().unwrap()),
+            outside.to_str().unwrap().to_string(),
+        ];
+        for file in escapes {
+            std::fs::write(dir.join(MANIFEST_NAME), manifest(&file)).unwrap();
+            let s2 = CheckpointStore::open(&dir, "p", fp(), &c).unwrap();
+            assert!(s2.load("index", 7).is_none(), "{file} must not be followed");
+            assert!(s2.stage_names().is_empty());
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_file(outside);
     }
 
     #[test]

@@ -244,7 +244,7 @@ fn mix(state: u64, word: u64) -> u64 {
 /// checkpoints and `ngs-server`'s connection frames.
 ///
 /// `data` is read as little-endian 64-bit words, the last one zero-padded;
-/// word `i` goes through [`mix`] into lane `i % 4`, and the four lanes are
+/// word `i` goes through `mix` into lane `i % 4`, and the four lanes are
 /// then mixed, in order, into a state seeded with the length. A change
 /// confined to one word — any single-bit flip — leaves a different state in
 /// that lane and, every later step being a permutation of the state, a

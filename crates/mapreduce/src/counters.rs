@@ -35,9 +35,6 @@ pub struct JobStats {
     pub retried_tasks: u64,
     /// Spill frames rejected by checksum verification.
     pub corrupt_frames: u64,
-    /// DFS blocks restored to full replication after node failures
-    /// (folded in by drivers that run a [`crate::BlockStore`]).
-    pub re_replicated_blocks: u64,
     /// Map tasks reloaded from a checkpoint instead of recomputed
     /// (non-zero only with [`crate::JobConfig::map_checkpoint_dir`] set).
     pub map_tasks_resumed: u64,
@@ -89,7 +86,6 @@ impl JobStats {
         self.task_failures += other.task_failures;
         self.retried_tasks += other.retried_tasks;
         self.corrupt_frames += other.corrupt_frames;
-        self.re_replicated_blocks += other.re_replicated_blocks;
         self.map_tasks_resumed += other.map_tasks_resumed;
         self.worker_deaths += other.worker_deaths;
         self.workers_respawned += other.workers_respawned;
@@ -116,7 +112,7 @@ pub fn record_job_stats(collector: &ngs_observe::Collector, prefix: &str, stats:
     collector.record_span_ns(&format!("{prefix}.map"), span_ns(stats.map_time), 1);
     collector.record_span_ns(&format!("{prefix}.shuffle"), span_ns(stats.shuffle_time), 1);
     collector.record_span_ns(&format!("{prefix}.reduce"), span_ns(stats.reduce_time), 1);
-    let counters: [(&str, u64); 15] = [
+    let counters: [(&str, u64); 14] = [
         ("map_input_records", stats.map_input_records),
         ("map_output_records", stats.map_output_records),
         ("combine_output_records", stats.combine_output_records),
@@ -127,7 +123,6 @@ pub fn record_job_stats(collector: &ngs_observe::Collector, prefix: &str, stats:
         ("task_failures", stats.task_failures),
         ("retried_tasks", stats.retried_tasks),
         ("corrupt_frames", stats.corrupt_frames),
-        ("re_replicated_blocks", stats.re_replicated_blocks),
         ("map_tasks_resumed", stats.map_tasks_resumed),
         ("worker_deaths", stats.worker_deaths),
         ("workers_respawned", stats.workers_respawned),
@@ -156,7 +151,6 @@ mod tests {
             task_failures: 3,
             retried_tasks: 2,
             corrupt_frames: 1,
-            re_replicated_blocks: 5,
             map_tasks_resumed: 4,
             worker_deaths: 2,
             workers_respawned: 1,
@@ -169,7 +163,6 @@ mod tests {
         assert_eq!(a.task_failures, 3);
         assert_eq!(a.retried_tasks, 2);
         assert_eq!(a.corrupt_frames, 1);
-        assert_eq!(a.re_replicated_blocks, 5);
         assert_eq!(a.map_tasks_resumed, 4);
         assert_eq!(a.worker_deaths, 2);
         assert_eq!(a.workers_respawned, 1);

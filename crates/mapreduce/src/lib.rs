@@ -12,13 +12,10 @@
 //!   reproduced;
 //! * [`counters`] — per-phase record/byte counters and wall times, the
 //!   numbers the paper reports in Tables 4.2–4.3, plus fault-tolerance
-//!   counters (task failures, retries, corrupt frames, re-replications);
+//!   counters (task failures, retries, corrupt frames, worker deaths);
 //! * [`codec`] — a small length-prefixed binary codec so shuffle partitions
 //!   can round-trip through disk (spill mode) as checksummed frames,
 //!   keeping the I/O path honest and corruption detectable;
-//! * [`dfs`] — a miniature block store (block size, replication, block
-//!   placement over simulated data nodes, re-replication and scrubbing
-//!   after failures): the HDFS-lite layer;
 //! * [`fault`] — deterministic fault injection, so the recovery paths
 //!   above are continuously exercised by tests;
 //! * [`executor`], [`protocol`], [`transport`] — the multi-process worker
@@ -48,7 +45,6 @@
 
 pub mod codec;
 pub mod counters;
-pub mod dfs;
 pub mod executor;
 pub mod fault;
 pub mod job;
@@ -57,7 +53,6 @@ pub mod transport;
 
 pub use codec::Codec;
 pub use counters::{record_job_stats, JobStats};
-pub use dfs::{BlockStore, DfsConfig};
 pub use executor::{
     run_local, run_pooled, worker_main, JobRegistry, MapReduceSpec, PoolConfig, PoolSession,
     WordCountSpec,

@@ -9,7 +9,7 @@
 //! | Tile-based error correction | [`reptile`] | Chapter 2 |
 //! | Repeat-aware EM detection/correction | [`redeem`] | Chapter 3 |
 //! | Metagenomic quasi-clique clustering | [`closet`] | Chapter 4 |
-//! | MapReduce runtime + HDFS-lite | [`mapreduce`] | §1.3.1 |
+//! | MapReduce runtime | [`mapreduce`] | §1.3.1 |
 //! | k-mers, spectra, tiles, Hamming neighbourhoods | [`kmer`] | §2.3 |
 //! | FASTA/FASTQ I/O | [`seqio`] | — |
 //! | Alignment / identity functions | [`align`] | §4.1 |

@@ -11,8 +11,8 @@
 //!
 //! where estimates T_m are substituted for the unknown α_m. Since multiple
 //! overlapping kmers provide non-independent information about the base at
-//! position i, we average across available t … If argmax_b π(b) ≠ r[i],
-//! then we declare nucleotide r[i] misread and correct it. To limit
+//! position i, we average across available t … If argmax_b π(b) ≠ `r[i]`,
+//! then we declare nucleotide `r[i]` misread and correct it. To limit
 //! computations, we apply this method to reads likely to contain at least
 //! one erroneous kmer, as identified with a liberal threshold M."
 

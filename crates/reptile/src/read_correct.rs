@@ -2,10 +2,10 @@
 //!
 //! A tiling of the read is grown from 5′ to 3′: after a validated or
 //! corrected tile, the next tile starts at the current tile's second k-mer
-//! ([D1]/[D2]: "select t_next such that the suffix-prefix overlap between t
+//! (D1/D2: "select t_next such that the suffix-prefix overlap between t
 //! and t_next equals α₂; d₁ ← 0"). After an inconclusive decision, an
-//! alternative decomposition is tried — shifted placements first ([D3a]),
-//! then skipping past the dead-end region ([D3b]) leaving a small
+//! alternative decomposition is tried — shifted placements first (D3a),
+//! then skipping past the dead-end region (D3b) leaving a small
 //! unvalidated gap, as in Fig. 2.2. "The same strategy is applied in the 3′
 //! to 5′ direction": we realise the backward pass by running the forward
 //! pass over the read's reverse complement (the k-spectrum and tile table

@@ -6,8 +6,8 @@
 //! constituent k-mers: `{t' = α₁' ||_l α₂' | (α₁', α₂') ∈ N^{d₁}×N^{d₂}}`.
 //! "As a rule of thumb, there must be compelling evidence before a
 //! correction is made." — and how compelling is known before the search:
-//! [`decide_from`] reads nothing off the mutant list but the mutants whose
-//! `O_g` reaches a floor fixed by `O_g(t)` alone ([`evidence_floor`]), so
+//! `decide_from` reads nothing off the mutant list but the mutants whose
+//! `O_g` reaches a floor fixed by `O_g(t)` alone (`evidence_floor`), so
 //! the search keeps only those and visits only first k-mers that start one.
 
 use crate::params::ReptileParams;

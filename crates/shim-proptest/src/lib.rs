@@ -1,10 +1,11 @@
 //! Offline drop-in for the subset of `proptest` 1.x this workspace uses.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors the property-testing surface it needs: the [`Strategy`]
-//! trait over ranges / tuples / [`Just`] / collections / string
-//! patterns, `any::<T>()`, `prop_oneof!`, `prop_map`, and the
-//! [`proptest!`] / `prop_assert*!` macros.
+//! vendors the property-testing surface it needs: the
+//! [`Strategy`](strategy::Strategy) trait over ranges / tuples /
+//! [`Just`](strategy::Just) / collections / string patterns,
+//! `any::<T>()`, `prop_oneof!`, `prop_map`, and the [`proptest!`] /
+//! `prop_assert*!` macros.
 //!
 //! Differences from real proptest, deliberate for a zero-dependency
 //! shim: no shrinking (a failing case panics with its inputs printed

@@ -7,7 +7,7 @@
 //! `par_sort_unstable_by_key` and [`current_num_threads`].
 //!
 //! Execution runs on one persistent work-stealing thread pool (see
-//! [`pool`]): the item stream is materialised, split into contiguous
+//! `pool.rs`): the item stream is materialised, split into contiguous
 //! chunks, and the chunks become tasks on per-worker deques, with the
 //! submitting thread participating in its own job. Adaptors stay
 //! eager (each completes before the next starts), which costs some
@@ -174,7 +174,7 @@ impl<T: Send> ParIter<T> {
     /// Reduce with rayon's (identity, op) signature. `identity()`
     /// seeds every fold, so an empty stream yields `identity()`.
     ///
-    /// The reduction tree — leaves of ~[`REDUCE_CHUNK`] items folded
+    /// The reduction tree — leaves of ~`REDUCE_CHUNK` items folded
     /// independently, partials combined left-to-right — is a pure
     /// function of the item count, so the result is identical at
     /// every thread count even for non-associative `op`.
@@ -253,7 +253,7 @@ pub trait ParallelSliceMut<T: Send> {
     /// In-place unstable sort by key: parallel sorted runs merged in
     /// a fixed tree, then the permutation applied by cycle-following.
     /// Key ties break by original index, so the result is the unique
-    /// stable order regardless of thread count (below [`PAR_SORT_MIN`]
+    /// stable order regardless of thread count (below `PAR_SORT_MIN`
     /// items it delegates to `sort_unstable_by_key`, whose tie order
     /// is likewise thread-count independent because it never runs on
     /// the pool).

@@ -70,7 +70,7 @@ pub fn effective_threads() -> usize {
 /// How many distinct threads executed at least one chunk of the most
 /// recent parallel operation completed on the calling thread (always
 /// at least 1; sequential fallbacks record exactly 1). This is the
-/// honest figure for telemetry, as opposed to [`effective_threads`],
+/// honest figure for telemetry, as opposed to `effective_threads`,
 /// which is only an upper bound.
 pub fn last_threads_used() -> usize {
     LAST_THREADS.with(|c| c.get().max(1))

@@ -1,33 +1,19 @@
 //! The MapReduce substrate in isolation: a k-mer counting job (the
-//! bioinformatics "word count") with a combiner, worker scaling, and the
-//! HDFS-lite block store.
+//! bioinformatics "word count") with a combiner, at several worker counts.
 //!
 //! ```sh
 //! cargo run --release --example mapreduce_wordcount
 //! ```
 
-use ngs::mapreduce::{map_reduce, BlockStore, DfsConfig, JobConfig};
+use ngs::mapreduce::{map_reduce, JobConfig};
 use ngs::prelude::*;
 
 fn main() {
     let genome = GenomeSpec::uniform(30_000).generate(3).seq;
     let cfg =
         ReadSimConfig::with_coverage(genome.len(), 50, 30.0, ErrorModel::uniform(50, 0.005), 5);
-    let sim = simulate_reads(&genome, &cfg);
+    let reads = simulate_reads(&genome, &cfg).reads;
     let k = 12;
-
-    // Store the dataset in the HDFS-lite block store first.
-    let mut dfs = BlockStore::new(DfsConfig { block_size: 1 << 16, replication: 2, data_nodes: 8 });
-    let mut fastq = Vec::new();
-    write_fastq(&mut fastq, &sim.reads).expect("serialize");
-    assert_eq!(dfs.write("reads.fastq", &fastq), 2);
-    println!(
-        "dfs: {} file(s), {} blocks, {} bytes stored (replication 2)",
-        dfs.file_count(),
-        dfs.blocks_of("reads.fastq").unwrap().len(),
-        dfs.stored_bytes()
-    );
-    let reads = read_fastq(&dfs.read("reads.fastq").unwrap()[..]).expect("parse");
 
     // The k-mer counting job, at several worker counts.
     let combiner = |_k: &u64, vs: &mut Vec<u32>| {

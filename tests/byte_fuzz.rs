@@ -1,14 +1,21 @@
 //! Byte-level fuzzing of the parsers that read untrusted bytes: the
-//! FASTQ/FASTA readers and the MRW1 decoders (spill frames and the worker
-//! protocol). Valid encodings are mutated — bytes substituted, the buffer
-//! truncated, the formats' own delimiters `@+>\n\r` inserted — and every
-//! mutant must decode to `Ok` or a typed `Err`, never a panic.
+//! FASTQ/FASTA readers, the MRW1 decoders (spill frames and the worker
+//! protocol), the checkpoint manifest, the JSONL trace reader and the
+//! `BENCH_*.json` report readers. Valid encodings are mutated — bytes
+//! substituted, the buffer truncated, the formats' own delimiters `@+>\n\r`
+//! inserted — and every mutant must decode to `Ok`, a typed `Err` or a
+//! checkpoint miss, never a panic.
 
 use mapreduce_lite::codec::{decode_all, decode_frames, encode_all, encode_frames};
 use mapreduce_lite::protocol::read_frame;
 use mapreduce_lite::Message;
 use ngs_core::Read;
-use ngs_observe::{SpanId, TraceEvent, TraceEventKind};
+use ngs_durable::{CheckpointStore, Fingerprint};
+use ngs_observe::traceview::{check_well_formed, parse_jsonl};
+use ngs_observe::{
+    parse_bench_report, validate_bench_invariants, Collector, SpanId, TraceEvent, TraceEventKind,
+    Tracer,
+};
 use ngs_seqio::{read_fasta, read_fastq, write_fasta, write_fastq};
 use proptest::prelude::*;
 
@@ -129,6 +136,39 @@ fn messages(seed: u64, bytes: &[u8]) -> Vec<Message> {
     ]
 }
 
+/// A checkpoint directory holding a manifest over two saved stages.
+fn checkpoint_dir() -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ngs_fuzz_manifest_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let c = Collector::new();
+    let mut store = CheckpointStore::open(&dir, "fuzz", Fingerprint::of_bytes(b"in"), &c).unwrap();
+    store.save("reptile.index", 7, b"tile table bytes").unwrap();
+    store.save("closet.edges", 9, b"edge list").unwrap();
+    dir
+}
+
+/// A JSONL trace with nested spans, an instant and escaped names.
+fn trace_jsonl(seed: u64) -> String {
+    let tracer = Tracer::new();
+    let outer = tracer.begin("pipeline");
+    let inner = tracer.begin_under_detail(&format!("stage\"{}\n", seed % 7), outer, "d=1");
+    tracer.instant("mark", &format!("i={seed}"));
+    tracer.end(inner);
+    tracer.end(outer);
+    tracer.to_jsonl()
+}
+
+/// A `BENCH_*.json` report with spans, counters and a gauge.
+fn bench_report(seed: u64) -> String {
+    let c = Collector::new();
+    c.record_span_ns("p.build", 1_000 + seed % 1_000, 2);
+    c.record_span_ns("p.build", 3_000, 4);
+    c.record_span_ns("p.correct", seed % 5_000, 1);
+    c.add("p.records", seed % 100);
+    c.gauge("p.threshold", (seed % 10) as f64 / 4.0);
+    c.report("fuzz").to_json()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -187,5 +227,47 @@ proptest! {
             let payload = read_frame(&mut &frame[..]).unwrap();
             let _ = Message::from_payload(&mutate(payload, &edits));
         }
+    }
+
+    #[test]
+    fn checkpoint_manifest_misses_on_every_mutant(
+        edits in proptest::collection::vec(mutation(), 1..6),
+    ) {
+        let dir = checkpoint_dir();
+        let manifest = dir.join("MANIFEST");
+        let bytes = std::fs::read(&manifest).unwrap();
+        std::fs::write(&manifest, mutate(bytes, &edits)).unwrap();
+        let c = Collector::new();
+        let store = CheckpointStore::open(&dir, "fuzz", Fingerprint::of_bytes(b"in"), &c).unwrap();
+        // A surviving stage still loads its own, verified bytes.
+        if let Some(bytes) = store.load("reptile.index", 7) {
+            prop_assert_eq!(&bytes[..], &b"tile table bytes"[..]);
+        }
+        if let Some(bytes) = store.load("closet.edges", 9) {
+            prop_assert_eq!(&bytes[..], &b"edge list"[..]);
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn trace_reader_types_every_mutant(
+        seed in any::<u64>(),
+        edits in proptest::collection::vec(mutation(), 1..6),
+    ) {
+        let mutant = mutate(trace_jsonl(seed).into_bytes(), &edits);
+        if let Ok(trace) = parse_jsonl(&String::from_utf8_lossy(&mutant)) {
+            let _ = check_well_formed(&trace);
+        }
+    }
+
+    #[test]
+    fn bench_report_readers_type_every_mutant(
+        seed in any::<u64>(),
+        edits in proptest::collection::vec(mutation(), 1..6),
+    ) {
+        let mutant = mutate(bench_report(seed).into_bytes(), &edits);
+        let text = String::from_utf8_lossy(&mutant);
+        let _ = parse_bench_report(&text);
+        let _ = validate_bench_invariants(&text);
     }
 }

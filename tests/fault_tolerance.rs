@@ -1,11 +1,9 @@
 //! Acceptance tests for the fault-tolerance layer: task retries, spill
-//! integrity, DFS re-replication, and the full CLOSET pipeline running
-//! correctly under injected faults.
+//! integrity, and the full CLOSET pipeline running correctly under
+//! injected faults.
 
 use ngs::mapreduce::codec::encode_frames;
-use ngs::mapreduce::{
-    map_reduce_simple, BlockStore, DfsConfig, FaultKind, FaultPlan, JobConfig, Stage,
-};
+use ngs::mapreduce::{map_reduce_simple, FaultKind, FaultPlan, JobConfig, Stage};
 use ngs::prelude::*;
 use std::time::Duration;
 
@@ -114,50 +112,6 @@ fn exhausted_reduce_attempts_yield_err() {
     let err = kmer_count_job(&cfg, &reads).expect_err("reduce task must fail the job");
     assert_eq!(err.stage, Stage::Reduce);
     assert_eq!(err.attempts, 2);
-}
-
-// (d) After `fail_node` and re-replication, a second node failure loses no
-// data at replication factor 2.
-#[test]
-fn dfs_re_replication_survives_second_node_failure() {
-    let reads = test_reads(5);
-    let mut fastq = Vec::new();
-    write_fastq(&mut fastq, &reads).expect("serialize");
-
-    let mut dfs = BlockStore::new(DfsConfig { block_size: 1024, replication: 2, data_nodes: 6 });
-    assert_eq!(dfs.write("reads.fastq", &fastq), 2);
-
-    dfs.fail_node(0);
-    assert!(dfs.under_replicated() > 0, "a node failure must leave blocks under-replicated");
-    let repaired = dfs.re_replicate();
-    assert!(repaired > 0);
-    assert_eq!(dfs.under_replicated(), 0);
-    assert_eq!(dfs.re_replicated_blocks(), repaired as u64);
-
-    // Any one further failure is now survivable.
-    dfs.fail_node(1);
-    let restored = dfs.read("reads.fastq").expect("file must survive the second failure");
-    assert_eq!(read_fastq(&restored[..]).expect("parse"), reads);
-}
-
-// Scrub + re-replication: silent replica corruption is detected and healed.
-#[test]
-fn dfs_scrub_heals_corrupt_replicas() {
-    let mut dfs = BlockStore::new(DfsConfig { block_size: 512, replication: 2, data_nodes: 4 });
-    let payload: Vec<u8> = (0..2048u32).map(|i| (i % 251) as u8).collect();
-    assert_eq!(dfs.write("data.bin", &payload), 2);
-    let node = dfs.blocks_of("data.bin").unwrap()[0].replicas[0];
-    assert!(dfs.corrupt_replica("data.bin", 0, node));
-
-    // The read serves the intact copy AND scrubs on read: the corrupt
-    // replica is dropped and the block re-replicated before returning.
-    assert_eq!(dfs.read("data.bin"), Some(payload.clone()));
-    assert_eq!(dfs.re_replicated_blocks(), 1);
-    assert_eq!(dfs.under_replicated(), 0);
-    // A background scrub afterwards finds nothing left to heal.
-    assert_eq!(dfs.scrub(), 0);
-    assert_eq!(dfs.re_replicate(), 0);
-    assert_eq!(dfs.read("data.bin"), Some(payload));
 }
 
 // The full CLOSET pipeline (8 MapReduce tasks, §4.4) completes correctly

@@ -18,7 +18,7 @@ use std::time::Duration;
 const NAMES: &[&str] = &["a", "b.c", "b.d", "e.f.g", "h"];
 
 fn arb_job_stats() -> impl Strategy<Value = JobStats> {
-    vec(0u64..1_000_000, 22).prop_map(|v| JobStats {
+    vec(0u64..1_000_000, 21).prop_map(|v| JobStats {
         map_input_records: v[0],
         map_output_records: v[1],
         combine_output_records: v[2],
@@ -32,15 +32,14 @@ fn arb_job_stats() -> impl Strategy<Value = JobStats> {
         task_failures: v[10],
         retried_tasks: v[11],
         corrupt_frames: v[12],
-        re_replicated_blocks: v[13],
-        map_tasks_resumed: v[14],
-        worker_deaths: v[15],
-        workers_respawned: v[16],
-        tasks_reassigned: v[17],
-        pool_spawns: v[18],
-        pool_sessions: v[19],
-        wire_bytes_sent: v[20],
-        wire_bytes_received: v[21],
+        map_tasks_resumed: v[13],
+        worker_deaths: v[14],
+        workers_respawned: v[15],
+        tasks_reassigned: v[16],
+        pool_spawns: v[17],
+        pool_sessions: v[18],
+        wire_bytes_sent: v[19],
+        wire_bytes_received: v[20],
     })
 }
 

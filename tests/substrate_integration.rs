@@ -1,7 +1,7 @@
 //! Integration across substrate crates: seqio ↔ simulate ↔ kmer ↔
-//! mapreduce ↔ dfs consistency.
+//! mapreduce consistency.
 
-use ngs::mapreduce::{map_reduce_simple, BlockStore, DfsConfig, JobConfig};
+use ngs::mapreduce::{map_reduce_simple, JobConfig};
 use ngs::prelude::*;
 
 #[test]
@@ -39,24 +39,6 @@ fn mapreduce_kmer_count_equals_kspectrum() {
     for (kmer, c) in counts {
         assert_eq!(spectrum.count(kmer), c, "kmer {kmer:x}");
     }
-}
-
-#[test]
-fn dfs_stores_and_restores_fastq() {
-    let genome = GenomeSpec::uniform(3_000).generate(4).seq;
-    let cfg =
-        ReadSimConfig::with_coverage(genome.len(), 36, 10.0, ErrorModel::uniform(36, 0.005), 5);
-    let sim = simulate_reads(&genome, &cfg);
-    let mut fastq = Vec::new();
-    write_fastq(&mut fastq, &sim.reads).unwrap();
-
-    let mut dfs = BlockStore::new(DfsConfig { block_size: 4096, replication: 2, data_nodes: 6 });
-    assert_eq!(dfs.write("reads.fastq", &fastq), 2);
-    // Survive a node failure thanks to replication.
-    dfs.fail_node(1);
-    let restored = dfs.read("reads.fastq").expect("file readable after failure");
-    let reads = read_fastq(&restored[..]).unwrap();
-    assert_eq!(reads, sim.reads);
 }
 
 #[test]
