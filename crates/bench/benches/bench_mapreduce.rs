@@ -1,5 +1,4 @@
-//! MapReduce runtime scaling: a k-mer counting job at 1/2/4/8 workers, and
-//! the spill-to-disk overhead.
+//! MapReduce runtime scaling: a k-mer counting job at 1/2/4/8 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mapreduce_lite::{map_reduce, JobConfig};
@@ -44,12 +43,6 @@ fn bench_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("workers", workers), &cfg, |b, cfg| {
             b.iter(|| count_job(&reads, cfg))
         });
-    }
-    let mut spill = JobConfig::with_workers(4);
-    spill.spill_dir = Some(std::env::temp_dir().join(format!("mr_bench_{}", std::process::id())));
-    g.bench_function("workers_4_with_spill", |b| b.iter(|| count_job(&reads, &spill)));
-    if let Some(dir) = spill.spill_dir {
-        let _ = std::fs::remove_dir_all(dir);
     }
     g.finish();
 }

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 /// Format magic + version; bump on any layout change so older snapshots
 /// miss cleanly instead of decoding as garbage.
-const MAGIC: &str = "CLSEDGE3"; // v3: JobStats lost its block-store counter
+const MAGIC: &str = "CLSEDGE4"; // v4: JobStats lost its spill and map-resume counters
 
 fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
@@ -34,11 +34,9 @@ fn put_job_stats(w: &mut ByteWriter, s: &JobStats) {
     w.put_u64(duration_ns(s.map_time));
     w.put_u64(duration_ns(s.shuffle_time));
     w.put_u64(duration_ns(s.reduce_time));
-    w.put_u64(s.spilled_bytes);
     w.put_u64(s.task_failures);
     w.put_u64(s.retried_tasks);
     w.put_u64(s.corrupt_frames);
-    w.put_u64(s.map_tasks_resumed);
     w.put_u64(s.worker_deaths);
     w.put_u64(s.workers_respawned);
     w.put_u64(s.tasks_reassigned);
@@ -55,11 +53,9 @@ fn get_job_stats(r: &mut ByteReader) -> Result<JobStats> {
         map_time: Duration::from_nanos(r.get_u64()?),
         shuffle_time: Duration::from_nanos(r.get_u64()?),
         reduce_time: Duration::from_nanos(r.get_u64()?),
-        spilled_bytes: r.get_u64()?,
         task_failures: r.get_u64()?,
         retried_tasks: r.get_u64()?,
         corrupt_frames: r.get_u64()?,
-        map_tasks_resumed: r.get_u64()?,
         worker_deaths: r.get_u64()?,
         workers_respawned: r.get_u64()?,
         tasks_reassigned: r.get_u64()?,
@@ -216,6 +212,26 @@ mod tests {
         let mut nan = sample_phase();
         nan.validated[0].2 = f64::NAN;
         assert!(EdgePhase::from_bytes(&nan.to_bytes(), 4).is_err());
+    }
+
+    /// Every truncation of a snapshot is an error, and every flip within a
+    /// byte either is an error or loads a phase that writes the flipped
+    /// bytes back — never a panic, never a silently different phase.
+    #[test]
+    fn truncations_and_byte_flips_are_errors_or_round_trip() {
+        let bytes = sample_phase().to_bytes();
+        for len in 0..bytes.len() {
+            assert!(EdgePhase::from_bytes(&bytes[..len], 4).is_err(), "truncated to {len}");
+        }
+        for at in 0..bytes.len() {
+            for flip in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+                let mut bad = bytes.clone();
+                bad[at] ^= flip;
+                if let Ok(phase) = EdgePhase::from_bytes(&bad, 4) {
+                    assert_eq!(phase.to_bytes(), bad, "byte {at} ^ {flip:#x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub struct ClosetOutput {
     pub threshold_stats: Vec<ThresholdStats>,
     /// Merged MapReduce counters across every job of the run, including
     /// the fault-tolerance counters (task failures, retried tasks,
-    /// corrupt spill frames) the Table 4.2/4.3-style reports surface.
+    /// corrupt worker frames) the Table 4.2/4.3-style reports surface.
     pub job_stats: JobStats,
 }
 

@@ -27,7 +27,7 @@
 //! which is what skipping it records. Inside a group that is reduced, the
 //! same argument spares the trial merge of two clean clusters.
 
-use mapreduce_lite::{map_reduce_simple, JobConfig, JobError, JobStats};
+use mapreduce_lite::{map_reduce, JobConfig, JobError, JobStats};
 use ngs_core::hash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 
@@ -427,7 +427,7 @@ impl ClusterStore {
             }
         }
 
-        let (emitted, stats) = map_reduce_simple(
+        let (emitted, stats) = map_reduce(
             job,
             &touched,
             |&h: &u32, emit: &mut dyn FnMut(u32, u32)| {
@@ -437,6 +437,7 @@ impl ClusterStore {
                     }
                 }
             },
+            None,
             |_v: &u32, handles: Vec<u32>, emit: &mut dyn FnMut(Emitted)| {
                 reduce_group(clusters, dirty, gamma, handles, emit)
             },

@@ -9,7 +9,7 @@
 //! argument so that the cut-off can be reached on a small graph.
 
 use crate::quasiclique::{sorted_union, Cluster};
-use mapreduce_lite::{map_reduce_simple, JobConfig, JobError};
+use mapreduce_lite::{map_reduce, JobConfig, JobError};
 use ngs_core::hash::{FxHashMap, FxHashSet};
 
 /// What the reference reports per call: the clusters (sorted by vertices),
@@ -49,7 +49,7 @@ pub(crate) fn reference_enumerate(
         // greedily within a vertex group.
         let indexed: Vec<(u32, Cluster)> =
             clusters.iter().enumerate().map(|(i, c)| (i as u32, c.clone())).collect();
-        let (merged_lists, _round_stats) = map_reduce_simple(
+        let (merged_lists, _round_stats) = map_reduce(
             job,
             &indexed,
             |(ci, c): &(u32, Cluster), emit: &mut dyn FnMut(u32, (Vec<u32>, Vec<u64>))| {
@@ -62,6 +62,7 @@ pub(crate) fn reference_enumerate(
                     emit(v, (c.vertices.clone(), packed.clone()));
                 }
             },
+            None,
             |_v: &u32, raw_group: Vec<(Vec<u32>, Vec<u64>)>, emit: &mut dyn FnMut(Cluster)| {
                 let mut group: Vec<Cluster> = raw_group
                     .into_iter()

@@ -1,24 +1,23 @@
-//! Length-prefixed binary encoding for shuffle spill.
+//! Length-prefixed binary encoding for the worker pool's shuffle data.
 //!
 //! Deliberately minimal: fixed-width little-endian integers, length-prefixed
 //! byte strings, and tuples — enough to round-trip every key/value type the
 //! CLOSET tasks shuffle, without pulling a serialization framework into the
 //! dependency set.
 //!
-//! Spill files are written as a sequence of *checksummed frames*
+//! Task input and output travel as a sequence of *checksummed frames*
 //! ([`encode_frames`] / [`decode_frames`]): each frame carries a payload
 //! length, the [`checksum`] of the payload, and up to
 //! [`FRAME_RECORDS`] encoded records. A mismatching checksum surfaces as
-//! [`FrameError::ChecksumMismatch`] so the job layer can re-run the map
-//! task that produced the frame instead of consuming corrupt data.
+//! [`FrameError::ChecksumMismatch`] so the driver can re-run the task
+//! that produced the frame instead of consuming corrupt data
+//! ([`crate::protocol`] carries the frames between processes).
 //!
 //! [`checksum`] is the one integrity function of this crate and of
 //! `ngs-server`'s connection frames: 64-bit words over four independent
-//! lanes, every step a bijection, the length folded in. The same frames
-//! are what the worker pool ships as task input and output
-//! ([`crate::protocol`]).
+//! lanes, every step a bijection, the length folded in.
 
-/// A type that can round-trip through the spill format.
+/// A type that can round-trip through the frame format.
 pub trait Codec: Sized {
     /// Append the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -220,7 +219,7 @@ pub fn decode_all<T: Codec>(mut inp: &[u8]) -> Option<Vec<T>> {
     inp.is_empty().then_some(out)
 }
 
-/// Records per spill frame: small enough that one flipped bit only
+/// Records per frame: small enough that one flipped bit only
 /// invalidates a bounded span, large enough that framing overhead
 /// (16 bytes per frame) is negligible.
 pub const FRAME_RECORDS: usize = 4096;
@@ -240,8 +239,8 @@ fn mix(state: u64, word: u64) -> u64 {
     (state ^ word).wrapping_mul(MIX).rotate_left(29)
 }
 
-/// The frame checksum — behind inner frames, MRW1 outer frames, map
-/// checkpoints and `ngs-server`'s connection frames.
+/// The frame checksum — behind inner frames, MRW1 outer frames and
+/// `ngs-server`'s connection frames.
 ///
 /// `data` is read as little-endian 64-bit words, the last one zero-padded;
 /// word `i` goes through `mix` into lane `i % 4`, and the four lanes are
@@ -279,7 +278,7 @@ pub fn checksum(data: &[u8]) -> u64 {
     h ^ (h >> 29)
 }
 
-/// Why a spill frame failed to decode.
+/// Why a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// The payload hash does not match the stored checksum.
@@ -291,8 +290,8 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            FrameError::ChecksumMismatch => "spill frame checksum mismatch",
-            FrameError::Malformed => "malformed spill frame",
+            FrameError::ChecksumMismatch => "frame checksum mismatch",
+            FrameError::Malformed => "malformed frame",
         })
     }
 }
@@ -506,7 +505,7 @@ pub(crate) mod tests {
 
     /// The byte-serial FNV-1a the frames carried before the word-wise
     /// checksum.
-    pub(crate) fn fnv1a(data: &[u8]) -> u64 {
+    fn fnv1a(data: &[u8]) -> u64 {
         data.iter()
             .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
     }

@@ -26,18 +26,14 @@ pub struct JobStats {
     pub shuffle_time: Duration,
     /// Wall time of the reduce phase.
     pub reduce_time: Duration,
-    /// Bytes written to disk in spill mode (0 for in-memory shuffles).
-    pub spilled_bytes: u64,
-    /// Task attempts that failed (panic, injected fault, I/O error, or
-    /// corrupt spill), across both stages.
+    /// Task attempts that failed (panic, injected fault, or a corrupt
+    /// frame from a worker), across every stage.
     pub task_failures: u64,
     /// Tasks that needed more than one attempt to finish.
     pub retried_tasks: u64,
-    /// Spill frames rejected by checksum verification.
+    /// Worker output frames rejected by checksum verification. Only the
+    /// multi-process executor can move this counter.
     pub corrupt_frames: u64,
-    /// Map tasks reloaded from a checkpoint instead of recomputed
-    /// (non-zero only with [`crate::JobConfig::map_checkpoint_dir`] set).
-    pub map_tasks_resumed: u64,
     /// Worker processes that died (SIGKILL, OOM-kill, crash) or were
     /// declared dead after missing their heartbeat deadline. Only the
     /// multi-process executor can move this counter.
@@ -82,11 +78,9 @@ impl JobStats {
         self.map_time += other.map_time;
         self.shuffle_time += other.shuffle_time;
         self.reduce_time += other.reduce_time;
-        self.spilled_bytes += other.spilled_bytes;
         self.task_failures += other.task_failures;
         self.retried_tasks += other.retried_tasks;
         self.corrupt_frames += other.corrupt_frames;
-        self.map_tasks_resumed += other.map_tasks_resumed;
         self.worker_deaths += other.worker_deaths;
         self.workers_respawned += other.workers_respawned;
         self.tasks_reassigned += other.tasks_reassigned;
@@ -112,18 +106,16 @@ pub fn record_job_stats(collector: &ngs_observe::Collector, prefix: &str, stats:
     collector.record_span_ns(&format!("{prefix}.map"), span_ns(stats.map_time), 1);
     collector.record_span_ns(&format!("{prefix}.shuffle"), span_ns(stats.shuffle_time), 1);
     collector.record_span_ns(&format!("{prefix}.reduce"), span_ns(stats.reduce_time), 1);
-    let counters: [(&str, u64); 14] = [
+    let counters: [(&str, u64); 12] = [
         ("map_input_records", stats.map_input_records),
         ("map_output_records", stats.map_output_records),
         ("combine_output_records", stats.combine_output_records),
         ("shuffle_bytes", stats.shuffle_bytes),
         ("reduce_input_groups", stats.reduce_input_groups),
         ("reduce_output_records", stats.reduce_output_records),
-        ("spilled_bytes", stats.spilled_bytes),
         ("task_failures", stats.task_failures),
         ("retried_tasks", stats.retried_tasks),
         ("corrupt_frames", stats.corrupt_frames),
-        ("map_tasks_resumed", stats.map_tasks_resumed),
         ("worker_deaths", stats.worker_deaths),
         ("workers_respawned", stats.workers_respawned),
         ("tasks_reassigned", stats.tasks_reassigned),
@@ -151,7 +143,6 @@ mod tests {
             task_failures: 3,
             retried_tasks: 2,
             corrupt_frames: 1,
-            map_tasks_resumed: 4,
             worker_deaths: 2,
             workers_respawned: 1,
             tasks_reassigned: 3,
@@ -163,7 +154,6 @@ mod tests {
         assert_eq!(a.task_failures, 3);
         assert_eq!(a.retried_tasks, 2);
         assert_eq!(a.corrupt_frames, 1);
-        assert_eq!(a.map_tasks_resumed, 4);
         assert_eq!(a.worker_deaths, 2);
         assert_eq!(a.workers_respawned, 1);
         assert_eq!(a.tasks_reassigned, 3);
@@ -178,7 +168,6 @@ mod tests {
             task_failures: 3,
             retried_tasks: 2,
             corrupt_frames: 1,
-            map_tasks_resumed: 2,
             worker_deaths: 2,
             workers_respawned: 1,
             tasks_reassigned: 2,
@@ -192,7 +181,6 @@ mod tests {
         assert_eq!(report.counters["job.task_failures"], 3);
         assert_eq!(report.counters["job.retried_tasks"], 2);
         assert_eq!(report.counters["job.corrupt_frames"], 1);
-        assert_eq!(report.counters["job.map_tasks_resumed"], 2);
         assert_eq!(report.counters["job.worker_deaths"], 2);
         assert_eq!(report.counters["job.workers_respawned"], 1);
         assert_eq!(report.counters["job.tasks_reassigned"], 2);

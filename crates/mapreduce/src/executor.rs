@@ -744,16 +744,9 @@ impl<'s, 'a> JobRun<'s, 'a> {
             profile_hz: ngs_observe::profile::active_hz().unwrap_or(0) as u64,
             clock_offset_ns: 0,
         };
-        let tracer = cfg
-            .trace
-            .as_ref()
-            .map(|c| c.tracer().clone())
-            .or_else(|| cfg.collector.as_ref().and_then(|c| c.tracer().cloned()))
-            .filter(|t| t.is_enabled());
-        let job_span = tracer.as_ref().map(|t| match cfg.trace.as_ref() {
-            Some(ctx) => t.begin_under("mapreduce.job", ctx.parent()),
-            None => t.begin("mapreduce.job"),
-        });
+        let tracer =
+            cfg.collector.as_ref().and_then(|c| c.tracer().cloned()).filter(|t| t.is_enabled());
+        let job_span = tracer.as_ref().map(|t| t.begin("mapreduce.job"));
         let workers = session.slots.iter().map(|_| JobWorker::default()).collect();
         JobRun {
             session,

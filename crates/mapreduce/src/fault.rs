@@ -10,7 +10,7 @@
 /// Which phase of the job a task belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// A map task: map + combine + spill round-trip for one input chunk.
+    /// A map task: map + combine for one input chunk.
     Map,
     /// A shuffle task: sorting one partition's concatenated map output.
     /// Only a distinct task unit under the multi-process executor; the
@@ -55,12 +55,18 @@ impl std::fmt::Display for Stage {
 pub enum FaultKind {
     /// The task panics mid-flight (a crashed worker thread).
     Panic,
-    /// Spill I/O fails (a full or yanked disk). For tasks with no spill
-    /// path the attempt fails with a synthetic I/O error anyway.
+    /// The attempt fails with a synthetic I/O error before it does any
+    /// work (a full or yanked disk). In-process the task returns the error;
+    /// on the pooled path the worker answers `Failed` with it. Either way
+    /// the attempt counts as a failure and is retried.
     IoError,
-    /// A spill frame is corrupted after its checksum was computed (bit
-    /// rot / torn write). Only observable in spill mode, where the
-    /// read-back verification catches it; a no-op for in-memory jobs.
+    /// The task's output is corrupted after its checksum was computed (bit
+    /// rot / torn write). On the pooled path the worker flips a bit in its
+    /// first output frame's checksum, the driver's verify pass rejects the
+    /// attempt and counts it in [`crate::JobStats::corrupt_frames`]. The
+    /// in-process engine has no frame to corrupt: a map task's output stays
+    /// in memory, so the fault is a no-op there, and a reduce attempt
+    /// fails as for [`FaultKind::IoError`].
     CorruptFrame,
     /// Process-level: the worker process that owns the attempt SIGKILLs
     /// itself mid-result-write, leaving a torn frame on the wire. Under

@@ -11,19 +11,18 @@
 //! * every map and reduce task runs under [`std::panic::catch_unwind`]
 //!   and is retried with exponential backoff up to
 //!   [`JobConfig::max_attempts`] times (Hadoop's `mapred.map.max.attempts`);
-//! * a map task *attempt* covers map + combine + spill write/read-back, so
-//!   a corrupt or unreadable spill file re-runs the task that produced it;
-//! * spill files are checksummed frames ([`crate::codec::encode_frames`]):
-//!   corruption is detected, counted in [`JobStats::corrupt_frames`], and
-//!   repaired by re-execution rather than propagated;
-//! * a [`FaultPlan`] on the config deterministically injects panics, I/O
-//!   errors, and frame corruption at `(stage, task, attempt)` coordinates,
-//!   so the recovery paths are exercised by tests rather than trusted.
+//! * a map task *attempt* covers map + combine, so a retried task recomputes
+//!   its whole output and lands it in the same slot;
+//! * a [`FaultPlan`] on the config deterministically injects panics and I/O
+//!   errors at `(stage, task, attempt)` coordinates, so the recovery paths
+//!   are exercised by tests rather than trusted.
 //!
 //! A task that exhausts its attempts fails the job with [`JobError`]; no
-//! panic escapes `map_reduce`.
+//! panic escapes `map_reduce`. The engine keeps everything in memory:
+//! durability across driver restarts is the caller's, through
+//! `ngs_durable::CheckpointStore` at a pipeline stage boundary.
 
-use crate::codec::{decode_frames, encode_frames, Codec, FrameError};
+use crate::codec::Codec;
 use crate::counters::JobStats;
 use crate::fault::{FaultKind, FaultPlan, Stage};
 pub(crate) use ngs_core_hash::hash_one;
@@ -70,19 +69,6 @@ pub struct JobConfig {
     pub workers: usize,
     /// Number of reduce partitions (Hadoop's number of reducers).
     pub reduce_partitions: usize,
-    /// When set, shuffle partitions round-trip through files in this
-    /// directory (checksummed length-prefixed frames), exercising the
-    /// disk path and its corruption detection.
-    pub spill_dir: Option<std::path::PathBuf>,
-    /// When set, every map task persists its (post-combine) partition
-    /// output here as a self-validating checkpoint (`map_t<task>.ckpt`,
-    /// written atomically), and later runs of the *same* job reload it
-    /// instead of re-mapping — the Hadoop-style "completed map output
-    /// survives a driver restart" contract. Reloaded tasks are counted in
-    /// [`JobStats::map_tasks_resumed`]. A stale, truncated, or corrupt
-    /// checkpoint is recomputed, never trusted. One directory per job:
-    /// different jobs must not share a directory.
-    pub map_checkpoint_dir: Option<std::path::PathBuf>,
     /// Attempts per task before the job fails (Hadoop default: 4).
     pub max_attempts: u32,
     /// Base delay before the first retry; doubles per attempt.
@@ -95,19 +81,13 @@ pub struct JobConfig {
     /// caller's job — fold the returned [`JobStats`] with
     /// [`crate::counters::record_job_stats`]. A collector built with
     /// [`ngs_observe::Collector::with_tracer`] additionally emits the
-    /// job's trace tree (see [`JobConfig::trace`]).
+    /// job's trace tree under the calling thread's innermost open span —
+    /// pipelines call `map_reduce` inside a phase span. Every traced job
+    /// emits one `mapreduce.job` span, one `mapreduce.stage.{map,shuffle,
+    /// reduce}` span per phase, and one span per task *attempt* (retries
+    /// are sibling spans under the same stage, annotated
+    /// `task=N attempt=M`).
     pub collector: Option<std::sync::Arc<ngs_observe::Collector>>,
-    /// Explicit trace parent for this job's span tree. When `None` (the
-    /// default) and the collector carries a tracer, the job parents under
-    /// the calling thread's innermost open span — which is what pipelines
-    /// want, since they call `map_reduce` inside a phase span. Set this
-    /// when the job is launched from a thread other than the one that
-    /// opened the phase span. Every traced job emits one `mapreduce.job`
-    /// span, one `mapreduce.stage.{map,shuffle,reduce}` span per phase,
-    /// and one span per task *attempt* (retries are sibling spans under
-    /// the same stage, annotated `task=N attempt=M`). If both this and a
-    /// collector tracer are set they must be the same tracer.
-    pub trace: Option<ngs_observe::TraceContext>,
 }
 
 impl JobConfig {
@@ -116,13 +96,10 @@ impl JobConfig {
         JobConfig {
             workers: workers.max(1),
             reduce_partitions: workers.max(1) * 4,
-            spill_dir: None,
-            map_checkpoint_dir: None,
             max_attempts: 4,
             retry_backoff: Duration::from_millis(2),
             fault_plan: FaultPlan::none(),
             collector: None,
-            trace: None,
         }
     }
 }
@@ -163,7 +140,6 @@ impl std::error::Error for JobError {}
 struct FaultCounters {
     task_failures: AtomicU64,
     retried_tasks: AtomicU64,
-    corrupt_frames: AtomicU64,
 }
 
 /// Render a panic payload for [`JobError::last_error`].
@@ -179,9 +155,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one task to completion: call `body(attempt)` under `catch_unwind`,
 /// retrying with exponential backoff until success or `max_attempts`.
-/// `trace` parents each attempt's span under its stage — task attempts run
-/// on worker threads whose ambient span stacks are empty, so the parent
-/// must travel explicitly.
+/// `trace` (set when the collector carries an enabled tracer) parents each
+/// attempt's span under its stage — task attempts run on worker threads
+/// whose ambient span stacks are empty, so the parent must travel
+/// explicitly.
 fn run_attempts<T>(
     stage: Stage,
     task: usize,
@@ -196,9 +173,6 @@ fn run_attempts<T>(
         Stage::Shuffle => "mapreduce.task.shuffle",
         Stage::Reduce => "mapreduce.task.reduce",
     };
-    // Without a collector the trace events come straight from the tracer,
-    // so attempts still show up in the timeline.
-    let raw_trace = trace.filter(|_| cfg.collector.as_deref().is_none_or(|c| c.tracer().is_none()));
     let mut attempt = 0;
     loop {
         // The span guards live *outside* catch_unwind: a panicking attempt
@@ -206,18 +180,11 @@ fn run_attempts<T>(
         let detail = trace.map(|_| format!("task={task} attempt={attempt}"));
         let outcome = {
             let _span = cfg.collector.as_deref().map(|c| match trace {
-                Some(ctx) if c.tracer().is_some() => {
+                Some(ctx) => {
                     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
                     c.span_traced(span_path, ctx.parent(), detail.as_deref().unwrap_or(""), threads)
                 }
-                _ => c.span(span_path),
-            });
-            let _raw = raw_trace.map(|ctx| {
-                ctx.tracer().span_under_detail(
-                    span_path,
-                    ctx.parent(),
-                    detail.as_deref().unwrap_or(""),
-                )
+                None => c.span(span_path),
             });
             catch_unwind(AssertUnwindSafe(|| body(attempt)))
         };
@@ -318,101 +285,17 @@ struct MapTaskOut<K, V> {
     partitions: Vec<Vec<(K, V)>>,
     emitted: u64,
     combined: u64,
-    spilled_bytes: u64,
-    /// Whether this output was reloaded from a map checkpoint instead of
-    /// being recomputed.
-    resumed: bool,
 }
 
-/// Map-checkpoint format magic + version; bump on any layout change so
-/// older checkpoints recompute cleanly instead of decoding as garbage.
-const MAP_CKPT_MAGIC: &[u8; 8] = b"MRCKPT01";
-
-fn map_checkpoint_path(dir: &std::path::Path, task: usize) -> std::path::PathBuf {
-    dir.join(format!("map_t{task}.ckpt"))
-}
-
-/// Encode a finished map task's output as a self-validating checkpoint:
-/// magic, shape header (chunk length + partition count, so a checkpoint
-/// taken against different input or config misses), the counters, each
-/// partition as checksummed frames, and a trailing whole-file checksum.
-fn encode_map_checkpoint<K: Codec, V: Codec>(out: &MapTaskOut<K, V>, chunk_len: usize) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(MAP_CKPT_MAGIC);
-    bytes.extend_from_slice(&(chunk_len as u64).to_le_bytes());
-    bytes.extend_from_slice(&(out.partitions.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&out.emitted.to_le_bytes());
-    bytes.extend_from_slice(&out.combined.to_le_bytes());
-    for part in &out.partitions {
-        let frames = encode_frames(part);
-        bytes.extend_from_slice(&(frames.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&frames);
-    }
-    let ck = crate::codec::checksum(&bytes);
-    bytes.extend_from_slice(&ck.to_le_bytes());
-    bytes
-}
-
-/// Decode a map checkpoint, verifying the whole-file checksum, the magic,
-/// and that the shape matches the current job (`chunk_len`, `parts`).
-/// Returns `None` on any mismatch — the caller recomputes.
-fn decode_map_checkpoint<K, V>(
-    bytes: &[u8],
-    chunk_len: usize,
-    parts: usize,
-) -> Option<MapTaskOut<K, V>>
-where
-    K: Ord + Hash + Clone + Codec,
-    V: Codec,
-{
-    fn take<'a>(body: &'a [u8], pos: &mut usize, n: usize) -> Option<&'a [u8]> {
-        let slice = body.get(*pos..pos.checked_add(n)?)?;
-        *pos += n;
-        Some(slice)
-    }
-    fn take_u64(body: &[u8], pos: &mut usize) -> Option<u64> {
-        Some(u64::from_le_bytes(take(body, pos, 8)?.try_into().ok()?))
-    }
-
-    if bytes.len() < 16 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if crate::codec::checksum(body) != u64::from_le_bytes(tail.try_into().ok()?) {
-        return None;
-    }
-    let mut pos = 0usize;
-    if take(body, &mut pos, 8)? != MAP_CKPT_MAGIC {
-        return None;
-    }
-    if take_u64(body, &mut pos)? != chunk_len as u64 || take_u64(body, &mut pos)? != parts as u64 {
-        return None;
-    }
-    let emitted = take_u64(body, &mut pos)?;
-    let combined = take_u64(body, &mut pos)?;
-    let mut partitions = Vec::with_capacity(parts);
-    for _ in 0..parts {
-        let frame_len = take_u64(body, &mut pos)?;
-        let frames = take(body, &mut pos, usize::try_from(frame_len).ok()?)?;
-        partitions.push(decode_frames::<(K, V)>(frames).ok()?);
-    }
-    if pos != body.len() {
-        return None;
-    }
-    Some(MapTaskOut { partitions, emitted, combined, spilled_bytes: 0, resumed: true })
-}
-
-/// One map task attempt: map the chunk, combine, and (in spill mode)
-/// round-trip every partition through a checksummed spill file. Any
-/// injected fault, I/O error, or checksum mismatch fails the attempt.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// One map task attempt: map the chunk and combine. An injected fault
+/// fails the attempt.
+#[allow(clippy::type_complexity)]
 fn map_task_attempt<I, K, V, M>(
     task: usize,
     attempt: u32,
     chunk: &[I],
     parts: usize,
     cfg: &JobConfig,
-    counters: &FaultCounters,
     mapper: &M,
     combiner: Option<&(dyn Fn(&K, &mut Vec<V>) + Sync)>,
 ) -> Result<MapTaskOut<K, V>, String>
@@ -421,30 +304,21 @@ where
     V: Codec,
     M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
 {
-    // Resume: a valid checkpoint from an earlier run of this job replaces
-    // the whole attempt (map + combine + spill) — its frames were verified
-    // when written and are re-verified here. Anything wrong with the file
-    // falls through to recomputation.
-    if let Some(dir) = &cfg.map_checkpoint_dir {
-        if let Ok(bytes) = std::fs::read(map_checkpoint_path(dir, task)) {
-            if let Some(out) = decode_map_checkpoint::<K, V>(&bytes, chunk.len(), parts) {
-                return Ok(out);
-            }
+    match cfg.fault_plan.fault_for(Stage::Map, task, attempt) {
+        Some(FaultKind::Panic) => panic!("injected panic in map task {task} attempt {attempt}"),
+        Some(FaultKind::IoError) => {
+            return Err(format!("injected I/O error in map task {task} attempt {attempt}"))
         }
-    }
-
-    let fault = cfg.fault_plan.fault_for(Stage::Map, task, attempt);
-    if fault == Some(FaultKind::Panic) {
-        panic!("injected panic in map task {task} attempt {attempt}");
-    }
-    if fault == Some(FaultKind::IoError) && cfg.spill_dir.is_none() {
-        return Err(format!("injected I/O error in map task {task} attempt {attempt}"));
-    }
-    // Process-level faults degrade to plain attempt failures in-process: a
-    // thread cannot be SIGKILLed, but the plan must still perturb the same
-    // coordinates so portable plans exercise the retry path everywhere.
-    if matches!(fault, Some(FaultKind::KillWorker | FaultKind::StallHeartbeat)) {
-        return Err(format!("injected {:?} in map task {task} attempt {attempt}", fault.unwrap()));
+        // Process-level faults degrade to plain attempt failures in-process:
+        // a thread cannot be SIGKILLed, but the plan must still perturb the
+        // same coordinates so portable plans exercise the retry path
+        // everywhere.
+        Some(kind @ (FaultKind::KillWorker | FaultKind::StallHeartbeat)) => {
+            return Err(format!("injected {kind:?} in map task {task} attempt {attempt}"))
+        }
+        // A map task's output never leaves memory in-process, so there is
+        // no frame to corrupt (see `FaultKind::CorruptFrame`).
+        Some(FaultKind::CorruptFrame) | None => {}
     }
 
     let mut partitions: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
@@ -466,64 +340,7 @@ where
             combined += combine_partition(part, comb) as u64;
         }
     }
-
-    // Spill round-trip: write each partition as checksummed frames, read
-    // it back, and verify before trusting it. This is part of the task
-    // attempt on purpose — a corrupt or unreadable spill re-runs the map
-    // task that owns it.
-    let mut spilled_bytes = 0u64;
-    if let Some(dir) = &cfg.spill_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create spill dir {}: {e}", dir.display()))?;
-        let mut restored = Vec::with_capacity(partitions.len());
-        for (pi, part) in partitions.into_iter().enumerate() {
-            let path = dir.join(format!("spill_t{task}_p{pi}.bin"));
-            let mut bytes = encode_frames(&part);
-            if fault == Some(FaultKind::IoError) && pi == 0 {
-                return Err(format!(
-                    "injected I/O error writing {} (attempt {attempt})",
-                    path.display()
-                ));
-            }
-            if fault == Some(FaultKind::CorruptFrame) && pi == 0 {
-                // Flip a bit in the first frame's stored checksum: always
-                // detectable, even for empty partitions.
-                bytes[8] ^= 0x01;
-            }
-            spilled_bytes += bytes.len() as u64;
-            // Atomic write: a crash mid-spill leaves no truncated file for
-            // a later attempt (or a resumed driver) to trip over.
-            ngs_durable::write_atomic(&path, &bytes)
-                .map_err(|e| format!("write spill {}: {e}", path.display()))?;
-            let data =
-                std::fs::read(&path).map_err(|e| format!("read spill {}: {e}", path.display()))?;
-            let _ = std::fs::remove_file(&path);
-            match decode_frames::<(K, V)>(&data) {
-                Ok(records) => restored.push(records),
-                Err(err) => {
-                    if err == FrameError::ChecksumMismatch {
-                        counters.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Err(format!("{err} in {}", path.display()));
-                }
-            }
-        }
-        partitions = restored;
-    }
-
-    let out = MapTaskOut { partitions, emitted, combined, spilled_bytes, resumed: false };
-
-    // Persist the finished task's output before reporting success: a save
-    // failure fails the attempt, so "checkpointed" always means "durably
-    // on disk" (manifest-last discipline at task granularity).
-    if let Some(dir) = &cfg.map_checkpoint_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create map checkpoint dir {}: {e}", dir.display()))?;
-        let path = map_checkpoint_path(dir, task);
-        ngs_durable::write_atomic(&path, &encode_map_checkpoint(&out, chunk.len()))
-            .map_err(|e| format!("write map checkpoint {}: {e}", path.display()))?;
-    }
-    Ok(out)
+    Ok(MapTaskOut { partitions, emitted, combined })
 }
 
 /// Run a full map/combine/shuffle/reduce job.
@@ -571,14 +388,10 @@ where
     // phase *aggregates* already reach reports through `JobStats`, so
     // duplicating them as collector spans would double-count.
     let job_trace: Option<ngs_observe::TraceContext> = cfg
-        .trace
-        .clone()
-        .or_else(|| {
-            cfg.collector
-                .as_ref()
-                .and_then(|c| c.tracer().cloned())
-                .map(ngs_observe::TraceContext::new)
-        })
+        .collector
+        .as_ref()
+        .and_then(|c| c.tracer().cloned())
+        .map(ngs_observe::TraceContext::new)
         .filter(|ctx| ctx.tracer().is_enabled());
     let job_span = job_trace.as_ref().map(|ctx| ctx.span("mapreduce.job"));
     let job_ctx = job_trace.as_ref().zip(job_span.as_ref()).map(|(ctx, span)| ctx.child(span.id()));
@@ -603,16 +416,7 @@ where
             .map(|(task, chunk)| {
                 scope.spawn(move || {
                     run_attempts(Stage::Map, task, cfg, counters_ref, map_stage_ctx, |attempt| {
-                        map_task_attempt(
-                            task,
-                            attempt,
-                            chunk,
-                            parts,
-                            cfg,
-                            counters_ref,
-                            mapper,
-                            combiner,
-                        )
+                        map_task_attempt(task, attempt, chunk, parts, cfg, mapper, combiner)
                     })
                 })
             })
@@ -626,8 +430,6 @@ where
         let out = result?;
         stats.map_output_records += out.emitted;
         stats.combine_output_records += out.combined;
-        stats.spilled_bytes += out.spilled_bytes;
-        stats.map_tasks_resumed += u64::from(out.resumed);
         worker_outputs.push(out.partitions);
     }
     stats.map_time = t0.elapsed();
@@ -716,7 +518,6 @@ where
 
     stats.task_failures = counters.task_failures.load(Ordering::Relaxed);
     stats.retried_tasks = counters.retried_tasks.load(Ordering::Relaxed);
-    stats.corrupt_frames = counters.corrupt_frames.load(Ordering::Relaxed);
     Ok((result, stats))
 }
 
@@ -790,25 +591,6 @@ where
     (out, groups)
 }
 
-/// Convenience wrapper without a combiner.
-#[allow(clippy::type_complexity)]
-pub fn map_reduce_simple<I, K, V, O, M, R>(
-    cfg: &JobConfig,
-    input: &[I],
-    mapper: M,
-    reducer: R,
-) -> Result<(Vec<O>, JobStats), JobError>
-where
-    I: Sync,
-    K: Ord + Hash + Clone + Send + Sync + Codec,
-    V: Send + Sync + Codec,
-    O: Send,
-    M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
-    R: Fn(&K, Vec<V>, &mut dyn FnMut(O)) + Sync,
-{
-    map_reduce(cfg, input, mapper, None, reducer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,7 +608,7 @@ mod tests {
         cfg: &JobConfig,
         docs: &[&str],
     ) -> Result<(Vec<(String, u64)>, JobStats), JobError> {
-        map_reduce_simple(
+        map_reduce(
             cfg,
             docs,
             |doc: &&str, emit| {
@@ -834,6 +616,7 @@ mod tests {
                     emit(w.to_string(), 1u64);
                 }
             },
+            None,
             |k: &String, vs: Vec<u64>, emit| emit((k.clone(), vs.iter().sum())),
         )
     }
@@ -882,28 +665,6 @@ mod tests {
         combined.sort();
         assert_eq!(plain, combined);
         assert!(s_comb.combine_output_records < s_plain.map_output_records);
-    }
-
-    #[test]
-    fn spill_mode_round_trips() {
-        let dir = std::env::temp_dir().join(format!("mrlite_spill_{}", std::process::id()));
-        let mut cfg = JobConfig::with_workers(2);
-        cfg.spill_dir = Some(dir.clone());
-        let docs = ["a b", "b c c"];
-        let got = word_count(&cfg, &docs);
-        assert_eq!(got, vec![("a".into(), 1u64), ("b".into(), 2), ("c".into(), 2)]);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn spill_mode_counts_bytes() {
-        let dir = std::env::temp_dir().join(format!("mrlite_spill2_{}", std::process::id()));
-        let mut cfg = JobConfig::with_workers(2);
-        cfg.spill_dir = Some(dir.clone());
-        let docs = ["hello world hello"];
-        let (_, stats) = word_count_stats(&cfg, &docs).expect("job failed");
-        assert!(stats.spilled_bytes > 0);
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -983,99 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn map_checkpoints_resume_and_skip_recompute() {
-        let dir = std::env::temp_dir().join(format!("mrlite_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = JobConfig::with_workers(3);
-        cfg.map_checkpoint_dir = Some(dir.clone());
-        let docs = ["a b a", "b c", "a"];
-        let (mut cold, s_cold) = word_count_stats(&cfg, &docs).expect("cold run");
-        assert_eq!(s_cold.map_tasks_resumed, 0);
-        // Second run of the same job: all three map tasks reload.
-        let (mut warm, s_warm) = word_count_stats(&cfg, &docs).expect("warm run");
-        assert_eq!(s_warm.map_tasks_resumed, 3);
-        assert_eq!(s_warm.map_output_records, s_cold.map_output_records);
-        cold.sort();
-        warm.sort();
-        assert_eq!(cold, warm);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_or_stale_map_checkpoint_is_recomputed() {
-        let dir = std::env::temp_dir().join(format!("mrlite_ckpt_bad_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = JobConfig::with_workers(3);
-        cfg.map_checkpoint_dir = Some(dir.clone());
-        let docs = ["a b a", "b c", "a"];
-        let (_, _) = word_count_stats(&cfg, &docs).expect("cold run");
-        // Flip one byte of task 0's checkpoint: the whole-file checksum
-        // must reject it and the task recomputes.
-        let path = dir.join("map_t0.ckpt");
-        let mut bytes = std::fs::read(&path).expect("checkpoint written");
-        bytes[10] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("corrupt checkpoint");
-        // Truncate task 1's checkpoint mid-file.
-        let path1 = dir.join("map_t1.ckpt");
-        let full = std::fs::read(&path1).expect("checkpoint written");
-        std::fs::write(&path1, &full[..full.len() / 2]).expect("truncate checkpoint");
-        let (mut warm, stats) = word_count_stats(&cfg, &docs).expect("warm run");
-        assert_eq!(stats.map_tasks_resumed, 1, "only the intact checkpoint reloads");
-        warm.sort();
-        assert_eq!(warm, word_count(&JobConfig::with_workers(3), &docs));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn map_checkpoint_with_the_old_checksum_is_recomputed() {
-        let dir = std::env::temp_dir().join(format!("mrlite_ckpt_fnv_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = JobConfig::with_workers(3);
-        cfg.map_checkpoint_dir = Some(dir.clone());
-        let docs = ["a b a", "b c", "a"];
-        word_count_stats(&cfg, &docs).expect("cold run");
-        // What a build from before the word-wise checksum left behind: the
-        // same layout, the file sealed with FNV-1a. It is not trusted.
-        let path = dir.join("map_t0.ckpt");
-        let mut bytes = std::fs::read(&path).expect("checkpoint written");
-        let body = bytes.len() - 8;
-        let old = crate::codec::tests::fnv1a(&bytes[..body]);
-        bytes[body..].copy_from_slice(&old.to_le_bytes());
-        assert!(decode_map_checkpoint::<String, u64>(&bytes, 1, cfg.reduce_partitions).is_none());
-        std::fs::write(&path, &bytes).expect("old checkpoint");
-        let (mut warm, stats) = word_count_stats(&cfg, &docs).expect("warm run");
-        assert_eq!(stats.map_tasks_resumed, 2, "the old checkpoint recomputes, the rest reload");
-        warm.sort();
-        assert_eq!(warm, word_count(&JobConfig::with_workers(3), &docs));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn map_checkpoints_survive_a_failed_job_and_resume_it() {
-        let dir = std::env::temp_dir().join(format!("mrlite_ckpt_fail_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let docs = ["a b a", "b c", "a"];
-        let mut cfg = JobConfig::with_workers(3);
-        cfg.map_checkpoint_dir = Some(dir.clone());
-        cfg.max_attempts = 2;
-        cfg.retry_backoff = Duration::from_micros(100);
-        // Every reduce attempt of partition 0 fails: the job dies *after*
-        // the map phase checkpointed its output.
-        cfg.fault_plan = FaultPlan::none()
-            .with_fault(Stage::Reduce, 0, 0, FaultKind::IoError)
-            .with_fault(Stage::Reduce, 0, 1, FaultKind::IoError);
-        word_count_stats(&cfg, &docs).expect_err("reduce must exhaust attempts");
-        // The retry (same job, faults cleared) resumes every map task from
-        // disk and produces the correct output.
-        cfg.fault_plan = FaultPlan::none();
-        let (mut out, stats) = word_count_stats(&cfg, &docs).expect("resumed run");
-        assert_eq!(stats.map_tasks_resumed, 3);
-        out.sort();
-        assert_eq!(out, word_count(&JobConfig::with_workers(3), &docs));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn backoff_jitter_is_deterministic_bounded_and_desynchronized() {
         let base = Duration::from_millis(8);
         for attempt in 1..6u32 {
@@ -1096,10 +764,11 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let empty: Vec<&str> = Vec::new();
-        let (out, stats) = map_reduce_simple(
+        let (out, stats) = map_reduce(
             &JobConfig::with_workers(4),
             &empty,
             |_doc: &&str, _emit: &mut dyn FnMut(String, u64)| {},
+            None,
             |k: &String, vs: Vec<u64>, emit| emit((k.clone(), vs.len() as u64)),
         )
         .expect("empty job");
@@ -1162,10 +831,11 @@ mod tests {
                 *expect.entry(k).or_insert(0) += v as u64;
             }
             let cfg = JobConfig::with_workers(workers);
-            let (mut got, _) = map_reduce_simple(
+            let (mut got, _) = map_reduce(
                 &cfg,
                 &pairs,
                 |&(k, v): &(u64, u32), emit| emit(k, v),
+                None,
                 |k: &u64, vs: Vec<u32>, emit| emit((*k, vs.iter().map(|&v| v as u64).sum::<u64>())),
             ).expect("job failed");
             got.sort();

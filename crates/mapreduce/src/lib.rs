@@ -13,9 +13,9 @@
 //! * [`counters`] — per-phase record/byte counters and wall times, the
 //!   numbers the paper reports in Tables 4.2–4.3, plus fault-tolerance
 //!   counters (task failures, retries, corrupt frames, worker deaths);
-//! * [`codec`] — a small length-prefixed binary codec so shuffle partitions
-//!   can round-trip through disk (spill mode) as checksummed frames,
-//!   keeping the I/O path honest and corruption detectable;
+//! * [`codec`] — a small length-prefixed binary codec: the worker pool
+//!   ships task input and output as checksummed frames, so corruption is
+//!   detectable;
 //! * [`fault`] — deterministic fault injection, so the recovery paths
 //!   above are continuously exercised by tests;
 //! * [`executor`], [`protocol`], [`transport`] — the multi-process worker
@@ -32,16 +32,16 @@
 //!
 //! Fault tolerance follows Hadoop's task-attempt model: every map and
 //! reduce task runs under `catch_unwind` and is retried with exponential
-//! backoff up to [`JobConfig::max_attempts`] times; spill corruption is
-//! caught by frame checksums and repaired by re-running the owning map
+//! backoff up to [`JobConfig::max_attempts`] times; a worker's corrupt
+//! output is caught by frame checksums and repaired by re-running the
 //! task; a task that exhausts its attempts fails the whole job with a
 //! [`JobError`] instead of panicking. On a single machine the *failures*
 //! must be simulated — that is [`FaultPlan`]'s job — but the recovery
-//! machinery itself is the real thing. For failures of the *driver*
-//! rather than a task, [`JobConfig::map_checkpoint_dir`] persists each
-//! finished map task's output (atomically, self-validating), so a re-run
-//! of the same job resumes past its completed map work — see
-//! [`JobStats::map_tasks_resumed`].
+//! machinery itself is the real thing. The runtime owns scheduling,
+//! retries, shuffle and spans, and keeps no state on disk: surviving a
+//! failure of the *driver* is the pipeline's job, through
+//! `ngs_durable::CheckpointStore` at a stage boundary (CLOSET resumes
+//! past Phase I that way).
 
 pub mod codec;
 pub mod counters;
@@ -58,6 +58,6 @@ pub use executor::{
     WordCountSpec,
 };
 pub use fault::{FaultKind, FaultPlan, Stage};
-pub use job::{map_reduce, map_reduce_simple, JobConfig, JobError};
+pub use job::{map_reduce, JobConfig, JobError};
 pub use protocol::{Message, ProtocolError};
 pub use transport::FrameConn;

@@ -118,12 +118,6 @@ fn encode_task(
     out.extend_from_slice(input);
 }
 
-/// Write one frame as a single `write_all` (one buffer, so a live writer
-/// never interleaves with itself; only death can tear a frame).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
-    w.write_all(&encode_frame(payload)).map_err(io_error)
-}
-
 fn io_error(e: std::io::Error) -> ProtocolError {
     ProtocolError::Io(e.to_string())
 }
@@ -566,7 +560,9 @@ pub fn read_message(r: &mut impl Read) -> Result<Message, ProtocolError> {
     Message::from_payload(&read_frame(r)?)
 }
 
-/// Encode and write one message as a single frame.
+/// Encode and write one message as a single frame, with one `write_all`
+/// (one buffer, so a live writer never interleaves with itself; only death
+/// can tear a frame).
 pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), ProtocolError> {
     w.write_all(&msg.to_frame()).map_err(io_error)
 }

@@ -56,7 +56,7 @@ pub use shrec;
 /// One-stop imports for the common pipelines.
 pub mod prelude {
     pub use closet::{ClosetParams, Validator};
-    pub use mapreduce_lite::{map_reduce_simple, JobConfig};
+    pub use mapreduce_lite::{map_reduce, JobConfig};
     pub use ngs_core::{Phred, Read};
     pub use ngs_eval::{
         adjusted_rand_index, clusters_to_partition, detection_curve, evaluate_correction,

@@ -195,11 +195,6 @@ impl SpanStat {
         self.cpu_self_samples = self.cpu_self_samples.saturating_add(other.cpu_self_samples);
         self.cpu_total_samples = self.cpu_total_samples.saturating_add(other.cpu_total_samples);
     }
-
-    /// Total wall time as fractional seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_ns as f64 / 1e9
-    }
 }
 
 /// An immutable metrics snapshot for one pipeline run.

@@ -359,17 +359,6 @@ impl Tracer {
         TraceSpan { tracer: self, id: self.begin_under(name, parent) }
     }
 
-    /// RAII span under an explicit parent, with a detail annotation.
-    pub fn span_under_detail<'t>(
-        &'t self,
-        name: &str,
-        parent: SpanId,
-        detail: &str,
-    ) -> TraceSpan<'t> {
-        self.profile_enter(name);
-        TraceSpan { tracer: self, id: self.begin_under_detail(name, parent, detail) }
-    }
-
     /// Every event recorded so far, in global `seq` order. Snapshots (does
     /// not drain), so it can be called mid-run.
     pub fn events(&self) -> Vec<TraceEvent> {

@@ -35,7 +35,15 @@ impl EmState {
         if r.get_str()? != STATE_MAGIC {
             return Err(NgsError::MalformedRecord("EM state: bad magic or version".into()));
         }
-        let converged = r.get_u8()? != 0;
+        let converged = match r.get_u8()? {
+            0 => false,
+            1 => true,
+            other => {
+                return Err(NgsError::MalformedRecord(format!(
+                    "EM state: converged flag {other} is neither 0 nor 1"
+                )))
+            }
+        };
         let iterations = r.get_usize()?;
         let prev_ll = r.get_f64()?;
         let loglik_trace = r.get_f64_vec()?;
@@ -219,6 +227,34 @@ mod tests {
         redirected[s + 1] = free;
         redirected[s + 1..offsets[long_row + 1] as usize].sort_unstable();
         assert!(error(redirected).contains("reverse"));
+    }
+
+    /// Every truncation of an EM state is an error, and every flip within a
+    /// byte either is an error or loads a state that writes the flipped
+    /// bytes back — so a corrupt `converged` flag cannot resume an
+    /// unfinished EM as finished.
+    #[test]
+    fn em_state_truncations_and_byte_flips_are_errors_or_round_trip() {
+        let state = EmState {
+            t: vec![1.5, 0.25, 7.0],
+            prev_ll: -12.5,
+            loglik_trace: vec![-20.0, -12.5],
+            iterations: 2,
+            converged: false,
+        };
+        let bytes = state.to_bytes();
+        for len in 0..bytes.len() {
+            assert!(EmState::from_bytes(&bytes[..len]).is_err(), "truncated to {len}");
+        }
+        for at in 0..bytes.len() {
+            for flip in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+                let mut bad = bytes.clone();
+                bad[at] ^= flip;
+                if let Ok(s) = EmState::from_bytes(&bad) {
+                    assert_eq!(s.to_bytes(), bad, "byte {at} ^ {flip:#x}");
+                }
+            }
+        }
     }
 
     /// Every truncation and every single-byte flip of a model snapshot

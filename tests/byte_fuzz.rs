@@ -1,14 +1,15 @@
 //! Byte-level fuzzing of the parsers that read untrusted bytes: the
-//! FASTQ/FASTA readers, the MRW1 decoders (spill frames and the worker
-//! protocol), the checkpoint manifest, the JSONL trace reader and the
-//! `BENCH_*.json` report readers. Valid encodings are mutated — bytes
-//! substituted, the buffer truncated, the formats' own delimiters `@+>\n\r`
-//! inserted — and every mutant must decode to `Ok`, a typed `Err` or a
-//! checkpoint miss, never a panic.
+//! FASTQ/FASTA readers, the MRW1 decoders (task frames and the worker
+//! protocol), the fault plan a worker gets in its `Setup`, the checkpoint
+//! manifest, the JSONL trace reader and the `BENCH_*.json` report readers.
+//! Valid encodings are mutated — bytes substituted, the buffer truncated,
+//! the formats' own delimiters `@+>\n\r` inserted — and every mutant must
+//! decode to `Ok`, a typed `Err`, a checkpoint miss or a `None` plan, never
+//! a panic.
 
 use mapreduce_lite::codec::{decode_all, decode_frames, encode_all, encode_frames};
 use mapreduce_lite::protocol::read_frame;
-use mapreduce_lite::Message;
+use mapreduce_lite::{FaultKind, FaultPlan, Message, Stage};
 use ngs_core::Read;
 use ngs_durable::{CheckpointStore, Fingerprint};
 use ngs_observe::traceview::{check_well_formed, parse_jsonl};
@@ -226,6 +227,24 @@ proptest! {
         for frame in &frames {
             let payload = read_frame(&mut &frame[..]).unwrap();
             let _ = Message::from_payload(&mutate(payload, &edits));
+        }
+    }
+
+    #[test]
+    fn fault_plan_decoder_types_every_mutant(
+        seed in any::<u64>(),
+        p in 0.0f64..=1.0,
+        seeded in any::<bool>(),
+        edits in proptest::collection::vec(mutation(), 1..6),
+    ) {
+        let base = if seeded { FaultPlan::seeded(seed, p) } else { FaultPlan::none() };
+        let plan = base
+            .with_fault(Stage::Map, (seed % 7) as usize, 0, FaultKind::Panic)
+            .with_fault(Stage::Shuffle, 1, (seed % 3) as u32, FaultKind::StallHeartbeat)
+            .with_fault(Stage::Reduce, 2, 1, FaultKind::CorruptFrame);
+        // A mutant decodes to a plan or to `None`; it never panics.
+        if let Some(back) = FaultPlan::from_bytes(&mutate(plan.to_bytes(), &edits)) {
+            let _ = back.fault_for(Stage::Map, 0, 0);
         }
     }
 

@@ -1,9 +1,9 @@
-//! Acceptance tests for the fault-tolerance layer: task retries, spill
-//! integrity, and the full CLOSET pipeline running correctly under
-//! injected faults.
+//! Acceptance tests for the fault-tolerance layer: task retries, exhausted
+//! attempts as typed errors, and the full CLOSET pipeline running correctly
+//! under injected faults.
 
 use ngs::mapreduce::codec::encode_frames;
-use ngs::mapreduce::{map_reduce_simple, FaultKind, FaultPlan, JobConfig, Stage};
+use ngs::mapreduce::{map_reduce, FaultKind, FaultPlan, JobConfig, Stage};
 use ngs::prelude::*;
 use std::time::Duration;
 
@@ -13,12 +13,13 @@ fn kmer_count_job(
     cfg: &JobConfig,
     reads: &[Read],
 ) -> Result<(Vec<(u64, u32)>, ngs::mapreduce::JobStats), ngs::mapreduce::JobError> {
-    map_reduce_simple(
+    map_reduce(
         cfg,
         reads,
         |r: &Read, emit: &mut dyn FnMut(u64, u32)| {
             ngs::kmer::for_each_kmer(&r.seq, 11, |_, v| emit(v, 1));
         },
+        None,
         |k: &u64, vs: Vec<u32>, emit: &mut dyn FnMut((u64, u32))| emit((*k, vs.len() as u32)),
     )
 }
@@ -58,29 +59,7 @@ fn map_panic_retried_with_byte_identical_output() {
     assert_eq!(encode_frames(&clean), encode_frames(&faulty));
 }
 
-// (b) A corrupted spill frame is detected by its checksum and the job is
-// still correct.
-#[test]
-fn corrupted_spill_frame_detected_and_repaired() {
-    let reads = test_reads(2);
-    let dir = std::env::temp_dir().join(format!("ft_spill_{}", std::process::id()));
-
-    let (mut clean, _) = kmer_count_job(&JobConfig::with_workers(3), &reads).expect("clean job");
-    clean.sort_unstable();
-
-    let mut cfg = fast_retry(JobConfig::with_workers(3));
-    cfg.spill_dir = Some(dir.clone());
-    cfg.fault_plan = FaultPlan::none().with_fault(Stage::Map, 1, 0, FaultKind::CorruptFrame);
-    let (mut out, stats) = kmer_count_job(&cfg, &reads).expect("job must recover");
-    out.sort_unstable();
-    let _ = std::fs::remove_dir_all(dir);
-
-    assert!(stats.corrupt_frames >= 1, "checksum must catch the corrupt frame");
-    assert_eq!(stats.retried_tasks, 1);
-    assert_eq!(out, clean);
-}
-
-// (c) A task that fails `max_attempts` times yields `Err(JobError)` — no
+// (b) A task that fails `max_attempts` times yields `Err(JobError)` — no
 // panic escapes `map_reduce`.
 #[test]
 fn exhausted_attempts_yield_err_not_panic() {
@@ -100,7 +79,7 @@ fn exhausted_attempts_yield_err_not_panic() {
     assert!(err.last_error.contains("injected panic"), "{}", err.last_error);
 }
 
-// Reduce-stage variant of (c): injected I/O errors exhaust attempts too.
+// Reduce-stage variant of (b): injected I/O errors exhaust attempts too.
 #[test]
 fn exhausted_reduce_attempts_yield_err() {
     let reads = test_reads(4);
@@ -169,25 +148,4 @@ fn closet_pipeline_correct_under_injected_faults() {
         };
         assert_eq!(verts(cl_f), verts(cl_c), "clusters differ at t={t_f}");
     }
-}
-
-// Spill mode + seeded faults together: the disk path with random panics,
-// I/O errors, and frame corruption still produces correct output.
-#[test]
-fn spill_mode_with_seeded_faults_is_correct() {
-    let reads = test_reads(6);
-    let (mut clean, _) = kmer_count_job(&JobConfig::with_workers(4), &reads).expect("clean job");
-    clean.sort_unstable();
-
-    let dir = std::env::temp_dir().join(format!("ft_seeded_{}", std::process::id()));
-    for seed in [1u64, 7, 42] {
-        let mut cfg = fast_retry(JobConfig::with_workers(4));
-        cfg.spill_dir = Some(dir.clone());
-        cfg.fault_plan = FaultPlan::seeded(seed, 0.4);
-        let (mut out, _) =
-            kmer_count_job(&cfg, &reads).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        out.sort_unstable();
-        assert_eq!(out, clean, "seed {seed} changed the result");
-    }
-    let _ = std::fs::remove_dir_all(dir);
 }

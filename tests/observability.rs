@@ -4,7 +4,7 @@
 //! unchanged through `record_job_stats` into the report and its JSON.
 
 use ngs::mapreduce::{
-    map_reduce_simple, record_job_stats, FaultKind, FaultPlan, JobConfig, JobStats, Stage,
+    map_reduce, record_job_stats, FaultKind, FaultPlan, JobConfig, JobStats, Stage,
 };
 use ngs::observe::{Collector, LogHistogram, Report, SpanStat};
 use proptest::collection::vec;
@@ -18,7 +18,7 @@ use std::time::Duration;
 const NAMES: &[&str] = &["a", "b.c", "b.d", "e.f.g", "h"];
 
 fn arb_job_stats() -> impl Strategy<Value = JobStats> {
-    vec(0u64..1_000_000, 21).prop_map(|v| JobStats {
+    vec(0u64..1_000_000, 19).prop_map(|v| JobStats {
         map_input_records: v[0],
         map_output_records: v[1],
         combine_output_records: v[2],
@@ -28,18 +28,16 @@ fn arb_job_stats() -> impl Strategy<Value = JobStats> {
         map_time: Duration::from_nanos(v[6]),
         shuffle_time: Duration::from_nanos(v[7]),
         reduce_time: Duration::from_nanos(v[8]),
-        spilled_bytes: v[9],
-        task_failures: v[10],
-        retried_tasks: v[11],
-        corrupt_frames: v[12],
-        map_tasks_resumed: v[13],
-        worker_deaths: v[14],
-        workers_respawned: v[15],
-        tasks_reassigned: v[16],
-        pool_spawns: v[17],
-        pool_sessions: v[18],
-        wire_bytes_sent: v[19],
-        wire_bytes_received: v[20],
+        task_failures: v[9],
+        retried_tasks: v[10],
+        corrupt_frames: v[11],
+        worker_deaths: v[12],
+        workers_respawned: v[13],
+        tasks_reassigned: v[14],
+        pool_spawns: v[15],
+        pool_sessions: v[16],
+        wire_bytes_sent: v[17],
+        wire_bytes_received: v[18],
     })
 }
 
@@ -217,7 +215,7 @@ fn fault_counters_surface_through_report_and_json() {
     let collector = std::sync::Arc::new(Collector::new());
     cfg.collector = Some(collector.clone());
 
-    let (_, stats) = map_reduce_simple(
+    let (_, stats) = map_reduce(
         &cfg,
         &docs,
         |doc: &&str, emit: &mut dyn FnMut(String, u64)| {
@@ -225,6 +223,7 @@ fn fault_counters_surface_through_report_and_json() {
                 emit(w.to_string(), 1u64);
             }
         },
+        None,
         |k: &String, vs: Vec<u64>, emit| emit((k.clone(), vs.iter().sum::<u64>())),
     )
     .expect("job must recover from injected faults");

@@ -1,7 +1,7 @@
 //! Integration across substrate crates: seqio ↔ simulate ↔ kmer ↔
 //! mapreduce consistency.
 
-use ngs::mapreduce::{map_reduce_simple, JobConfig};
+use ngs::mapreduce::{map_reduce, JobConfig};
 use ngs::prelude::*;
 
 #[test]
@@ -25,12 +25,13 @@ fn mapreduce_kmer_count_equals_kspectrum() {
         ReadSimConfig::with_coverage(genome.len(), 40, 20.0, ErrorModel::uniform(40, 0.01), 3);
     let sim = simulate_reads(&genome, &cfg);
     let k = 13;
-    let (counts, _) = map_reduce_simple(
+    let (counts, _) = map_reduce(
         &JobConfig::with_workers(4),
         &sim.reads,
         |r: &Read, emit: &mut dyn FnMut(u64, u32)| {
             ngs::kmer::for_each_kmer(&r.seq, k, |_, v| emit(v, 1));
         },
+        None,
         |kmer: &u64, vs: Vec<u32>, emit: &mut dyn FnMut((u64, u32))| emit((*kmer, vs.len() as u32)),
     )
     .expect("k-mer count job");

@@ -4,7 +4,7 @@
 //! failures included — and a full CLOSET run's trace agrees span-for-span
 //! with the aggregate metrics the collector records for the same run.
 
-use ngs::mapreduce::{map_reduce_simple, FaultKind, FaultPlan, JobConfig, Stage};
+use ngs::mapreduce::{map_reduce, FaultKind, FaultPlan, JobConfig, Stage};
 use ngs::observe::traceview::{self, SpanNode};
 use ngs::observe::{Collector, SpanId, Tracer};
 use ngs::prelude::*;
@@ -61,12 +61,13 @@ fn counting_job(
     cfg: &JobConfig,
     reads: &[Read],
 ) -> Result<(Vec<(u64, u32)>, ngs::mapreduce::JobStats), ngs::mapreduce::JobError> {
-    map_reduce_simple(
+    map_reduce(
         cfg,
         reads,
         |r: &Read, emit: &mut dyn FnMut(u64, u32)| {
             ngs::kmer::for_each_kmer(&r.seq, 11, |_, v| emit(v, 1));
         },
+        None,
         |k: &u64, vs: Vec<u32>, emit: &mut dyn FnMut((u64, u32))| emit((*k, vs.len() as u32)),
     )
 }
