@@ -2,8 +2,9 @@
 //!
 //! Every table and figure of the paper's evaluation sections maps to one
 //! binary in `src/bin/` (see `DESIGN.md`'s per-experiment index); the
-//! recipes for the scaled datasets live here so experiment binaries and
-//! Criterion benches agree on workloads.
+//! recipes for the scaled datasets live here, shared by those binaries.
+//! Their time columns are stopwatch readings; timing evidence is
+//! `ngs-benchmark`'s (`benchmark/`).
 
 pub mod ch2;
 pub mod ch3;
@@ -13,9 +14,4 @@ pub mod datasets;
 /// Render a row of right-aligned columns for the experiment printouts.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect::<Vec<_>>().join("  ")
-}
-
-/// Duration as fractional seconds for table cells.
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
 }

@@ -16,8 +16,8 @@ USAGE:
 OPTIONS:
   --input PATH          input reads (.fasta or .fastq)            [required]
   --output PATH         TSV: threshold, cluster id, read ids      [required]
-  --thresholds LIST     decreasing similarity series              [default: 0.8,0.7,0.6]
-  --gamma F             quasi-clique density                      [default: 0.6667]
+  --thresholds LIST     strictly decreasing series in [0, 1]      [default: 0.8,0.7,0.6]
+  --gamma F             quasi-clique density in (0, 1]            [default: 0.6667]
   --workers N           MapReduce worker threads                  [default: all cores]
   --mr-workers N        run sketch jobs on N crash-survivable worker
                         *processes* instead of threads             [default: 0 = in-process]

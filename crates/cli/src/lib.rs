@@ -149,27 +149,15 @@ fn is_fasta_path(path: &str) -> bool {
 /// Read sequences from a path, dispatching on extension (`.fa`/`.fasta` →
 /// FASTA, anything else → FASTQ). Fails fast on the first malformed record.
 pub fn read_sequences(path: &str) -> Result<Vec<Read>> {
-    Ok(read_sequences_with_policy(path, MalformedPolicy::FailFast)?.0)
+    let disabled = ngs_observe::Collector::disabled();
+    Ok(read_sequences_observed(path, MalformedPolicy::FailFast, &disabled)?.0)
 }
 
-/// [`read_sequences`] under an explicit [`MalformedPolicy`]; also returns
-/// how many malformed records were skipped (always 0 under
+/// [`read_sequences`] under an explicit [`MalformedPolicy`], ticking the
+/// `seqio.bytes_read` / `seqio.records_read` counters on `collector` while
+/// reading, so a live progress meter has throughput and an ETA denominator.
+/// Also returns how many malformed records were skipped (always 0 under
 /// [`MalformedPolicy::FailFast`]).
-pub fn read_sequences_with_policy(
-    path: &str,
-    policy: MalformedPolicy,
-) -> Result<(Vec<Read>, usize)> {
-    let file = std::fs::File::open(path)?;
-    if is_fasta_path(path) {
-        ngs_seqio::read_fasta_with_policy(file, policy)
-    } else {
-        ngs_seqio::read_fastq_with_policy(file, policy)
-    }
-}
-
-/// [`read_sequences_with_policy`] ticking the `seqio.bytes_read` /
-/// `seqio.records_read` counters on `collector` while reading, so a live
-/// progress meter has throughput and an ETA denominator.
 pub fn read_sequences_observed(
     path: &str,
     policy: MalformedPolicy,
@@ -454,8 +442,12 @@ mod tests {
         std::fs::write(&path, "@r1\nACGT\n+\n!!!!\n@broken\nACGT\n@r2\nTTTT\n+\n!!!!\n").unwrap();
         let path = path.to_str().unwrap();
         assert!(read_sequences(path).is_err());
-        let (reads, skipped) =
-            read_sequences_with_policy(path, MalformedPolicy::Skip { max: 5 }).unwrap();
+        let (reads, skipped) = read_sequences_observed(
+            path,
+            MalformedPolicy::Skip { max: 5 },
+            &ngs_observe::Collector::disabled(),
+        )
+        .unwrap();
         assert!(!reads.is_empty());
         assert!(skipped >= 1);
         let _ = std::fs::remove_dir_all(dir);

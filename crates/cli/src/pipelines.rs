@@ -708,6 +708,17 @@ pub fn closet_cluster(args: &Args) -> Result<()> {
     let input = args.require("input")?;
     let output = args.require("output")?;
     let thresholds = args.get_f64_list("thresholds", &[0.8, 0.7, 0.6])?;
+    if !thresholds.iter().all(|t| (0.0..=1.0).contains(t))
+        || thresholds.windows(2).any(|w| w[0] <= w[1])
+    {
+        return Err(NgsError::InvalidParameter(format!(
+            "--thresholds: {thresholds:?} must lie in [0, 1] and be strictly decreasing"
+        )));
+    }
+    let gamma: f64 = args.get_parsed("gamma", closet::DEFAULT_GAMMA)?;
+    if gamma.is_nan() || gamma <= 0.0 || gamma > 1.0 {
+        return Err(NgsError::InvalidParameter(format!("--gamma: {gamma} must lie in (0, 1]")));
+    }
     let workers: usize =
         args.get_parsed("workers", std::thread::available_parallelism().map_or(4, |n| n.get()))?;
     let opts = DurabilityOpts::from_args(args)?;
@@ -724,7 +735,7 @@ pub fn closet_cluster(args: &Args) -> Result<()> {
     eprintln!("average read length {avg_len} bp");
 
     let mut params = closet::ClosetParams::standard(avg_len.max(32), thresholds, workers);
-    params.gamma = args.get_parsed("gamma", params.gamma)?;
+    params.gamma = gamma;
     if args.has_flag("align") {
         params.validator = closet::Validator::Alignment { min_overlap: 50 };
     }

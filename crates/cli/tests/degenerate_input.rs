@@ -1,7 +1,8 @@
 //! `reptile-correct` and `closet-cluster` on input with nothing to work
 //! on: an empty FASTQ, reads of N bases only, and reads shorter than `k`.
 //! Both exit 0; Reptile writes its input back unchanged, and CLOSET's
-//! table is its header alone at every threshold.
+//! table is its header alone at every threshold. A bad `closet-cluster`
+//! threshold series or density is a usage error, not a panic or a run.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -69,4 +70,34 @@ fn closet_finds_no_cluster_in_degenerate_input() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+#[test]
+fn closet_rejects_bad_thresholds_and_gamma_as_usage_errors() {
+    let dir = test_dir("closet", "bad_flags");
+    let (input, output) = (dir.join("reads.fastq"), dir.join("clusters.tsv"));
+    std::fs::write(&input, CASES[2].1).unwrap();
+    for (flag, value) in [
+        ("--thresholds", "0.7,0.8"),
+        ("--thresholds", "0.8,NaN"),
+        ("--thresholds", "NaN"),
+        ("--thresholds", "inf"),
+        ("--thresholds", "1.5,0.7"),
+        ("--thresholds", "-1"),
+        ("--gamma", "NaN"),
+        ("--gamma", "2"),
+        ("--gamma", "0"),
+        ("--gamma", "-1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_closet-cluster"))
+            .args(["--input", input.to_str().unwrap(), "--output", output.to_str().unwrap()])
+            .args([flag, value])
+            .output()
+            .expect("spawn the CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        assert!(!output.exists(), "{flag} {value} wrote {}", output.display());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -38,6 +38,10 @@ use mapreduce_lite::{JobConfig, JobError, JobStats, PoolConfig};
 use ngs_core::Read;
 use std::time::{Duration, Instant};
 
+/// The paper's quasi-clique density γ = 2/3, the one
+/// [`ClosetParams::standard`] sets.
+pub const DEFAULT_GAMMA: f64 = 2.0 / 3.0;
+
 /// Full CLOSET configuration.
 #[derive(Debug, Clone)]
 pub struct ClosetParams {
@@ -78,7 +82,7 @@ impl ClosetParams {
                 cmin: 0.6,
             },
             validator: Validator::KmerContainment { k: 15 },
-            gamma: 2.0 / 3.0,
+            gamma: DEFAULT_GAMMA,
             thresholds,
             job: JobConfig::with_workers(workers),
             pool: None,

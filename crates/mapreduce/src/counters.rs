@@ -62,11 +62,6 @@ pub struct JobStats {
 }
 
 impl JobStats {
-    /// Total wall time across phases.
-    pub fn total_time(&self) -> Duration {
-        self.map_time + self.shuffle_time + self.reduce_time
-    }
-
     /// Fold another job's counters into this one (for multi-job pipelines).
     pub fn merge(&mut self, other: &JobStats) {
         self.map_input_records += other.map_input_records;
@@ -158,7 +153,6 @@ mod tests {
         assert_eq!(a.workers_respawned, 1);
         assert_eq!(a.tasks_reassigned, 3);
         assert_eq!(a.map_time, Duration::from_millis(5));
-        assert_eq!(a.total_time(), Duration::from_millis(5));
     }
 
     #[test]

@@ -17,11 +17,6 @@ pub struct MemoryProbe {
 }
 
 impl MemoryProbe {
-    /// Whether either field carries a reading.
-    pub fn is_available(&self) -> bool {
-        self.rss_bytes.is_some() || self.peak_rss_bytes.is_some()
-    }
-
     /// Fold another probe in by taking per-field maxima, treating `None`
     /// as absent rather than zero (the only merge that is meaningful for
     /// point samples, and it keeps report merging associative and
@@ -89,7 +84,6 @@ mod tests {
         assert_eq!(a, MemoryProbe { rss_bytes: Some(15), peak_rss_bytes: Some(20) });
 
         let mut unavailable = MemoryProbe::default();
-        assert!(!unavailable.is_available());
         unavailable.merge(&MemoryProbe::default());
         assert_eq!(unavailable, MemoryProbe::default(), "None never becomes Some(0)");
         unavailable.merge(&a);

@@ -552,28 +552,6 @@ pub fn merge_folded<I: IntoIterator<Item = BTreeMap<String, u64>>>(
     out
 }
 
-/// Share of on-CPU samples whose stack contains the frame `span` —
-/// the CI profile-gate predicate. 0.0 when there are no on-CPU samples.
-pub fn oncpu_span_share(folded: &BTreeMap<String, u64>, span: &str) -> f64 {
-    let mut total = 0u64;
-    let mut hits = 0u64;
-    for (stack, &count) in folded {
-        let mut frames = stack.split(';');
-        if frames.next() != Some("oncpu") {
-            continue;
-        }
-        total += count;
-        if frames.any(|f| f == span) {
-            hits += count;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
 // ------------------------------------------------------ flamegraph (SVG)
 
 #[derive(Default)]
@@ -863,14 +841,6 @@ mod tests {
         assert!(err.contains("line 1"), "got: {err}");
         let err = parse_folded("oncpu;x notanumber\n").unwrap_err();
         assert!(err.contains("not a number"), "got: {err}");
-    }
-
-    #[test]
-    fn oncpu_share_counts_only_oncpu_stacks() {
-        let folded = parse_folded("oncpu;a;b 30\noncpu;c 10\noffcpu;a 60\n").unwrap();
-        let share = oncpu_span_share(&folded, "a");
-        assert!((share - 0.75).abs() < 1e-9, "got {share}");
-        assert_eq!(oncpu_span_share(&BTreeMap::new(), "a"), 0.0);
     }
 
     #[test]

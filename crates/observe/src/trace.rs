@@ -593,11 +593,6 @@ impl TraceContext {
         TraceContext { tracer, parent }
     }
 
-    /// Context with an explicit parent.
-    pub fn with_parent(tracer: Arc<Tracer>, parent: SpanId) -> TraceContext {
-        TraceContext { tracer, parent }
-    }
-
     /// The underlying tracer.
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
@@ -671,7 +666,7 @@ mod tests {
     fn context_crosses_threads() {
         let tracer = Arc::new(Tracer::new());
         let stage = tracer.span("stage");
-        let ctx = TraceContext::with_parent(tracer.clone(), stage.id());
+        let ctx = TraceContext::new(tracer.clone());
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 let ctx = ctx.clone();

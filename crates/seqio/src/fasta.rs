@@ -152,20 +152,7 @@ pub fn read_fasta<R: std::io::Read>(source: R) -> Result<Vec<Read>> {
 }
 
 /// Read all records under `policy`, returning the reads and the number of
-/// malformed records skipped.
-pub fn read_fasta_with_policy<R: std::io::Read>(
-    source: R,
-    policy: MalformedPolicy,
-) -> Result<(Vec<Read>, usize)> {
-    let mut reader = FastaReader::with_policy(source, policy);
-    let mut reads = Vec::new();
-    while let Some(r) = reader.next_record()? {
-        reads.push(r);
-    }
-    Ok((reads, reader.skipped_records()))
-}
-
-/// Like [`read_fasta_with_policy`], but ticks the `seqio.bytes_read` /
+/// malformed records skipped. Ticks the `seqio.bytes_read` /
 /// `seqio.records_read` counters on `collector` every
 /// [`crate::OBSERVE_FLUSH_RECORDS`] records (and once at the end), so a
 /// progress meter polling the collector sees throughput while the read is
@@ -244,6 +231,7 @@ pub fn write_fasta<W: Write>(sink: W, reads: &[Read], line_width: usize) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ngs_observe::Collector;
 
     #[test]
     fn parses_multiline_records() {
@@ -285,8 +273,12 @@ mod tests {
     #[test]
     fn skip_policy_resyncs_at_next_header() {
         let data = b"garbage before\nany header\n>x\nACGT\n>y\nGG\n";
-        let (reads, skipped) =
-            read_fasta_with_policy(&data[..], MalformedPolicy::Skip { max: 3 }).unwrap();
+        let (reads, skipped) = read_fasta_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 3 },
+            &Collector::disabled(),
+        )
+        .unwrap();
         assert_eq!(skipped, 1);
         assert_eq!(reads.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(), vec!["x", "y"]);
     }
@@ -294,7 +286,12 @@ mod tests {
     #[test]
     fn skip_budget_zero_behaves_like_fail_fast() {
         let data = b"garbage\n>x\nACGT\n";
-        assert!(read_fasta_with_policy(&data[..], MalformedPolicy::Skip { max: 0 }).is_err());
+        assert!(read_fasta_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 0 },
+            &Collector::disabled()
+        )
+        .is_err());
         let mut r = FastaReader::new(&data[..]);
         assert!(r.next().unwrap().is_err());
         assert_eq!(r.skipped_records(), 0);
@@ -303,8 +300,12 @@ mod tests {
     #[test]
     fn skip_policy_all_garbage_ends_cleanly() {
         let data = b"no headers here\nat all\n";
-        let (reads, skipped) =
-            read_fasta_with_policy(&data[..], MalformedPolicy::Skip { max: 5 }).unwrap();
+        let (reads, skipped) = read_fasta_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 5 },
+            &Collector::disabled(),
+        )
+        .unwrap();
         assert!(reads.is_empty());
         assert_eq!(skipped, 1);
     }

@@ -293,20 +293,7 @@ pub fn read_fastq<R: std::io::Read>(source: R) -> Result<Vec<Read>> {
 }
 
 /// Read all records under `policy`, returning the reads and the number of
-/// malformed records skipped.
-pub fn read_fastq_with_policy<R: std::io::Read>(
-    source: R,
-    policy: MalformedPolicy,
-) -> Result<(Vec<Read>, usize)> {
-    let mut reader = FastqReader::with_policy(source, policy);
-    let mut reads = Vec::new();
-    while let Some(r) = reader.next_record()? {
-        reads.push(r);
-    }
-    Ok((reads, reader.skipped_records()))
-}
-
-/// Like [`read_fastq_with_policy`], but ticks the `seqio.bytes_read` /
+/// malformed records skipped. Ticks the `seqio.bytes_read` /
 /// `seqio.records_read` counters on `collector` every
 /// [`crate::OBSERVE_FLUSH_RECORDS`] records (and once at the end), so a
 /// progress meter polling the collector sees throughput while the read is
@@ -404,6 +391,7 @@ pub fn write_fastq<W: Write>(sink: W, reads: &[Read]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ngs_observe::Collector;
 
     #[test]
     fn parses_basic_record() {
@@ -544,8 +532,12 @@ mod tests {
     fn skip_policy_recovers_good_records_around_bad_one() {
         // Record 1 has a seq/qual length mismatch; records 0 and 2 are fine.
         let data = b"@r1\nACGT\n+\nIIII\n@bad\nGGTT\n+\nII\n@r3\nCC\n+\nII\n";
-        let (reads, skipped) =
-            read_fastq_with_policy(&data[..], MalformedPolicy::Skip { max: 10 }).unwrap();
+        let (reads, skipped) = read_fastq_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 10 },
+            &Collector::disabled(),
+        )
+        .unwrap();
         assert_eq!(skipped, 1);
         assert_eq!(reads.len(), 2);
         assert_eq!(reads[0].id, "r1");
@@ -555,8 +547,12 @@ mod tests {
     #[test]
     fn skip_policy_resyncs_past_garbage_lines() {
         let data = b"@r1\nAC\n+\nII\nnot a header\nstill not\n@r2\nGG\n+\nII\n";
-        let (reads, skipped) =
-            read_fastq_with_policy(&data[..], MalformedPolicy::Skip { max: 10 }).unwrap();
+        let (reads, skipped) = read_fastq_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 10 },
+            &Collector::disabled(),
+        )
+        .unwrap();
         assert_eq!(skipped, 1);
         assert_eq!(reads.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(), vec!["r1", "r2"]);
     }
@@ -565,15 +561,23 @@ mod tests {
     fn skip_budget_exhaustion_is_an_error() {
         let data = b"@b1\nACGT\n+\nII\n@b2\nACGT\n+\nII\n@r\nCC\n+\nII\n";
         // Budget 1 covers the first bad record but not the second.
-        match read_fastq_with_policy(&data[..], MalformedPolicy::Skip { max: 1 }) {
+        match read_fastq_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 1 },
+            &Collector::disabled(),
+        ) {
             Err(NgsError::MalformedRecord(msg)) => {
                 assert!(msg.contains("skip budget of 1 exhausted"), "{msg:?}");
             }
             other => panic!("expected budget error, got {other:?}"),
         }
         // Budget 2 gets through to the good record.
-        let (reads, skipped) =
-            read_fastq_with_policy(&data[..], MalformedPolicy::Skip { max: 2 }).unwrap();
+        let (reads, skipped) = read_fastq_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 2 },
+            &Collector::disabled(),
+        )
+        .unwrap();
         assert_eq!(skipped, 2);
         assert_eq!(reads.len(), 1);
         assert_eq!(reads[0].id, "r");
@@ -614,8 +618,12 @@ mod tests {
         // The final record is truncated mid-stream; skip policy consumes it
         // and ends cleanly at EOF.
         let data = b"@r1\nAC\n+\nII\n@r2\nGGTT\n";
-        let (reads, skipped) =
-            read_fastq_with_policy(&data[..], MalformedPolicy::Skip { max: 5 }).unwrap();
+        let (reads, skipped) = read_fastq_observed(
+            &data[..],
+            MalformedPolicy::Skip { max: 5 },
+            &Collector::disabled(),
+        )
+        .unwrap();
         assert_eq!(skipped, 1);
         assert_eq!(reads.len(), 1);
         assert_eq!(reads[0].id, "r1");

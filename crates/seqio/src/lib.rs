@@ -8,12 +8,8 @@
 pub mod fasta;
 pub mod fastq;
 
-pub use fasta::{
-    read_fasta, read_fasta_observed, read_fasta_with_policy, write_fasta, FastaReader, FastaWriter,
-};
-pub use fastq::{
-    read_fastq, read_fastq_observed, read_fastq_with_policy, write_fastq, FastqReader, FastqWriter,
-};
+pub use fasta::{read_fasta, read_fasta_observed, write_fasta, FastaReader, FastaWriter};
+pub use fastq::{read_fastq, read_fastq_observed, write_fastq, FastqReader, FastqWriter};
 
 /// The `*_observed` readers fold their `seqio.bytes_read` /
 /// `seqio.records_read` counters into the collector every this many records
