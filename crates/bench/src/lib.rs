@@ -10,8 +10,3 @@ pub mod ch2;
 pub mod ch3;
 pub mod ch4;
 pub mod datasets;
-
-/// Render a row of right-aligned columns for the experiment printouts.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect::<Vec<_>>().join("  ")
-}

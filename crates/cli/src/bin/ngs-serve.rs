@@ -14,8 +14,9 @@ const USAGE: &str = "ngs-serve — long-lived Reptile correction server
 Loads (or warm-starts) the Phase-1 index once, prints
 `ngs-serve: listening on ENDPOINT` to stdout when ready, then serves
 correction requests until SIGTERM/SIGINT, draining in-flight work before
-exiting 0. Admission is bounded: when the queue is full the server replies
-`Overloaded` instead of buffering.
+exiting 0. Each connection's requests are corrected on its own thread, at
+most --workers at once; admission is bounded: when --queue-capacity
+requests already wait, the server replies `Overloaded` instead of buffering.
 
 USAGE:
   ngs-serve --input reads.fastq --listen unix:/tmp/ngs.sock [options]
@@ -27,8 +28,8 @@ OPTIONS:
   --genome-len N          genome length estimate (sets k)         [default: 1000000]
   --k N                   k-mer length override (1..=16)
   --d N                   max Hamming distance (1 or 2)           [default: 1]
-  --workers N             correction worker threads               [default: all cores]
-  --queue-capacity N      admission queue depth before Overloaded [default: 64]
+  --workers N             requests corrected at once              [default: all cores]
+  --queue-capacity N      requests waiting before Overloaded      [default: 64]
   --default-deadline-ms N deadline for requests that carry 0      [default: 10000]
   --max-reads-per-request N                                       [default: 100000]
   --idle-timeout-ms N     disconnect peers silent mid-frame       [default: 30000]

@@ -18,10 +18,12 @@
 //! instead of re-flooding the server in lockstep.
 
 use crate::conn::{Conn, Endpoint};
-use crate::proto::ServeMessage;
+use crate::proto::{encode_correct, ServeMessage};
+use mapreduce_lite::protocol::encode_frame;
 use ngs_core::Read;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
+use std::io::Write as _;
 use std::time::Duration;
 
 /// Client tuning.
@@ -145,8 +147,10 @@ impl Client {
     ) -> Result<CorrectedBatch, ClientError> {
         let request_id = self.next_id;
         self.next_id += 1;
-        let request = ServeMessage::Correct { request_id, deadline_ms, reads: reads.to_vec() };
-        let reply = self.call(&request)?;
+        // Framed once from the borrowed reads; every attempt resends it.
+        let mut payload = Vec::new();
+        encode_correct(request_id, deadline_ms, reads, &mut payload);
+        let reply = self.call(request_id, &encode_frame(&payload))?;
         match reply.0 {
             ServeMessage::Corrected { reads, bases_changed, reads_changed, .. } => {
                 Ok(CorrectedBatch { reads, bases_changed, reads_changed, attempts: reply.1 })
@@ -159,7 +163,8 @@ impl Client {
     pub fn ping(&mut self) -> Result<(u64, u64), ClientError> {
         let request_id = self.next_id;
         self.next_id += 1;
-        let reply = self.call(&ServeMessage::Ping { request_id })?;
+        let reply =
+            self.call(request_id, &encode_frame(&ServeMessage::Ping { request_id }.to_payload()))?;
         match reply.0 {
             ServeMessage::Pong { k, distinct_kmers, .. } => Ok((k, distinct_kmers)),
             other => Err(unexpected(other)),
@@ -170,7 +175,8 @@ impl Client {
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
         let request_id = self.next_id;
         self.next_id += 1;
-        let reply = self.call(&ServeMessage::Stats { request_id })?;
+        let reply =
+            self.call(request_id, &encode_frame(&ServeMessage::Stats { request_id }.to_payload()))?;
         match reply.0 {
             ServeMessage::StatsReply {
                 queue_depth,
@@ -206,24 +212,23 @@ impl Client {
         }
     }
 
-    /// Run one request through the retry policy. Returns the terminal
-    /// reply (already filtered: only success variants reach the caller)
-    /// and the number of attempts taken.
-    fn call(&mut self, request: &ServeMessage) -> Result<(ServeMessage, u32), ClientError> {
+    /// Run one framed request through the retry policy. Returns the
+    /// terminal reply (already filtered: only success variants reach the
+    /// caller) and the number of attempts taken.
+    fn call(&mut self, request_id: u64, frame: &[u8]) -> Result<(ServeMessage, u32), ClientError> {
         let mut last = String::from("no attempt made");
         for attempt in 0..self.config.max_attempts {
             if attempt > 0 {
                 self.retries += 1;
                 std::thread::sleep(self.backoff(attempt));
             }
-            match self.attempt(request) {
+            match self.attempt(frame) {
                 Attempt::Done(reply) => {
-                    if reply.request_id() != request.request_id() {
+                    if reply.request_id() != request_id {
                         self.conn = None;
                         return Err(ClientError::Protocol(format!(
-                            "reply for request {} while waiting for {}",
+                            "reply for request {} while waiting for {request_id}",
                             reply.request_id(),
-                            request.request_id()
                         )));
                     }
                     return match reply {
@@ -246,7 +251,7 @@ impl Client {
     }
 
     /// One wire round-trip (connect if needed, send, await the reply).
-    fn attempt(&mut self, request: &ServeMessage) -> Attempt {
+    fn attempt(&mut self, frame: &[u8]) -> Attempt {
         let conn = match &mut self.conn {
             Some(c) => c,
             None => match self.endpoint.connect() {
@@ -254,7 +259,7 @@ impl Client {
                 Err(e) => return Attempt::Retry { why: format!("connect: {e}"), reconnect: true },
             },
         };
-        if let Err(e) = request.write_to(conn) {
+        if let Err(e) = conn.write_all(frame) {
             return Attempt::Retry { why: format!("send: {e}"), reconnect: true };
         }
         match ServeMessage::read_from(conn) {
@@ -290,7 +295,6 @@ fn unexpected(reply: ServeMessage) -> ClientError {
 mod tests {
     use super::*;
     use crate::conn::{scratch_endpoint, Listener};
-    use std::io::Write as _;
 
     #[test]
     fn backoff_is_jittered_bounded_and_grows() {

@@ -13,9 +13,12 @@
 //! The robustness invariants, each enforced by a layer here and exercised
 //! by the `serve_chaos` suite in `ngs-cli`:
 //!
-//! * **Bounded admission** ([`queue::BoundedQueue`]) — a full queue
-//!   returns `Overloaded` immediately; the server never buffers more than
-//!   `queue_capacity + workers` requests, so RSS stays flat under floods.
+//! * **Bounded admission** ([`queue::AdmissionGate`]) — each connection's
+//!   handler corrects its own requests, at most `workers` at once, with at
+//!   most `queue_capacity` more waiting in arrival order; a full waiting
+//!   room returns `Overloaded` immediately, so the server never holds more
+//!   than `queue_capacity + workers` requests and RSS stays flat under
+//!   floods.
 //! * **Deadlines** ([`server`]) — each request carries a budget; expired
 //!   work is cancelled *between reads* and answered `DeadlineExceeded`,
 //!   never half-served.
@@ -24,6 +27,9 @@
 //!   connection.
 //! * **Graceful drain** ([`signal`]) — SIGTERM stops accepting, finishes
 //!   in-flight work, answers late arrivals `Draining`, and exits 0.
+//! * **A panic costs one request** ([`server`]) — correction runs under
+//!   `catch_unwind`; the request is answered `RequestError`, and its
+//!   admission permit is given back on unwind.
 //! * **Retrying client** ([`client::Client`]) — full-jitter exponential
 //!   backoff; `Overloaded`/`Draining`/torn connections are retryable,
 //!   `DeadlineExceeded`/`RequestError` are terminal.

@@ -71,6 +71,16 @@ fn decode_reads(inp: &mut &[u8]) -> Option<Vec<Read>> {
     Some(reads)
 }
 
+/// Encode the payload of a [`ServeMessage::Correct`] from borrowed reads,
+/// so a client can frame a request without first cloning the batch into
+/// the message. [`ServeMessage::to_payload`] encodes `Correct` through
+/// here, so the two are byte-identical.
+pub fn encode_correct(request_id: u64, deadline_ms: u64, reads: &[Read], out: &mut Vec<u8>) {
+    out.push(TAG_CORRECT);
+    (request_id, deadline_ms).encode(out);
+    encode_reads(reads, out);
+}
+
 /// One serving message. `request_id` is chosen by the client and echoed
 /// verbatim in every reply, so a client multiplexing requests can match
 /// responses (the bundled [`crate::client::Client`] sends one at a time).
@@ -96,10 +106,12 @@ pub enum ServeMessage {
         /// Reads with at least one change.
         reads_changed: u64,
     },
-    /// Server → client: the admission queue is full; retry with backoff.
+    /// Server → client: every correction slot is busy and the waiting room
+    /// is full; retry with backoff.
     Overloaded {
         request_id: u64,
-        /// Queue capacity at rejection time (a client-side tuning hint).
+        /// Waiting-room capacity at rejection time (a client-side tuning
+        /// hint).
         queue_capacity: u64,
     },
     /// Server → client: the deadline expired before (or while) correcting.
@@ -123,7 +135,7 @@ pub enum ServeMessage {
         distinct_kmers: u64,
     },
     /// Client → server: request a live operational snapshot. Never queued —
-    /// answered inline even when the admission queue is full, so an operator
+    /// answered inline even when admission is refusing, so an operator
     /// can see *why* requests are bouncing.
     Stats { request_id: u64 },
     /// Server → client: point-in-time snapshot of the server's collector.
@@ -131,9 +143,9 @@ pub enum ServeMessage {
     /// reads, so a live probe and the report agree within bucket tolerance.
     StatsReply {
         request_id: u64,
-        /// Requests currently waiting in the admission queue.
+        /// Requests currently waiting for a correction slot.
         queue_depth: u64,
-        /// Admission queue capacity (`--queue` at startup).
+        /// Waiting-room capacity (`--queue-capacity` at startup).
         queue_capacity: u64,
         /// Requests admitted and currently being corrected.
         in_flight: u64,
@@ -179,9 +191,7 @@ impl ServeMessage {
         let mut out = Vec::new();
         match self {
             ServeMessage::Correct { request_id, deadline_ms, reads } => {
-                out.push(TAG_CORRECT);
-                (*request_id, *deadline_ms).encode(&mut out);
-                encode_reads(reads, &mut out);
+                encode_correct(*request_id, *deadline_ms, reads, &mut out)
             }
             ServeMessage::Corrected { request_id, reads, bases_changed, reads_changed } => {
                 out.push(TAG_CORRECTED);
@@ -420,6 +430,25 @@ mod tests {
                 msg.request_id(),
                 ServeMessage::from_payload(&msg.to_payload()).unwrap().request_id()
             );
+        }
+    }
+
+    #[test]
+    fn borrowed_correct_frame_matches_the_owned_message() {
+        let with_qual = sample_messages().swap_remove(0);
+        let without_qual = ServeMessage::Correct {
+            request_id: 8,
+            deadline_ms: 0,
+            reads: vec![Read::new("r1", b"ACGTACGT"), Read::new("r2", b"TTGCA")],
+        };
+        let empty = ServeMessage::Correct { request_id: 9, deadline_ms: 5, reads: vec![] };
+        for msg in [with_qual, without_qual, empty] {
+            let ServeMessage::Correct { request_id, deadline_ms, reads } = &msg else {
+                unreachable!()
+            };
+            let mut payload = Vec::new();
+            encode_correct(*request_id, *deadline_ms, reads, &mut payload);
+            assert_eq!(encode_frame(&payload), encode_frame(&msg.to_payload()), "{msg:?}");
         }
     }
 

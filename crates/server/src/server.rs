@@ -1,49 +1,51 @@
-//! The correction server: accept loop, per-connection handlers, worker
-//! pool, admission control, deadlines, and graceful drain.
+//! The correction server: accept loop, per-connection handlers, admission
+//! control, deadlines, and graceful drain.
 //!
-//! Threading model (one thread per role, no shared mutable read state):
+//! Threading model (no shared mutable read state):
 //!
 //! ```text
-//! accept loop ──spawns──▶ handler (1/conn) ──try_push──▶ BoundedQueue
-//!      │                     ▲     │                        │ pop
-//!      │ polls drain flag    │     └── sole writer to conn  ▼
-//!      ▼                     └────── mpsc reply ◀──── worker (N threads)
+//! accept loop ──spawns──▶ handler (1/conn): read frame ─▶ AdmissionGate::enter
+//!      │                     │   ├─ Full ─▶ reply Overloaded
+//!      │ polls drain flag    │   └─ permit ─▶ correct ─▶ release ─▶ reply
+//!      ▼                     └── sole writer to its conn
 //! ```
 //!
 //! * The **handler** reads one request at a time through the incremental
 //!   [`FrameReader`], so a torn frame, checksum mismatch, or stalled peer
-//!   kills exactly that connection. It admits work with a non-blocking
-//!   [`BoundedQueue::try_push`] and replies `Overloaded` itself when the
-//!   queue is full — the server never buffers beyond
-//!   `queue_capacity + workers` requests, bounding memory under any flood.
-//! * **Workers** own the correction. They re-check the request deadline
-//!   when the item is popped (it may have expired while queued) and after
-//!   every read, so expired work is cancelled between reads and answered
-//!   with `DeadlineExceeded`, never half-served.
+//!   kills exactly that connection. It corrects the request itself, behind
+//!   the [`AdmissionGate`]: at most `workers` requests are corrected at
+//!   once and at most `queue_capacity` wait for a permit; anything beyond
+//!   is answered `Overloaded` at once — the server never holds more than
+//!   `queue_capacity + workers` admitted requests, bounding memory under
+//!   any flood.
+//! * The request **deadline** is checked once the permit is held (it may
+//!   have expired while waiting) and between every read, so expired work
+//!   is cancelled between reads and answered with `DeadlineExceeded`,
+//!   never half-served. A panic while correcting costs that request only.
 //! * **Drain** (SIGTERM → flag): the accept loop stops accepting, handlers
 //!   finish their in-flight request and reply `Draining` to anything that
-//!   arrives after the flag, the queue closes, workers drain what was
-//!   admitted, and `serve` returns a summary — exit 0.
+//!   arrives after the flag, `serve` joins them and returns a summary —
+//!   exit 0.
 
 use crate::conn::{ConnError, FrameReader, Listener, ReadOutcome};
 use crate::proto::ServeMessage;
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::{AdmissionGate, Full};
 use ngs_core::Read;
 use ngs_observe::{Collector, SpanId};
 use reptile::read_correct::correct_read;
 use reptile::{Reptile, ReptileStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`Server::serve`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Correction worker threads.
+    /// Requests corrected at once.
     pub workers: usize,
-    /// Admission queue capacity; the `queue_capacity + 1`-th concurrent
-    /// request is refused with `Overloaded`.
+    /// Requests that may wait for one of the `workers` slots; the next one
+    /// is refused with `Overloaded`.
     pub queue_capacity: usize,
     /// Deadline applied when a request carries `deadline_ms: 0`.
     pub default_deadline: Duration,
@@ -53,7 +55,7 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Poll cadence for the accept loop and frame reader (drain latency).
     pub poll_interval: Duration,
-    /// Test hook: request a drain after this many queue-served requests.
+    /// Test hook: request a drain after this many admitted requests.
     pub max_requests: Option<u64>,
 }
 
@@ -115,20 +117,9 @@ impl Counters {
     }
 }
 
-/// One admitted request travelling from a handler to a worker.
-struct Admitted {
-    request_id: u64,
-    reads: Vec<Read>,
-    deadline: Instant,
-    enqueued: Instant,
-    /// Where the `Corrected`/`DeadlineExceeded` reply goes; a dead handler
-    /// (peer vanished) just makes the send a no-op.
-    reply: mpsc::Sender<ServeMessage>,
-}
-
 struct Shared {
     reptile: Arc<Reptile>,
-    queue: BoundedQueue<Admitted>,
+    gate: AdmissionGate,
     collector: Arc<Collector>,
     config: ServerConfig,
     drain: Arc<AtomicBool>,
@@ -136,8 +127,6 @@ struct Shared {
     /// Trace parent for per-request spans (the `serve.run` root).
     root: SpanId,
     served_total: AtomicU64,
-    /// Requests popped by a worker and not yet answered (for `Stats`).
-    in_flight: AtomicU64,
     /// When `serve` started (index already warm) — the `Stats` uptime epoch.
     started: Instant,
 }
@@ -164,26 +153,15 @@ impl Server {
             self.collector.span_with_threads("serve.run", self.config.workers.max(1) + 1);
         let shared = Arc::new(Shared {
             reptile: self.reptile,
-            queue: BoundedQueue::new(self.config.queue_capacity),
+            gate: AdmissionGate::new(self.config.workers, self.config.queue_capacity),
             collector: self.collector.clone(),
             drain: drain.clone(),
             counters: Counters::default(),
             root: run_span.trace_id(),
             served_total: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
             started: Instant::now(),
             config: self.config,
         });
-
-        let workers: Vec<_> = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
 
         if let Err(e) = listener.set_nonblocking(true) {
             eprintln!("serve: cannot enter non-blocking accept: {e}");
@@ -216,17 +194,12 @@ impl Server {
             }
         }
 
-        // Drain: no new connections (loop exited); handlers observe the
-        // flag at their next frame boundary and exit; everything already
-        // admitted is still served because the queue closes only after the
-        // last handler (the only pushers) is gone.
+        // Drain: no new connections (loop exited); handlers finish what
+        // they admitted, observe the flag at their next frame boundary and
+        // exit.
         drop(listener);
         for h in handlers {
             let _ = h.join();
-        }
-        shared.queue.close();
-        for w in workers {
-            let _ = w.join();
         }
         drop(run_span);
         shared.counters.summary()
@@ -264,7 +237,7 @@ impl ServerHandle {
     }
 }
 
-/// Per-connection loop: read a frame, admit or refuse, relay the reply.
+/// Per-connection loop: read a frame, admit or refuse, correct, reply.
 fn handle_conn(shared: &Shared, conn: crate::conn::Conn) {
     let mut reader = match FrameReader::new(conn, shared.config.poll_interval) {
         Ok(r) => r,
@@ -319,8 +292,8 @@ fn handle_message(shared: &Shared, reader: &mut FrameReader, msg: ServeMessage) 
         ServeMessage::Correct { request_id, deadline_ms, reads } => {
             handle_correct(shared, reader, request_id, deadline_ms, reads)
         }
-        // Answered inline by the handler — never queued — so an operator
-        // still gets a snapshot while the admission queue is rejecting.
+        // Answered without the admission gate, so an operator still gets a
+        // snapshot while the gate is refusing.
         ServeMessage::Stats { request_id } => {
             stats_snapshot(shared, request_id).write_to(reader.conn_mut()).is_ok()
         }
@@ -364,50 +337,33 @@ fn handle_correct(
         shared.collector.incr("serve.draining_rejected");
         return ServeMessage::Draining { request_id }.write_to(reader.conn_mut()).is_ok();
     }
-    let enqueued = Instant::now();
+    let admitted = Instant::now();
     let budget = if deadline_ms == 0 {
         shared.config.default_deadline
     } else {
         Duration::from_millis(deadline_ms)
     };
     shared.collector.record("serve.batch_reads", reads.len() as u64);
-    let (tx, rx) = mpsc::channel();
-    let item = Admitted { request_id, reads, deadline: enqueued + budget, enqueued, reply: tx };
-    match shared.queue.try_push(item) {
-        Ok(depth) => {
-            shared.collector.gauge_max("serve.queue_depth_peak", depth as f64);
-            match rx.recv() {
-                // The handler is the connection's only writer, so the
-                // worker's reply is relayed here, never interleaved.
-                Ok(reply) => reply.write_to(reader.conn_mut()).is_ok(),
-                // The worker dropped the request unanswered; treat as a
-                // server-side error.
-                Err(_) => {
-                    let reply = ServeMessage::RequestError {
-                        request_id,
-                        message: "internal: worker lost".into(),
-                    };
-                    let _ = reply.write_to(reader.conn_mut());
-                    false
-                }
-            }
+    let reply = match shared.gate.enter() {
+        Ok((permit, queued)) => {
+            shared.collector.gauge_max("serve.queue_depth_peak", queued as f64);
+            let reply = serve_one(shared, request_id, reads, admitted + budget, admitted);
+            // Released before the reply leaves: whoever holds an answer sees
+            // the request no longer in flight.
+            drop(permit);
+            reply
         }
-        Err(PushError::Full(_)) => {
+        Err(Full) => {
             // Explicit backpressure: refuse now, buffer nothing.
             shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
             shared.collector.incr("serve.overloaded");
-            let reply = ServeMessage::Overloaded {
+            ServeMessage::Overloaded {
                 request_id,
-                queue_capacity: shared.queue.capacity() as u64,
-            };
-            reply.write_to(reader.conn_mut()).is_ok()
+                queue_capacity: shared.gate.queue_capacity() as u64,
+            }
         }
-        Err(PushError::Closed(_)) => {
-            shared.counters.draining_rejected.fetch_add(1, Ordering::Relaxed);
-            shared.collector.incr("serve.draining_rejected");
-            ServeMessage::Draining { request_id }.write_to(reader.conn_mut()).is_ok()
-        }
-    }
+    };
+    reply.write_to(reader.conn_mut()).is_ok()
 }
 
 /// Build a `StatsReply` from the live collector — the same histograms the
@@ -418,9 +374,9 @@ fn stats_snapshot(shared: &Shared, request_id: u64) -> ServeMessage {
         |name: &str, p: f64| report.histograms.get(name).and_then(|h| h.quantile(p)).unwrap_or(0);
     ServeMessage::StatsReply {
         request_id,
-        queue_depth: shared.queue.len() as u64,
-        queue_capacity: shared.queue.capacity() as u64,
-        in_flight: shared.in_flight.load(Ordering::Relaxed),
+        queue_depth: shared.gate.waiting() as u64,
+        queue_capacity: shared.gate.queue_capacity() as u64,
+        in_flight: shared.gate.running() as u64,
         conn_errors: shared.counters.connection_errors.load(Ordering::Relaxed),
         latency_p50_us: pct("serve.latency_us", 0.5),
         latency_p90_us: pct("serve.latency_us", 0.9),
@@ -435,81 +391,58 @@ fn stats_snapshot(shared: &Shared, request_id: u64) -> ServeMessage {
     }
 }
 
-/// Raises `in_flight` for as long as it lives, also through an unwind.
-struct InFlight<'a>(&'a AtomicU64);
-
-impl<'a> InFlight<'a> {
-    fn enter(counter: &'a AtomicU64) -> InFlight<'a> {
-        counter.fetch_add(1, Ordering::Relaxed);
-        InFlight(counter)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Worker loop: pop admitted requests until the queue closes and drains.
-/// A panic while serving costs that request, never the worker: with the
-/// thread gone the server would go on admitting work nobody pops.
-fn worker_loop(shared: &Shared) {
-    while let Some(item) = shared.queue.pop() {
-        let (request_id, reply) = (item.request_id, item.reply.clone());
-        // The index is read-only and the request dies with its unwind, so
-        // nothing half-updated outlives it.
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| serve_one(shared, item))) {
-            let cause = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("panic with a non-string payload");
-            eprintln!("serve: request {request_id} panicked: {cause}");
-            shared.counters.request_errors.fetch_add(1, Ordering::Relaxed);
-            shared.collector.incr("serve.worker_panics");
-            let message = format!("internal: {cause}");
-            let _ = reply.send(ServeMessage::RequestError { request_id, message });
-        }
-        let served = shared.served_total.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(max) = shared.config.max_requests {
-            if served >= max {
-                shared.drain.store(true, Ordering::Release);
-            }
-        }
-    }
-}
-
-fn serve_one(shared: &Shared, item: Admitted) {
-    let Admitted { request_id, reads, deadline, enqueued, reply: to_handler } = item;
-    let in_flight = InFlight::enter(&shared.in_flight);
-    let wait_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+/// Correct one admitted request while its permit is held. A panic costs
+/// that request, never the handler: the index is read-only and the request
+/// dies with its unwind, so nothing half-updated outlives it.
+fn serve_one(
+    shared: &Shared,
+    request_id: u64,
+    reads: Vec<Read>,
+    deadline: Instant,
+    admitted: Instant,
+) -> ServeMessage {
+    let wait_us = admitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
     shared.collector.record("serve.queue_wait_us", wait_us);
-    let detail = format!("request={request_id} reads={}", reads.len());
-    let span = shared.collector.span_traced("serve.request", shared.root, &detail, 1);
-    #[cfg(test)]
-    assert_ne!(request_id, tests::POISONED_REQUEST, "injected fault");
-    let reply = correct_batch(shared, request_id, deadline, reads);
-    match &reply {
-        ServeMessage::Corrected { .. } => {
-            shared.counters.corrected.fetch_add(1, Ordering::Relaxed);
-            shared.collector.incr("serve.corrected");
+    let served = catch_unwind(AssertUnwindSafe(|| {
+        let detail = format!("request={request_id} reads={}", reads.len());
+        let span = shared.collector.span_traced("serve.request", shared.root, &detail, 1);
+        #[cfg(test)]
+        assert_ne!(request_id, tests::POISONED_REQUEST, "injected fault");
+        let reply = correct_batch(shared, request_id, deadline, reads);
+        match &reply {
+            ServeMessage::Corrected { .. } => {
+                shared.counters.corrected.fetch_add(1, Ordering::Relaxed);
+                shared.collector.incr("serve.corrected");
+            }
+            ServeMessage::DeadlineExceeded { .. } => {
+                shared.counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                shared.collector.incr("serve.deadline_exceeded");
+            }
+            _ => {}
         }
-        ServeMessage::DeadlineExceeded { .. } => {
-            shared.counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            shared.collector.incr("serve.deadline_exceeded");
+        drop(span);
+        let latency_us = admitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        shared.collector.record("serve.latency_us", latency_us);
+        reply
+    }));
+    let reply = served.unwrap_or_else(|panic| {
+        let cause = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("panic with a non-string payload");
+        eprintln!("serve: request {request_id} panicked: {cause}");
+        shared.counters.request_errors.fetch_add(1, Ordering::Relaxed);
+        shared.collector.incr("serve.worker_panics");
+        ServeMessage::RequestError { request_id, message: format!("internal: {cause}") }
+    });
+    let served = shared.served_total.fetch_add(1, Ordering::Relaxed) + 1;
+    if let Some(max) = shared.config.max_requests {
+        if served >= max {
+            shared.drain.store(true, Ordering::Release);
         }
-        _ => {}
     }
-    drop(span);
-    let latency_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    shared.collector.record("serve.latency_us", latency_us);
-    // Lowered before the reply leaves: whoever holds an answer sees the
-    // request no longer in flight.
-    drop(in_flight);
-    // A dead handler (connection gone) makes this a no-op; the client
-    // retries idempotently against whoever is alive.
-    let _ = to_handler.send(reply);
+    reply
 }
 
 /// Run the correction on the request's own reads, cancelling between reads
@@ -521,7 +454,7 @@ fn correct_batch(
     mut reads: Vec<Read>,
 ) -> ServeMessage {
     if Instant::now() >= deadline {
-        // Expired while queued: cancel before doing any work.
+        // Expired while waiting for a permit: cancel before doing any work.
         return ServeMessage::DeadlineExceeded { request_id };
     }
     let rpt = &shared.reptile;
@@ -724,6 +657,53 @@ mod tests {
         let summary = handle.shutdown();
         assert_eq!(summary.deadline_exceeded, 1);
         assert_eq!(summary.corrected, 2);
+    }
+
+    #[test]
+    fn workers_bound_the_requests_corrected_at_once() {
+        use std::io::Write as _;
+        let (reads, rpt) = small_reptile();
+        let slow: Vec<Read> = reads.iter().cycle().take(8 * reads.len()).cloned().collect();
+        // Framed up front and sent from two threads, so both requests reach
+        // the server together, well inside the time one takes to correct.
+        let frames: Vec<Vec<u8>> = (1..=2)
+            .map(|request_id| {
+                let request =
+                    ServeMessage::Correct { request_id, deadline_ms: 0, reads: slow.clone() };
+                mapreduce_lite::protocol::encode_frame(&request.to_payload())
+            })
+            .collect();
+        for workers in [1, 2] {
+            let config = ServerConfig { workers, queue_capacity: 4, ..ServerConfig::default() };
+            let (ep, handle, _) = start(rpt.clone(), config);
+            let mut busy: Vec<_> = (0..2).map(|_| ep.connect().expect("connect")).collect();
+            std::thread::scope(|s| {
+                for (conn, frame) in busy.iter_mut().zip(&frames) {
+                    s.spawn(move || conn.write_all(frame).expect("write"));
+                }
+            });
+            // Both slow requests are admitted: corrected side by side with
+            // two permits, one behind the other with one.
+            loop {
+                match roundtrip(&ep, &ServeMessage::Stats { request_id: 9 }) {
+                    ServeMessage::StatsReply { queue_depth, in_flight, latency_p50_us, .. } => {
+                        assert!(in_flight <= workers as u64, "{in_flight} > {workers}");
+                        if in_flight + queue_depth == 2 {
+                            assert_eq!(in_flight, workers as u64);
+                            break;
+                        }
+                        assert_eq!(latency_p50_us, 0, "a slow request was answered unobserved");
+                    }
+                    other => panic!("expected StatsReply, got {other:?}"),
+                }
+                std::thread::yield_now();
+            }
+            for conn in &mut busy {
+                let served = ServeMessage::read_from(conn).expect("busy reply");
+                assert!(matches!(served, ServeMessage::Corrected { .. }), "{served:?}");
+            }
+            assert_eq!(handle.shutdown().corrected, 2);
+        }
     }
 
     #[test]
