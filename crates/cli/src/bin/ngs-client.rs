@@ -21,7 +21,7 @@ OPTIONS:
   --connect ENDPOINT    unix:/path/to.sock or tcp:host:port       [required]
   --ping                probe the server (prints its index k and size) and exit
   --stats               print a live server snapshot (queue, latency percentiles,
-                        RSS, uptime) and exit
+                        RSS, uptime, top spans by CPU ms) and exit
   --watch N             with --stats: refresh every N seconds until interrupted
   --samples N           with --watch: stop after N snapshots (0 = forever)
   --input PATH          reads to correct (.fastq or .fasta)

@@ -1,11 +1,13 @@
-//! Trace and profile tooling over the `ngs-observe` artifacts:
+//! Trace tooling over the `ngs-observe` trace files:
 //!
 //! * `chrome` — convert a `--trace-jsonl` trace to Chrome `chrome://tracing`
 //!   JSON (also loads in Perfetto);
 //! * `summary` — validate a trace and print the top-N spans by *self* time
 //!   (duration minus direct children — the critical-path view);
-//! * `merge` — stitch per-process traces into one timeline;
-//! * `flamegraph` — render `--profile-cpu` folded profiles as an SVG.
+//! * `merge` — stitch per-process traces into one timeline.
+//!
+//! Where the CPU went is in the `--metrics-json` report instead: every
+//! span carries its process CPU time (`cpu_ns`).
 //!
 //! Subcommands take positional file arguments, so this binary parses its
 //! command line by hand instead of through `ngs_cli::Args` (which is
@@ -13,21 +15,12 @@
 
 use std::process::ExitCode;
 
-const USAGE: &str = "ngs-trace — trace and profile viewer
+const USAGE: &str = "ngs-trace — trace viewer
 
 USAGE:
   ngs-trace chrome TRACE.jsonl [--out FILE.json]
   ngs-trace summary TRACE.jsonl [--top N]
   ngs-trace merge PROC1.jsonl PROC2.jsonl ... --out MERGED.jsonl [--chrome FILE.json]
-  ngs-trace flamegraph IN.folded [MORE.folded ...] [--out FILE.svg] [--collapsed FILE.folded]
-
-FLAMEGRAPH:
-  Render one or more collapsed-stack profiles (the `PROFILE_*.folded`
-  files `--profile-cpu` writes) as a self-contained SVG flamegraph.
-  Multiple inputs are merged by summing counts per stack; the output is
-  independent of argument order. --out writes the SVG (default stdout);
-  --collapsed additionally writes the merged folded file for external
-  tooling.
 
 MERGE:
   Stitch per-process traces (e.g. the `trace.jsonl.driver` and
@@ -60,7 +53,6 @@ fn main() -> ExitCode {
         "chrome" => cmd_chrome(&argv[1..]),
         "summary" => cmd_summary(&argv[1..]),
         "merge" => cmd_merge(&argv[1..]),
-        "flamegraph" => cmd_flamegraph(&argv[1..]),
         other => fail(&format!("unknown subcommand {other:?} (try --help)")),
     }
 }
@@ -223,63 +215,6 @@ fn cmd_merge(rest: &[String]) -> ExitCode {
             return fail(&format!("write {path}: {e}"));
         }
         eprintln!("wrote Chrome export to {path}");
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_flamegraph(rest: &[String]) -> ExitCode {
-    let (positional, opts) = match split_opts(rest) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    if positional.is_empty() {
-        return fail(
-            "usage: ngs-trace flamegraph IN.folded [MORE.folded ...] \
-             [--out FILE.svg] [--collapsed FILE.folded]",
-        );
-    }
-    let mut out_path: Option<&str> = None;
-    let mut collapsed_path: Option<&str> = None;
-    for (key, value) in opts {
-        match key {
-            "out" => out_path = Some(value),
-            "collapsed" => collapsed_path = Some(value),
-            _ => return fail(&format!("unknown option --{key}")),
-        }
-    }
-    let mut inputs = Vec::with_capacity(positional.len());
-    for path in &positional {
-        let text = match read(path) {
-            Ok(t) => t,
-            Err(e) => return fail(&e),
-        };
-        match ngs_observe::profile::parse_folded(&text) {
-            Ok(folded) => inputs.push(folded),
-            Err(e) => return fail(&format!("{path}: {e}")),
-        }
-    }
-    let merged = ngs_observe::profile::merge_folded(inputs);
-    let total: u64 = merged.values().sum();
-    if let Some(path) = collapsed_path {
-        let text = ngs_observe::profile::render_folded(&merged);
-        if let Err(e) = ngs_durable::write_atomic(path, text.as_bytes()) {
-            return fail(&format!("write {path}: {e}"));
-        }
-        eprintln!("wrote merged collapsed stacks to {path}");
-    }
-    let svg = ngs_observe::profile::flamegraph_svg(&merged);
-    match out_path {
-        Some(path) => {
-            if let Err(e) = ngs_durable::write_atomic(path, svg.as_bytes()) {
-                return fail(&format!("write {path}: {e}"));
-            }
-            eprintln!(
-                "rendered {} stack(s), {total} sample(s) from {} file(s) into {path}",
-                merged.len(),
-                positional.len()
-            );
-        }
-        None => print!("{svg}"),
     }
     ExitCode::SUCCESS
 }

@@ -11,8 +11,7 @@
 //! * `simulate-reads` — generate a synthetic dataset with ground truth;
 //! * `ngs-serve` — long-lived correction server over a unix/TCP socket;
 //! * `ngs-client` — batch client for `ngs-serve` with retry/backoff;
-//! * `ngs-trace` — trace and CPU-profile viewer (chrome export, summary,
-//!   merge, flamegraph).
+//! * `ngs-trace` — trace viewer (chrome export, summary, merge).
 //!
 //! This module hosts the shared argument parser and I/O helpers so the
 //! binaries stay thin and the logic is unit-testable.
@@ -54,9 +53,8 @@ impl Args {
     ///
     /// Every `--key` consumes the following token as its value unless that
     /// token is itself a `--key`, in which case the first key is recorded
-    /// as a bare flag. `--key=value` binds explicitly, which is how
-    /// optional-value switches like `--profile-cpu[=HZ]` take a rate
-    /// without swallowing the next token.
+    /// as a bare flag. `--key=value` binds explicitly, without looking at
+    /// the next token.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args> {
         let mut args = Args::default();
         let mut iter = argv.into_iter().peekable();
@@ -185,37 +183,16 @@ pub fn write_sequences(path: &str, reads: &[Read]) -> Result<()> {
     Ok(())
 }
 
-/// The `--profile-cpu[=HZ]` sampling rate: `None` when the flag is
-/// absent, the default 97 Hz for the bare flag, an explicit rate for
-/// `--profile-cpu=250` (or `--profile-cpu 250`).
-pub fn profile_cpu_hz(args: &Args) -> Result<Option<u32>> {
-    if let Some(raw) = args.get("profile-cpu") {
-        let hz: u32 = raw.parse().map_err(|_| {
-            NgsError::InvalidParameter(format!("--profile-cpu: bad sampling rate {raw:?}"))
-        })?;
-        if hz == 0 || hz > 10_000 {
-            return Err(NgsError::InvalidParameter(format!(
-                "--profile-cpu: sampling rate must be 1..=10000 Hz, got {hz}"
-            )));
-        }
-        Ok(Some(hz))
-    } else if args.has_flag("profile-cpu") {
-        Ok(Some(ngs_observe::profile::DEFAULT_HZ))
-    } else {
-        Ok(None)
-    }
-}
-
 /// Build the collector for an instrumented run: recording when any
 /// observability flag was given — `--metrics-json`, `--trace-jsonl` (with
-/// an event tracer attached), `--resource-jsonl`, `--profile-mem`,
-/// `--profile-cpu` or `--progress` — disabled (every call a no-op)
-/// otherwise, so un-instrumented runs pay nothing.
+/// an event tracer attached), `--resource-jsonl`, `--profile-mem` or
+/// `--progress` — disabled (every call a no-op, no clock read) otherwise,
+/// so un-instrumented runs pay nothing. A recording collector measures
+/// every span's wall and process CPU time.
 pub fn metrics_collector(args: &Args) -> Result<ngs_observe::Collector> {
     let recording = args.value_of("metrics-json")?.is_some()
         || args.value_of("resource-jsonl")?.is_some()
         || args.has_flag("profile-mem")
-        || profile_cpu_hz(args)?.is_some()
         || args.has_flag("progress");
     Ok(if args.value_of("trace-jsonl")?.is_some() {
         ngs_observe::Collector::with_tracer(std::sync::Arc::new(ngs_observe::Tracer::new()))
@@ -383,8 +360,8 @@ mod tests {
 
     #[test]
     fn equals_form_binds_without_consuming_the_next_token() {
-        let a = parse(&["--profile-cpu=250", "--input", "x.fastq"]);
-        assert_eq!(a.get("profile-cpu"), Some("250"));
+        let a = parse(&["--threads=2", "--input", "x.fastq"]);
+        assert_eq!(a.get("threads"), Some("2"));
         assert_eq!(a.get("input"), Some("x.fastq"));
         // Empty key is still rejected.
         assert!(Args::parse(vec!["--=5".to_string()]).is_err());
@@ -394,19 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn profile_cpu_flag_parses_rate_and_default() {
-        assert_eq!(profile_cpu_hz(&parse(&[])).unwrap(), None);
-        assert_eq!(
-            profile_cpu_hz(&parse(&["--profile-cpu"])).unwrap(),
-            Some(ngs_observe::profile::DEFAULT_HZ)
-        );
-        assert_eq!(profile_cpu_hz(&parse(&["--profile-cpu=250"])).unwrap(), Some(250));
-        assert_eq!(profile_cpu_hz(&parse(&["--profile-cpu", "42"])).unwrap(), Some(42));
-        assert!(profile_cpu_hz(&parse(&["--profile-cpu=0"])).is_err());
-        assert!(profile_cpu_hz(&parse(&["--profile-cpu=wat"])).is_err());
-        assert!(profile_cpu_hz(&parse(&["--profile-cpu=99999"])).is_err());
-        // The flag alone makes the collector record.
-        assert!(metrics_collector(&parse(&["--profile-cpu"])).unwrap().is_enabled());
+    fn observability_flags_make_the_collector_record() {
+        for flag in ["--profile-mem", "--progress"] {
+            assert!(metrics_collector(&parse(&[flag])).unwrap().is_enabled(), "{flag}");
+        }
+        assert!(metrics_collector(&parse(&["--metrics-json", "m.json"])).unwrap().is_enabled());
         assert!(!metrics_collector(&parse(&[])).unwrap().is_enabled());
     }
 

@@ -156,50 +156,30 @@ pub struct ObserveOpts {
     /// not a TTY (a TTY stderr turns it on automatically for instrumented
     /// runs).
     pub progress: bool,
-    /// `--profile-cpu[=HZ]`: sample every thread's span stack at this rate
-    /// and write `PROFILE_<pipeline>.folded` (see
-    /// [`ngs_observe::profile`]).
-    pub profile_cpu: Option<u32>,
-    /// Where the folded profile lands: next to `--trace-jsonl`, else next
-    /// to `--metrics-json`, else the working directory.
-    pub profile_dir: PathBuf,
 }
 
 impl ObserveOpts {
     /// Parse the shared observability flags.
     pub fn from_args(args: &Args) -> Result<ObserveOpts> {
-        let anchor = match args.value_of("trace-jsonl")? {
-            Some(p) => Some(p),
-            None => args.value_of("metrics-json")?,
-        };
-        let profile_dir = anchor
-            .map(|p| std::path::Path::new(p).parent().unwrap_or(std::path::Path::new("")))
-            .filter(|p| !p.as_os_str().is_empty())
-            .map_or_else(|| PathBuf::from("."), PathBuf::from);
         Ok(ObserveOpts {
             profile_mem: args.has_flag("profile-mem"),
             resource_jsonl: args.value_of("resource-jsonl")?.map(PathBuf::from),
             progress: args.has_flag("progress"),
-            profile_cpu: crate::profile_cpu_hz(args)?,
-            profile_dir,
         })
     }
 }
 
 /// Live telemetry for one pipeline run: the tracking allocator, the
-/// background resource sampler, the progress heartbeat, and the span-stack
-/// CPU profiler. Construct with [`ObserveSession::begin`] before the input
-/// is read (so ingest throughput is visible live) and call
-/// [`ObserveSession::finish`] after the run's spans close — but *before*
-/// `emit_metrics`, so the profiler's per-span CPU figures land in the
-/// BENCH report — to stop the threads and write the resource timeline and
-/// folded profile.
+/// background resource sampler and the progress heartbeat. (CPU time needs
+/// no thread: the collector's spans read the process CPU clock.) Construct
+/// with [`ObserveSession::begin`] before the input is read (so ingest
+/// throughput is visible live) and call [`ObserveSession::finish`] after
+/// the run's spans close to stop the threads and write the resource
+/// timeline.
 pub struct ObserveSession {
     sampler: Option<ResourceSampler>,
     progress: Option<ProgressMeter>,
     resource_path: Option<PathBuf>,
-    profiler: Option<ngs_observe::profile::Profiler>,
-    profile_path: Option<PathBuf>,
 }
 
 impl ObserveSession {
@@ -213,13 +193,7 @@ impl ObserveSession {
 
     /// Start the requested telemetry. `input` is the pipeline's input path;
     /// its file size becomes the ETA denominator for the ingest phase.
-    /// `pipeline` names the folded CPU profile (`PROFILE_<pipeline>.folded`).
-    pub fn begin(
-        opts: &ObserveOpts,
-        collector: &Arc<Collector>,
-        input: &str,
-        pipeline: &str,
-    ) -> ObserveSession {
+    pub fn begin(opts: &ObserveOpts, collector: &Arc<Collector>, input: &str) -> ObserveSession {
         if opts.profile_mem && !ngs_observe::alloc::enable() {
             eprintln!(
                 "warning: --profile-mem given but this binary did not register the \
@@ -241,44 +215,14 @@ impl ObserveSession {
                 Self::PROGRESS_INTERVAL,
             )
         });
-        let profiler = opts.profile_cpu.and_then(|hz| {
-            let p = ngs_observe::profile::start(hz);
-            if p.is_none() {
-                eprintln!("warning: --profile-cpu given but a CPU profiler is already active");
-            }
-            p
-        });
-        let profile_path =
-            profiler.as_ref().map(|_| opts.profile_dir.join(format!("PROFILE_{pipeline}.folded")));
-        ObserveSession {
-            sampler,
-            progress,
-            resource_path: opts.resource_jsonl.clone(),
-            profiler,
-            profile_path,
-        }
+        ObserveSession { sampler, progress, resource_path: opts.resource_jsonl.clone() }
     }
 
-    /// Stop the telemetry threads, fold the CPU profile into `collector`
-    /// (so a subsequent `emit_metrics` reports the per-span CPU figures)
-    /// and write the folded profile + resource timeline atomically.
-    pub fn finish(self, collector: &Collector) -> Result<()> {
+    /// Stop the telemetry threads and write the resource timeline
+    /// atomically.
+    pub fn finish(self) -> Result<()> {
         if let Some(p) = self.progress {
             p.stop();
-        }
-        if let Some(profiler) = self.profiler {
-            let data = profiler.stop();
-            collector.apply_cpu_profile(&data);
-            if let Some(path) = &self.profile_path {
-                ngs_durable::write_atomic(path, data.to_folded_string().as_bytes())?;
-                eprintln!(
-                    "wrote CPU profile to {} ({} on-cpu / {} off-cpu samples at {} Hz)",
-                    path.display(),
-                    data.oncpu_samples,
-                    data.offcpu_samples,
-                    data.hz
-                );
-            }
         }
         if let (Some(sampler), Some(path)) = (self.sampler, self.resource_path) {
             let samples = sampler.stop();
@@ -376,7 +320,7 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
     apply_threads_flag(args)?;
 
     let collector = Arc::new(metrics_collector(args)?);
-    let session = ObserveSession::begin(&obs, &collector, input, "reptile");
+    let session = ObserveSession::begin(&obs, &collector, input);
     // Root span for the whole run: every phase span nests under it in the
     // trace (ambient parenting on this thread). Dropped before the
     // metrics/trace emit so it is recorded in both.
@@ -447,9 +391,7 @@ pub fn reptile_correct(args: &Args) -> Result<()> {
         required.extend(["reptile.build.anchors", "reptile.build.neighbor_index"]);
     }
     drop(run_span);
-    // The profiler stops in finish(), which folds CPU figures into the
-    // collector — so finish comes before the metrics emit.
-    session.finish(&collector)?;
+    session.finish()?;
     emit_metrics(args, &collector, "reptile", &required)?;
     emit_trace(args, &collector)?;
     Ok(())
@@ -473,7 +415,7 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
     apply_threads_flag(args)?;
 
     let collector = Arc::new(metrics_collector(args)?);
-    let session = ObserveSession::begin(&obs, &collector, input, "redeem");
+    let session = ObserveSession::begin(&obs, &collector, input);
     let run_span = collector.span("redeem.run");
     let mut reads = load_reads(input, &opts, &collector)?;
 
@@ -618,7 +560,7 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
         required.push("redeem.em.iteration");
     }
     drop(run_span);
-    session.finish(&collector)?;
+    session.finish()?;
     emit_metrics(args, &collector, "redeem", &required)?;
     emit_trace(args, &collector)?;
     Ok(())
@@ -728,7 +670,7 @@ pub fn closet_cluster(args: &Args) -> Result<()> {
     // Per-task MapReduce spans need the collector on the job config, so it
     // lives in an Arc shared between the config and this scope.
     let collector = Arc::new(metrics_collector(args)?);
-    let session = ObserveSession::begin(&obs, &collector, input, "closet");
+    let session = ObserveSession::begin(&obs, &collector, input);
     let run_span = collector.span("closet.run");
     let reads = load_reads(input, &opts, &collector)?;
     let avg_len = reads.iter().map(|r| r.len()).sum::<usize>() / reads.len().max(1);
@@ -838,7 +780,7 @@ pub fn closet_cluster(args: &Args) -> Result<()> {
     // Static gate: a resumed run replays the Phase-I spans from the
     // checkpoint (EdgePhase::replay_observed), so all three always exist.
     drop(run_span);
-    session.finish(&collector)?;
+    session.finish()?;
     emit_metrics(
         args,
         &collector,

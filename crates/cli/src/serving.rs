@@ -144,7 +144,7 @@ pub fn serve_main(args: &Args) -> Result<()> {
     let collector = metrics_collector(args)?;
     let collector =
         Arc::new(if collector.is_enabled() { collector } else { ngs_observe::Collector::new() });
-    let session = ObserveSession::begin(&obs, &collector, input, "serve");
+    let session = ObserveSession::begin(&obs, &collector, input);
     let (reptile, warmed) = load_or_build_index(args, input, &opts, &collector)?;
 
     // Bind before installing the signal handler so a failed bind is an
@@ -204,7 +204,7 @@ pub fn serve_main(args: &Args) -> Result<()> {
     } else {
         required.extend(["reptile.build.anchors", "reptile.build.neighbor_index"]);
     }
-    session.finish(&collector)?;
+    session.finish()?;
     emit_metrics(args, &collector, "serve", &required)?;
     emit_trace(args, &collector)?;
     Ok(())
@@ -248,11 +248,9 @@ pub fn client_main(args: &Args) -> Result<()> {
                 s.queue_wait_p99_us,
             );
             if !s.cpu_top.is_empty() {
-                let total: u64 = s.cpu_top.iter().map(|(_, n)| n).sum();
-                println!("  cpu-top (self samples since start)");
-                for (name, samples) in &s.cpu_top {
-                    let pct = if total > 0 { *samples as f64 * 100.0 / total as f64 } else { 0.0 };
-                    println!("    {samples:>8}  {pct:>5.1}%  {name}");
+                println!("  cpu-top (process CPU ms over each span's closed entries)");
+                for (name, cpu_us) in &s.cpu_top {
+                    println!("    {:>10.1}  {name}", *cpu_us as f64 / 1000.0);
                 }
             }
             std::io::stdout().flush().map_err(|e| NgsError::Io(e.to_string()))?;

@@ -75,10 +75,13 @@ const NGS_TRACE: &str = env!("CARGO_BIN_EXE_ngs-trace");
 /// synthetic `*.job.*` phase spans derived from `JobStats`, which have no
 /// trace counterpart by design — the real per-attempt spans do.)
 ///
-/// The report itself must be schema 3, pass the span invariants, and carry
-/// `cpu: null` (no `--profile-cpu`); with `--profile-mem` in `extra` its
-/// top-level `alloc` section and per-span `alloc_peak_bytes` must be
-/// populated.
+/// The report itself must be schema 4, pass the span invariants, and carry
+/// the process CPU clock in `cpu`. Every span measured by a guard — all but
+/// the `*.job.*` phase spans, recorded from `JobStats` durations — has a
+/// `cpu_ns`, and on the (sequential) required spans the process total
+/// bounds it; with
+/// `--profile-mem` in `extra` its top-level `alloc` section and per-span
+/// `alloc_peak_bytes` must be populated.
 fn pipeline_trace_roundtrip(bin: &str, dir: &Path, extra: &[&str], required: &[&str]) -> PathBuf {
     let input = write_input(dir, 300, 60, 0x7ace_0001);
     let output = dir.join("out.fastq");
@@ -114,11 +117,20 @@ fn pipeline_trace_roundtrip(bin: &str, dir: &Path, extra: &[&str], required: &[&
     }
 
     let doc = ngs_observe::json::parse(&bench).expect("metrics report is JSON");
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(3));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(4));
     if let Err(violations) = ngs_observe::validate_bench_invariants(&bench) {
         panic!("span invariants violated: {violations:?}");
     }
-    assert_eq!(doc.get("cpu"), Some(&Json::Null), "an unprofiled run reports cpu: null");
+    let process_ns = doc.get("cpu").and_then(|c| c.get("process_ns")).and_then(Json::as_u64);
+    let process_ns = process_ns.expect("every report carries the process CPU clock");
+    for (name, span) in &bench_spans {
+        let measured = !name.contains(".job.");
+        assert_eq!(span.cpu_ns.is_some(), measured, "{name}: cpu_ns {:?}", span.cpu_ns);
+    }
+    for name in required {
+        let cpu_ns = bench_spans[*name].cpu_ns;
+        assert!(cpu_ns.is_some_and(|ns| ns <= process_ns), "{name}: cpu_ns {cpu_ns:?}");
+    }
     if extra.contains(&"--profile-mem") {
         let alloc = doc.get("alloc").expect("report has an alloc section");
         for field in ["allocated_bytes", "peak_live_bytes", "alloc_count"] {

@@ -631,8 +631,8 @@ impl PoolSession {
                 }
             }
         }
-        // A drained worker answers with its final `TraceFlush` (traced or
-        // profiled runs) and then closes its socket, the last thing it
+        // A drained worker answers with its final `TraceFlush` (traced
+        // runs) and then closes its socket, the last thing it
         // does before it exits. Block on the event channel until every one
         // has; past the deadline the rest are killed.
         let deadline = Instant::now() + DRAIN_DEADLINE;
@@ -640,12 +640,11 @@ impl PoolSession {
             let left = deadline.saturating_duration_since(Instant::now());
             match self.events.recv_timeout(left) {
                 Ok(Event::Frame { cid, payload, .. }) => {
-                    if let Ok(Message::TraceFlush { worker_id, trace, profile }) =
+                    if let Ok(Message::TraceFlush { worker_id, trace }) =
                         Message::from_payload(&payload)
                     {
                         let idx = worker_id as usize;
                         if self.slots.get(idx).is_some_and(|s| s.conn_id == Some(cid)) {
-                            ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
                             flushes.push((idx, trace));
                         }
                     }
@@ -687,7 +686,7 @@ impl PoolSession {
 impl Drop for PoolSession {
     fn drop(&mut self) {
         // Outside a job there is no span for a final trace flush to go
-        // under; its profile rows have been folded in all the same.
+        // under, so it is dropped.
         self.teardown();
     }
 }
@@ -738,10 +737,6 @@ impl<'s, 'a> JobRun<'s, 'a> {
             // tracer, clock_offset_ns is that worker's estimate.
             traced: false,
             profile_mem: ngs_observe::alloc::is_enabled(),
-            // Mirror the driver's ambient CPU-profiler rate so worker lanes
-            // sample at the same cadence and the merged flamegraph's counts
-            // are comparable across processes.
-            profile_hz: ngs_observe::profile::active_hz().unwrap_or(0) as u64,
             clock_offset_ns: 0,
         };
         let tracer =
@@ -1113,17 +1108,13 @@ impl<'s, 'a> JobRun<'s, 'a> {
                 combined,
                 groups,
                 busy_ns,
+                cpu_ns,
                 output,
                 trace,
-                profile,
             } => {
                 let Some(&idx) = self.session.slot_of_conn.get(&cid) else {
                     return Ok(());
                 };
-                // Profile samples are real CPU time regardless of lease
-                // bookkeeping — fold them into this worker's lane before
-                // any early return below.
-                ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
                 let Some(lease) = self.take_lease(idx, st, (job, stage, task, attempt)) else {
                     return Ok(());
                 };
@@ -1135,7 +1126,7 @@ impl<'s, 'a> JobRun<'s, 'a> {
                     t.end(span);
                 }
                 if let Some(c) = self.cfg.collector.as_deref() {
-                    c.record_span_ns(span_path(st.stage), busy_ns, 1);
+                    c.record_span_cpu(span_path(st.stage), busy_ns, 1, cpu_ns);
                 }
                 let task = task as usize;
                 // Validate shape and inner checksums before trusting a
@@ -1185,13 +1176,12 @@ impl<'s, 'a> JobRun<'s, 'a> {
                 }
                 self.fail_attempt(st, task as usize, attempt, &error)?;
             }
-            Message::TraceFlush { worker_id, trace, profile } => {
+            Message::TraceFlush { worker_id, trace } => {
                 // Normally seen by the session's teardown; mid-job it means
                 // the worker flushed out-of-band — stitch under its worker
                 // span.
                 let idx = worker_id as usize;
                 if self.session.slots.get(idx).is_some_and(|s| s.conn_id == Some(cid)) {
-                    ngs_observe::profile::ingest_folded(&format!("worker{idx}"), &profile);
                     if let Some(span) = self.workers[idx].span {
                         self.ingest_chunk(idx, &trace, span, self.workers[idx].span_begin_ns);
                     }
@@ -1518,12 +1508,9 @@ fn worker_loop(
     // Started by the first `Setup`, for the worker's lifetime: the
     // heartbeat thread (so a worker busy in a long task still proves
     // liveness; `StallHeartbeat` injection stops it while the worker plays
-    // dead) and the CPU profiler for the worker's own span stacks, whose
-    // folded stacks ship back with every `Done` and the final `Drain`
-    // reply so the driver merges one lane per worker process.
+    // dead).
     let beacon = Arc::new(Beacon::default());
     let mut beat_handle = None;
-    let mut profiler = None;
     let mut job: Option<WorkerJob> = None;
 
     let code = loop {
@@ -1537,7 +1524,6 @@ fn worker_loop(
                 heartbeat_ms,
                 traced,
                 profile_mem,
-                profile_hz,
                 clock_offset_ns: _,
             }) => {
                 let runner = registry.lock().expect("registry lock").make(&spec, &spec_bytes);
@@ -1555,9 +1541,6 @@ fn worker_loop(
                     // as the driver; enabling is a no-op when it is not
                     // installed.
                     ngs_observe::alloc::enable();
-                }
-                if profiler.is_none() && profile_hz > 0 {
-                    profiler = ngs_observe::profile::start(profile_hz.min(u32::MAX as u64) as u32);
                 }
                 if beat_handle.is_none() {
                     let (writer, beacon) = (writer.clone(), beacon.clone());
@@ -1595,6 +1578,7 @@ fn worker_loop(
                     }
                 }
                 let started = Instant::now();
+                let cpu_started = ngs_observe::process_cpu_ns();
                 // One root span per attempt: the chunk shipped with the
                 // result holds exactly this attempt's events, and its root
                 // re-parents under the driver-side lease span (whose id
@@ -1606,11 +1590,6 @@ fn worker_loop(
                         &format!("stage={stage} task={task} attempt={attempt} lease={trace_span}"),
                     )
                 });
-                // The raw begin/end pair above never feeds the CPU
-                // profiler (only strictly-scoped guards do), so publish
-                // the frame explicitly — it must exist even untraced,
-                // or a profiled-but-untraced worker samples nothing.
-                ngs_observe::profile::on_span_enter("worker.task");
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let _exec = tracer.map(|t| t.span("worker.exec"));
                     run_worker_task(
@@ -1623,12 +1602,14 @@ fn worker_loop(
                         job.parts,
                     )
                 }));
-                ngs_observe::profile::on_span_exit();
                 if let (Some(t), Some(s)) = (tracer, task_span) {
                     t.end(s);
                 }
                 let trace = tracer.map_or_else(Vec::new, |t| t.take_events());
                 let busy_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                let cpu_ns = cpu_started
+                    .zip(ngs_observe::process_cpu_ns())
+                    .map_or(0, |(start, end)| end.saturating_sub(start));
                 let failed = |error: String, trace| Message::Failed {
                     job: job.id,
                     stage: stage.code(),
@@ -1647,9 +1628,9 @@ fn worker_loop(
                         combined,
                         groups,
                         busy_ns,
+                        cpu_ns,
                         output,
                         trace,
-                        profile: ngs_observe::profile::drain_folded(),
                     },
                     Ok(Err(error)) => failed(error, trace),
                     Err(payload) => {
@@ -1684,18 +1665,12 @@ fn worker_loop(
                 }
             }
             Ok(Message::Drain) => {
-                // Flush any events recorded outside a task attempt — and
-                // the last profile samples — before the socket closes, so
-                // the driver's stitched trace and merged flamegraph are
+                // Flush any events recorded outside a task attempt before
+                // the socket closes, so the driver's stitched trace is
                 // complete even for idle workers.
-                let traced = job.as_ref().is_some_and(|job| job.traced);
-                if traced {
+                if job.as_ref().is_some_and(|job| job.traced) {
                     tracer.instant_under("worker.drain", ngs_observe::SpanId::ROOT, "");
-                }
-                let trace = if traced { tracer.take_events() } else { Vec::new() };
-                let profile = ngs_observe::profile::drain_folded();
-                if traced || !profile.is_empty() {
-                    let flush = Message::TraceFlush { worker_id, trace, profile };
+                    let flush = Message::TraceFlush { worker_id, trace: tracer.take_events() };
                     let _ = writer.lock().expect("writer lock").send(&flush);
                 }
                 break 0;
@@ -1707,14 +1682,12 @@ fn worker_loop(
         }
     };
     // Leave at once: the stop wakes the heartbeat thread out of its wait,
-    // the profiler's sampler stops with it, and only then — by dropping
-    // `reader`, the last handle — does the socket close, which is what the
-    // driver's teardown takes as "exiting".
+    // and only then — by dropping `reader`, the last handle — does the
+    // socket close, which is what the driver's teardown takes as "exiting".
     beacon.stop();
     if let Some(handle) = beat_handle {
         let _ = handle.join();
     }
-    drop(profiler);
     code
 }
 
@@ -1938,9 +1911,12 @@ mod tests {
         // Begin/end balance even across worker lifetimes.
         let ends = events.iter().filter(|e| e.kind == TraceEventKind::End).count();
         assert_eq!(begins.len(), ends);
-        // Task timing reached the collector from worker-reported busy_ns.
+        // Task timing and CPU reached the collector from the worker-reported
+        // busy_ns and cpu_ns.
         let report = collector.report("mr");
-        assert!(report.spans.contains_key("mapreduce.task.map"));
+        for task in ["mapreduce.task.map", "mapreduce.task.shuffle", "mapreduce.task.reduce"] {
+            assert!(report.spans[task].cpu_ns.is_some(), "{task} carries cpu_ns");
+        }
     }
 
     #[test]

@@ -209,10 +209,6 @@ pub enum Message {
         /// Whether the driver profiles memory: workers enable their
         /// tracking allocator and report stats in heartbeats when set.
         profile_mem: bool,
-        /// CPU-profiler sampling rate in Hz; 0 = off. When set, workers
-        /// run their own span-stack sampler and ship folded stacks back
-        /// in `Done` and `TraceFlush`.
-        profile_hz: u64,
         /// The driver's offset estimate for this worker (ns to add to
         /// worker-local timestamps to land on the driver timeline), echoed
         /// so the worker can annotate its own exports.
@@ -247,6 +243,9 @@ pub enum Message {
         groups: u64,
         /// Wall nanoseconds the attempt spent executing.
         busy_ns: u64,
+        /// CPU nanoseconds the worker process spent over the attempt (its
+        /// process CPU clock, all threads; 0 where the clock is missing).
+        cpu_ns: u64,
         /// Stage output: map → one inner-framed buffer per partition;
         /// shuffle/reduce → a single buffer.
         output: Vec<Vec<u8>>,
@@ -254,10 +253,6 @@ pub enum Message {
         /// from its tracer, so each chunk holds exactly one attempt).
         /// Empty when the run is untraced.
         trace: Vec<TraceEvent>,
-        /// Folded CPU-profile rows (`stack`, `count`) drained from the
-        /// worker's sampler since the last ship. Empty when the run is
-        /// unprofiled.
-        profile: Vec<(String, u64)>,
     },
     /// Worker → driver: a task attempt failed but the worker is healthy.
     Failed {
@@ -283,11 +278,10 @@ pub enum Message {
     /// Driver → worker: the session is over; flush, wake the heartbeat
     /// thread and exit 0.
     Drain,
-    /// Worker → driver, in response to `Drain`: any trace events still
-    /// buffered outside a task attempt (e.g. the worker's drain marker)
-    /// and any folded CPU-profile rows not yet shipped, flushed before
-    /// the socket closes.
-    TraceFlush { worker_id: u64, trace: Vec<TraceEvent>, profile: Vec<(String, u64)> },
+    /// Worker → driver, in response to `Drain` on a traced run: any trace
+    /// events still buffered outside a task attempt (e.g. the worker's
+    /// drain marker), flushed before the socket closes.
+    TraceFlush { worker_id: u64, trace: Vec<TraceEvent> },
 }
 
 const TAG_HELLO: u8 = 1;
@@ -315,29 +309,6 @@ fn encode_trace(trace: &[TraceEvent], out: &mut Vec<u8>) {
         e.detail.encode(out);
         (e.thread, e.ts_ns, e.pid).encode(out);
     }
-}
-
-/// Append the wire encoding of a folded-profile chunk: a count followed by
-/// one (`stack`, `count`) pair per row.
-fn encode_profile(rows: &[(String, u64)], out: &mut Vec<u8>) {
-    (rows.len() as u32).encode(out);
-    for (stack, count) in rows {
-        stack.encode(out);
-        count.encode(out);
-    }
-}
-
-/// Decode a folded-profile chunk written by [`encode_profile`]. `None` on
-/// malformed or truncated input.
-fn decode_profile(inp: &mut &[u8]) -> Option<Vec<(String, u64)>> {
-    let n = u32::decode(inp)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let stack = String::decode(inp)?;
-        let count = u64::decode(inp)?;
-        out.push((stack, count));
-    }
-    Some(out)
 }
 
 /// Decode a trace chunk written by [`encode_trace`]. `None` on malformed
@@ -400,7 +371,6 @@ impl Message {
                 heartbeat_ms,
                 traced,
                 profile_mem,
-                profile_hz,
                 clock_offset_ns,
             } => {
                 out.push(TAG_SETUP);
@@ -410,7 +380,6 @@ impl Message {
                 (*parts, *heartbeat_ms).encode(out);
                 fault_plan.encode(out);
                 (*traced, *profile_mem, *clock_offset_ns).encode(out);
-                profile_hz.encode(out);
             }
             Message::Task { stage, task, attempt, trace_span, input } => {
                 encode_task(*stage, *task, *attempt, *trace_span, input, out);
@@ -424,18 +393,17 @@ impl Message {
                 combined,
                 groups,
                 busy_ns,
+                cpu_ns,
                 output,
                 trace,
-                profile,
             } => {
                 out.push(TAG_DONE);
                 job.encode(out);
                 (*stage, *task, *attempt).encode(out);
                 (*emitted, *combined, *groups).encode(out);
-                busy_ns.encode(out);
+                (*busy_ns, *cpu_ns).encode(out);
                 output.encode(out);
                 encode_trace(trace, out);
-                encode_profile(profile, out);
             }
             Message::Failed { job, stage, task, attempt, error, trace } => {
                 out.push(TAG_FAILED);
@@ -450,11 +418,10 @@ impl Message {
                 (*peak_alloc_bytes, *alloc_count).encode(out);
             }
             Message::Drain => out.push(TAG_DRAIN),
-            Message::TraceFlush { worker_id, trace, profile } => {
+            Message::TraceFlush { worker_id, trace } => {
                 out.push(TAG_TRACE_FLUSH);
                 worker_id.encode(out);
                 encode_trace(trace, out);
-                encode_profile(profile, out);
             }
         }
     }
@@ -479,7 +446,6 @@ impl Message {
                 let fault_plan = Vec::<u8>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let (traced, profile_mem, clock_offset_ns) =
                     <(bool, bool, i64)>::decode(inp).ok_or(ProtocolError::Malformed)?;
-                let profile_hz = u64::decode(inp).ok_or(ProtocolError::Malformed)?;
                 Message::Setup {
                     job,
                     spec,
@@ -489,7 +455,6 @@ impl Message {
                     heartbeat_ms,
                     traced,
                     profile_mem,
-                    profile_hz,
                     clock_offset_ns,
                 }
             }
@@ -506,10 +471,10 @@ impl Message {
                     <(u8, u64, u32)>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let (emitted, combined, groups) =
                     <(u64, u64, u64)>::decode(inp).ok_or(ProtocolError::Malformed)?;
-                let busy_ns = u64::decode(inp).ok_or(ProtocolError::Malformed)?;
+                let (busy_ns, cpu_ns) =
+                    <(u64, u64)>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let output = Vec::<Vec<u8>>::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let trace = decode_trace(inp).ok_or(ProtocolError::Malformed)?;
-                let profile = decode_profile(inp).ok_or(ProtocolError::Malformed)?;
                 Message::Done {
                     job,
                     stage,
@@ -519,9 +484,9 @@ impl Message {
                     combined,
                     groups,
                     busy_ns,
+                    cpu_ns,
                     output,
                     trace,
-                    profile,
                 }
             }
             TAG_FAILED => {
@@ -543,8 +508,7 @@ impl Message {
             TAG_TRACE_FLUSH => {
                 let worker_id = u64::decode(inp).ok_or(ProtocolError::Malformed)?;
                 let trace = decode_trace(inp).ok_or(ProtocolError::Malformed)?;
-                let profile = decode_profile(inp).ok_or(ProtocolError::Malformed)?;
-                Message::TraceFlush { worker_id, trace, profile }
+                Message::TraceFlush { worker_id, trace }
             }
             _ => return Err(ProtocolError::Malformed),
         };
@@ -631,16 +595,6 @@ mod tests {
         ]
     }
 
-    /// Folded-profile rows with separator-bearing and non-ASCII stacks so
-    /// the adversarial frame tests chew on the profile encoding too.
-    fn sample_profile() -> Vec<(String, u64)> {
-        vec![
-            ("oncpu;closet.run;closet.sketch".into(), 42),
-            ("offcpu;closet.run".into(), 7),
-            ("oncpu;κλειδί".into(), 1),
-        ]
-    }
-
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello { worker_id: 3, pid: 4242, now_ns: 123_456_789 },
@@ -653,7 +607,6 @@ mod tests {
                 heartbeat_ms: 50,
                 traced: true,
                 profile_mem: true,
-                profile_hz: 97,
                 clock_offset_ns: -987_654,
             },
             Message::Task {
@@ -672,9 +625,9 @@ mod tests {
                 combined: 4,
                 groups: 3,
                 busy_ns: 12345,
+                cpu_ns: 23456,
                 output: vec![vec![9, 8, 7], vec![], vec![1]],
                 trace: sample_trace(),
-                profile: sample_profile(),
             },
             Message::Failed {
                 job: 3,
@@ -691,7 +644,7 @@ mod tests {
                 alloc_count: 777,
             },
             Message::Drain,
-            Message::TraceFlush { worker_id: 2, trace: sample_trace(), profile: sample_profile() },
+            Message::TraceFlush { worker_id: 2, trace: sample_trace() },
         ]
     }
 
@@ -753,9 +706,9 @@ mod tests {
             combined: 5,
             groups: 0,
             busy_ns: 1,
+            cpu_ns: 1,
             output: vec![vec![0; 64]],
             trace: sample_trace(),
-            profile: sample_profile(),
         };
         let mut wire = encode_frame(&good.to_payload());
         let second = encode_frame(&torn.to_payload());
@@ -790,8 +743,7 @@ mod tests {
 
     #[test]
     fn trace_chunk_truncation_at_every_offset_is_typed_never_silent() {
-        let msg =
-            Message::TraceFlush { worker_id: 9, trace: sample_trace(), profile: sample_profile() };
+        let msg = Message::TraceFlush { worker_id: 9, trace: sample_trace() };
         let wire = encode_frame(&msg.to_payload());
         for cut in 0..wire.len() {
             let mut cur = Cursor::new(&wire[..cut]);
@@ -813,9 +765,7 @@ mod tests {
 
     #[test]
     fn trace_chunk_rejects_unknown_event_kind() {
-        let payload =
-            Message::TraceFlush { worker_id: 0, trace: sample_trace(), profile: sample_profile() }
-                .to_payload();
+        let payload = Message::TraceFlush { worker_id: 0, trace: sample_trace() }.to_payload();
         // tag(1) + worker_id(8) + count(4) leaves the first event's kind byte.
         let mut bad = payload.clone();
         bad[1 + 8 + 4] = 7;

@@ -15,7 +15,9 @@
 //! * Spans — hierarchical by naming convention: dot-separated paths such as
 //!   `reptile.build.neighbor_index` (see DESIGN.md §Observability for the
 //!   naming rules). Each span aggregates call count, total/min/max wall
-//!   time, and the thread count in effect when it was opened.
+//!   time, the process CPU time spent while it was open ([`process_cpu_ns`]
+//!   read at open and close; DESIGN.md §CPU per span), and the thread count
+//!   in effect when it was opened.
 //! * Counters — monotonic `u64` sums (decision mixes, record counts).
 //! * Gauges — last-known `f64` values with a per-gauge merge mode
 //!   ([`GaugeMerge`]): minimum by default (BIC traces, thresholds; keeps
@@ -42,22 +44,18 @@
 //! * [`sampler`] — background resource timeline (allocator + procfs
 //!   snapshots as JSONL, the `--resource-jsonl` flag) and the
 //!   [`sampler::ProgressMeter`] throughput heartbeat.
-//! * [`profile`] — the continuous span-stack CPU profiler
-//!   (`--profile-cpu`): seqlock-published per-thread span stacks sampled
-//!   at a fixed rate, split on-CPU vs off-CPU, folded into collapsed
-//!   flamegraph stacks and per-span `cpu_*` figures (BENCH schema v3; see
-//!   DESIGN.md §Continuous profiling).
 
 pub mod alloc;
+mod cpu;
 mod histogram;
 pub mod json;
 mod memory;
-pub mod profile;
 mod report;
 pub mod sampler;
 pub mod trace;
 pub mod traceview;
 
+pub use cpu::process_cpu_ns;
 pub use histogram::LogHistogram;
 pub use memory::{read_memory, MemoryProbe};
 pub use report::{
@@ -89,9 +87,6 @@ struct Inner {
     /// Merge modes for gauges recorded with a non-default mode.
     gauge_modes: BTreeMap<String, GaugeMerge>,
     histograms: BTreeMap<String, LogHistogram>,
-    /// CPU-profiler totals, set once by [`Collector::apply_cpu_profile`]
-    /// when a `--profile-cpu` run folds its samples in.
-    cpu: Option<report::CpuTotals>,
 }
 
 /// A thread-safe metrics sink.
@@ -150,20 +145,7 @@ impl Collector {
             Some(t) if self.enabled => t.begin(path),
             _ => SpanId::ROOT,
         };
-        // The guard feeds the CPU profiler directly (not via the tracer):
-        // guards are strictly scoped, which the profiler's per-thread
-        // stack requires, and the hook must fire with or without a tracer.
-        if self.enabled {
-            profile::on_span_enter(path);
-        }
-        SpanGuard {
-            collector: self,
-            path: if self.enabled { path.to_string() } else { String::new() },
-            start: Instant::now(),
-            threads,
-            trace_id,
-            alloc_start: self.alloc_baseline(),
-        }
+        self.guard(path, threads, trace_id)
     }
 
     /// Open a span whose trace event parents under an explicit `parent`
@@ -182,41 +164,46 @@ impl Collector {
             Some(t) if self.enabled => t.begin_under_detail(path, parent, detail),
             _ => SpanId::ROOT,
         };
-        if self.enabled {
-            profile::on_span_enter(path);
-        }
+        self.guard(path, threads, trace_id)
+    }
+
+    /// The guard for a span opening now. A disabled collector reads no
+    /// clock: its guard holds no CPU or allocation baseline.
+    fn guard<'c>(&'c self, path: &str, threads: usize, trace_id: SpanId) -> SpanGuard<'c> {
         SpanGuard {
             collector: self,
             path: if self.enabled { path.to_string() } else { String::new() },
             start: Instant::now(),
             threads,
             trace_id,
-            alloc_start: self.alloc_baseline(),
+            cpu_start: self.enabled.then(process_cpu_ns).flatten(),
+            alloc_start: (self.enabled && alloc::is_enabled()).then(alloc::thread_allocated_bytes),
         }
     }
 
-    /// The thread-allocated-bytes baseline for a span opening now, when
-    /// both this collector and the tracking allocator are live.
-    fn alloc_baseline(&self) -> Option<u64> {
-        (self.enabled && alloc::is_enabled()).then(alloc::thread_allocated_bytes)
-    }
-
     /// Record a completed span of known duration (used when folding
-    /// externally-measured times, e.g. [`SpanStat`]s from `JobStats`).
+    /// externally-measured times, e.g. [`SpanStat`]s from `JobStats`). Its
+    /// CPU time was not measured, so the report writes `cpu_ns: null`.
     pub fn record_span_ns(&self, path: &str, ns: u64, threads: usize) {
-        self.record_span_alloc(path, ns, threads, 0, 0);
+        self.record_span(path, ns, threads, None, 0, 0);
     }
 
-    /// Record a completed span with allocation figures: `alloc_bytes` is
-    /// the bytes the span's thread allocated while it was open,
-    /// `alloc_peak_bytes` the process-wide live-byte high-watermark at
-    /// close. [`SpanGuard`] fills these automatically when the tracking
-    /// allocator is enabled (see the [`alloc`] module).
-    pub fn record_span_alloc(
+    /// Record a completed span of known duration and known CPU time
+    /// (`cpu_ns`, e.g. a worker process's CPU clock over a task attempt).
+    pub fn record_span_cpu(&self, path: &str, ns: u64, threads: usize, cpu_ns: u64) {
+        self.record_span(path, ns, threads, Some(cpu_ns), 0, 0);
+    }
+
+    /// Fold one span occurrence in: `alloc_bytes` is the bytes the span's
+    /// thread allocated while it was open, `alloc_peak_bytes` the
+    /// process-wide live-byte high-watermark at close (both 0 without the
+    /// tracking allocator — see the [`alloc`] module).
+    fn record_span(
         &self,
         path: &str,
         ns: u64,
         threads: usize,
+        cpu_ns: Option<u64>,
         alloc_bytes: u64,
         alloc_peak_bytes: u64,
     ) {
@@ -226,6 +213,9 @@ impl Collector {
         let mut inner = lock_unpoisoned(&self.inner);
         let stat = inner.spans.entry(path.to_string()).or_default();
         stat.observe(ns, threads);
+        if let Some(cpu_ns) = cpu_ns {
+            stat.observe_cpu(cpu_ns);
+        }
         stat.observe_alloc(alloc_bytes, alloc_peak_bytes);
     }
 
@@ -307,8 +297,9 @@ impl Collector {
     }
 
     /// Snapshot everything recorded so far into a [`Report`] for
-    /// `pipeline`, probing process memory (and, when tracking is enabled,
-    /// the allocator counters) at snapshot time.
+    /// `pipeline`, probing process memory, the process CPU clock (enabled
+    /// collectors only) and, when tracking is enabled, the allocator
+    /// counters at snapshot time.
     pub fn report(&self, pipeline: &str) -> Report {
         let inner = lock_unpoisoned(&self.inner);
         Report {
@@ -320,33 +311,12 @@ impl Collector {
             histograms: inner.histograms.clone(),
             memory: read_memory(),
             alloc: alloc::snapshot(),
-            cpu: inner.cpu,
+            cpu: self
+                .enabled
+                .then(process_cpu_ns)
+                .flatten()
+                .map(|process_ns| CpuTotals { process_ns }),
         }
-    }
-
-    /// Fold a finished CPU profile into the collector: per-span sample
-    /// counts land on the matching span stats (spans the profiler saw but
-    /// the collector never recorded get a zero-duration stat so they still
-    /// appear in the report), and the totals become the report's `cpu`
-    /// section. Call once, after [`profile::Profiler::stop`].
-    pub fn apply_cpu_profile(&self, data: &profile::ProfileData) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = lock_unpoisoned(&self.inner);
-        for (path, samples) in &data.per_span {
-            inner
-                .spans
-                .entry(path.clone())
-                .or_default()
-                .observe_cpu(samples.self_samples, samples.total_samples);
-        }
-        inner.cpu = Some(report::CpuTotals {
-            sample_hz: data.hz,
-            oncpu_samples: data.oncpu_samples,
-            offcpu_samples: data.offcpu_samples,
-            torn_samples: data.torn_samples,
-        });
     }
 }
 
@@ -358,6 +328,9 @@ pub struct SpanGuard<'c> {
     start: Instant,
     threads: usize,
     trace_id: SpanId,
+    /// Process CPU clock at open (`None` for a disabled collector, or
+    /// where the clock is unavailable).
+    cpu_start: Option<u64>,
     /// Thread-allocated bytes at open (`Some` only when the tracking
     /// allocator was enabled then — the drop diffs against it).
     alloc_start: Option<u64>,
@@ -390,13 +363,11 @@ impl Drop for SpanGuard<'_> {
         if let Some(t) = &self.collector.tracer {
             t.end(self.trace_id);
         }
-        if self.collector.enabled {
-            profile::on_span_exit();
-        }
         if !self.collector.enabled {
             return;
         }
         let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let cpu_ns = self.cpu_start.and_then(|start| Some(process_cpu_ns()?.saturating_sub(start)));
         // Allocation attribution: bytes this thread allocated while the
         // span was open, plus the process-wide peak watermark at close
         // (meaningful even for spans whose work ran on other threads).
@@ -407,7 +378,7 @@ impl Drop for SpanGuard<'_> {
             ),
             None => (0, 0),
         };
-        self.collector.record_span_alloc(&self.path, ns, self.threads, alloc_bytes, alloc_peak);
+        self.collector.record_span(&self.path, ns, self.threads, cpu_ns, alloc_bytes, alloc_peak);
     }
 }
 
@@ -439,15 +410,42 @@ mod tests {
     }
 
     #[test]
+    fn span_cpu_counts_a_thread_joined_inside_it() {
+        // The child spins on its own thread's CPU clock, so at least 50 ms
+        // of process CPU pass while the span is open, none of it on the
+        // span's own thread.
+        const SPIN_NS: u64 = 50_000_000;
+        let c = Collector::new();
+        {
+            let _g = c.span("parent");
+            std::thread::spawn(|| {
+                let start = cpu::thread_cpu_ns().unwrap();
+                while cpu::thread_cpu_ns().unwrap() - start < SPIN_NS {}
+            })
+            .join()
+            .unwrap();
+        }
+        let r = c.report("test");
+        let span_cpu = r.spans["parent"].cpu_ns.expect("a guard span is measured");
+        assert!(span_cpu >= SPIN_NS, "span cpu_ns {span_cpu} misses the joined thread");
+        let process = r.cpu.expect("report carries the process CPU clock").process_ns;
+        assert!(process >= span_cpu, "report cpu {process} below the span's {span_cpu}");
+    }
+
+    #[test]
     fn disabled_collector_records_nothing() {
         let c = Collector::disabled();
+        let reads = cpu::READS.with(|n| n.get());
         {
             let _g = c.span("a");
+            let _t = c.span_traced("b", SpanId::ROOT, "", 1);
         }
         c.add("x", 5);
         c.gauge("g", 1.0);
         c.record("h", 9);
         let r = c.report("test");
+        assert_eq!(cpu::READS.with(|n| n.get()), reads, "a disabled collector reads no clock");
+        assert_eq!(r.cpu, None);
         assert!(r.spans.is_empty());
         assert!(r.counters.is_empty());
         assert!(r.gauges.is_empty());

@@ -2,23 +2,21 @@
 //! plus the readers of that JSON ([`parse_bench_report`],
 //! [`validate_bench_invariants`]).
 //!
-//! JSON schema (`schema_version` 3) — all keys always present:
+//! JSON schema (`schema_version` 4) — all keys always present:
 //!
 //! ```json
 //! {
-//!   "schema_version": 3,
+//!   "schema_version": 4,
 //!   "pipeline": "reptile",
 //!   "memory": {"rss_bytes": 1048576, "peak_rss_bytes": 2097152},
 //!   "alloc": {"allocated_bytes": 4096, "freed_bytes": 1024,
 //!             "live_bytes": 3072, "peak_live_bytes": 4096,
 //!             "alloc_count": 3},
-//!   "cpu": {"sample_hz": 97, "oncpu_samples": 120, "offcpu_samples": 30,
-//!           "torn_samples": 0},
+//!   "cpu": {"process_ns": 5040000000},
 //!   "spans": {"reptile.build": {"count": 1, "total_ns": 9, "min_ns": 9,
 //!             "max_ns": 9, "threads": 8,
 //!             "alloc_bytes": 2048, "alloc_peak_bytes": 4096,
-//!             "cpu_self_samples": 80, "cpu_total_samples": 115,
-//!             "cpu_self_frac": 0.6667}},
+//!             "cpu_ns": 17}},
 //!   "counters": {"reptile.bases_changed": 42},
 //!   "gauges": {"redeem.threshold.value": 7.25},
 //!   "histograms": {"reptile.tile_og": {"count": 10, "sum": 55,
@@ -31,18 +29,18 @@
 //! Schema history: version 2 added the top-level `alloc` section and the
 //! per-span `alloc_bytes`/`alloc_peak_bytes` fields (all zero / `null`
 //! without the tracking allocator — see DESIGN.md §Memory profiling);
-//! version 3 added the top-level `cpu` section and the per-span
-//! `cpu_self_samples`/`cpu_total_samples`/`cpu_self_frac` fields from the
-//! continuous profiler (`--profile-cpu`, DESIGN.md §Continuous
-//! profiling). Each version is a strict superset of the previous one:
-//! readers of older documents keep working, and an unprofiled run writes
-//! `cpu: null` with `null` per-span CPU figures, so a reader can tell a
-//! skipped CPU axis from one measured at zero.
+//! version 3 added a top-level `cpu` section and per-span CPU sample
+//! counts from a sampling profiler, both `null` unless it ran; version 4
+//! replaces them with the process CPU clock: `cpu.process_ns` read at
+//! snapshot time and a per-span `cpu_ns` (see [`SpanStat::cpu_ns`] and
+//! DESIGN.md §CPU per span).
 //!
 //! Memory fields are `null` when `/proc/self/status` is unavailable (the
 //! probe distinguishes "no reading" from "zero bytes"); `alloc` is `null`
 //! unless the tracking allocator is installed and enabled; `cpu` is
-//! `null` unless the CPU profiler ran; `p50`/`p90`/`p99` are
+//! `null` only where the process CPU clock is unavailable, and a span's
+//! `cpu_ns` is `null` when it was recorded from a duration rather than
+//! measured (a skipped axis, not a zero); `p50`/`p90`/`p99` are
 //! bucket-resolution estimates from the log₂ histogram (see
 //! [`LogHistogram::quantile`]) and are `null` on empty histograms.
 
@@ -89,37 +87,23 @@ pub struct SpanStat {
     /// Largest process-wide live-byte high-watermark observed at any
     /// entry's close (0 without the tracking allocator).
     pub alloc_peak_bytes: u64,
-    /// On-CPU profiler samples with this span as the innermost open span
-    /// (0 without `--profile-cpu` — see `ngs_observe::profile`).
-    pub cpu_self_samples: u64,
-    /// On-CPU profiler samples with this span anywhere on the stack.
-    pub cpu_total_samples: u64,
+    /// Σ process CPU time over the entries, nanoseconds: how far the
+    /// process CPU clock ([`crate::process_cpu_ns`]) advanced while each
+    /// was open, so it includes every thread's work, pool workers too.
+    /// Entries that overlap (concurrent requests, nested spans) each count
+    /// the whole process over their interval, just as their wall times
+    /// count overlapping intervals. `None` when no entry was measured
+    /// (spans recorded from a duration, e.g. replayed or `JobStats` times).
+    pub cpu_ns: Option<u64>,
 }
 
-/// Report-level totals from one continuous-profiling session (the
-/// `cpu` section of BENCH schema v3). `None` on the report means the
-/// profiler never ran — serialised as `null`.
+/// The report's `cpu` section: the process CPU clock read at snapshot
+/// time. `None` on the report (serialised as `null`) only where the clock
+/// is unavailable, or for a disabled collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CpuTotals {
-    /// Configured sampling rate, Hz.
-    pub sample_hz: u32,
-    /// Samples taken while the sampled thread was runnable (`R`).
-    pub oncpu_samples: u64,
-    /// Samples taken while the sampled thread was blocked/sleeping.
-    pub offcpu_samples: u64,
-    /// Snapshots the seqlock check discarded.
-    pub torn_samples: u64,
-}
-
-impl CpuTotals {
-    /// Fold another session's totals in (rates keep the maximum so a
-    /// merged report never under-states its sampling resolution).
-    pub fn merge(&mut self, other: &CpuTotals) {
-        self.sample_hz = self.sample_hz.max(other.sample_hz);
-        self.oncpu_samples = self.oncpu_samples.saturating_add(other.oncpu_samples);
-        self.offcpu_samples = self.offcpu_samples.saturating_add(other.offcpu_samples);
-        self.torn_samples = self.torn_samples.saturating_add(other.torn_samples);
-    }
+    /// CPU time the process had used, nanoseconds.
+    pub process_ns: u64,
 }
 
 impl Default for SpanStat {
@@ -132,8 +116,7 @@ impl Default for SpanStat {
             threads: 0,
             alloc_bytes: 0,
             alloc_peak_bytes: 0,
-            cpu_self_samples: 0,
-            cpu_total_samples: 0,
+            cpu_ns: None,
         }
     }
 }
@@ -155,11 +138,10 @@ impl SpanStat {
         self.alloc_peak_bytes = self.alloc_peak_bytes.max(alloc_peak_bytes);
     }
 
-    /// Fold a profiling session's on-CPU sample counts in (additive, like
-    /// the allocation bytes: a second session's samples accumulate).
-    pub fn observe_cpu(&mut self, self_samples: u64, total_samples: u64) {
-        self.cpu_self_samples = self.cpu_self_samples.saturating_add(self_samples);
-        self.cpu_total_samples = self.cpu_total_samples.saturating_add(total_samples);
+    /// Fold one occurrence's measured CPU time in (additive, like the
+    /// allocation bytes).
+    pub fn observe_cpu(&mut self, cpu_ns: u64) {
+        self.cpu_ns = Some(self.cpu_ns.unwrap_or(0).saturating_add(cpu_ns));
     }
 
     /// Fold another aggregate in. Commutative and associative.
@@ -192,8 +174,9 @@ impl SpanStat {
         self.threads = self.threads.max(other.threads);
         self.alloc_bytes = self.alloc_bytes.saturating_add(other.alloc_bytes);
         self.alloc_peak_bytes = self.alloc_peak_bytes.max(other.alloc_peak_bytes);
-        self.cpu_self_samples = self.cpu_self_samples.saturating_add(other.cpu_self_samples);
-        self.cpu_total_samples = self.cpu_total_samples.saturating_add(other.cpu_total_samples);
+        if let Some(cpu_ns) = other.cpu_ns {
+            self.observe_cpu(cpu_ns);
+        }
     }
 }
 
@@ -219,15 +202,16 @@ pub struct Report {
     /// Tracking-allocator snapshot taken at report time (`None` without
     /// the tracking allocator installed and enabled).
     pub alloc: Option<AllocStats>,
-    /// Continuous-profiler totals (`None` when `--profile-cpu` never ran
-    /// for this report).
+    /// Process CPU clock at snapshot time (`None` where unavailable).
     pub cpu: Option<CpuTotals>,
 }
 
 impl Report {
     /// Fold `other` into `self`: spans/histograms merge element-wise,
     /// counters add, gauges fold per their [`GaugeMerge`] mode (minimum by
-    /// default), memory and alloc snapshots take maxima. With equal
+    /// default), memory and alloc snapshots take maxima, process CPU times
+    /// add (so a merged report's `cpu` still bounds each span's sequential
+    /// `cpu_ns`). With equal
     /// `pipeline` names and no [`GaugeMerge::Last`] gauges the operation
     /// is associative and commutative (property-tested in
     /// `tests/observability.rs`). When the two reports disagree on a
@@ -270,7 +254,7 @@ impl Report {
             (_, None) => {}
         }
         match (&mut self.cpu, &other.cpu) {
-            (Some(a), Some(b)) => a.merge(b),
+            (Some(a), Some(b)) => a.process_ns = a.process_ns.saturating_add(b.process_ns),
             (slot @ None, Some(b)) => *slot = Some(*b),
             (_, None) => {}
         }
@@ -299,8 +283,8 @@ impl Report {
         // Allocation columns only when some span actually has figures —
         // untracked runs keep the narrow table.
         let with_alloc = self.spans.values().any(|s| s.alloc_peak_bytes > 0 || s.alloc_bytes > 0);
-        // CPU columns only when the profiler ran for this report.
-        let with_cpu = self.cpu.is_some();
+        // A CPU column only when some span was measured.
+        let with_cpu = self.spans.values().any(|s| s.cpu_ns.is_some());
         if !self.spans.is_empty() {
             write!(
                 out,
@@ -312,7 +296,7 @@ impl Report {
                 write!(out, " {:>12} {:>12}", "alloc_mb", "peak_mb").unwrap();
             }
             if with_cpu {
-                write!(out, " {:>9} {:>9}", "cpu_self", "cpu_tot").unwrap();
+                write!(out, " {:>12}", "cpu_ms").unwrap();
             }
             writeln!(out).unwrap();
             for (path, s) in &self.spans {
@@ -335,8 +319,10 @@ impl Report {
                     )
                     .unwrap();
                 }
-                if with_cpu {
-                    write!(out, " {:>9} {:>9}", s.cpu_self_samples, s.cpu_total_samples).unwrap();
+                match s.cpu_ns {
+                    Some(ns) if with_cpu => write!(out, " {:>12.3}", ns as f64 / 1e6).unwrap(),
+                    None if with_cpu => write!(out, " {:>12}", "-").unwrap(),
+                    _ => {}
                 }
                 writeln!(out).unwrap();
             }
@@ -397,12 +383,7 @@ impl Report {
             .unwrap();
         }
         if let Some(c) = &self.cpu {
-            writeln!(
-                out,
-                "cpu: {} Hz, {} on-cpu / {} off-cpu samples ({} torn discarded)",
-                c.sample_hz, c.oncpu_samples, c.offcpu_samples, c.torn_samples
-            )
-            .unwrap();
+            writeln!(out, "cpu: process {:.3} s", c.process_ns as f64 / 1e9).unwrap();
         }
         out
     }
@@ -410,7 +391,7 @@ impl Report {
     /// Serialize to the `BENCH_<pipeline>.json` schema (see module docs).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema_version\": 3,\n  \"pipeline\": ");
+        out.push_str("{\n  \"schema_version\": 4,\n  \"pipeline\": ");
         json_string(&mut out, &self.pipeline);
         out.push_str(",\n  \"memory\": {\"rss_bytes\": ");
         json_opt_u64(&mut out, self.memory.rss_bytes);
@@ -429,13 +410,7 @@ impl Report {
         }
         out.push_str(",\n  \"cpu\": ");
         match &self.cpu {
-            Some(c) => write!(
-                out,
-                "{{\"sample_hz\": {}, \"oncpu_samples\": {}, \"offcpu_samples\": {}, \
-                 \"torn_samples\": {}}}",
-                c.sample_hz, c.oncpu_samples, c.offcpu_samples, c.torn_samples
-            )
-            .unwrap(),
+            Some(c) => write!(out, "{{\"process_ns\": {}}}", c.process_ns).unwrap(),
             None => out.push_str("null"),
         }
         out.push_str(",\n  \"spans\": {");
@@ -448,7 +423,7 @@ impl Report {
             write!(
                 out,
                 ": {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"threads\": {}, \
-                 \"alloc_bytes\": {}, \"alloc_peak_bytes\": {}",
+                 \"alloc_bytes\": {}, \"alloc_peak_bytes\": {}, \"cpu_ns\": ",
                 s.count,
                 s.total_ns,
                 if s.count == 0 { 0 } else { s.min_ns },
@@ -458,30 +433,7 @@ impl Report {
                 s.alloc_peak_bytes
             )
             .unwrap();
-            // CPU figures exist only when the profiler ran — an
-            // unprofiled run must be distinguishable from one that
-            // sampled zero hits ("axis skipped" vs a true zero).
-            match &self.cpu {
-                Some(c) => {
-                    write!(
-                        out,
-                        ", \"cpu_self_samples\": {}, \"cpu_total_samples\": {}, \
-                         \"cpu_self_frac\": ",
-                        s.cpu_self_samples, s.cpu_total_samples
-                    )
-                    .unwrap();
-                    let frac = if c.oncpu_samples == 0 {
-                        0.0
-                    } else {
-                        s.cpu_self_samples as f64 / c.oncpu_samples as f64
-                    };
-                    json_f64(&mut out, (frac * 1e4).round() / 1e4);
-                }
-                None => out.push_str(
-                    ", \"cpu_self_samples\": null, \"cpu_total_samples\": null, \
-                     \"cpu_self_frac\": null",
-                ),
-            }
+            json_opt_u64(&mut out, s.cpu_ns);
             out.push('}');
         }
         out.push_str("\n  },\n  \"counters\": {");
@@ -582,11 +534,9 @@ pub struct BenchSpan {
     /// Peak live bytes while the span was open (`None` on runs without the
     /// tracking allocator).
     pub alloc_peak_bytes: Option<u64>,
-    /// On-CPU samples attributed to this span as the stack leaf (`None`
-    /// on runs without `--profile-cpu`).
-    pub cpu_self_samples: Option<u64>,
-    /// On-CPU samples with this span anywhere on the stack.
-    pub cpu_total_samples: Option<u64>,
+    /// Process CPU time while the span was open (`None` when it was not
+    /// measured).
+    pub cpu_ns: Option<u64>,
 }
 
 /// Extract `pipeline` and the span → [`BenchSpan`] map from a
@@ -607,14 +557,10 @@ pub fn parse_bench_report(text: &str) -> Result<(String, BTreeMap<String, BenchS
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("span {name:?} has no integer \"total_ns\""))?;
         let alloc_peak_bytes = stat.get("alloc_peak_bytes").and_then(Json::as_u64);
-        // `null` (unprofiled run) and absent both read as None: the CPU
-        // axis was skipped, not measured at zero.
-        let cpu_self_samples = stat.get("cpu_self_samples").and_then(Json::as_u64);
-        let cpu_total_samples = stat.get("cpu_total_samples").and_then(Json::as_u64);
-        spans.insert(
-            name.clone(),
-            BenchSpan { total_ns: total, alloc_peak_bytes, cpu_self_samples, cpu_total_samples },
-        );
+        // `null` (an unmeasured span) and absent both read as None: the
+        // CPU axis was skipped, not measured at zero.
+        let cpu_ns = stat.get("cpu_ns").and_then(Json::as_u64);
+        spans.insert(name.clone(), BenchSpan { total_ns: total, alloc_peak_bytes, cpu_ns });
     }
     Ok((pipeline, spans))
 }
@@ -625,8 +571,7 @@ pub fn parse_bench_report(text: &str) -> Result<(String, BTreeMap<String, BenchS
 /// * `count == 0` ⇒ `total_ns == 0`;
 /// * `count == 1` ⇒ `total_ns == min_ns == max_ns` (a single occurrence
 ///   *is* the minimum, maximum, and total);
-/// * `count >= 1` ⇒ `min_ns <= max_ns <= total_ns`;
-/// * `cpu_self_samples <= cpu_total_samples` where both are numbers.
+/// * `count >= 1` ⇒ `min_ns <= max_ns <= total_ns`.
 ///
 /// Spans missing any of the four wall fields are skipped — this validator
 /// hardens full reports, not hand-written wall-only fixtures.
@@ -662,18 +607,6 @@ pub fn validate_bench_invariants(text: &str) -> Result<(), Vec<String>> {
                 "span {name:?}: requires min_ns <= max_ns <= total_ns, \
                  got total_ns {total}, min_ns {min}, max_ns {max}"
             ));
-        }
-        // A leaf sample is also a stack sample, so self can never exceed
-        // total. Null figures (unprofiled runs) are skipped.
-        if let (Some(cpu_self), Some(cpu_total)) =
-            (field("cpu_self_samples"), field("cpu_total_samples"))
-        {
-            if cpu_self > cpu_total {
-                violations.push(format!(
-                    "span {name:?}: requires cpu_self_samples <= cpu_total_samples, \
-                     got self {cpu_self}, total {cpu_total}"
-                ));
-            }
         }
     }
     if violations.is_empty() {
@@ -712,10 +645,10 @@ mod tests {
     fn json_contains_all_sections() {
         let j = sample().to_json();
         for needle in [
-            "\"schema_version\": 3",
+            "\"schema_version\": 4",
             "\"pipeline\": \"p\"",
             "\"p.build\": {\"count\": 2, \"total_ns\": 4000000",
-            "\"alloc_bytes\": 0, \"alloc_peak_bytes\": 0",
+            "\"alloc_bytes\": 0, \"alloc_peak_bytes\": 0, \"cpu_ns\": null}",
             "\"p.records\": 7",
             "\"p.threshold\": 2.5",
             "\"p.sizes\": {\"count\": 10",
@@ -727,42 +660,18 @@ mod tests {
         // Without the tracking allocator the alloc section is explicit null,
         // not a zeroed object.
         assert!(j.contains("\"alloc\": null"), "missing alloc null in:\n{j}");
-        // Without the CPU profiler the cpu section and per-span CPU figures
-        // are explicit nulls, not zeros.
-        assert!(j.contains("\"cpu\": null"), "missing cpu null in:\n{j}");
-        assert!(
-            j.contains(
-                "\"cpu_self_samples\": null, \"cpu_total_samples\": null, \"cpu_self_frac\": null"
-            ),
-            "missing per-span cpu nulls in:\n{j}"
-        );
-    }
-
-    #[test]
-    fn json_emits_cpu_section_when_profiled() {
+        // An enabled collector's report always carries the process CPU
+        // clock; a span recorded from a duration has an explicit null CPU
+        // time (matched above), not a zero.
+        assert!(j.contains("\"cpu\": {\"process_ns\": "), "missing cpu section in:\n{j}");
         let mut r = sample();
-        r.cpu = Some(CpuTotals {
-            sample_hz: 97,
-            oncpu_samples: 200,
-            offcpu_samples: 40,
-            torn_samples: 1,
-        });
-        r.spans.get_mut("p.build").unwrap().cpu_self_samples = 50;
-        r.spans.get_mut("p.build").unwrap().cpu_total_samples = 120;
+        r.cpu = Some(CpuTotals { process_ns: 5_040_000_000 });
+        r.spans.get_mut("p.build").unwrap().observe_cpu(1_500);
         let j = r.to_json();
+        assert!(j.contains("\"cpu\": {\"process_ns\": 5040000000}"), "missing cpu in:\n{j}");
         assert!(
-            j.contains(
-                "\"cpu\": {\"sample_hz\": 97, \"oncpu_samples\": 200, \
-                 \"offcpu_samples\": 40, \"torn_samples\": 1}"
-            ),
-            "missing cpu object in:\n{j}"
-        );
-        // 50 / 200 on-CPU samples = 0.25, rounded to 4 decimals.
-        assert!(
-            j.contains(
-                "\"cpu_self_samples\": 50, \"cpu_total_samples\": 120, \"cpu_self_frac\": 0.25"
-            ),
-            "missing per-span cpu figures in:\n{j}"
+            j.contains("\"alloc_peak_bytes\": 0, \"cpu_ns\": 1500}"),
+            "missing cpu_ns in:\n{j}"
         );
     }
 
@@ -816,12 +725,18 @@ mod tests {
     #[test]
     fn merge_folds_everything() {
         let mut a = sample();
-        let b = sample();
+        let mut b = sample();
+        b.spans.get_mut("p.build").unwrap().observe_cpu(7);
+        let cpu = a.cpu.unwrap().process_ns + b.cpu.unwrap().process_ns;
         a.merge(&b);
         assert_eq!(a.span("p.build").unwrap().count, 4);
+        assert_eq!(a.span("p.build").unwrap().cpu_ns, Some(7), "a null side adds nothing");
+        assert_eq!(a.cpu, Some(CpuTotals { process_ns: cpu }), "process CPU times add");
         assert_eq!(a.counter("p.records"), 14);
         assert_eq!(a.gauges["p.threshold"], 2.5);
         assert_eq!(a.histograms["p.sizes"].count(), 20);
+        a.merge(&b);
+        assert_eq!(a.span("p.build").unwrap().cpu_ns, Some(14));
     }
 
     #[test]
@@ -920,7 +835,7 @@ mod tests {
     #[test]
     fn parse_bench_report_reads_alloc_fields() {
         let c = crate::Collector::new();
-        c.record_span_alloc("p.build", 100_000_000, 4, 2048, 4096);
+        c.record_span("p.build", 100_000_000, 4, None, 2048, 4096);
         let json = c.report("p").to_json();
         let (pipeline, spans) = parse_bench_report(&json).unwrap();
         assert_eq!(pipeline, "p");
@@ -932,51 +847,23 @@ mod tests {
 
     #[test]
     fn parse_bench_report_reads_cpu_fields_and_skips_nulls() {
-        // Unprofiled report: per-span CPU figures are explicit nulls.
+        // A span recorded from a duration has a null CPU time; a measured
+        // one comes through as a number.
         let c = crate::Collector::new();
         c.record_span_ns("p.build", 100_000_000, 4);
+        c.record_span_cpu("p.task", 100_000_000, 1, 70_000_000);
         let (_, spans) = parse_bench_report(&c.report("p").to_json()).unwrap();
-        assert_eq!(spans["p.build"].cpu_self_samples, None);
-        assert_eq!(spans["p.build"].cpu_total_samples, None);
-        // Profiled report: numbers come through.
-        let json = r#"{"pipeline": "p", "spans": {
-            "p.build": {"total_ns": 5, "cpu_self_samples": 7, "cpu_total_samples": 11}}}"#;
-        let (_, spans) = parse_bench_report(json).unwrap();
-        assert_eq!(spans["p.build"].cpu_self_samples, Some(7));
-        assert_eq!(spans["p.build"].cpu_total_samples, Some(11));
-    }
-
-    #[test]
-    fn validator_rejects_cpu_self_above_total() {
-        let json = r#"{"pipeline": "p", "spans": {
-            "a": {"count": 1, "total_ns": 5, "min_ns": 5, "max_ns": 5,
-                  "cpu_self_samples": 9, "cpu_total_samples": 3},
-            "skipped": {"count": 1, "total_ns": 5, "min_ns": 5, "max_ns": 5,
-                        "cpu_self_samples": null, "cpu_total_samples": null}}}"#;
-        let violations = validate_bench_invariants(json).unwrap_err();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("cpu_self_samples"), "{violations:?}");
-    }
-
-    #[test]
-    fn validator_accepts_profiled_collector_reports() {
-        let c = crate::Collector::new();
-        c.record_span_ns("p.run", 5_000_000, 1);
-        let mut r = c.report("p");
-        r.cpu = Some(CpuTotals {
-            sample_hz: 97,
-            oncpu_samples: 10,
-            offcpu_samples: 2,
-            torn_samples: 0,
-        });
-        r.spans.get_mut("p.run").unwrap().cpu_self_samples = 4;
-        r.spans.get_mut("p.run").unwrap().cpu_total_samples = 10;
-        validate_bench_invariants(&r.to_json()).expect("profiled report validates");
+        assert_eq!(spans["p.build"].cpu_ns, None);
+        assert_eq!(spans["p.task"].cpu_ns, Some(70_000_000));
+        let json = r#"{"pipeline": "p", "spans": {"p.build": {"total_ns": 5}}}"#;
+        assert_eq!(parse_bench_report(json).unwrap().1["p.build"].cpu_ns, None);
     }
 
     #[test]
     fn validator_accepts_collector_reports() {
         let c = crate::Collector::new();
+        drop(c.span("p.measured"));
+        c.record_span_cpu("p.task", 5_000, 1, 4_000);
         c.record_span_ns("p.once", 5_000, 1);
         c.record_span_ns("p.twice", 1_000, 2);
         c.record_span_ns("p.twice", 3_000, 2);

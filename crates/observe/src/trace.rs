@@ -336,26 +336,13 @@ impl Tracer {
         self.push_event(ev);
     }
 
-    /// Publish a CPU-profiler frame for an RAII span. Only the guard-based
-    /// constructors feed the profiler: its per-thread slot is a strict
-    /// stack, which guards honor by construction, while raw `begin`/`end`
-    /// pairs (pool bookkeeping spans ended out of order or from other
-    /// threads) would corrupt it.
-    fn profile_enter(&self, name: &str) {
-        if self.enabled {
-            crate::profile::on_span_enter(name);
-        }
-    }
-
     /// RAII span under the ambient parent.
     pub fn span<'t>(&'t self, name: &str) -> TraceSpan<'t> {
-        self.profile_enter(name);
         TraceSpan { tracer: self, id: self.begin(name) }
     }
 
     /// RAII span under an explicit parent.
     pub fn span_under<'t>(&'t self, name: &str, parent: SpanId) -> TraceSpan<'t> {
-        self.profile_enter(name);
         TraceSpan { tracer: self, id: self.begin_under(name, parent) }
     }
 
@@ -568,11 +555,6 @@ impl TraceSpan<'_> {
 impl Drop for TraceSpan<'_> {
     fn drop(&mut self) {
         self.tracer.end(self.id);
-        // Matches the `profile_enter` in the guard constructors; `enabled`
-        // is immutable, so enter/exit always balance.
-        if self.tracer.enabled {
-            crate::profile::on_span_exit();
-        }
     }
 }
 

@@ -127,7 +127,7 @@ fn spans_attribute_allocation_deltas() {
         assert!(floor > 7 << 20, "the bound is not vacuous: {floor}");
         drop(big);
         let json = report.to_json();
-        assert!(json.contains("\"schema_version\": 3"));
+        assert!(json.contains("\"schema_version\": 4"));
         assert!(json.contains("\"alloc\": {"), "alloc section present when tracking: {json}");
         assert!(!json.contains("\"alloc\": null"));
     });

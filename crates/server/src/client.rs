@@ -105,8 +105,8 @@ pub struct StatsSnapshot {
     pub queue_wait_p99_us: u64,
     pub rss_bytes: u64,
     pub uptime_ms: u64,
-    /// Top spans by on-CPU self samples since start (empty unless the
-    /// server runs `--profile-cpu`).
+    /// Top spans by process CPU time since start, in µs (closed spans of
+    /// the server's collector, most first).
     pub cpu_top: Vec<(String, u64)>,
 }
 

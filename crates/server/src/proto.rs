@@ -163,8 +163,8 @@ pub enum ServeMessage {
         rss_bytes: u64,
         /// Milliseconds since the server finished loading its index.
         uptime_ms: u64,
-        /// Top spans by on-CPU self samples since start (name, samples),
-        /// best first. Empty unless the server runs `--profile-cpu`.
+        /// Top spans by process CPU time since start (name, µs), most
+        /// first: the closed spans of the server's collector, by `cpu_ns`.
         cpu_top: Vec<(String, u64)>,
     },
 }

@@ -372,6 +372,15 @@ fn stats_snapshot(shared: &Shared, request_id: u64) -> ServeMessage {
     let report = shared.collector.report("serve");
     let pct =
         |name: &str, p: f64| report.histograms.get(name).and_then(|h| h.quantile(p)).unwrap_or(0);
+    // The closed spans ranked by process CPU time, in µs (name order
+    // breaks ties: the sort is stable over the report's sorted map).
+    let mut cpu_top: Vec<(String, u64)> = report
+        .spans
+        .iter()
+        .filter_map(|(name, s)| Some((name.clone(), s.cpu_ns? / 1000)))
+        .collect();
+    cpu_top.sort_by_key(|(_, cpu_us)| std::cmp::Reverse(*cpu_us));
+    cpu_top.truncate(5);
     ServeMessage::StatsReply {
         request_id,
         queue_depth: shared.gate.waiting() as u64,
@@ -386,8 +395,7 @@ fn stats_snapshot(shared: &Shared, request_id: u64) -> ServeMessage {
         queue_wait_p99_us: pct("serve.queue_wait_us", 0.99),
         rss_bytes: ngs_observe::read_memory().rss_bytes.unwrap_or(0),
         uptime_ms: shared.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
-        // Live read of the active CPU profiler; empty without --profile-cpu.
-        cpu_top: ngs_observe::profile::top_self_cpu(5),
+        cpu_top,
     }
 }
 
@@ -575,7 +583,11 @@ mod tests {
         let reply = roundtrip(&ep, &request(7));
         assert!(matches!(reply, ServeMessage::Corrected { request_id: 7, .. }), "{reply:?}");
         match roundtrip(&ep, &ServeMessage::Stats { request_id: 8 }) {
-            ServeMessage::StatsReply { in_flight, .. } => assert_eq!(in_flight, 0),
+            ServeMessage::StatsReply { in_flight, cpu_top, .. } => {
+                assert_eq!(in_flight, 0);
+                // The served request's span is closed, so it is ranked.
+                assert!(cpu_top.iter().any(|(name, _)| name == "serve.request"), "{cpu_top:?}");
+            }
             other => panic!("expected StatsReply, got {other:?}"),
         }
         let summary = handle.shutdown();
@@ -616,6 +628,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_refused_not_half_served() {
+        use std::io::Write as _;
         let (reads, rpt) = small_reptile();
         // One worker and two slow requests: while the second still waits
         // for the worker, a third arrives with a 1 ms deadline. It is
@@ -624,15 +637,21 @@ mod tests {
         let config = ServerConfig { workers: 1, queue_capacity: 4, ..ServerConfig::default() };
         let (ep, handle, _) = start(rpt, config);
         let slow: Vec<Read> = reads.iter().cycle().take(8 * reads.len()).cloned().collect();
-        let mut busy: Vec<_> = (1..=2)
+        // Framed up front and sent from two threads, so the second request
+        // reaches the server well before the first can be corrected.
+        let frames: Vec<Vec<u8>> = (1..=2)
             .map(|request_id| {
-                let mut conn = ep.connect().expect("connect");
-                ServeMessage::Correct { request_id, deadline_ms: 0, reads: slow.clone() }
-                    .write_to(&mut conn)
-                    .expect("write");
-                conn
+                let request =
+                    ServeMessage::Correct { request_id, deadline_ms: 0, reads: slow.clone() };
+                mapreduce_lite::protocol::encode_frame(&request.to_payload())
             })
             .collect();
+        let mut busy: Vec<_> = (0..2).map(|_| ep.connect().expect("connect")).collect();
+        std::thread::scope(|s| {
+            for (conn, frame) in busy.iter_mut().zip(&frames) {
+                s.spawn(move || conn.write_all(frame).expect("write"));
+            }
+        });
         loop {
             match roundtrip(&ep, &ServeMessage::Stats { request_id: 9 }) {
                 ServeMessage::StatsReply { queue_depth, in_flight, latency_p50_us, .. } => {

@@ -88,7 +88,6 @@ fn messages(seed: u64, bytes: &[u8]) -> Vec<Message> {
         ts_ns: seed,
         pid: 7,
     }];
-    let profile = vec![("oncpu;worker.task".to_string(), seed % 100)];
     let (stage, task, attempt) = ((seed % 3) as u8, seed >> 8, (seed % 4) as u32);
     vec![
         Message::Hello { worker_id: seed, pid: seed >> 1, now_ns: seed >> 2 },
@@ -101,7 +100,6 @@ fn messages(seed: u64, bytes: &[u8]) -> Vec<Message> {
             heartbeat_ms: 50,
             traced: seed.is_multiple_of(2),
             profile_mem: seed.is_multiple_of(3),
-            profile_hz: seed % 1000,
             clock_offset_ns: seed as i64,
         },
         Message::Task { stage, task, attempt, trace_span: seed ^ 7, input: bytes.to_vec() },
@@ -114,9 +112,9 @@ fn messages(seed: u64, bytes: &[u8]) -> Vec<Message> {
             combined: seed % 7,
             groups: seed % 5,
             busy_ns: seed,
+            cpu_ns: seed >> 3,
             output: vec![bytes.to_vec(), Vec::new()],
             trace: trace.clone(),
-            profile: profile.clone(),
         },
         Message::Failed {
             job: seed,
@@ -133,7 +131,7 @@ fn messages(seed: u64, bytes: &[u8]) -> Vec<Message> {
             alloc_count: 3,
         },
         Message::Drain,
-        Message::TraceFlush { worker_id: seed, trace, profile },
+        Message::TraceFlush { worker_id: seed, trace },
     ]
 }
 

@@ -6,7 +6,7 @@
 use ngs::mapreduce::{
     map_reduce, record_job_stats, FaultKind, FaultPlan, JobConfig, JobStats, Stage,
 };
-use ngs::observe::{Collector, LogHistogram, Report, SpanStat};
+use ngs::observe::{Collector, CpuTotals, LogHistogram, Report, SpanStat};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -41,13 +41,20 @@ fn arb_job_stats() -> impl Strategy<Value = JobStats> {
     })
 }
 
+/// Spans with and without a measured CPU time (`cpu_ns` null), so merges
+/// fold measured into unmeasured stats both ways.
 fn arb_spans() -> impl Strategy<Value = BTreeMap<String, SpanStat>> {
-    vec((0usize..NAMES.len(), (1u64..20, 0u64..1_000_000, 1usize..64)), 0..4).prop_map(|kvs| {
+    let stat = (1u64..20, 0u64..1_000_000, 1usize..64);
+    let cpu = (any::<bool>(), 0u64..1_000_000);
+    vec((0usize..NAMES.len(), stat, cpu), 0..4).prop_map(|kvs| {
         kvs.into_iter()
-            .map(|(i, (count, ns, threads))| {
+            .map(|(i, (count, ns, threads), (measured, cpu_ns))| {
                 let mut s = SpanStat::default();
                 for j in 0..count {
                     s.observe(ns + j, threads);
+                    if measured {
+                        s.observe_cpu(cpu_ns + j);
+                    }
                 }
                 (NAMES[i].to_string(), s)
             })
@@ -95,13 +102,15 @@ fn arb_histograms() -> impl Strategy<Value = BTreeMap<String, LogHistogram>> {
 }
 
 fn arb_report() -> impl Strategy<Value = Report> {
-    (arb_spans(), arb_counters(), arb_gauges(), arb_histograms()).prop_map(
-        |(spans, counters, gauges, histograms)| Report {
+    let spans_and_cpu = (arb_spans(), (any::<bool>(), 0u64..1 << 40));
+    (spans_and_cpu, arb_counters(), arb_gauges(), arb_histograms()).prop_map(
+        |((spans, (has_cpu, process_ns)), counters, gauges, histograms)| Report {
             pipeline: "p".to_string(),
             spans,
             counters,
             gauges,
             histograms,
+            cpu: has_cpu.then_some(CpuTotals { process_ns }),
             ..Default::default()
         },
     )
