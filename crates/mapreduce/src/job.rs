@@ -180,10 +180,12 @@ fn run_attempts<T>(
         let detail = trace.map(|_| format!("task={task} attempt={attempt}"));
         let outcome = {
             let _span = cfg.collector.as_deref().map(|c| match trace {
-                Some(ctx) => {
-                    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-                    c.span_traced(span_path, ctx.parent(), detail.as_deref().unwrap_or(""), threads)
-                }
+                Some(ctx) => c.span_traced(
+                    span_path,
+                    ctx.parent(),
+                    detail.as_deref().unwrap_or(""),
+                    ngs_observe::available_cores(),
+                ),
                 None => c.span(span_path),
             });
             catch_unwind(AssertUnwindSafe(|| body(attempt)))

@@ -55,7 +55,7 @@ pub mod sampler;
 pub mod trace;
 pub mod traceview;
 
-pub use cpu::process_cpu_ns;
+pub use cpu::{available_cores, process_cpu_ns};
 pub use histogram::LogHistogram;
 pub use memory::{read_memory, MemoryProbe};
 pub use report::{
@@ -131,11 +131,12 @@ impl Collector {
     }
 
     /// Open a span at `path` (dot-separated hierarchy). The span is recorded
-    /// when the returned guard drops. Thread count is captured from
-    /// [`std::thread::available_parallelism`]; use [`Collector::span_with_threads`]
-    /// when the caller knows its actual pool size (e.g. rayon).
+    /// when the returned guard drops. Thread count is the process's
+    /// [`available_cores`] (a disabled collector does not look it up); use
+    /// [`Collector::span_with_threads`] when the caller knows its actual
+    /// pool size (e.g. rayon).
     pub fn span<'c>(&'c self, path: &str) -> SpanGuard<'c> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = if self.enabled { available_cores() } else { 1 };
         self.span_with_threads(path, threads)
     }
 
@@ -436,6 +437,7 @@ mod tests {
     fn disabled_collector_records_nothing() {
         let c = Collector::disabled();
         let reads = cpu::READS.with(|n| n.get());
+        let lookups = cpu::CORE_LOOKUPS.with(|n| n.get());
         {
             let _g = c.span("a");
             let _t = c.span_traced("b", SpanId::ROOT, "", 1);
@@ -445,11 +447,26 @@ mod tests {
         c.record("h", 9);
         let r = c.report("test");
         assert_eq!(cpu::READS.with(|n| n.get()), reads, "a disabled collector reads no clock");
+        let core_lookups = cpu::CORE_LOOKUPS.with(|n| n.get());
+        assert_eq!(core_lookups, lookups, "a disabled collector looks up no core count");
         assert_eq!(r.cpu, None);
         assert!(r.spans.is_empty());
         assert!(r.counters.is_empty());
         assert!(r.gauges.is_empty());
         assert!(r.histograms.is_empty());
+    }
+
+    /// Every enabled span records the core count, yet the standard
+    /// library is asked for it once per process.
+    #[test]
+    fn core_count_is_read_once_per_process() {
+        let c = Collector::new();
+        for _ in 0..100 {
+            let _g = c.span("a");
+        }
+        assert_eq!(cpu::CORE_READS.load(std::sync::atomic::Ordering::Relaxed), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(c.report("t").span("a").expect("span").threads, cores);
     }
 
     #[test]
