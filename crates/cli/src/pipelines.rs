@@ -544,7 +544,8 @@ pub fn redeem_detect(args: &Args) -> Result<()> {
                 &mut reads,
                 cov * 0.5,
                 threshold,
-            );
+            )
+            .record_into(&collector);
         }
         {
             let _s = collector.span("seqio.write");

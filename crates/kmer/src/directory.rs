@@ -5,6 +5,11 @@
 //! the top bits of the word says where each bucket of about four words
 //! starts, so a lookup reads two directory entries and scans one cache line
 //! instead of binary-searching the whole array.
+//!
+//! A caller with many keys to look up at once can [`prefetch`] each key's
+//! directory entry, then each bucket's first key, before the lookups: the
+//! loads of all keys are then in flight together instead of one after the
+//! other.
 
 use std::ops::Range;
 
@@ -88,6 +93,15 @@ impl BucketDirectory {
         &self.starts
     }
 
+    /// Start loading the directory entry [`BucketDirectory::range`] reads
+    /// for `key`; nothing for a word with bits above the key width.
+    #[inline]
+    pub(crate) fn prefetch(&self, key: u64) {
+        if let Some(start) = self.starts.get(self.bucket_of(key)) {
+            prefetch(start);
+        }
+    }
+
     /// Positions of the bucket `key` falls into; empty for a word with bits
     /// above the key width.
     #[inline]
@@ -98,6 +112,25 @@ impl BucketDirectory {
             _ => 0..0,
         }
     }
+}
+
+/// Ask the CPU to start loading the cache line that holds `value` into
+/// every cache level, so a read of it soon after does not wait for memory.
+/// A hint only: nothing a program can observe changes. A no-op on targets
+/// other than x86-64.
+#[inline]
+pub fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` requires the `sse` target feature, which is
+    // part of the x86-64 baseline, so every x86-64 CPU has it. The
+    // instruction reads no memory architecturally and cannot fault, and the
+    // pointer comes from a live reference.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
 }
 
 /// A word's top bits that pick its partition of a sorted-pass build (the tile

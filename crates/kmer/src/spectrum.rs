@@ -9,7 +9,7 @@
 //! tile table: k-mer instances grouped by top bits, each group sorted and
 //! counted — no hash map.
 
-use crate::directory::{BucketDirectory, Partitioned};
+use crate::directory::{prefetch, BucketDirectory, Partitioned};
 use crate::extract::for_each_kmer;
 use crate::packed::{reverse_complement_packed, Kmer};
 use ngs_core::hash::FxHashMap;
@@ -181,6 +181,25 @@ impl KSpectrum {
         (self.kmers[at] == kmer).then_some(at)
     }
 
+    /// Start loading the directory entry [`KSpectrum::index_of`] reads
+    /// first for `kmer`. For a batch of lookups, call this for every k-mer,
+    /// then [`KSpectrum::prefetch_bucket`] for every k-mer, then `index_of`:
+    /// the batch's loads then overlap. Any word is accepted.
+    #[inline]
+    pub fn prefetch_directory(&self, kmer: Kmer) {
+        self.dir.prefetch(kmer);
+    }
+
+    /// Start loading the first key of `kmer`'s bucket, which
+    /// [`KSpectrum::index_of`] scans; reads the directory entry that
+    /// [`KSpectrum::prefetch_directory`] loads. Any word is accepted.
+    #[inline]
+    pub fn prefetch_bucket(&self, kmer: Kmer) {
+        if let Some(first) = self.kmers.get(self.dir.range(kmer).start) {
+            prefetch(first);
+        }
+    }
+
     /// Occurrence count of `kmer` (0 if absent).
     #[inline]
     pub fn count(&self, kmer: Kmer) -> u32 {
@@ -348,6 +367,36 @@ mod tests {
                 let got = KSpectrum::build_chunked(&reads, 7, both_strands, chunk);
                 assert_eq!(got.kmers(), want.kmers(), "chunk {chunk}");
                 assert_eq!(got.counts(), want.counts(), "chunk {chunk}");
+            }
+        }
+    }
+
+    /// Prefetching is a hint: for any word — absent, the largest key, above
+    /// the key width — it panics nowhere and leaves every lookup as it was.
+    #[test]
+    fn prefetch_accepts_any_word_and_changes_nothing() {
+        let reads = random_reads(300, 40, 9);
+        for k in [1, 3, 11, 32] {
+            let sp = KSpectrum::from_reads_both_strands(&reads, k);
+            let empty = KSpectrum::from_sorted(k, vec![], vec![]).unwrap();
+            let mask = u64::MAX >> (64 - 2 * k);
+            let mut words: Vec<Kmer> = sp.kmers().iter().step_by(7).copied().collect();
+            words.extend([0, 1, mask, mask.wrapping_add(1), u64::MAX, 1 << 63, mask << 1]);
+            for spectrum in [&sp, &empty] {
+                let copy = spectrum.clone();
+                let before: Vec<Option<usize>> =
+                    words.iter().map(|&v| spectrum.index_of(v)).collect();
+                for &v in &words {
+                    spectrum.prefetch_directory(v);
+                    spectrum.prefetch_bucket(v);
+                    spectrum.dir.prefetch(v);
+                }
+                let after: Vec<Option<usize>> =
+                    words.iter().map(|&v| spectrum.index_of(v)).collect();
+                assert_eq!(before, after, "k={k}");
+                assert_eq!(spectrum.kmers(), copy.kmers(), "k={k}");
+                assert_eq!(spectrum.counts(), copy.counts(), "k={k}");
+                assert_eq!(spectrum.dir.starts(), copy.dir.starts(), "k={k}");
             }
         }
     }

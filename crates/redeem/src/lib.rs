@@ -31,7 +31,7 @@ pub mod error_model;
 pub mod snapshot;
 pub mod threshold;
 
-pub use correct::{correct_reads, correct_reads_in_place};
+pub use correct::{correct_reads, correct_reads_in_place, CorrectionStats};
 pub use em::{EmConfig, EmResult, EmState, Redeem};
 pub use error_model::KmerErrorModel;
 pub use threshold::{
