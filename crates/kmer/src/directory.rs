@@ -142,26 +142,35 @@ pub(crate) const PARTITION_BITS: u32 = 8;
 /// collects one of these per chunk of reads, then gathers partition `p` of
 /// every chunk, sorts and counts it; partitions ascend, so the result is
 /// the concatenation of the partitions' results and depends on neither the
-/// chunk size nor the thread count.
-pub(crate) struct Partitioned {
-    words: Vec<u64>,
+/// chunk size nor the thread count. The tile table also groups its mirrored
+/// entries this way, keyed by their tile.
+pub(crate) struct Partitioned<T = u64> {
+    items: Vec<T>,
     partitions: BucketDirectory,
 }
 
-impl Partitioned {
-    /// Group `words` (each `key_bits` wide) by their top
-    /// [`PARTITION_BITS`] bits, keeping arrival order within a partition.
-    pub(crate) fn group(words: Vec<u64>, key_bits: u32) -> Partitioned {
+impl<T: Copy + Default> Partitioned<T> {
+    /// Group `items` by the top [`PARTITION_BITS`] bits of their
+    /// `key_bits`-wide `key`, keeping arrival order within a partition.
+    pub(crate) fn group(items: Vec<T>, key_bits: u32, key: impl Fn(&T) -> u64) -> Partitioned<T> {
         let partitions = BucketDirectory::with_bits(
             key_bits,
             PARTITION_BITS.min(key_bits),
-            words.iter().copied(),
+            items.iter().map(&key),
         );
-        let mut grouped = vec![0; words.len()];
-        partitions.scatter(words.iter().copied(), |slot, _, word| grouped[slot] = word);
-        Partitioned { words: grouped, partitions }
+        let mut grouped = vec![T::default(); items.len()];
+        partitions.scatter(items.iter().map(&key), |slot, index, _| grouped[slot] = items[index]);
+        Partitioned { items: grouped, partitions }
     }
 
+    /// The items of partition `p`, in arrival order.
+    pub(crate) fn partition(&self, p: usize) -> &[T] {
+        let starts = self.partitions.starts();
+        &self.items[starts[p] as usize..starts[p + 1] as usize]
+    }
+}
+
+impl Partitioned {
     /// Number of partitions of `key_bits`-wide words.
     pub(crate) fn count(key_bits: u32) -> usize {
         1 << PARTITION_BITS.min(key_bits)
@@ -176,11 +185,6 @@ impl Partitioned {
         let mut words = parts.concat();
         words.sort_unstable();
         words
-    }
-
-    fn partition(&self, p: usize) -> &[u64] {
-        let starts = self.partitions.starts();
-        &self.words[starts[p] as usize..starts[p + 1] as usize]
     }
 }
 

@@ -12,6 +12,7 @@
 use crate::directory::{prefetch, BucketDirectory, Partitioned};
 use crate::extract::for_each_kmer;
 use crate::packed::{reverse_complement_packed, Kmer};
+#[cfg(test)]
 use ngs_core::hash::FxHashMap;
 use ngs_core::{NgsError, Read};
 use rayon::prelude::*;
@@ -68,7 +69,7 @@ impl KSpectrum {
                         }
                     });
                 }
-                Partitioned::group(instances, key_bits)
+                Partitioned::group(instances, key_bits, |&v| v)
             })
             .collect();
         let runs: Vec<(Vec<Kmer>, Vec<u32>)> = (0..Partitioned::count(key_bits))
@@ -85,9 +86,10 @@ impl KSpectrum {
     ///
     /// # Panics
     /// Panics unless `1 ≤ k ≤ 32` and every key is a k-mer of that length.
-    pub fn from_map(map: FxHashMap<Kmer, u32>, k: usize) -> KSpectrum {
+    #[cfg(test)]
+    pub(crate) fn from_map(map: FxHashMap<Kmer, u32>, k: usize) -> KSpectrum {
         let mut pairs: Vec<(Kmer, u32)> = map.into_iter().collect();
-        pairs.par_sort_unstable_by_key(|&(v, _)| v);
+        pairs.sort_unstable_by_key(|&(v, _)| v);
         let (kmers, counts): (Vec<Kmer>, Vec<u32>) = pairs.into_iter().unzip();
         Self::from_sorted(k, kmers, counts).expect("the keys of a k-mer map are distinct k-mers")
     }

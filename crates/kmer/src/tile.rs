@@ -31,7 +31,7 @@ pub struct TileCounts {
 }
 
 /// One row of the tile table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileEntry {
     /// The packed tile.
     pub tile: Tile,
@@ -202,28 +202,31 @@ impl TileTable {
         Self::build_chunked(reads, k, l, q_c, chunk)
     }
 
-    /// [`TileTable::build`] over chunks of `chunk` reads. The table is born
-    /// sorted: chunks collect tile instances grouped by the tile's top bits,
-    /// then every such partition gathers its instances from all chunks,
-    /// sorts them and counts each tile. Partitions ascend, so the table is
-    /// their concatenation — and, being the ascending array of a multiset's
-    /// counts, depends on neither the chunk size nor the thread count.
+    /// [`TileTable::build`] over chunks of `chunk` reads. A window and its
+    /// reverse complement always come as a pair, so chunks collect one
+    /// instance per window, its canonical tile `min(t, rc(t))`, grouped by
+    /// the tile's top bits; then every such partition gathers its instances
+    /// from all chunks, sorts them and counts each canonical tile.
+    /// [`assemble`] adds the reverse complements. The table is the
+    /// ascending array of a multiset's counts, so it depends on neither the
+    /// chunk size nor the thread count.
     fn build_chunked(reads: &[Read], k: usize, l: usize, q_c: u8, chunk: usize) -> TileTable {
         assert!((1..=16).contains(&k), "tile table requires k in 1..=16");
         assert!(l < k, "overlap l must be < k");
         let m = 2 * k - l;
         let chunks: Vec<[Partitioned; 2]> =
             reads.par_chunks(chunk).map(|chunk| chunk_instances(chunk, m, q_c)).collect();
-        let runs: Vec<Vec<TileEntry>> = (0..Partitioned::count(2 * m as u32))
+        let canonical: Vec<Vec<TileEntry>> = (0..Partitioned::count(2 * m as u32))
             .into_par_iter()
             .map(|p| {
                 let [high, low] = [HIGH, LOW].map(|quality| {
                     Partitioned::gather_sorted(chunks.iter().map(|c| &c[quality]), p)
                 });
-                count_tiles(&high, &low)
+                count_tiles(&high, &low, m)
             })
             .collect();
-        Self::from_ascending(k, l, runs.concat())
+        drop(chunks);
+        Self::from_ascending(k, l, assemble(canonical, m))
     }
 }
 
@@ -233,10 +236,10 @@ impl TileTable {
 const HIGH: usize = 0;
 const LOW: usize = 1;
 
-/// The tile instances of `reads` and of their reverse complements, by
-/// quality class ([`HIGH`], [`LOW`]).
+/// The canonical tile of every window of `reads`, by quality class
+/// ([`HIGH`], [`LOW`]).
 fn chunk_instances(reads: &[Read], m: usize, q_c: u8) -> [Partitioned; 2] {
-    let most: usize = reads.iter().map(|r| 2 * (r.len() + 1).saturating_sub(m)).sum();
+    let most: usize = reads.iter().map(|r| (r.len() + 1).saturating_sub(m)).sum();
     let mut instances = [Vec::with_capacity(most), Vec::new()];
     let mut lowq_prefix: Vec<u32> = Vec::new();
     for r in reads {
@@ -256,26 +259,85 @@ fn chunk_instances(reads: &[Read], m: usize, q_c: u8) -> [Partitioned; 2] {
         }
         for_each_kmer(&r.seq, m, |pos, tile| {
             let quality = if lowq_prefix[pos + m] == lowq_prefix[pos] { HIGH } else { LOW };
-            instances[quality].push(tile);
-            // Reverse-complement instance: same base qualities.
-            instances[quality].push(reverse_complement_packed(tile, m));
+            instances[quality].push(tile.min(reverse_complement_packed(tile, m)));
         });
     }
-    instances.map(|tiles| Partitioned::group(tiles, 2 * m as u32))
+    instances.map(|tiles| Partitioned::group(tiles, 2 * m as u32, |&t| t))
 }
 
-/// Count each distinct tile of two ascending instance lists: `O_c` over
-/// both, `O_g` over `high`.
-fn count_tiles(mut high: &[Tile], mut low: &[Tile]) -> Vec<TileEntry> {
+/// Count each distinct canonical tile of two ascending instance lists:
+/// `O_c` over both, `O_g` over `high`. Every instance stands for a window
+/// and its reverse complement, so a palindrome (its own reverse
+/// complement, possible when `m` is even) counts twice.
+fn count_tiles(mut high: &[Tile], mut low: &[Tile], m: usize) -> Vec<TileEntry> {
     let run_of = |tiles: &[Tile], tile: Tile| tiles.iter().take_while(|&&t| t == tile).count();
     let mut out = Vec::new();
     while let Some(&tile) = [high.first(), low.first()].into_iter().flatten().min() {
         let (og, rest) = (run_of(high, tile), run_of(low, tile));
-        let counts = TileCounts { oc: (og + rest) as u32, og: og as u32 };
+        let strands = 1 + usize::from(reverse_complement_packed(tile, m) == tile);
+        let counts = TileCounts { oc: ((og + rest) * strands) as u32, og: (og * strands) as u32 };
         out.push(TileEntry { tile, counts });
         (high, low) = (&high[og..], &low[rest..]);
     }
     out
+}
+
+/// The table from the canonical entries of each partition: a canonical
+/// tile that is not a palindrome stands for its reverse complement too,
+/// with the same counts. Each partition's mirrored entries are grouped by
+/// the partition they land in; then every partition sorts the mirrored
+/// entries it receives and merges them with its canonical ones, straight
+/// into its slice of the table, which is allocated once at its final size.
+fn assemble(canonical: Vec<Vec<TileEntry>>, m: usize) -> Vec<TileEntry> {
+    let mirrored: Vec<Partitioned<TileEntry>> = canonical
+        .par_iter()
+        .map(|entries| {
+            let mirrors = entries
+                .iter()
+                .filter_map(|e| {
+                    let tile = reverse_complement_packed(e.tile, m);
+                    (tile != e.tile).then_some(TileEntry { tile, counts: e.counts })
+                })
+                .collect();
+            Partitioned::group(mirrors, 2 * m as u32, |e| e.tile)
+        })
+        .collect();
+    let sizes: Vec<usize> = (0..canonical.len())
+        .map(|p| {
+            canonical[p].len() + mirrored.iter().map(|from| from.partition(p).len()).sum::<usize>()
+        })
+        .collect();
+    let mut table = vec![TileEntry::default(); sizes.iter().sum::<usize>()];
+    let mut slices = Vec::with_capacity(sizes.len());
+    let mut rest = table.as_mut_slice();
+    for size in sizes {
+        let (slice, tail) = rest.split_at_mut(size);
+        slices.push(slice);
+        rest = tail;
+    }
+    let jobs: Vec<_> = canonical.into_iter().zip(slices).enumerate().collect();
+    jobs.into_par_iter().for_each(|(p, (canonical, slice))| {
+        let mut mirrors: Vec<TileEntry> =
+            mirrored.iter().flat_map(|from| from.partition(p)).copied().collect();
+        mirrors.sort_unstable_by_key(|e| e.tile);
+        merge_into(&canonical, &mirrors, slice);
+    });
+    table
+}
+
+/// Merge two ascending entry lists that share no tile into `out`, which is
+/// exactly as long as both.
+fn merge_into(a: &[TileEntry], b: &[TileEntry], out: &mut [TileEntry]) {
+    let (mut i, mut j) = (0, 0);
+    for slot in out {
+        if j == b.len() || (i < a.len() && a[i].tile < b[j].tile) {
+            *slot = a[i];
+            i += 1;
+        } else {
+            *slot = b[j];
+            j += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -481,6 +543,53 @@ mod tests {
             assert_eq!(chunked.dir.starts(), whole.dir.starts());
         }
         assert!(TileTable::build(&reads, 6, 1, 20).iter().eq(whole.iter()));
+    }
+
+    /// The windows the canonical build treats apart, against the model:
+    /// palindromes (counted twice) at even tile lengths and none at odd
+    /// ones, mirrored entries that land in their canonical tile's own
+    /// partition and in another, a tile that fills the word, reads of `N`
+    /// or shorter than a tile, and one tile seen on both sides of `Q_c`.
+    #[test]
+    fn canonical_build_matches_model_on_edge_windows() {
+        let hq = |seq: &[u8]| Read::with_qual("hq", seq, vec![30; seq.len()]);
+        let mut split_qual = vec![30; 12];
+        split_qual[9] = 10;
+        let reads = vec![
+            hq(b"ACGCGT"),
+            hq(b"ACGTACGTACGTACGTACGTACGTACGTACGT"),
+            hq(b"AACCAGGTT"),
+            hq(b"AAAAAAAAC"),
+            Read::with_qual("split", b"AAAAACGTTTTT", split_qual),
+            Read::new("n", b"NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNN"),
+            Read::new("short", b"ACG"),
+        ];
+        let tile = |s: &[u8]| encode_kmer(s).unwrap();
+        for (k, l) in [(3, 0), (3, 1), (4, 2), (5, 1), (8, 0), (16, 0)] {
+            for chunk in [1, reads.len()] {
+                let table = TileTable::build_chunked(&reads, k, l, 20, chunk);
+                check_against_model(&table, &reads, 20, 15);
+                let m = table.tile_len();
+                let palindromes =
+                    table.iter().filter(|&(t, _)| reverse_complement_packed(t, m) == t).count();
+                assert_eq!(palindromes > 0, m.is_multiple_of(2), "k={k} l={l}");
+            }
+        }
+        let table = TileTable::build(&reads, 3, 0, 20);
+        assert_eq!(table.counts(tile(b"ACGCGT")), TileCounts { oc: 2, og: 2 });
+        // A high-quality window of AAAAAAAAC, then one in each quality
+        // class of the split read: a tile and its mirror.
+        for t in [b"AAAAAC", b"GTTTTT"] {
+            assert_eq!(table.counts(tile(t)), TileCounts { oc: 3, og: 2 });
+        }
+        let table = TileTable::build(&reads, 16, 0, 20);
+        assert_eq!(table.counts(tile(&reads[1].seq)), TileCounts { oc: 2, og: 2 });
+        // m = 9 partitions on the top four bases: AACCAGGTT mirrors into its
+        // own partition, AAAAAAAAC into GTTTTTTTT's.
+        let table = TileTable::build(&reads, 5, 1, 20);
+        for t in [&b"AACCAGGTT"[..], b"AACCTGGTT", b"AAAAAAAAC", b"GTTTTTTTT"] {
+            assert_eq!(table.counts(tile(t)), TileCounts { oc: 1, og: 1 });
+        }
     }
 
     /// Pins the built table to the bit — the value is what the hash-map

@@ -1,7 +1,7 @@
 //! Dependency-free tracking global allocator.
 //!
 //! [`TrackingAllocator`] wraps [`std::alloc::System`] and maintains global
-//! and per-thread byte counters with relaxed atomics. Binaries register it
+//! byte counters with relaxed atomics. Binaries register it
 //! at compile time:
 //!
 //! ```ignore
@@ -22,16 +22,16 @@
 //! * `PEAK` — high-watermark of the derived live bytes, maintained with
 //!   `fetch_max` at allocation time.
 //! * `COUNT` — number of allocation calls.
-//! * a per-thread allocated-bytes counter (const-init TLS `Cell`, read via
-//!   `try_with` so allocations during TLS teardown stay safe) — the basis
-//!   for span-scoped attribution in [`Collector`](crate::Collector) spans.
+//!
+//! [`Collector`](crate::Collector) spans diff `ALLOCATED` over their
+//! interval ([`allocated_bytes`]), so a span counts what every thread
+//! allocated while it was open, pool workers too.
 //!
 //! The counters are process-wide: [`reset_peak`] rebases the watermark to
 //! the current live bytes so sequential phases of one process can each
 //! measure their own peak.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// Tracking is on (flipped by [`enable`]/[`disable`]).
@@ -48,11 +48,6 @@ static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Number of allocation calls while tracking was enabled.
 static COUNT: AtomicU64 = AtomicU64::new(0);
 
-thread_local! {
-    /// Bytes allocated by this thread while tracking was enabled.
-    static THREAD_ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
-
 #[inline]
 fn on_alloc(size: usize) {
     if !INSTALLED.load(Relaxed) {
@@ -64,9 +59,6 @@ fn on_alloc(size: usize) {
     let size = size as u64;
     let allocated = ALLOCATED.fetch_add(size, Relaxed) + size;
     COUNT.fetch_add(1, Relaxed);
-    // TLS may already be torn down when a destructor allocates; drop the
-    // attribution rather than aborting.
-    let _ = THREAD_ALLOCATED.try_with(|c| c.set(c.get().wrapping_add(size)));
     let live = allocated.saturating_sub(FREED.load(Relaxed));
     PEAK.fetch_max(live, Relaxed);
 }
@@ -151,10 +143,10 @@ pub fn live_bytes() -> u64 {
     ALLOCATED.load(Relaxed).saturating_sub(FREED.load(Relaxed))
 }
 
-/// Bytes allocated by the calling thread while tracking was enabled
+/// Bytes allocated by the whole process while tracking was enabled
 /// (monotonic; span attribution diffs two readings).
-pub fn thread_allocated_bytes() -> u64 {
-    THREAD_ALLOCATED.try_with(Cell::get).unwrap_or(0)
+pub fn allocated_bytes() -> u64 {
+    ALLOCATED.load(Relaxed)
 }
 
 /// A snapshot of the global allocator counters.

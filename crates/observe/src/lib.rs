@@ -178,7 +178,7 @@ impl Collector {
             threads,
             trace_id,
             cpu_start: self.enabled.then(process_cpu_ns).flatten(),
-            alloc_start: (self.enabled && alloc::is_enabled()).then(alloc::thread_allocated_bytes),
+            alloc_start: (self.enabled && alloc::is_enabled()).then(alloc::allocated_bytes),
         }
     }
 
@@ -195,8 +195,8 @@ impl Collector {
         self.record_span(path, ns, threads, Some(cpu_ns), 0, 0);
     }
 
-    /// Fold one span occurrence in: `alloc_bytes` is the bytes the span's
-    /// thread allocated while it was open, `alloc_peak_bytes` the
+    /// Fold one span occurrence in: `alloc_bytes` is the bytes the process
+    /// allocated while it was open, `alloc_peak_bytes` the
     /// process-wide live-byte high-watermark at close (both 0 without the
     /// tracking allocator — see the [`alloc`] module).
     fn record_span(
@@ -332,7 +332,7 @@ pub struct SpanGuard<'c> {
     /// Process CPU clock at open (`None` for a disabled collector, or
     /// where the clock is unavailable).
     cpu_start: Option<u64>,
-    /// Thread-allocated bytes at open (`Some` only when the tracking
+    /// Process-allocated bytes at open (`Some` only when the tracking
     /// allocator was enabled then — the drop diffs against it).
     alloc_start: Option<u64>,
 }
@@ -369,12 +369,12 @@ impl Drop for SpanGuard<'_> {
         }
         let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let cpu_ns = self.cpu_start.and_then(|start| Some(process_cpu_ns()?.saturating_sub(start)));
-        // Allocation attribution: bytes this thread allocated while the
-        // span was open, plus the process-wide peak watermark at close
-        // (meaningful even for spans whose work ran on other threads).
+        // Allocation attribution: bytes the process allocated while the
+        // span was open (the pool's workers too, as with `cpu_ns`), plus the
+        // process-wide peak watermark at close.
         let (alloc_bytes, alloc_peak) = match self.alloc_start {
             Some(start) => (
-                alloc::thread_allocated_bytes().saturating_sub(start),
+                alloc::allocated_bytes().saturating_sub(start),
                 alloc::snapshot().map_or(0, |s| s.peak_live_bytes),
             ),
             None => (0, 0),

@@ -81,8 +81,10 @@ pub struct SpanStat {
     pub max_ns: u64,
     /// Largest thread count observed at span open.
     pub threads: usize,
-    /// Σ bytes the opening thread allocated while the span was open
-    /// (0 without the tracking allocator — see `ngs_observe::alloc`).
+    /// Σ bytes the process allocated while each entry was open, on every
+    /// thread (0 without the tracking allocator — see `ngs_observe::alloc`).
+    /// Overlapping entries each count the whole process, as with
+    /// [`SpanStat::cpu_ns`].
     pub alloc_bytes: u64,
     /// Largest process-wide live-byte high-watermark observed at any
     /// entry's close (0 without the tracking allocator).

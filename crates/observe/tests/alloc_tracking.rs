@@ -133,6 +133,22 @@ fn spans_attribute_allocation_deltas() {
     });
 }
 
+/// A pooled stage allocates on worker threads: the span counts them, so it
+/// reads the same whichever thread happened to do the work.
+#[test]
+fn spans_count_allocations_of_threads_joined_inside_them() {
+    with_tracking(|| {
+        let c = Collector::new();
+        let held = {
+            let _span = c.span("test.pooled");
+            std::thread::spawn(|| vec![0u8; 4 << 20]).join().expect("the worker does not panic")
+        };
+        let s = c.report("test").span("test.pooled").copied().expect("span recorded");
+        assert!(s.alloc_bytes >= 4 << 20, "a worker's 4 MiB is counted: {}", s.alloc_bytes);
+        drop(held);
+    });
+}
+
 #[test]
 fn sampler_timeline_respects_peak_ge_live() {
     with_tracking(|| {

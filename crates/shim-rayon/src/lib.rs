@@ -4,7 +4,7 @@
 //! vendors the API surface it needs: `par_iter` / `par_iter_mut` /
 //! `into_par_iter` / `par_chunks` with the `map`, `filter_map`,
 //! `enumerate`, `collect`, `sum`, and `reduce` adaptors, plus
-//! `par_sort_unstable_by_key` and [`current_num_threads`].
+//! [`current_num_threads`].
 //!
 //! Execution runs on one persistent work-stealing thread pool (see
 //! `pool.rs`): the item stream is materialised, split into contiguous
@@ -16,11 +16,10 @@
 //!
 //! Determinism contract: the *result* of every adaptor is a pure
 //! function of the input, never of the thread count or of scheduling.
-//! Chunk boundaries, reduction-tree shape, and sort-run boundaries
-//! depend only on input length; mapped results land in per-chunk
-//! index slots; `sum` is a sequential fold over the materialised
-//! items (floating-point sums must not re-associate); sorting breaks
-//! key ties by original index so the permutation is unique.
+//! Chunk boundaries and reduction-tree shape depend only on input
+//! length; mapped results land in per-chunk index slots; `sum` is a
+//! sequential fold over the materialised items (floating-point sums
+//! must not re-associate).
 
 mod pool;
 
@@ -36,9 +35,6 @@ pub fn current_num_threads() -> usize {
 /// Task granularity: chunks per pool thread. More chunks than threads
 /// lets idle lanes steal from busy ones when per-item cost is uneven.
 const TASKS_PER_THREAD: usize = 4;
-
-/// Below this many items a sort is not worth permutation bookkeeping.
-const PAR_SORT_MIN: usize = 4096;
 
 /// Target items per reduction-tree leaf.
 const REDUCE_CHUNK: usize = 1024;
@@ -250,92 +246,12 @@ impl<T: Sync + Send> ParallelSlice<T> for [T] {
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel iterator over exclusive references.
     fn par_iter_mut(&mut self) -> ParIter<&mut T>;
-    /// In-place unstable sort by key: parallel sorted runs merged in
-    /// a fixed tree, then the permutation applied by cycle-following.
-    /// Key ties break by original index, so the result is the unique
-    /// stable order regardless of thread count (below `PAR_SORT_MIN`
-    /// items it delegates to `sort_unstable_by_key`, whose tie order
-    /// is likewise thread-count independent because it never runs on
-    /// the pool).
-    fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
-    where
-        K: Ord + Send + Sync,
-        F: Fn(&T) -> K + Sync;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> ParIter<&mut T> {
         ParIter { items: self.iter_mut().collect() }
     }
-
-    fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
-    where
-        K: Ord + Send + Sync,
-        F: Fn(&T) -> K + Sync,
-    {
-        let n = self.len();
-        if n < PAR_SORT_MIN {
-            pool::note_sequential();
-            self.sort_unstable_by_key(key);
-            return;
-        }
-        // Keys are extracted once up front (cheap relative to the
-        // comparisons), then only indices move until the final pass.
-        let keys: Vec<K> = self.iter().map(&key).collect();
-        let keys = &keys;
-        // Run boundaries are a pure function of n: the merge tree and
-        // hence the final permutation never depend on thread count.
-        let bounds = chunk_bounds(n, n.div_ceil(PAR_SORT_MIN).min(64));
-        let mut runs: Vec<Vec<usize>> = parallel_apply(bounds, |(start, end)| {
-            let mut run: Vec<usize> = (start..end).collect();
-            run.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-            run
-        });
-        while runs.len() > 1 {
-            let mut pairs = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut iter = runs.into_iter();
-            while let Some(left) = iter.next() {
-                pairs.push((left, iter.next()));
-            }
-            runs = parallel_apply(pairs, |(left, right)| match right {
-                None => left,
-                Some(right) => merge_runs(left, right, keys),
-            });
-        }
-        let sorted = runs.pop().unwrap_or_default();
-        // dest[i] = final position of the element currently at i;
-        // cycle-following then sorts in place with n - cycles swaps.
-        let mut dest = vec![0usize; n];
-        for (position, &source) in sorted.iter().enumerate() {
-            dest[source] = position;
-        }
-        for i in 0..n {
-            while dest[i] != i {
-                let j = dest[i];
-                self.swap(i, j);
-                dest.swap(i, j);
-            }
-        }
-    }
-}
-
-/// Merge two sorted index runs, ordering by `(key, index)`.
-fn merge_runs<K: Ord>(left: Vec<usize>, right: Vec<usize>, keys: &[K]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        let (a, b) = (left[i], right[j]);
-        if (&keys[a], a) <= (&keys[b], b) {
-            out.push(a);
-            i += 1;
-        } else {
-            out.push(b);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&left[i..]);
-    out.extend_from_slice(&right[j..]);
-    out
 }
 
 pub mod prelude {
@@ -405,28 +321,6 @@ mod tests {
         let mut v = vec![1u32; 64];
         v.par_iter_mut().map(|x| *x += 1).collect::<Vec<()>>();
         assert!(v.iter().all(|&x| x == 2));
-    }
-
-    #[test]
-    fn par_sort_matches_stable_sort_with_duplicate_keys() {
-        pool4();
-        // Above PAR_SORT_MIN, lots of duplicate keys: the index
-        // tie-break must reproduce the stable order exactly.
-        let n = 3 * super::PAR_SORT_MIN + 7;
-        let mut v: Vec<(u64, usize)> =
-            (0..n).map(|i| ((i as u64).wrapping_mul(2654435761) % 97, i)).collect();
-        let mut expect = v.clone();
-        expect.sort_by_key(|&(k, _)| k);
-        v.par_sort_unstable_by_key(|&(k, _)| k);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn par_sort_small_input_sequential_path() {
-        pool4();
-        let mut v = vec![5u32, 3, 9, 1, 4];
-        v.par_sort_unstable_by_key(|&x| x);
-        assert_eq!(v, vec![1, 3, 4, 5, 9]);
     }
 
     #[test]
