@@ -17,6 +17,7 @@ use crate::extract::for_each_kmer;
 use crate::packed::{reverse_complement_packed, Kmer};
 use ngs_core::{NgsError, Read};
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
 /// A packed tile value (same encoding as a packed k-mer of length `2k − l`).
 pub type Tile = u64;
@@ -284,57 +285,67 @@ fn count_tiles(mut high: &[Tile], mut low: &[Tile], m: usize) -> Vec<TileEntry> 
 
 /// The table from the canonical entries of each partition: a canonical
 /// tile that is not a palindrome stands for its reverse complement too,
-/// with the same counts. Each partition's mirrored entries are grouped by
-/// the partition they land in; then every partition sorts the mirrored
-/// entries it receives and merges them with its canonical ones, straight
-/// into its slice of the table, which is allocated once at its final size.
+/// with the same counts. Blocks of partitions, as many as the build has
+/// chunks of reads, group their mirrored entries by the partition they land
+/// in; then every partition gathers the mirrored entries it receives, sorts
+/// them and merges them with its canonical ones straight into its slice of
+/// the table, which is allocated once at its final size and written once.
 fn assemble(canonical: Vec<Vec<TileEntry>>, m: usize) -> Vec<TileEntry> {
+    let block = canonical.len().div_ceil(rayon::current_num_threads() * 4);
     let mirrored: Vec<Partitioned<TileEntry>> = canonical
-        .par_iter()
-        .map(|entries| {
-            let mirrors = entries
-                .iter()
-                .filter_map(|e| {
-                    let tile = reverse_complement_packed(e.tile, m);
-                    (tile != e.tile).then_some(TileEntry { tile, counts: e.counts })
-                })
-                .collect();
+        .par_chunks(block)
+        .map(|partitions| {
+            let mut mirrors = Vec::with_capacity(partitions.iter().map(Vec::len).sum());
+            for e in partitions.iter().flatten() {
+                let tile = reverse_complement_packed(e.tile, m);
+                if tile != e.tile {
+                    mirrors.push(TileEntry { tile, counts: e.counts });
+                }
+            }
             Partitioned::group(mirrors, 2 * m as u32, |e| e.tile)
         })
         .collect();
-    let sizes: Vec<usize> = (0..canonical.len())
-        .map(|p| {
-            canonical[p].len() + mirrored.iter().map(|from| from.partition(p).len()).sum::<usize>()
-        })
+    let received = |p: usize| mirrored.iter().map(move |from| from.partition(p));
+    let sizes: Vec<usize> = canonical
+        .iter()
+        .enumerate()
+        .map(|(p, own)| own.len() + received(p).map(<[_]>::len).sum::<usize>())
         .collect();
-    let mut table = vec![TileEntry::default(); sizes.iter().sum::<usize>()];
+    let total = sizes.iter().sum();
+    let mut table = Vec::with_capacity(total);
     let mut slices = Vec::with_capacity(sizes.len());
-    let mut rest = table.as_mut_slice();
+    let mut rest = &mut table.spare_capacity_mut()[..total];
     for size in sizes {
         let (slice, tail) = rest.split_at_mut(size);
         slices.push(slice);
         rest = tail;
     }
     let jobs: Vec<_> = canonical.into_iter().zip(slices).enumerate().collect();
-    jobs.into_par_iter().for_each(|(p, (canonical, slice))| {
-        let mut mirrors: Vec<TileEntry> =
-            mirrored.iter().flat_map(|from| from.partition(p)).copied().collect();
+    jobs.into_par_iter().for_each(|(p, (own, slice))| {
+        let mut mirrors = Vec::with_capacity(slice.len() - own.len());
+        for from in received(p) {
+            mirrors.extend_from_slice(from);
+        }
         mirrors.sort_unstable_by_key(|e| e.tile);
-        merge_into(&canonical, &mirrors, slice);
+        merge_into(&own, &mirrors, slice);
     });
+    // SAFETY: the slices split the first `total` slots of the capacity
+    // between them, and `merge_into` has written every slot of each (a
+    // panicking job propagates before this line, leaving the length 0).
+    unsafe { table.set_len(total) };
     table
 }
 
 /// Merge two ascending entry lists that share no tile into `out`, which is
-/// exactly as long as both.
-fn merge_into(a: &[TileEntry], b: &[TileEntry], out: &mut [TileEntry]) {
+/// exactly as long as both; every slot of `out` is written.
+fn merge_into(a: &[TileEntry], b: &[TileEntry], out: &mut [MaybeUninit<TileEntry>]) {
     let (mut i, mut j) = (0, 0);
     for slot in out {
         if j == b.len() || (i < a.len() && a[i].tile < b[j].tile) {
-            *slot = a[i];
+            slot.write(a[i]);
             i += 1;
         } else {
-            *slot = b[j];
+            slot.write(b[j]);
             j += 1;
         }
     }
